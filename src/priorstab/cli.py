@@ -7,6 +7,7 @@ fit together, 4 internal solver failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -238,10 +239,10 @@ def cmd_path(args) -> int:
     problem = load_utilities(args.utilities)
     priors = _resolve_priors(args.priors, problem)
     prior = _select_prior(priors, args.prior)
-    if not args.lambda_max > 0.0:
-        raise InputError(f"--lambda-max must be positive, got {args.lambda_max!r}")
-    if not args.grid > 0.0:
-        raise InputError(f"--grid must be positive, got {args.grid!r}")
+    if not 0.0 < args.lambda_max < math.inf:
+        raise InputError(f"--lambda-max must be positive and finite, got {args.lambda_max!r}")
+    if not 0.0 < args.grid < math.inf:
+        raise InputError(f"--grid must be positive and finite, got {args.grid!r}")
     costs = _cost_assignment(args, problem)
     config = BisectionConfig(tolerance=args.tol)
     profile = stability_profile(problem, [prior], config)

@@ -87,7 +87,7 @@ class Prior:
             raise ValueError(f"prior {name!r} has negative mass entries")
         total = m.sum()
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"prior {name!r} mass sums to {total!r}, not 1")
+            raise ValueError(f"prior {name!r} mass sums to {float(total)!r}, not 1")
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "mass", m / total)
 

@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import re
-import tempfile
 
 import numpy as np
 
@@ -117,8 +116,11 @@ def load_utilities(path) -> DecisionProblem:
 
 def load_priors(path) -> tuple[tuple[str, ...], list[Prior]]:
     """`prior,<state...>` rows of probability masses; returns (states, priors)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return parse_priors(fh, str(path))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return parse_priors(fh, str(path))
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def parse_priors(stream, source: str) -> tuple[tuple[str, ...], list[Prior]]:
@@ -127,6 +129,8 @@ def parse_priors(stream, source: str) -> tuple[tuple[str, ...], list[Prior]]:
     if len(header) < 2 or header[0] != "prior":
         raise InputError(f"{source}:{lineno}: header must be 'prior,<state>,...'")
     states = tuple(_label(source, lineno, s, "state name") for s in header[1:])
+    if len(set(states)) != len(states):
+        raise InputError(f"{source}:{lineno}: duplicate state names")
     priors = []
     seen = set()
     for lineno, row in rows[1:]:
@@ -270,10 +274,19 @@ def _render_cell(value) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.
+
+    The temp file is created with mode 0666 less the umask, as ``open`` would
+    create the report itself.  A directory that cannot be created (say, a
+    path naming an existing file) is an :class:`InputError`.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {directory}: {exc}") from exc
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

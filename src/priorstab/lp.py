@@ -3,9 +3,14 @@
 Two routes into the same geometry: a bounded-variable two-phase simplex for
 general equality-form programs, and a closed-form greedy minimizer for linear
 objectives over the intersection of a coordinate band with the probability
-simplex.  The simplex is deliberately plain (dense tableau, Bland's pivot
-rule): every program solved here has a handful of variables, so anti-cycling
-and determinism matter more than speed.
+simplex.  The simplex works on a dense tableau, which suits the small
+programs solved here.  Phase 1 starts from a crash basis: every row that owns
+a single-nonzero column starts with that column basic, and artificial
+variables go only on the rows left over.  Entering columns are priced by
+Dantzig's rule (most negative reduced cost); after a run of degenerate pivots
+the run switches to Bland's rule, which cannot cycle, so termination stays
+guaranteed.  Leaving-row ties always go to the lowest basic index.  Every
+choice is deterministic, so a program always yields the same vertex.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ FEASIBILITY_TOL = 1e-9  # residual allowed on equality constraints
 BOUND_TOL = 1e-12       # residual allowed on variable bounds
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 20_000
+# Consecutive degenerate pivots before Bland's rule takes over.  Beale's
+# example cycles every 6; the need programs of the benchmark tables never
+# stall this long, so Dantzig's fewer pivots are kept where they are safe.
+_STALL_LIMIT = 50
 
 
 class SolverError(RuntimeError):
@@ -117,25 +126,60 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row, col] = 1.0
 
 
-def _run_simplex(T: np.ndarray, basis: list[int]) -> LpStatus:
-    """Minimize the objective encoded in the last tableau row (Bland's rule)."""
+def _run_simplex(T: np.ndarray, basis: np.ndarray) -> LpStatus:
+    """Minimize the objective encoded in the last tableau row.
+
+    Dantzig pricing (lowest index among equal reduced costs) until
+    ``_STALL_LIMIT`` consecutive degenerate pivots, then Bland's rule for the
+    rest of the run.
+    """
+    stalled = 0
     for _ in range(_MAX_PIVOTS):
         reduced = T[-1, :-1]
-        candidates = np.flatnonzero(reduced < -_PIVOT_TOL)
-        if candidates.size == 0:
-            return LpStatus.OPTIMAL
-        enter = int(candidates[0])  # Bland: lowest eligible index
+        if stalled < _STALL_LIMIT:
+            enter = int(np.argmin(reduced))  # Dantzig: most negative
+            if reduced[enter] >= -_PIVOT_TOL:
+                return LpStatus.OPTIMAL
+        else:
+            candidates = np.flatnonzero(reduced < -_PIVOT_TOL)
+            if candidates.size == 0:
+                return LpStatus.OPTIMAL
+            enter = int(candidates[0])  # Bland: lowest eligible index
         column = T[:-1, enter]
         rows = np.flatnonzero(column > _PIVOT_TOL)
         if rows.size == 0:
             return LpStatus.UNBOUNDED
-        ratios = T[:-1, -1][rows] / column[rows]
+        ratios = T[rows, -1] / column[rows]
         best = ratios.min()
         tied = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        leave = int(min(tied, key=lambda r: basis[r]))  # Bland: lowest basic index
+        leave = int(tied[np.argmin(basis[tied])])  # Bland: lowest basic index
+        if stalled < _STALL_LIMIT:
+            stalled = stalled + 1 if best <= _PIVOT_TOL else 0
         _pivot(T, leave, enter)
         basis[leave] = enter
     raise SolverError("simplex pivot limit exceeded")
+
+
+def _crash_basis(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, a column that can start basic in it, or -1.
+
+    A column qualifies for a row when it is nonzero in that row only and its
+    value ``b[r] / A[r, j]`` is nonnegative; a row with rhs 0 and a negative
+    coefficient is sign-flipped in place to make the column usable.  Each row
+    takes its lowest-index qualifying column.  Expects ``b >= 0``.
+    """
+    crash = np.full(A.shape[0], -1)
+    nonzero = A != 0.0
+    singles = np.flatnonzero(np.count_nonzero(nonzero, axis=0) == 1)
+    _, owners = np.nonzero(nonzero[:, singles].T)
+    usable = (A[owners, singles] > 0.0) | (b[owners] == 0.0)
+    for j, r in zip(singles[usable].tolist(), owners[usable].tolist()):
+        if crash[r] < 0:
+            crash[r] = j
+    flip = crash >= 0
+    flip[flip] = A[flip, crash[flip]] < 0.0
+    A[flip] *= -1.0
+    return crash
 
 
 def _two_phase(c: np.ndarray, A: np.ndarray, b: np.ndarray):
@@ -146,19 +190,26 @@ def _two_phase(c: np.ndarray, A: np.ndarray, b: np.ndarray):
     negative = b < 0
     A[negative] *= -1.0
     b[negative] *= -1.0
+    basis = _crash_basis(A, b)
 
-    # Phase 1: artificial variable per row, minimize their sum.
-    T = np.zeros((m + 1, n + m + 1))
+    # Phase 1: crash columns start basic (scaled to a unit pivot); the other
+    # rows get one artificial each, and the run minimizes their sum.
+    covered = np.flatnonzero(basis >= 0)
+    uncovered = np.flatnonzero(basis < 0)
+    n_art = uncovered.size
+    T = np.zeros((m + 1, n + n_art + 1))
     T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
     T[:m, -1] = b
-    basis = list(range(n, n + m))
-    T[-1, :] = -T[:m, :].sum(axis=0)
-    T[-1, n:n + m] += 1.0
-    if _run_simplex(T, basis) is LpStatus.UNBOUNDED:
-        raise SolverError("phase-1 objective reported unbounded")
-    if -T[-1, -1] > FEASIBILITY_TOL:
-        return LpStatus.INFEASIBLE, None, None
+    T[covered] /= T[covered, basis[covered]][:, None]
+    basis[uncovered] = n + np.arange(n_art)
+    T[uncovered, basis[uncovered]] = 1.0
+    if n_art:
+        T[-1, :] = -T[uncovered, :].sum(axis=0)
+        T[-1, n:n + n_art] = 0.0
+        if _run_simplex(T, basis) is LpStatus.UNBOUNDED:
+            raise SolverError("phase-1 objective reported unbounded")
+        if -T[-1, -1] > FEASIBILITY_TOL:
+            return LpStatus.INFEASIBLE, None, None
 
     # Drive remaining artificials out of the basis; drop redundant rows.
     keep = []
@@ -173,23 +224,19 @@ def _two_phase(c: np.ndarray, A: np.ndarray, b: np.ndarray):
             keep.append(r)
     if len(keep) < m:
         T = np.vstack([T[keep, :], T[-1:, :]])
-        basis = [basis[r] for r in keep]
+        basis = basis[keep]
         m = len(keep)
     T = np.hstack([T[:, :n], T[:, -1:]])
 
     # Phase 2: original objective, expressed in the current basis.
     T[-1, :] = 0.0
     T[-1, :n] = c
-    for r in range(m):
-        coef = T[-1, basis[r]]
-        if coef != 0.0:
-            T[-1, :] -= coef * T[r, :]
+    T[-1, :] -= c[basis] @ T[:m, :]
     if _run_simplex(T, basis) is LpStatus.UNBOUNDED:
         return LpStatus.UNBOUNDED, None, None
 
     x = np.zeros(n)
-    for r in range(m):
-        x[basis[r]] = T[r, -1]
+    x[basis] = T[:m, -1]
     return LpStatus.OPTIMAL, x, float(c @ x)
 
 

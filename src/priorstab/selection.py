@@ -214,10 +214,10 @@ def selection_path(
     midpoints yields the exact piecewise structure.  The grid evaluation is
     kept alongside as a cross-check and for plotting.
     """
-    if not lambda_max > 0.0:
-        raise ValueError(f"lambda_max must be positive, got {lambda_max!r}")
-    if not grid_step > 0.0:
-        raise ValueError(f"grid_step must be positive, got {grid_step!r}")
+    if not 0.0 < lambda_max < np.inf:
+        raise ValueError(f"lambda_max must be positive and finite, got {lambda_max!r}")
+    if not 0.0 < grid_step < np.inf:
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
     all_lines = score_lines(profile, costs, prior)
     lines = [line for line in all_lines if not line.inadmissible]
     if not lines:

@@ -7,7 +7,7 @@ some prior in the band makes it optimal.  The first is found by bisection on
 the monotone worst-case margin, the second by a single linear program.  When
 no prior anywhere makes an act optimal, a mixture of the competing acts
 strictly dominates it, and that mixture is returned as a checkable
-certificate.
+certificate.  A profile over several priors decides this once per act.
 """
 
 from __future__ import annotations
@@ -262,6 +262,10 @@ def contamination_need(problem: DecisionProblem, a: str, prior: Prior) -> Need:
     if a in bayes_acts(problem, prior):
         return Need.value(0.0)
     _, diffs = _difference_rows(problem, a)
+    # Each dominance row is a halfspace through the origin, so scaling it to
+    # unit max-norm leaves the program unchanged and keeps pivots well sized.
+    norms = np.abs(diffs).max(axis=1, keepdims=True)
+    diffs = diffs / np.where(norms > 0.0, norms, 1.0)
     k, m = diffs.shape
 
     # Variables: pi (m), epsilon (1), band slacks (2m), dominance slacks (k).
@@ -341,20 +345,43 @@ def stability_profile(
 ) -> StabilityProfile:
     """Compute radius and need for every (act, prior) pair.
 
-    Pairs are independent pure computations; callers may parallelize freely.
-    Failures are re-raised with the offending pair attached.
+    Strict inadmissibility does not depend on the prior, so it is decided
+    once per act; an act optimal under some profile prior is admissible
+    without a program.  Every row of a dominated act reuses its certificate.
+    The other acts are measured against the undominated acts only: at every
+    prior some undominated act attains the maximum expected utility, so
+    dropping the dominated ones changes no radius and no need.  Failures are
+    re-raised with the offending act, and prior where there is one, attached.
     """
     priors = list(priors)
     names = [p.name for p in priors]
     if len(set(names)) != len(names):
         raise ValueError("prior names must be unique within a profile")
+    bsets = [bayes_acts(problem, prior) for prior in priors]
+    optimal_somewhere = {act for bset in bsets for act in bset.optimal_acts}
+    certificates = {}
+    for act in problem.acts:
+        if act in optimal_somewhere:
+            certificates[act] = None
+            continue
+        try:
+            certificates[act] = strict_inadmissibility_certificate(problem, act)
+        except (SolverError, ValueError) as exc:
+            raise type(exc)(f"act {act!r}: {exc}") from exc
+    kept = [i for i, act in enumerate(problem.acts) if certificates[act] is None]
+    undominated = DecisionProblem(
+        [problem.acts[i] for i in kept], problem.states, problem.utilities[kept]
+    )
     rows = []
-    for prior in priors:
-        bset = bayes_acts(problem, prior)
+    for prior, bset in zip(priors, bsets):
         for act in problem.acts:
             try:
-                radius = robustness_radius(problem, act, prior, config)
-                need = contamination_need(problem, act, prior)
+                if certificates[act] is None:
+                    radius = robustness_radius(undominated, act, prior, config)
+                    need = contamination_need(undominated, act, prior)
+                else:
+                    radius = Radius.not_bayes()
+                    need = Need.infeasible(certificates[act])
             except (SolverError, ValueError) as exc:
                 raise type(exc)(
                     f"act {act!r}, prior {prior.name!r}: {exc}"

@@ -388,6 +388,71 @@ class TestBaselines:
             ) == 2
 
 
+class TestFailureExits:
+    def run_exit(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        return code, err
+
+    def test_missing_priors_file_is_exit_2(self, tmp_path, capsys):
+        u = write(tmp_path, "u.csv", TOY_UTILITIES)
+        missing = str(tmp_path / "missing.csv")
+        code, err = self.run_exit(
+            capsys, ["analyze", "--utilities", u, "--priors", missing, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "missing.csv" in err
+
+    def test_out_naming_a_file_is_exit_2(self, tmp_path, capsys):
+        u = write(tmp_path, "u.csv", TOY_UTILITIES)
+        p = write(tmp_path, "p.csv", TOY_PRIORS)
+        code, err = self.run_exit(capsys, ["analyze", "--utilities", u, "--priors", p, "--out", p])
+        assert code == 2
+        assert "output directory" in err
+
+    def test_reports_follow_the_umask(self, tmp_path):
+        import os
+
+        u = write(tmp_path, "u.csv", TOY_UTILITIES)
+        p = write(tmp_path, "p.csv", TOY_PRIORS)
+        old = os.umask(0o022)
+        try:
+            assert main(["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path / "out")]) == 0
+        finally:
+            os.umask(old)
+        for name in ("stability.csv", "stability.json"):
+            assert (tmp_path / "out" / name).stat().st_mode & 0o777 == 0o644
+        assert sorted(os.listdir(tmp_path / "out")) == ["stability.csv", "stability.json"]
+
+    @pytest.mark.parametrize("flag", ["--lambda-max", "--grid"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_path_parameters_are_exit_2(self, tmp_path, capsys, flag, value):
+        u = write(tmp_path, "u.csv", TOY_UTILITIES)
+        p = write(tmp_path, "p.csv", TOY_PRIORS)
+        code, err = self.run_exit(
+            capsys, ["path", "--utilities", u, "--priors", p, flag, value, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert flag in err
+
+    def test_duplicate_prior_states_are_exit_2(self, tmp_path, capsys):
+        # dropping either s1 column would leave a valid prior
+        u = write(tmp_path, "u.csv", TOY_UTILITIES)
+        p = write(tmp_path, "p.csv", "prior,s1,s1,s2\nref,0.3,0.5,0.7\n")
+        code, err = self.run_exit(capsys, ["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path)])
+        assert code == 2
+        assert "duplicate state names" in err
+
+    def test_bad_prior_sum_prints_a_plain_float(self, tmp_path, capsys):
+        u = write(tmp_path, "u.csv", TOY_UTILITIES)
+        p = write(tmp_path, "p.csv", "prior,s1,s2\nref,0.3,0.4\n")
+        code, err = self.run_exit(capsys, ["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path)])
+        assert code == 2
+        assert "mass sums to 0.7, not 1" in err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         u = tmp_path / "u.csv"

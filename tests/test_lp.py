@@ -116,6 +116,103 @@ class TestSolveLp:
             assert np.max(np.abs(A @ ours.point - b)) < 1e-9
 
 
+def beale_program():
+    """Beale's example: cycles under the most-negative rule on its own."""
+    A = np.array(
+        [
+            [0.25, -60.0, -0.04, 9.0, 1.0, 0.0],
+            [0.5, -90.0, -0.02, 3.0, 0.0, 1.0],
+        ]
+    )
+    c = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0]
+    upper = np.array([np.inf, np.inf, 1.0, np.inf, np.inf, np.inf])
+    return LinearProgram(c, A, [0.0, 0.0], np.zeros(6), upper)
+
+
+def assert_matches_highs(lp):
+    ours = solve_lp(lp)
+    ref = linprog(
+        lp.objective, A_eq=lp.eq_matrix, b_eq=lp.eq_rhs,
+        bounds=list(zip(lp.lower, [None if np.isinf(u) else u for u in lp.upper])),
+        method="highs",
+    )
+    assert ref.status == 0
+    assert ours.status is LpStatus.OPTIMAL
+    assert ours.value == pytest.approx(ref.fun, abs=1e-9)
+    assert np.max(np.abs(lp.eq_matrix @ ours.point - lp.eq_rhs)) < 1e-9
+    assert np.all(ours.point >= lp.lower - 1e-12)
+    assert np.all(ours.point <= lp.upper + 1e-12)
+
+
+class TestPricingAndCrash:
+    def test_beale_terminates_at_the_known_optimum(self):
+        # optimum x = (1/25, 0, 1, 0) with value -1/20 (Beale, 1955)
+        out = solve_lp(beale_program())
+        assert out.status is LpStatus.OPTIMAL
+        assert out.value == pytest.approx(-0.05, abs=1e-12)
+        assert out.point[:4] == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
+
+    def test_program_without_rows(self):
+        lp = LinearProgram([1.0, 2.0], np.zeros((0, 2)), [], [0.0, -1.0], [np.inf, np.inf])
+        out = solve_lp(lp)
+        assert out.status is LpStatus.OPTIMAL
+        assert out.value == pytest.approx(-2.0, abs=1e-12)
+        assert out.point == pytest.approx([0.0, -1.0], abs=1e-12)
+
+    def test_beale_cycles_without_the_bland_fallback(self, monkeypatch):
+        import priorstab.lp as lp_module
+
+        monkeypatch.setattr(lp_module, "_STALL_LIMIT", 10**9)
+        monkeypatch.setattr(lp_module, "_MAX_PIVOTS", 500)
+        with pytest.raises(lp_module.SolverError, match="pivot limit"):
+            solve_lp(beale_program())
+
+    @pytest.fixture
+    def crashes(self, monkeypatch):
+        """Record the crash basis of every program solved."""
+        import priorstab.lp as lp_module
+
+        seen = []
+        original = lp_module._crash_basis
+
+        def recording(A, b):
+            crash = original(A, b)
+            seen.append(crash.copy())
+            return crash
+
+        monkeypatch.setattr(lp_module, "_crash_basis", recording)
+        return seen
+
+    def test_every_row_crashed_matches_highs(self, crashes):
+        rng = np.random.default_rng(505)
+        for _ in range(60):
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(1, 5))
+            # slacked inequalities B x <= d; every other row has rhs 0 and a
+            # surplus column (-1), which the crash takes after a sign flip
+            B = rng.uniform(-1.0, 1.0, size=(m, n))
+            sign = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+            d = np.where(sign > 0, rng.uniform(0.1, 2.0, m), 0.0)
+            A = np.hstack([B, np.diag(sign)])
+            upper = np.concatenate([rng.uniform(0.5, 2.0, n), np.full(m, np.inf)])
+            assert_matches_highs(
+                LinearProgram(rng.normal(size=n + m), A, d, np.zeros(n + m), upper)
+            )
+            assert np.all(crashes.pop() >= 0)
+
+    def test_no_row_crashed_matches_highs(self, crashes):
+        rng = np.random.default_rng(606)
+        for _ in range(60):
+            n = int(rng.integers(3, 8))
+            m = int(rng.integers(2, 5))
+            A = rng.uniform(0.1, 1.0, size=(m, n)) * rng.choice([-1.0, 1.0], size=(m, n))
+            b = A @ rng.uniform(0.0, 1.0, n)
+            assert_matches_highs(
+                LinearProgram(rng.uniform(0.1, 1.0, n), A, b, np.zeros(n), np.full(n, np.inf))
+            )
+            assert np.all(crashes.pop() < 0)
+
+
 class TestBandBox:
     def test_bounds_bracket_center(self):
         band = BandBox([0.2, 0.5, 0.3], 0.25)

@@ -152,6 +152,13 @@ class TestOptimalActs:
 
 
 class TestSelectionPath:
+    def test_nonfinite_range_rejected(self, toy_problem, toy_prior):
+        profile = stability_profile(toy_problem, [toy_prior])
+        costs = variance_cost(toy_problem)
+        for kwargs in ({"lambda_max": np.inf}, {"grid_step": np.inf}, {"lambda_max": np.nan}):
+            with pytest.raises(ValueError, match="positive and finite"):
+                selection_path(profile, costs, "ref", **kwargs)
+
     def test_engineered_breakpoint(self):
         profile = synthetic_profile([bayes_row("a", 0.8), bayes_row("b", 0.4)])
         costs = CostAssignment(("a", "b"), [1.0, 0.2])

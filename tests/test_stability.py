@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorstab import (
     BandBox,
@@ -8,6 +10,7 @@ from priorstab import (
     NeedKind,
     Prior,
     RadiusKind,
+    SolverError,
     affine_transform,
     band_feasible_with_halfspaces,
     bayes_acts,
@@ -321,6 +324,30 @@ class TestAffineInvariance:
                     assert abs(n1.epsilon - n2.epsilon) <= 1e-9
 
 
+    def test_need_is_exact_or_refused_at_extreme_scales(self):
+        # At 1e-8 a certificate's margins fall under the absolute strictness
+        # threshold, so a dominated row may end in SolverError; no scale may
+        # turn a row into a different answer.
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            problem = random_problem(rng, min_acts=5, max_acts=5, min_states=4, max_states=4)
+            prior = random_prior(rng, problem.num_states)
+            reference = {a: contamination_need(problem, a, prior) for a in problem.acts}
+            for scale in (1e-8, 1e-6, 1e6, 1e8):
+                scaled = affine_transform(problem, scale, 0.0)
+                for act, ref in reference.items():
+                    if scale == 1e-8 and ref.kind is NeedKind.INFEASIBLE:
+                        try:
+                            need = contamination_need(scaled, act, prior)
+                        except SolverError:
+                            continue
+                    else:
+                        need = contamination_need(scaled, act, prior)
+                    assert need.kind is ref.kind
+                    if need.kind is NeedKind.VALUE:
+                        assert abs(need.epsilon - ref.epsilon) <= 1e-9
+
+
 class TestStabilityProfile:
     def test_toy_profile_rows(self, toy_problem, toy_prior):
         profile = stability_profile(toy_problem, [toy_prior])
@@ -374,3 +401,82 @@ class TestStabilityProfile:
         monkeypatch.setattr(stab, "contamination_need", boom)
         with pytest.raises(stab.SolverError, match="act 'a', prior 'ref'"):
             stab.stability_profile(toy_problem, [toy_prior])
+
+    def test_certificate_failures_carry_the_act(self, toy_problem, toy_prior, monkeypatch):
+        import priorstab.stability as stab
+
+        def boom(problem, act):
+            raise stab.SolverError("boom")
+
+        # "b" is optimal under no profile prior, so its admissibility is decided
+        monkeypatch.setattr(stab, "strict_inadmissibility_certificate", boom)
+        with pytest.raises(stab.SolverError, match="act 'b': boom"):
+            stab.stability_profile(toy_problem, [toy_prior])
+
+    def test_admissibility_is_decided_once_per_act(self, monkeypatch):
+        import priorstab.stability as stab
+
+        problem = DecisionProblem(
+            ("low", "b", "c"), ("s1", "s2"), [[0.4, 0.4], [1.0, 0.0], [0.0, 1.0]]
+        )
+        priors = [Prior(f"p{i}", [w, 1.0 - w]) for i, w in enumerate((0.1, 0.5, 0.9))]
+        calls, need_acts = [], set()
+        certificate = stab.strict_inadmissibility_certificate
+        need = stab.contamination_need
+
+        def counted(problem, act):
+            calls.append(act)
+            return certificate(problem, act)
+
+        def spied(problem, act, prior):
+            need_acts.add(problem.acts)
+            return need(problem, act, prior)
+
+        monkeypatch.setattr(stab, "strict_inadmissibility_certificate", counted)
+        monkeypatch.setattr(stab, "contamination_need", spied)
+        profile = stab.stability_profile(problem, priors)
+        # b and c are optimal under some prior, so only "low" needs a program
+        assert calls == ["low"]
+        # and the dominated act is left out of the other acts' programs
+        assert need_acts == {("b", "c")}
+        certificates = {id(r.need.certificate) for r in profile.rows if r.act == "low"}
+        assert len(certificates) == 1
+        assert all(r.need.kind is NeedKind.INFEASIBLE for r in profile.rows if r.act == "low")
+
+
+def dominated_table(rng):
+    """Random table with a duplicated act and acts dominated by mixtures."""
+    n = int(rng.integers(3, 8))
+    m = int(rng.integers(2, 6))
+    u = rng.uniform(-1.0, 1.0, size=(n, m))
+    u[1] = u[0]
+    for i in range(2, n, 2):
+        donors = rng.choice([j for j in range(n) if j != i], size=2, replace=False)
+        w = float(rng.uniform(0.0, 1.0))
+        mixture = w * u[donors[0]] + (1.0 - w) * u[donors[1]]
+        u[i] = mixture - rng.uniform(0.0, 0.2, m)
+    return DecisionProblem(
+        tuple(f"a{i}" for i in range(n)), tuple(f"s{j}" for j in range(m)), u
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_profile_rows_equal_per_row_computations(seed):
+    """Rows equal the per-row functions on the full table: radius exactly."""
+    rng = np.random.default_rng(seed)
+    problem = dominated_table(rng)
+    priors = [random_prior(rng, problem.num_states, name=f"p{i}") for i in range(3)]
+    profile = stability_profile(problem, priors)
+    for prior in priors:
+        for act in problem.acts:
+            row = profile.row(prior.name, act)
+            assert row.radius == robustness_radius(problem, act, prior)
+            need = contamination_need(problem, act, prior)
+            certificate = strict_inadmissibility_certificate(problem, act)
+            assert row.need.kind is need.kind
+            assert (row.need.kind is NeedKind.INFEASIBLE) == (certificate is not None)
+            if need.kind is NeedKind.VALUE:
+                assert abs(row.need.epsilon - need.epsilon) <= 1e-9
+            else:
+                assert row.need.certificate.weights == certificate.weights
