@@ -15,18 +15,15 @@ from .core import (
     BayesSet,
     DecisionProblem,
     Prior,
-    affine_transform,
     bayes_acts,
     expected_utility,
 )
 from .lp import (
     BandBox,
-    BandFeasibility,
     LinearProgram,
     LpOutcome,
     LpStatus,
     SolverError,
-    band_feasible_with_halfspaces,
     minimize_over_band,
     solve_lp,
 )
@@ -48,16 +45,12 @@ from .selection import (
     RexResult,
     ScoreBranch,
     SelectionPath,
-    StabilityScore,
     gamma_aggregate,
-    optimal_acts,
     rex_score,
     selection_path,
-    stability_score,
     variance_cost,
 )
 from .stability import (
-    BisectionConfig,
     DominanceCertificate,
     Need,
     NeedKind,
@@ -66,19 +59,15 @@ from .stability import (
     StabilityProfile,
     StabilityRow,
     contamination_need,
-    pairwise_margin,
     robustness_radius,
     stability_profile,
     strict_inadmissibility_certificate,
-    worst_case_margin,
 )
 
 __all__ = [
     "__version__",
     "BandBox",
-    "BandFeasibility",
     "BayesSet",
-    "BisectionConfig",
     "CostAssignment",
     "DecisionProblem",
     "DominanceCertificate",
@@ -102,9 +91,6 @@ __all__ = [
     "SolverError",
     "StabilityProfile",
     "StabilityRow",
-    "StabilityScore",
-    "affine_transform",
-    "band_feasible_with_halfspaces",
     "bayes_acts",
     "contamination_need",
     "default_catalog",
@@ -115,17 +101,13 @@ __all__ = [
     "label_regimes",
     "minimize_over_band",
     "monthly_features",
-    "optimal_acts",
-    "pairwise_margin",
     "portfolio_returns",
     "rex_score",
     "robustness_radius",
     "selection_path",
     "solve_lp",
     "stability_profile",
-    "stability_score",
     "strict_inadmissibility_certificate",
     "utility_matrix",
     "variance_cost",
-    "worst_case_margin",
 ]

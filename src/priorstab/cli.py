@@ -47,7 +47,7 @@ from .selection import (
     selection_path,
     variance_cost,
 )
-from .stability import BisectionConfig, NeedKind, RadiusKind, stability_profile
+from .stability import NeedKind, RadiusKind, stability_profile
 
 __all__ = ["main", "run"]
 
@@ -68,9 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--priors", help="priors CSV (prior,<state>,...); packaged catalog when omitted"
     )
-    analyze.add_argument(
-        "--tol", type=float, default=1e-6, help="bisection tolerance (default 1e-6)"
-    )
     analyze.add_argument("--out", default=".", help="output directory (default .)")
     analyze.set_defaults(func=cmd_analyze)
 
@@ -87,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     path.add_argument("--costs", help="costs CSV (act,cost); required with --cost-mode file")
     path.add_argument("--lambda-max", type=float, default=3.0, help="grid endpoint (default 3)")
     path.add_argument("--grid", type=float, default=0.01, help="grid step (default 0.01)")
-    path.add_argument("--tol", type=float, default=1e-6)
     path.add_argument("--out", default=".")
     path.set_defaults(func=cmd_path)
 
@@ -167,8 +163,7 @@ def _con_cell(row):
 def cmd_analyze(args) -> int:
     problem = load_utilities(args.utilities)
     priors = _resolve_priors(args.priors, problem)
-    config = BisectionConfig(tolerance=args.tol)
-    profile = stability_profile(problem, priors, config)
+    profile = stability_profile(problem, priors)
 
     csv_rows = []
     json_rows = []
@@ -203,7 +198,6 @@ def cmd_analyze(args) -> int:
         os.path.join(args.out, "stability.json"),
         {
             "report": "stability",
-            "tolerance": config.tolerance,
             "acts": list(problem.acts),
             "states": list(problem.states),
             "priors": [{"name": p.name, "mass": [float(x) for x in p.mass]} for p in priors],
@@ -244,8 +238,7 @@ def cmd_path(args) -> int:
     if not 0.0 < args.grid < math.inf:
         raise InputError(f"--grid must be positive and finite, got {args.grid!r}")
     costs = _cost_assignment(args, problem)
-    config = BisectionConfig(tolerance=args.tol)
-    profile = stability_profile(problem, [prior], config)
+    profile = stability_profile(problem, [prior])
     path = selection_path(profile, costs, prior.name, args.lambda_max, args.grid)
 
     lines_rows = []

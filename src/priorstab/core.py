@@ -11,7 +11,6 @@ __all__ = [
     "BayesSet",
     "DecisionProblem",
     "Prior",
-    "affine_transform",
     "bayes_acts",
     "expected_utility",
 ]
@@ -134,11 +133,3 @@ def bayes_acts(problem: DecisionProblem, prior: Prior) -> BayesSet:
         expected_utilities={act: float(v) for act, v in zip(problem.acts, values)},
     )
 
-
-def affine_transform(problem: DecisionProblem, scale: float, shift: float) -> DecisionProblem:
-    """Rescale utilities to scale*u + shift; scale must be positive."""
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
-    return DecisionProblem(
-        problem.acts, problem.states, scale * problem.utilities + shift
-    )

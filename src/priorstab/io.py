@@ -50,7 +50,7 @@ class ConsistencyError(ValueError):
 
 def _read_rows(path) -> list[tuple[int, list[str]]]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return _rows_from_stream(fh, str(path))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -117,7 +117,7 @@ def load_utilities(path) -> DecisionProblem:
 def load_priors(path) -> tuple[tuple[str, ...], list[Prior]]:
     """`prior,<state...>` rows of probability masses; returns (states, priors)."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return parse_priors(fh, str(path))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

@@ -24,12 +24,10 @@ __all__ = [
     "FEASIBILITY_TOL",
     "BOUND_TOL",
     "BandBox",
-    "BandFeasibility",
     "LinearProgram",
     "LpOutcome",
     "LpStatus",
     "SolverError",
-    "band_feasible_with_halfspaces",
     "minimize_over_band",
     "solve_lp",
 ]
@@ -306,65 +304,46 @@ class BandBox:
         return self.center.size
 
 
-def minimize_over_band(direction, band: BandBox) -> tuple[float, np.ndarray]:
-    """Exact minimum of <pi, direction> over band-and-simplex.
+def minimize_over_band(direction, band: BandBox) -> tuple[float, np.ndarray, float]:
+    """Exact minimum of <pi, direction> over band-and-simplex, and its rate.
 
     Greedy mass allocation: every coordinate starts at its lower bound and
-    the leftover mass 1 - sum(lower) is poured into coordinates in ascending
-    order of the direction coefficient (ties broken toward the lower index),
-    each up to its capacity.  This is the closed-form solution of the
-    transportation-style program, so no simplex run is needed.
+    the mass moved off the center onto the lower bounds is poured back into
+    coordinates in ascending order of the direction coefficient (ties broken
+    toward the lower index), each up to its capacity.  This is the
+    closed-form solution of the transportation-style program, so no simplex
+    run is needed.
+
+    The third element is the right-hand derivative of the minimum in the
+    band radius.  Filled coordinates move with their upper bound, untouched
+    ones with their lower bound, and the coordinate the pour stops in takes
+    up the difference.  Where the rest of the mass exactly fills a
+    coordinate (always so at radius 0, where every capacity is 0), the pour
+    stops there only if the capacity also grows at least as fast as the
+    rest, which is the choice that stays feasible just beyond the radius.
     """
     d = _vector(direction, "direction")
     if d.size != band.dimension:
         raise ValueError(f"direction has {d.size} entries for dimension {band.dimension}")
-    point = band.lower.copy()
-    residual = 1.0 - point.sum()
-    if residual > 0.0:
-        caps = band.upper - band.lower
-        for j in np.argsort(d, kind="stable"):
-            take = caps[j] if caps[j] < residual else residual
-            point[j] += take
-            residual -= take
-            if residual <= 0.0:
-                break
-    return float(point @ d), point
-
-
-@dataclass(frozen=True)
-class BandFeasibility:
-    feasible: bool
-    witness: np.ndarray | None = None
-
-
-def band_feasible_with_halfspaces(band: BandBox, halfspaces) -> BandFeasibility:
-    """Is band-and-simplex compatible with the halfspaces <pi, h> >= 0?
-
-    The band center is tried first (it always lies in band-and-simplex); when
-    it fails, a phase-1 simplex run over the slacked system decides
-    feasibility and supplies a witness vertex.
-    """
-    m = band.dimension
-    normals = np.asarray(list(halfspaces), dtype=float)
-    if normals.size == 0:
-        return BandFeasibility(feasible=True, witness=band.center.copy())
-    if normals.ndim != 2 or normals.shape[1] != m:
-        raise ValueError(f"halfspace normals must be rows of length {m}")
-    if np.all(normals @ band.center >= 0.0):
-        return BandFeasibility(feasible=True, witness=band.center.copy())
-
-    h = normals.shape[0]
-    A = np.zeros((1 + h, m + h))
-    A[0, :m] = 1.0
-    A[1:, :m] = normals
-    A[1 + np.arange(h), m + np.arange(h)] = -1.0
-    b = np.zeros(1 + h)
-    b[0] = 1.0
-    lower = np.concatenate([band.lower, np.zeros(h)])
-    upper = np.concatenate([band.upper, np.full(h, np.inf)])
-    out = solve_lp(LinearProgram(np.zeros(m + h), A, b, lower, upper))
-    if out.status is LpStatus.INFEASIBLE:
-        return BandFeasibility(feasible=False)
-    if out.status is not LpStatus.OPTIMAL:
-        raise SolverError("feasibility program reported unbounded")
-    return BandFeasibility(feasible=True, witness=out.point[:m])
+    coefficients = d.tolist()
+    lower = band.lower.tolist()
+    upper = band.upper.tolist()
+    point = list(lower)
+    rate = [-1.0 if lo > 0.0 else 0.0 for lo in lower]
+    # Measured from the center, the mass to pour is exactly 0 at radius 0.
+    rest = sum(c - lo for c, lo in zip(band.center.tolist(), lower))
+    rest_rate = -sum(rate)
+    for j in sorted(range(d.size), key=coefficients.__getitem__):
+        cap = upper[j] - lower[j]
+        upper_rate = 1.0 if upper[j] < 1.0 else 0.0
+        cap_rate = upper_rate - rate[j]
+        if (cap, cap_rate) >= (rest, rest_rate):
+            point[j] += rest
+            rate[j] += rest_rate
+            break
+        point[j] = upper[j]
+        rate[j] = upper_rate
+        rest -= cap
+        rest_rate -= cap_rate
+    point = np.array(point)
+    return float(point @ d), point, float(np.array(rate) @ d)

@@ -26,16 +26,14 @@ __all__ = [
     "ScoreBranch",
     "SelectionPath",
     "PathSegment",
-    "StabilityScore",
     "gamma_aggregate",
-    "optimal_acts",
     "rex_score",
     "selection_path",
-    "stability_score",
     "variance_cost",
 ]
 
 SCORE_TIE_TOL = 1e-12
+_MAX_GRID_POINTS = 1_000_000  # bounds the grid's memory and its evaluation loop
 
 
 @dataclass(frozen=True)
@@ -74,14 +72,6 @@ def variance_cost(problem: DecisionProblem) -> CostAssignment:
 class ScoreBranch(Enum):
     BAYES = "bayes"
     NON_BAYES = "non_bayes"
-
-
-@dataclass(frozen=True)
-class StabilityScore:
-    act: str
-    lam: float
-    value: float  # -inf for strictly inadmissible acts
-    branch: ScoreBranch
 
 
 @dataclass(frozen=True)
@@ -134,31 +124,6 @@ def score_lines(
     return tuple(lines)
 
 
-def stability_score(
-    profile: StabilityProfile, costs: CostAssignment, lam: float, prior: str
-) -> list[StabilityScore]:
-    """Cost-adjusted stability score of every act at one lambda."""
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam!r}")
-    return [
-        StabilityScore(line.act, float(lam), line.at(lam), line.branch)
-        for line in score_lines(profile, costs, prior)
-    ]
-
-
-def optimal_acts(scores: list[StabilityScore]) -> tuple[str, ...]:
-    """All acts within tolerance of the best score, best-ranked act first.
-
-    Input order is act order, so the first element is the canonical
-    representative (lowest act index).
-    """
-    finite = [s for s in scores if np.isfinite(s.value)]
-    if not finite:
-        raise ValueError("all acts are strictly inadmissible; no score is finite")
-    best = max(s.value for s in finite)
-    return tuple(s.act for s in finite if s.value >= best - SCORE_TIE_TOL)
-
-
 @dataclass(frozen=True)
 class PathSegment:
     lo: float
@@ -173,21 +138,9 @@ class SelectionPath:
     prior: str
     lambda_grid: np.ndarray
     grid_selected: tuple[str, ...]
-    grid_ties: tuple[tuple[str, ...], ...]
     breakpoints: tuple[float, ...]
     segments: tuple[PathSegment, ...]
     lines: tuple[ScoreLine, ...]
-
-    def acts_at(self, lam: float, breakpoint_tol: float = 1e-9) -> tuple[str, ...]:
-        """Acts selected at ``lam``: both neighbors near a breakpoint."""
-        acts = []
-        for seg in self.segments:
-            if seg.lo - breakpoint_tol <= lam <= seg.hi + breakpoint_tol:
-                if seg.act not in acts:
-                    acts.append(seg.act)
-        if not acts:
-            raise ValueError(f"lambda {lam!r} outside the path range")
-        return tuple(acts)
 
 
 def _canonical_winner(lines, lam: float, act_order) -> str:
@@ -218,6 +171,13 @@ def selection_path(
         raise ValueError(f"lambda_max must be positive and finite, got {lambda_max!r}")
     if not 0.0 < grid_step < np.inf:
         raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
+    steps = lambda_max / grid_step + 1e-9
+    if not steps < _MAX_GRID_POINTS:
+        raise ValueError(
+            f"a grid step of {grid_step!r} up to {lambda_max!r} gives more than "
+            f"{_MAX_GRID_POINTS} grid points"
+        )
+    n_steps = int(np.floor(steps))
     all_lines = score_lines(profile, costs, prior)
     lines = [line for line in all_lines if not line.inadmissible]
     if not lines:
@@ -250,21 +210,12 @@ def selection_path(
             segments.append(PathSegment(lo, hi, winner))
     breakpoints = tuple(seg.lo for seg in segments[1:])
 
-    n_steps = int(np.floor(lambda_max / grid_step + 1e-9))
     grid = np.unique(np.append(np.arange(n_steps + 1) * grid_step, lambda_max))
-    grid_selected = []
-    grid_ties = []
-    for lam in grid:
-        values = {line.act: line.at(lam) for line in lines}
-        best = max(values.values())
-        tied = tuple(a for a in act_order if a in values and values[a] >= best - SCORE_TIE_TOL)
-        grid_ties.append(tied)
-        grid_selected.append(tied[0])
+    grid_selected = tuple(_canonical_winner(lines, lam, act_order) for lam in grid)
     return SelectionPath(
         prior=prior,
         lambda_grid=grid,
-        grid_selected=tuple(grid_selected),
-        grid_ties=tuple(grid_ties),
+        grid_selected=grid_selected,
         breakpoints=breakpoints,
         segments=tuple(segments),
         lines=all_lines,

@@ -3,11 +3,12 @@
 For an act that is optimal at the reference prior, the *robustness radius* is
 the largest band radius within which it stays optimal for every prior in the
 band; for any act, the *contamination need* is the smallest radius at which
-some prior in the band makes it optimal.  The first is found by bisection on
-the monotone worst-case margin, the second by a single linear program.  When
-no prior anywhere makes an act optimal, a mixture of the competing acts
-strictly dominates it, and that mixture is returned as a checkable
-certificate.  A profile over several priors decides this once per act.
+some prior in the band makes it optimal.  The radius is exact, by Newton on
+each competitor's convex band minimum; the need comes from a single linear
+program.  When no prior anywhere makes an act optimal, a mixture of the
+competing acts strictly dominates it, and that mixture is returned as a
+checkable certificate.  A profile over several priors decides this once per
+act.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .lp import BandBox, LinearProgram, LpStatus, SolverError, minimize_over_ban
 
 __all__ = [
     "STRICT_DOMINANCE_TOL",
-    "BisectionConfig",
     "DominanceCertificate",
     "Need",
     "NeedKind",
@@ -31,14 +31,14 @@ __all__ = [
     "StabilityProfile",
     "StabilityRow",
     "contamination_need",
-    "pairwise_margin",
     "robustness_radius",
     "stability_profile",
     "strict_inadmissibility_certificate",
-    "worst_case_margin",
 ]
 
-STRICT_DOMINANCE_TOL = 1e-9  # mixture advantage below this is not "strict"
+# Mixture advantage below this share of the largest utility difference is
+# not "strict".
+STRICT_DOMINANCE_TOL = 1e-9
 
 
 class RadiusKind(Enum):
@@ -90,7 +90,9 @@ class DominanceCertificate:
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(f"certificate weights sum to {w.sum()!r}, not 1")
         margins = np.asarray(self.margins, dtype=float)
-        if margins.min() <= STRICT_DOMINANCE_TOL:
+        # Relative to the largest margin, which is at most the table's largest
+        # utility difference, so every certificate the program accepts passes.
+        if margins.min() <= STRICT_DOMINANCE_TOL * np.abs(margins).max():
             raise ValueError("certificate margins must exceed the strictness threshold")
         object.__setattr__(self, "margins", margins)
 
@@ -132,21 +134,6 @@ class Need:
         return self.epsilon if self.kind is NeedKind.VALUE else np.inf
 
 
-@dataclass(frozen=True)
-class BisectionConfig:
-    """Tolerance and radius bracket for the robustness-radius search."""
-
-    tolerance: float = 1e-6
-    lower: float = 0.0
-    upper: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.tolerance < 1.0:
-            raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance!r}")
-        if not (0.0 <= self.lower < self.upper <= 1.0):
-            raise ValueError("radius bracket must satisfy 0 <= lower < upper <= 1")
-
-
 def _difference_rows(problem: DecisionProblem, act: str) -> tuple[list[str], np.ndarray]:
     """Rows u(act, .) - u(b, .) for every competitor b, in act order."""
     i = problem.act_index(act)
@@ -155,55 +142,51 @@ def _difference_rows(problem: DecisionProblem, act: str) -> tuple[list[str], np.
     return others, diffs
 
 
-def pairwise_margin(
-    problem: DecisionProblem, a: str, b: str, prior: Prior, epsilon: float
-) -> float:
-    """Worst advantage of ``a`` over ``b`` across the band of radius epsilon."""
-    if a == b:
-        raise ValueError("pairwise margin needs two distinct acts")
-    d = problem.row(a) - problem.row(b)
-    value, _ = minimize_over_band(d, BandBox(prior.mass, epsilon))
-    return value
+def _largest_safe_radius(d: np.ndarray, center: np.ndarray) -> float:
+    """Largest radius up to which <pi, d> >= 0 over band-and-simplex.
+
+    The band minimum f is convex, nonincreasing and piecewise-linear in the
+    radius, with f(1) = min(d) < 0.  Newton's method from radius 0 follows
+    tangents, which lie below a convex function, so every iterate keeps
+    f >= 0 and each step enters a new linear piece: the run ends after at
+    most as many steps as f has pieces.  It stops on the sign of f, or when
+    a step keeps the slope, since f is then linear back to the previous
+    iterate and the tangent's root is its root; rounding can leave f a few
+    ulps above 0 there.
+    """
+    radius = 0.0
+    value, _, slope = minimize_over_band(d, BandBox(center, radius))
+    while value > 0.0:
+        step = min(1.0, radius - value / slope)
+        if step <= radius:
+            break
+        radius = step
+        value, _, next_slope = minimize_over_band(d, BandBox(center, radius))
+        if next_slope == slope:
+            break
+        slope = next_slope
+    return radius
 
 
-def worst_case_margin(
-    problem: DecisionProblem, a: str, prior: Prior, epsilon: float
-) -> float:
-    """Minimum pairwise margin of ``a`` against all competitors."""
-    if problem.num_acts < 2:
-        raise ValueError("worst-case margin needs at least two acts")
-    band = BandBox(prior.mass, epsilon)
-    _, diffs = _difference_rows(problem, a)
-    return min(minimize_over_band(d, band)[0] for d in diffs)
-
-
-def robustness_radius(
-    problem: DecisionProblem,
-    a: str,
-    prior: Prior,
-    config: BisectionConfig = BisectionConfig(),
-) -> Radius:
+def robustness_radius(problem: DecisionProblem, a: str, prior: Prior) -> Radius:
     """Largest band radius keeping ``a`` optimal everywhere in the band.
 
-    Bisection on the worst-case margin, which is non-increasing in the
-    radius: the bracket [lo, hi] keeps margin(lo) >= 0 > margin(hi) and
-    shrinks to the configured tolerance, returning the inner estimate ``lo``.
-    An act optimal over the whole simplex short-circuits to radius 1.
+    The radius is the smallest of the competitors' safe radii, capped at 1.
+    A competitor that ``a`` beats in every state never binds, and one whose
+    band minimum is still nonnegative at the smallest radius found so far
+    cannot lower it, so it costs a single evaluation.
     """
     if a not in bayes_acts(problem, prior):
         return Radius.not_bayes()
-    if problem.num_acts == 1:
-        return Radius.value(config.upper)
-    if worst_case_margin(problem, a, prior, config.upper) >= 0.0:
-        return Radius.value(config.upper)
-    lo, hi = config.lower, config.upper
-    while hi - lo > config.tolerance:
-        mid = 0.5 * (lo + hi)
-        if worst_case_margin(problem, a, prior, mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return Radius.value(lo)
+    _, diffs = _difference_rows(problem, a)
+    radius = 1.0
+    for d in diffs:
+        if d.min() >= 0.0:
+            continue
+        if radius < 1.0 and minimize_over_band(d, BandBox(prior.mass, radius))[0] >= 0.0:
+            continue
+        radius = min(radius, _largest_safe_radius(d, prior.mass))
+    return Radius.value(radius)
 
 
 def strict_inadmissibility_certificate(
@@ -214,23 +197,27 @@ def strict_inadmissibility_certificate(
     Maximizes the smallest per-state advantage t of a convex combination of
     the other acts over ``a``; the combination certifies strict
     inadmissibility exactly when the optimum exceeds the strictness
-    threshold.  Returns ``None`` otherwise (including the weak-domination
-    boundary, e.g. a duplicated act).
+    threshold, relative to the largest utility difference.  Returns ``None``
+    otherwise (including the weak-domination boundary, e.g. a duplicated
+    act).  The certificate's margins are in the original utility units.
     """
     if problem.num_acts < 2:
         raise ValueError("a certificate needs at least one competing act")
     others, diffs = _difference_rows(problem, a)
     gains = -diffs  # per competitor: u(b, .) - u(a, .)
     k, m = gains.shape
+    # The program runs on unit-scale gains, so its threshold is scale-free.
+    scale = float(np.abs(gains).max())
+    unit = gains / scale if scale > 0.0 else gains
 
     # Variables: mixture weights (k), advantage t (1), per-state slack (m).
-    t_lo = float(gains.min()) - 1.0
-    t_hi = float(gains.max()) + 1.0
+    t_lo = float(unit.min()) - 1.0
+    t_hi = float(unit.max()) + 1.0
     objective = np.zeros(k + 1 + m)
     objective[k] = -1.0  # maximize t
     A = np.zeros((1 + m, k + 1 + m))
     A[0, :k] = 1.0
-    A[1:, :k] = gains.T
+    A[1:, :k] = unit.T
     A[1:, k] = -1.0
     A[1 + np.arange(m), k + 1 + np.arange(m)] = -1.0
     b = np.zeros(1 + m)
@@ -338,11 +325,7 @@ class StabilityProfile:
         return tuple(r for r in self.rows if r.prior == prior)
 
 
-def stability_profile(
-    problem: DecisionProblem,
-    priors,
-    config: BisectionConfig = BisectionConfig(),
-) -> StabilityProfile:
+def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     """Compute radius and need for every (act, prior) pair.
 
     Strict inadmissibility does not depend on the prior, so it is decided
@@ -377,7 +360,7 @@ def stability_profile(
         for act in problem.acts:
             try:
                 if certificates[act] is None:
-                    radius = robustness_radius(undominated, act, prior, config)
+                    radius = robustness_radius(undominated, act, prior)
                     need = contamination_need(undominated, act, prior)
                 else:
                     radius = Radius.not_bayes()

@@ -1,7 +1,25 @@
+"""Fixtures, and reference helpers that only the tests use.
+
+The helpers were library functions once; they stay here as independent
+oracles and conveniences, built on the public API.
+"""
+
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from priorstab import DecisionProblem, Prior
+from priorstab import (
+    BandBox,
+    DecisionProblem,
+    LinearProgram,
+    LpStatus,
+    Prior,
+    SolverError,
+    minimize_over_band,
+    solve_lp,
+)
+from priorstab.selection import SCORE_TIE_TOL, ScoreBranch, score_lines
 
 # Conditional mean returns of the six stock portfolios across the four
 # regimes, used as a regression anchor throughout the suite.
@@ -143,3 +161,111 @@ PLANTED_WEIGHTS_CSV = (
 @pytest.fixture(scope="session")
 def planted_panel():
     return build_planted_panel()
+
+
+# ---------------------------------------------------------------------------
+# Reference helpers.
+
+
+def affine_transform(problem, scale, shift):
+    """Rescale utilities to scale*u + shift; scale must be positive."""
+    if not scale > 0.0:
+        raise ValueError(f"scale must be positive, got {scale!r}")
+    return DecisionProblem(problem.acts, problem.states, scale * problem.utilities + shift)
+
+
+def pairwise_margin(problem, a, b, prior, epsilon):
+    """Worst advantage of ``a`` over ``b`` across the band of radius epsilon."""
+    if a == b:
+        raise ValueError("pairwise margin needs two distinct acts")
+    d = problem.row(a) - problem.row(b)
+    return minimize_over_band(d, BandBox(prior.mass, epsilon))[0]
+
+
+def worst_case_margin(problem, a, prior, epsilon):
+    """Minimum pairwise margin of ``a`` against all competitors."""
+    if problem.num_acts < 2:
+        raise ValueError("worst-case margin needs at least two acts")
+    return min(pairwise_margin(problem, a, b, prior, epsilon) for b in problem.acts if b != a)
+
+
+@dataclass(frozen=True)
+class BandFeasibility:
+    feasible: bool
+    witness: np.ndarray | None = None
+
+
+def band_feasible_with_halfspaces(band, halfspaces):
+    """Is band-and-simplex compatible with the halfspaces <pi, h> >= 0?
+
+    The band center is tried first (it always lies in band-and-simplex); when
+    it fails, a phase-1 simplex run over the slacked system decides
+    feasibility and supplies a witness vertex.
+    """
+    m = band.dimension
+    normals = np.asarray(list(halfspaces), dtype=float)
+    if normals.size == 0:
+        return BandFeasibility(feasible=True, witness=band.center.copy())
+    if normals.ndim != 2 or normals.shape[1] != m:
+        raise ValueError(f"halfspace normals must be rows of length {m}")
+    if np.all(normals @ band.center >= 0.0):
+        return BandFeasibility(feasible=True, witness=band.center.copy())
+
+    h = normals.shape[0]
+    A = np.zeros((1 + h, m + h))
+    A[0, :m] = 1.0
+    A[1:, :m] = normals
+    A[1 + np.arange(h), m + np.arange(h)] = -1.0
+    b = np.zeros(1 + h)
+    b[0] = 1.0
+    lower = np.concatenate([band.lower, np.zeros(h)])
+    upper = np.concatenate([band.upper, np.full(h, np.inf)])
+    out = solve_lp(LinearProgram(np.zeros(m + h), A, b, lower, upper))
+    if out.status is LpStatus.INFEASIBLE:
+        return BandFeasibility(feasible=False)
+    if out.status is not LpStatus.OPTIMAL:
+        raise SolverError("feasibility program reported unbounded")
+    return BandFeasibility(feasible=True, witness=out.point[:m])
+
+
+@dataclass(frozen=True)
+class StabilityScore:
+    act: str
+    lam: float
+    value: float  # -inf for strictly inadmissible acts
+    branch: ScoreBranch
+
+
+def stability_score(profile, costs, lam, prior):
+    """Cost-adjusted stability score of every act at one lambda."""
+    if lam < 0.0:
+        raise ValueError(f"lambda must be nonnegative, got {lam!r}")
+    return [
+        StabilityScore(line.act, float(lam), line.at(lam), line.branch)
+        for line in score_lines(profile, costs, prior)
+    ]
+
+
+def optimal_acts(scores):
+    """All acts within tolerance of the best score, best-ranked act first.
+
+    Input order is act order, so the first element is the canonical
+    representative (lowest act index).
+    """
+    finite = [s for s in scores if np.isfinite(s.value)]
+    if not finite:
+        raise ValueError("all acts are strictly inadmissible; no score is finite")
+    best = max(s.value for s in finite)
+    return tuple(s.act for s in finite if s.value >= best - SCORE_TIE_TOL)
+
+
+def acts_at(path, lam, breakpoint_tol=1e-9):
+    """Acts a selection path selects at ``lam``: both neighbors near a breakpoint."""
+    acts = []
+    for seg in path.segments:
+        if seg.lo - breakpoint_tol <= lam <= seg.hi + breakpoint_tol:
+            if seg.act not in acts:
+                acts.append(seg.act)
+    if not acts:
+        raise ValueError(f"lambda {lam!r} outside the path range")
+    return tuple(acts)

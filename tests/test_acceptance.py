@@ -13,14 +13,12 @@ import pytest
 
 from priorstab import (
     BandBox,
-    BisectionConfig,
     CostAssignment,
     DecisionProblem,
     LpStatus,
     NeedKind,
     Prior,
     RadiusKind,
-    affine_transform,
     bayes_acts,
     contamination_need,
     expected_utility,
@@ -30,8 +28,6 @@ from priorstab import (
     robustness_radius,
     selection_path,
     solve_lp,
-    stability_score,
-    optimal_acts,
 )
 from priorstab.cli import main
 from priorstab.lp import LinearProgram
@@ -42,6 +38,8 @@ from conftest import (
     PORTFOLIO_ACTS,
     PORTFOLIO_UTILITIES,
     REGIME_STATES,
+    acts_at,
+    affine_transform,
     build_planted_panel,
     planted_monthly_csv,
     random_prior,
@@ -50,7 +48,6 @@ from conftest import (
 
 TOY = DecisionProblem(("a", "b"), ("s1", "s2"), [[1.0, 0.0], [0.0, 1.0]])
 TOY_PRIOR = Prior("ref", [0.7, 0.3])
-DELTA = 1e-6
 
 
 def verdict(number, text):
@@ -67,9 +64,9 @@ def toy_band_grid(eps, step=1e-3):
 
 def test_criterion_1_toy_grid_oracles():
     # computed values at their stated tolerances
-    rob = robustness_radius(TOY, "a", TOY_PRIOR, BisectionConfig(tolerance=DELTA))
+    rob = robustness_radius(TOY, "a", TOY_PRIOR)
     assert rob.kind is RadiusKind.VALUE
-    assert abs(rob.epsilon - 0.2) <= DELTA
+    assert abs(rob.epsilon - 0.2) <= 1e-12
     con = contamination_need(TOY, "b", TOY_PRIOR)
     assert con.kind is NeedKind.VALUE
     assert abs(con.epsilon - 0.2) <= 1e-9
@@ -90,7 +87,7 @@ def test_criterion_1_toy_grid_oracles():
         if margins.max() >= -1e-12:
             con_oracle = float(eps)
             break
-    assert rob_oracle is not None and abs(rob.epsilon - rob_oracle) <= DELTA + 1e-4
+    assert rob_oracle is not None and abs(rob.epsilon - rob_oracle) <= 1e-12 + 1e-4
     assert con_oracle is not None and abs(con.epsilon - con_oracle) <= 1e-9 + 1e-4
     verdict(1, f"rob(a)={rob.epsilon:.8f}, con(b)={con.epsilon:.8f}, grid oracles agree")
 
@@ -103,7 +100,7 @@ def test_criterion_2_greedy_equals_simplex():
         m = int(rng.integers(2, 7))
         band = BandBox(rng.dirichlet(np.ones(m)), float(rng.uniform(0.0, 1.0)))
         d = rng.uniform(-1.0, 1.0, m)
-        greedy_value, _ = minimize_over_band(d, band)
+        greedy_value, _, _ = minimize_over_band(d, band)
         lp = LinearProgram(d, np.ones((1, m)), [1.0], band.lower, band.upper)
         out = solve_lp(lp)
         assert out.status is LpStatus.OPTIMAL
@@ -240,7 +237,7 @@ def test_criterion_7_selection_path_exactness():
         best = max(values.values())
         grid_winner = next(a for a in ("first", "second") if values[a] >= best - 1e-12)
         if any(abs(lam - b) <= 1e-9 for b in path.breakpoints):
-            allowed = path.acts_at(float(lam))
+            allowed = acts_at(path, float(lam))
             mismatches += int(grid_winner not in allowed)
         else:
             segment_winner = next(

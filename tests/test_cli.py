@@ -59,13 +59,14 @@ class TestAnalyze:
         p = write(tmp_path, "p.csv", TOY_PRIORS)
         assert main(["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path)]) == 0
         rows = read_tidy(tmp_path / "stability.csv")
-        assert abs(float(rows[("ref", "a", "rob")]) - 0.2) <= 2e-6
+        assert rows[("ref", "a", "rob")] == "0.2"
         assert float(rows[("ref", "b", "con")]) == pytest.approx(0.2, abs=1e-9)
         assert rows[("ref", "b", "rob")] == "NOT_BAYES"
         assert rows[("ref", "a", "is_bayes")] == "1"
         assert rows[("ref", "b", "is_bayes")] == "0"
         report = json.loads((tmp_path / "stability.json").read_text())
         jsonschema.validate(report, schema)
+        assert abs(report["rows"][0]["rob"] - 0.2) <= 1e-12
         assert report["rows"][1]["rob"] == "NOT_BAYES"
 
     def test_portfolio_with_packaged_priors(self, tmp_path, schema):
@@ -107,10 +108,27 @@ class TestAnalyze:
         p = write(tmp_path, "p.csv", "prior,other1,other2\nref,0.7,0.3\n")
         assert main(["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path)]) == 3
 
-    def test_bad_tolerance_is_exit_2(self, tmp_path):
+    def test_tol_is_an_unknown_flag(self, tmp_path, capsys):
+        # the radius is exact, so there is no tolerance to set
         u = write(tmp_path, "u.csv", TOY_UTILITIES)
         p = write(tmp_path, "p.csv", TOY_PRIORS)
-        assert main(["analyze", "--utilities", u, "--priors", p, "--tol", "0", "--out", str(tmp_path)]) == 2
+        for command in ("analyze", "path"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--utilities", u, "--priors", p, "--tol", "1e-6", "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    def test_byte_order_marks_are_accepted(self, tmp_path):
+        # spreadsheet exports start their CSV files with a UTF-8 byte order mark
+        u = tmp_path / "u.csv"
+        u.write_bytes(b"\xef\xbb\xbf" + TOY_UTILITIES.encode())
+        p = tmp_path / "p.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + TOY_PRIORS.encode())
+        out = tmp_path / "out"
+        assert main(["analyze", "--utilities", str(u), "--priors", str(p), "--out", str(out)]) == 0
+        report = json.loads((out / "stability.json").read_text())
+        assert report["states"] == ["s1", "s2"]
+        assert [prior["name"] for prior in report["priors"]] == ["ref"]
 
     def test_prior_columns_may_be_permuted(self, tmp_path):
         u = write(tmp_path, "u.csv", TOY_UTILITIES)
@@ -176,6 +194,17 @@ class TestPath:
         assert main(
             ["path", "--utilities", u, "--priors", p, "--lambda-max", "-1", "--out", str(tmp_path)]
         ) == 2
+
+    def test_oversized_grid_is_exit_2(self, tmp_path, capsys):
+        # rejected from the ratio alone, before any grid is allocated
+        u = write(tmp_path, "u.csv", TOY_UTILITIES)
+        p = write(tmp_path, "p.csv", TOY_PRIORS)
+        assert main(
+            ["path", "--utilities", u, "--priors", p, "--lambda-max", "1e12", "--grid", "1",
+             "--out", str(tmp_path)]
+        ) == 2
+        assert "grid points" in capsys.readouterr().err
+        assert not (tmp_path / "path.json").exists()
 
     def test_cost_file_mismatch_is_exit_3(self, tmp_path):
         u = write(tmp_path, "u.csv", TOY_UTILITIES)

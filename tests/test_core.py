@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from priorstab import DecisionProblem, Prior, affine_transform, bayes_acts, expected_utility
+from priorstab import DecisionProblem, Prior, bayes_acts, expected_utility
 
-from conftest import PORTFOLIO_UTILITIES, random_prior, random_problem
+from conftest import PORTFOLIO_UTILITIES, affine_transform, random_prior, random_problem
 
 
 class TestExpectedUtility:

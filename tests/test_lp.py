@@ -6,10 +6,11 @@ from priorstab import (
     BandBox,
     LinearProgram,
     LpStatus,
-    band_feasible_with_halfspaces,
     minimize_over_band,
     solve_lp,
 )
+
+from conftest import band_feasible_with_halfspaces
 
 
 def band_lp(direction, band):
@@ -237,7 +238,7 @@ class TestBandBox:
 class TestMinimizeOverBand:
     def test_matches_explicit_program(self):
         band = BandBox([0.5, 0.5], 0.2)
-        value, point = minimize_over_band([1.0, 2.0], band)
+        value, point, _ = minimize_over_band([1.0, 2.0], band)
         out = solve_lp(band_lp([1.0, 2.0], band))
         assert value == pytest.approx(out.value, abs=1e-9)
         assert value == pytest.approx(1.3, abs=1e-9)
@@ -247,19 +248,19 @@ class TestMinimizeOverBand:
         center = np.array([0.3, 0.45, 0.25])
         band = BandBox(center, 0.0)
         d = np.array([0.2, -1.4, 3.0])
-        value, point = minimize_over_band(d, band)
+        value, point, _ = minimize_over_band(d, band)
         assert np.array_equal(point, center)
         assert value == float(center @ d)
 
     def test_full_simplex_puts_mass_on_minimum(self):
         band = BandBox([1 / 3, 1 / 3, 1 / 3], 1.0)
-        value, point = minimize_over_band([5.0, 1.0, 3.0], band)
+        value, point, _ = minimize_over_band([5.0, 1.0, 3.0], band)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert point == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
 
     def test_tie_breaks_toward_lower_index(self):
         band = BandBox([0.25, 0.25, 0.25, 0.25], 1.0)
-        _, point = minimize_over_band([1.0, 1.0, 2.0, 2.0], band)
+        _, point, _ = minimize_over_band([1.0, 1.0, 2.0, 2.0], band)
         assert point == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
 
     def test_dimension_mismatch(self):
@@ -272,7 +273,7 @@ class TestMinimizeOverBand:
             m = int(rng.integers(2, 7))
             band = BandBox(rng.dirichlet(np.ones(m)), float(rng.uniform(0.0, 1.0)))
             d = rng.uniform(-1.0, 1.0, m)
-            value, point = minimize_over_band(d, band)
+            value, point, _ = minimize_over_band(d, band)
             out = solve_lp(band_lp(d, band))
             assert out.status is LpStatus.OPTIMAL
             assert value == pytest.approx(out.value, abs=1e-9)
@@ -300,8 +301,53 @@ class TestMinimizeOverBand:
             m = int(rng.integers(2, 6))
             band = BandBox(rng.dirichlet(np.ones(m)), float(rng.uniform(0.0, 1.0)))
             d = rng.uniform(-1.0, 1.0, m)
-            value, _ = minimize_over_band(d, band)
+            value, _, _ = minimize_over_band(d, band)
             assert value == pytest.approx(-maximize_over_band(-d, band), abs=1e-12)
+
+
+def band_min_reference(d, band):
+    """Band minimum by the plain pour from 1 - sum(lower), without rates."""
+    point = band.lower.copy()
+    residual = 1.0 - point.sum()
+    caps = band.upper - band.lower
+    for j in np.argsort(d, kind="stable"):
+        take = min(caps[j], residual)
+        point[j] += take
+        residual -= take
+        if residual <= 0.0:
+            break
+    return float(point @ d)
+
+
+class TestBandMinimumRate:
+    def test_toy_rate_at_radius_zero(self):
+        # every capacity is 0 at radius 0; beyond it s1 (d=1) falls with its
+        # lower bound and s2 (d=-1) takes that mass, so the rate is -1 - 1
+        _, point, slope = minimize_over_band([1.0, -1.0], BandBox([0.7, 0.3], 0.0))
+        assert np.array_equal(point, [0.7, 0.3])
+        assert slope == -2.0
+
+    def test_rate_stops_at_the_clips(self):
+        # beyond radius 0.3 the s2 upper bound is clipped at 1 and the s1 lower
+        # bound at 0, so nothing moves any more
+        _, _, slope = minimize_over_band([1.0, -1.0], BandBox([0.3, 0.7], 0.3))
+        assert slope == 0.0
+        _, _, slope = minimize_over_band([1.0, -1.0], BandBox([0.3, 0.7], 0.2))
+        assert slope == -2.0
+
+    def test_rates_match_finite_differences(self):
+        rng = np.random.default_rng(505)
+        h = 1e-7
+        for _ in range(300):
+            m = int(rng.integers(2, 8))
+            center = rng.dirichlet(np.ones(m))
+            d = rng.uniform(-1.0, 1.0, m)
+            radius = 0.0 if rng.uniform() < 0.3 else float(rng.uniform(0.0, 1.0 - h))
+            _, _, slope = minimize_over_band(d, BandBox(center, radius))
+            ahead = band_min_reference(d, BandBox(center, radius + h))
+            here = band_min_reference(d, BandBox(center, radius))
+            # pieces are far wider than h except with negligible probability
+            assert slope == pytest.approx((ahead - here) / h, abs=1e-6)
 
 
 class TestBandFeasibility:

@@ -12,16 +12,20 @@ from priorstab import (
     bayes_acts,
     expected_utility,
     gamma_aggregate,
-    optimal_acts,
     rex_score,
     selection_path,
     stability_profile,
-    stability_score,
     variance_cost,
 )
 from priorstab.stability import Need, Radius, StabilityProfile, StabilityRow
 
-from conftest import PORTFOLIO_UTILITIES, random_prior, random_problem
+from conftest import (
+    PORTFOLIO_UTILITIES,
+    optimal_acts,
+    random_prior,
+    random_problem,
+    stability_score,
+)
 
 
 def synthetic_profile(rows):
@@ -265,6 +269,14 @@ class TestSelectionPath:
             selection_path(profile, costs, "p", 0.0, 0.1)
         with pytest.raises(ValueError):
             selection_path(profile, costs, "p", 3.0, 0.0)
+
+    def test_rejects_oversized_grid(self):
+        # the ratio alone decides, before the grid is allocated
+        profile = synthetic_profile([bayes_row("a", 0.5)])
+        costs = CostAssignment(("a",), [1.0])
+        for lambda_max, grid_step in ((1e12, 1.0), (1e300, 1e-300)):
+            with pytest.raises(ValueError, match="grid points"):
+                selection_path(profile, costs, "p", lambda_max, grid_step)
 
 
 class TestGammaAggregate:

@@ -2,28 +2,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from priorstab import (
     BandBox,
-    BisectionConfig,
     DecisionProblem,
     NeedKind,
     Prior,
     RadiusKind,
-    SolverError,
-    affine_transform,
-    band_feasible_with_halfspaces,
     bayes_acts,
     contamination_need,
-    pairwise_margin,
     robustness_radius,
     stability_profile,
     strict_inadmissibility_certificate,
-    worst_case_margin,
 )
 from priorstab.beliefs import default_catalog
 
-from conftest import random_prior, random_problem
+from conftest import (
+    affine_transform,
+    band_feasible_with_halfspaces,
+    pairwise_margin,
+    random_prior,
+    random_problem,
+    worst_case_margin,
+)
+
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def margin_scan_radius(problem, act, prior, step=1e-4):
@@ -36,6 +40,59 @@ def margin_scan_radius(problem, act, prior, step=1e-4):
         else:
             break
     return best
+
+
+def bisect_radius(problem, act, prior, tol=1e-12):
+    """Radius oracle: bisection on the monotone worst-case margin.
+
+    Returns the inner end of the final bracket, so it lies at most ``tol``
+    below the true radius.
+    """
+    if worst_case_margin(problem, act, prior, 1.0) >= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if worst_case_margin(problem, act, prior, mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def highs_radius(problem, act, prior):
+    """Radius oracle, one HiGHS program per competitor.
+
+    For each competitor b that ``act`` does not beat in every state, r_b is
+    the smallest epsilon at which band-and-simplex meets <pi, u_act - u_b> <= 0;
+    the radius is min(1, min_b r_b).  Rows are scaled to unit max-norm, which
+    leaves each program unchanged.
+    """
+    m = problem.num_states
+    pi0 = prior.mass
+    radius = 1.0
+    for b in problem.acts:
+        if b == act:
+            continue
+        d = problem.row(act) - problem.row(b)
+        if d.min() >= 0.0:
+            continue
+        # Variables (pi, eps): minimize eps over |pi - pi0| <= eps, the
+        # simplex, and the competitor's halfspace.
+        A = np.zeros((2 * m + 1, m + 1))
+        A[:m, :m] = np.eye(m)
+        A[m:2 * m, :m] = -np.eye(m)
+        A[:2 * m, m] = -1.0
+        A[2 * m, :m] = d / np.abs(d).max()
+        rhs = np.concatenate([pi0, -pi0, [0.0]])
+        res = linprog(
+            np.eye(m + 1)[m], A_ub=A, b_ub=rhs,
+            A_eq=np.append(np.ones(m), 0.0)[None, :], b_eq=[1.0],
+            bounds=[(0.0, None)] * m + [(0.0, 1.0)], method="highs", options=HIGHS_OPTIONS,
+        )
+        assert res.status == 0
+        radius = min(radius, float(res.x[m]))
+    return radius
 
 
 def feasibility_bisect_need(problem, act, prior, tol=1e-9):
@@ -131,9 +188,10 @@ class TestMargins:
 
 class TestRobustnessRadius:
     def test_toy_value(self, toy_problem, toy_prior):
+        # a stays optimal while pi1 >= 1/2, and the band reaches pi1 = 0.7 - eps
         r = robustness_radius(toy_problem, "a", toy_prior)
         assert r.kind is RadiusKind.VALUE
-        assert r.epsilon == pytest.approx(0.2, abs=1e-6)
+        assert abs(r.epsilon - 0.2) <= 1e-12
 
     def test_not_bayes(self, toy_problem, toy_prior):
         assert robustness_radius(toy_problem, "b", toy_prior).kind is RadiusKind.NOT_BAYES
@@ -149,30 +207,78 @@ class TestRobustnessRadius:
         r = robustness_radius(problem, "only", Prior("p", [0.4, 0.6]))
         assert r.epsilon == 1.0
 
-    def test_tolerance_controls_gap(self, toy_problem, toy_prior):
-        for tol in (1e-3, 1e-5, 1e-7):
-            r = robustness_radius(toy_problem, "a", toy_prior, BisectionConfig(tolerance=tol))
-            assert abs(r.epsilon - 0.2) <= tol
-
     def test_matches_margin_scan(self, make_problem, make_prior):
         rng = np.random.default_rng(23)
-        config = BisectionConfig(tolerance=1e-6)
+        step = 1e-4
         checked = 0
         while checked < 10:
             problem = make_problem(rng, max_acts=5, max_states=5)
             prior = make_prior(rng, problem.num_states)
             act = bayes_acts(problem, prior).optimal_acts[0]
-            r = robustness_radius(problem, act, prior, config)
-            oracle = margin_scan_radius(problem, act, prior)
+            r = robustness_radius(problem, act, prior).epsilon
+            oracle = margin_scan_radius(problem, act, prior, step)
             assert oracle is not None
-            assert abs(r.epsilon - oracle) <= config.tolerance + 1e-4
+            # the scan keeps the last grid point at or below the radius
+            assert oracle <= r + 1e-12
+            assert r < oracle + step
             checked += 1
 
-    def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            BisectionConfig(tolerance=0.0)
-        with pytest.raises(ValueError):
-            BisectionConfig(tolerance=1.5)
+    def test_exact_at_the_bracket_ends(self):
+        # an exact tie at the reference prior: any contamination toward s2
+        # makes "b" strictly better, so the radius is exactly 0
+        problem = DecisionProblem(("a", "b"), ("s1", "s2"), [[1.0, 0.0], [0.0, 1.0]])
+        r = robustness_radius(problem, "a", Prior("half", [0.5, 0.5]))
+        assert r.kind is RadiusKind.VALUE and r.epsilon == 0.0
+        # an act that beats every competitor in every state keeps radius 1
+        problem = DecisionProblem(
+            ("top", "mid", "low"), ("s1", "s2", "s3"),
+            [[0.9, 0.8, 0.5], [0.5, 0.8, 0.4], [0.1, 0.2, 0.5]],
+        )
+        r = robustness_radius(problem, "top", Prior("p", [0.2, 0.3, 0.5]))
+        assert r.epsilon == 1.0
+
+    def test_matches_highs_per_competitor(self, make_problem, make_prior):
+        rng = np.random.default_rng(29)
+        checked = 0
+        while checked < 150:
+            problem = make_problem(rng, max_acts=7, max_states=7)
+            if checked % 5 == 0:
+                # rounded utilities force ties between acts and states
+                problem = DecisionProblem(
+                    problem.acts, problem.states, np.round(problem.utilities, 1)
+                )
+            prior = make_prior(rng, problem.num_states)
+            for act in bayes_acts(problem, prior).optimal_acts:
+                r = robustness_radius(problem, act, prior)
+                assert abs(r.epsilon - highs_radius(problem, act, prior)) <= 1e-9
+                checked += 1
+
+    def test_matches_fine_bisection(self, make_problem, make_prior):
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            problem = make_problem(rng, max_acts=5, max_states=5)
+            prior = make_prior(rng, problem.num_states)
+            act = bayes_acts(problem, prior).optimal_acts[0]
+            r = robustness_radius(problem, act, prior).epsilon
+            inner = bisect_radius(problem, act, prior, tol=1e-12)
+            assert -1e-15 <= r - inner <= 1e-12 + 1e-15
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-8, 1e-4, 1.0, 1e4, 1e8]),
+)
+def test_radius_is_the_boundary_of_the_margin(seed, scale):
+    """The worst-case margin is nonnegative at the radius and negative past it."""
+    rng = np.random.default_rng(seed)
+    problem = affine_transform(random_problem(rng, max_acts=6, max_states=6), scale, 0.0)
+    prior = random_prior(rng, problem.num_states)
+    act = bayes_acts(problem, prior).optimal_acts[0]
+    r = robustness_radius(problem, act, prior).epsilon
+    assert worst_case_margin(problem, act, prior, r) >= -1e-12 * scale
+    if r < 1.0:
+        assert worst_case_margin(problem, act, prior, min(1.0, r + 1e-9)) < 0.0
 
 
 class TestContaminationNeed:
@@ -324,10 +430,9 @@ class TestAffineInvariance:
                     assert abs(n1.epsilon - n2.epsilon) <= 1e-9
 
 
-    def test_need_is_exact_or_refused_at_extreme_scales(self):
-        # At 1e-8 a certificate's margins fall under the absolute strictness
-        # threshold, so a dominated row may end in SolverError; no scale may
-        # turn a row into a different answer.
+    def test_need_is_exact_at_extreme_scales(self):
+        # Strictness is judged relative to the table's utility differences,
+        # so every scale gives the same answer, certificates included.
         rng = np.random.default_rng(31)
         for _ in range(40):
             problem = random_problem(rng, min_acts=5, max_acts=5, min_states=4, max_states=4)
@@ -336,16 +441,17 @@ class TestAffineInvariance:
             for scale in (1e-8, 1e-6, 1e6, 1e8):
                 scaled = affine_transform(problem, scale, 0.0)
                 for act, ref in reference.items():
-                    if scale == 1e-8 and ref.kind is NeedKind.INFEASIBLE:
-                        try:
-                            need = contamination_need(scaled, act, prior)
-                        except SolverError:
-                            continue
-                    else:
-                        need = contamination_need(scaled, act, prior)
+                    need = contamination_need(scaled, act, prior)
                     assert need.kind is ref.kind
                     if need.kind is NeedKind.VALUE:
                         assert abs(need.epsilon - ref.epsilon) <= 1e-9
+                    else:
+                        for b, w in ref.certificate.weights.items():
+                            assert abs(need.certificate.weights[b] - w) <= 1e-12
+                        assert np.allclose(
+                            need.certificate.margins, scale * ref.certificate.margins,
+                            rtol=1e-9, atol=0.0,
+                        )
 
 
 class TestStabilityProfile:
@@ -353,7 +459,7 @@ class TestStabilityProfile:
         profile = stability_profile(toy_problem, [toy_prior])
         row_a = profile.row("ref", "a")
         assert row_a.is_bayes
-        assert row_a.radius.epsilon == pytest.approx(0.2, abs=1e-6)
+        assert abs(row_a.radius.epsilon - 0.2) <= 1e-12
         assert row_a.need.epsilon == 0.0
         row_b = profile.row("ref", "b")
         assert not row_b.is_bayes
