@@ -207,6 +207,15 @@ class TestRobustnessRadius:
         r = robustness_radius(problem, "only", Prior("p", [0.4, 0.6]))
         assert r.epsilon == 1.0
 
+    def test_tolerance_controls_gap(self, toy_problem, toy_prior):
+        # the exact radius lies in the final bracket of a bisection at any
+        # tolerance, so the gap to the bisection's inner end is within tol
+        r = robustness_radius(toy_problem, "a", toy_prior).epsilon
+        for tol in (1e-3, 1e-5, 1e-7):
+            inner = bisect_radius(toy_problem, "a", toy_prior, tol=tol)
+            assert inner <= r <= inner + tol
+            assert abs(r - 0.2) <= tol
+
     def test_matches_margin_scan(self, make_problem, make_prior):
         rng = np.random.default_rng(23)
         step = 1e-4
