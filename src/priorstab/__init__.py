@@ -18,15 +18,7 @@ from .core import (
     bayes_acts,
     expected_utility,
 )
-from .lp import (
-    BandBox,
-    LinearProgram,
-    LpOutcome,
-    LpStatus,
-    SolverError,
-    minimize_over_band,
-    solve_lp,
-)
+from .lp import BandBox, SolverError, minimize_over_band
 from .scenarios import (
     REGIME_ORDER,
     PortfolioBook,
@@ -72,9 +64,6 @@ __all__ = [
     "DecisionProblem",
     "DominanceCertificate",
     "GammaResult",
-    "LinearProgram",
-    "LpOutcome",
-    "LpStatus",
     "Need",
     "NeedKind",
     "PortfolioBook",
@@ -105,7 +94,6 @@ __all__ = [
     "rex_score",
     "robustness_radius",
     "selection_path",
-    "solve_lp",
     "stability_profile",
     "strict_inadmissibility_certificate",
     "utility_matrix",

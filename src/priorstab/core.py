@@ -15,7 +15,7 @@ __all__ = [
     "expected_utility",
 ]
 
-TIE_TOL = 1e-12  # expected-utility gap below which acts count as tied
+TIE_TOL = 1e-12  # expected-utility gap, per unit of utility range, counted as a tie
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,17 @@ def expected_utility(problem: DecisionProblem, act: str, prior: Prior) -> float:
 
 
 def bayes_acts(problem: DecisionProblem, prior: Prior) -> BayesSet:
-    """Acts within ``TIE_TOL`` of the maximal expected utility (ties included)."""
+    """Acts within ``TIE_TOL`` of the maximal expected utility (ties included).
+
+    The tolerance is relative to the table's utility range, so the Bayes set
+    does not change under a positive affine rescaling of the utilities.
+    """
     _check_prior(problem, prior)
-    values = problem.utilities @ prior.mass
+    u = problem.utilities
+    values = u @ prior.mass
     best = values.max()
-    members = tuple(
-        act for act, v in zip(problem.acts, values) if v >= best - TIE_TOL
-    )
+    tol = TIE_TOL * (u.max() - u.min())
+    members = tuple(act for act, v in zip(problem.acts, values) if v >= best - tol)
     return BayesSet(
         optimal_acts=members,
         expected_utilities={act: float(v) for act, v in zip(problem.acts, values)},

@@ -1,16 +1,17 @@
 """Linear-programming kernel for small dense problems.
 
-Two routes into the same geometry: a bounded-variable two-phase simplex for
-general equality-form programs, and a closed-form greedy minimizer for linear
-objectives over the intersection of a coordinate band with the probability
-simplex.  The simplex works on a dense tableau, which suits the small
-programs solved here.  Phase 1 starts from a crash basis: every row that owns
-a single-nonzero column starts with that column basic, and artificial
-variables go only on the rows left over.  Entering columns are priced by
-Dantzig's rule (most negative reduced cost); after a run of degenerate pivots
-the run switches to Bland's rule, which cannot cycle, so termination stays
-guaranteed.  Leaving-row ties always go to the lowest basic index.  Every
-choice is deterministic, so a program always yields the same vertex.
+Two routes into the same geometry: a two-phase simplex for programs in
+standard form (min c.x subject to A x = b and x >= 0), and a closed-form
+greedy minimizer for linear objectives over the intersection of a coordinate
+band with the probability simplex.  The simplex works on a dense tableau,
+which suits the small programs solved here.  Phase 1 starts from a crash
+basis: every row that owns a single-nonzero column starts with that column
+basic, and artificial variables go only on the rows left over.  Entering
+columns are priced by Dantzig's rule (most negative reduced cost); after a
+run of degenerate pivots the run switches to Bland's rule, which cannot
+cycle, so termination stays guaranteed.  Leaving-row ties always go to the
+lowest basic index.  Every choice is deterministic, so a program always
+yields the same vertex.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "FEASIBILITY_TOL",
-    "BOUND_TOL",
     "BandBox",
     "LinearProgram",
     "LpOutcome",
@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-9  # residual allowed on equality constraints
-BOUND_TOL = 1e-12       # residual allowed on variable bounds
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 20_000
 # Consecutive degenerate pivots before Bland's rule takes over.  Beale's
@@ -61,47 +60,32 @@ def _vector(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min c.x  subject to  A x = b  and  lower <= x <= upper.
+    """min c.x  subject to  A x = b  and  x >= 0.
 
-    Lower bounds must be finite (zero or negative is fine); upper bounds may
-    be ``np.inf``.  Inequalities are expected to arrive already slacked into
-    equality form by the caller.
+    Inequalities and bounds are expected to arrive already slacked into
+    this form by the caller.
     """
 
     objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
 
-    def __init__(self, objective, eq_matrix, eq_rhs, lower, upper):
+    def __init__(self, objective, eq_matrix, eq_rhs):
         c = _vector(objective, "objective")
         A = np.asarray(eq_matrix, dtype=float)
         if A.ndim != 2:
             raise ValueError(f"eq_matrix must be two-dimensional, got shape {A.shape}")
         b = _vector(eq_rhs, "eq_rhs")
-        lo = _vector(lower, "lower")
-        hi = _vector(upper, "upper")
         n = c.size
         if A.shape[1] != n:
             raise ValueError(f"eq_matrix has {A.shape[1]} columns for {n} variables")
         if b.size != A.shape[0]:
             raise ValueError(f"eq_rhs has {b.size} entries for {A.shape[0]} rows")
-        if lo.size != n or hi.size != n:
-            raise ValueError("bound vectors must match the number of variables")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("objective, matrix and rhs must be finite")
-        if not np.all(np.isfinite(lo)):
-            raise ValueError("lower bounds must be finite")
-        if np.any(np.isnan(hi)):
-            raise ValueError("upper bounds must not be NaN")
-        if np.any(lo > hi):
-            raise ValueError("every lower bound must be <= its upper bound")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", A)
         object.__setattr__(self, "eq_rhs", b)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
 
     @property
     def num_variables(self) -> int:
@@ -180,11 +164,16 @@ def _crash_basis(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return crash
 
 
-def _two_phase(c: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """Solve min c.x s.t. A x = b, x >= 0 on a dense tableau."""
+def solve_lp(lp: LinearProgram) -> LpOutcome:
+    """Solve a standard-form program on a dense tableau.
+
+    Returns a basic optimal solution; its point is clipped at 0, so pivot
+    rounding never leaves a coordinate below its bound.
+    """
+    c = lp.objective
+    A = lp.eq_matrix.copy()
+    b = lp.eq_rhs.copy()
     m, n = A.shape
-    A = A.copy()
-    b = b.copy()
     negative = b < 0
     A[negative] *= -1.0
     b[negative] *= -1.0
@@ -207,7 +196,7 @@ def _two_phase(c: np.ndarray, A: np.ndarray, b: np.ndarray):
         if _run_simplex(T, basis) is LpStatus.UNBOUNDED:
             raise SolverError("phase-1 objective reported unbounded")
         if -T[-1, -1] > FEASIBILITY_TOL:
-            return LpStatus.INFEASIBLE, None, None
+            return LpOutcome(status=LpStatus.INFEASIBLE)
 
     # Drive remaining artificials out of the basis; drop redundant rows.
     keep = []
@@ -231,43 +220,11 @@ def _two_phase(c: np.ndarray, A: np.ndarray, b: np.ndarray):
     T[-1, :n] = c
     T[-1, :] -= c[basis] @ T[:m, :]
     if _run_simplex(T, basis) is LpStatus.UNBOUNDED:
-        return LpStatus.UNBOUNDED, None, None
+        return LpOutcome(status=LpStatus.UNBOUNDED)
 
     x = np.zeros(n)
-    x[basis] = T[:m, -1]
-    return LpStatus.OPTIMAL, x, float(c @ x)
-
-
-def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Solve a bounded-variable equality-form program.
-
-    Variables are shifted to start at their lower bounds and finite upper
-    bounds become explicit slack rows, which reduces everything to the
-    standard x >= 0 form handled by :func:`_two_phase`.  Returns a basic
-    optimal solution; the returned point is clipped onto its bounds so bound
-    residuals stay below ``BOUND_TOL``.
-    """
-    n = lp.num_variables
-    cap = lp.upper - lp.lower
-    rhs = lp.eq_rhs - lp.eq_matrix @ lp.lower
-    shift_value = float(lp.objective @ lp.lower)
-    bounded = np.flatnonzero(np.isfinite(cap))
-    k = bounded.size
-    m = lp.eq_matrix.shape[0]
-
-    A = np.zeros((m + k, n + k))
-    A[:m, :n] = lp.eq_matrix
-    if k:
-        A[m + np.arange(k), bounded] = 1.0
-        A[m + np.arange(k), n + np.arange(k)] = 1.0
-    b = np.concatenate([rhs, cap[bounded]])
-    c = np.concatenate([lp.objective, np.zeros(k)])
-
-    status, x, value = _two_phase(c, A, b)
-    if status is not LpStatus.OPTIMAL:
-        return LpOutcome(status=status)
-    point = np.clip(lp.lower + x[:n], lp.lower, lp.upper)
-    return LpOutcome(status=LpStatus.OPTIMAL, value=value + shift_value, point=point)
+    x[basis] = np.maximum(T[:m, -1], 0.0)
+    return LpOutcome(status=LpStatus.OPTIMAL, value=float(c @ x), point=x)
 
 
 @dataclass(frozen=True)

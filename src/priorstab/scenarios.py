@@ -51,6 +51,8 @@ class ReturnPanel:
         r = np.asarray(self.returns, dtype=float)
         if len(months) < 1 or len(assets) < 1:
             raise ValueError("panel needs at least one month and one asset")
+        if len(set(assets)) != len(assets):
+            raise ValueError("panel asset names must be unique")
         for m in months:
             if not _MONTH_RE.match(m):
                 raise ValueError(f"malformed month label {m!r} (expected YYYY-MM)")
@@ -89,6 +91,8 @@ class PortfolioBook:
         w = np.asarray(self.weights, dtype=float)
         if len(set(names)) != len(names):
             raise ValueError("portfolio names must be unique")
+        if len(set(assets)) != len(assets):
+            raise ValueError("portfolio asset names must be unique")
         if w.shape != (len(names), len(assets)):
             raise ValueError(f"weights shape {w.shape} does not match labels")
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):

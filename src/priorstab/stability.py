@@ -210,9 +210,10 @@ def strict_inadmissibility_certificate(
     scale = float(np.abs(gains).max())
     unit = gains / scale if scale > 0.0 else gains
 
-    # Variables: mixture weights (k), advantage t (1), per-state slack (m).
+    # Variables: mixture weights (k), shifted advantage t - t_lo (1), and
+    # per-state slack (m).  The optimal t is at least min(unit) > t_lo, so
+    # the shift never binds; the weights need no cap, as they sum to 1.
     t_lo = float(unit.min()) - 1.0
-    t_hi = float(unit.max()) + 1.0
     objective = np.zeros(k + 1 + m)
     objective[k] = -1.0  # maximize t
     A = np.zeros((1 + m, k + 1 + m))
@@ -220,16 +221,14 @@ def strict_inadmissibility_certificate(
     A[1:, :k] = unit.T
     A[1:, k] = -1.0
     A[1 + np.arange(m), k + 1 + np.arange(m)] = -1.0
-    b = np.zeros(1 + m)
+    b = np.full(1 + m, t_lo)
     b[0] = 1.0
-    lower = np.concatenate([np.zeros(k), [t_lo], np.zeros(m)])
-    upper = np.concatenate([np.ones(k), [t_hi], np.full(m, np.inf)])
 
-    out = solve_lp(LinearProgram(objective, A, b, lower, upper))
+    out = solve_lp(LinearProgram(objective, A, b))
     if out.status is not LpStatus.OPTIMAL:
         raise SolverError(f"dominance program ended with status {out.status.value}")
     beta = out.point[:k]
-    t_star = out.point[k]
+    t_star = t_lo + out.point[k]
     if t_star <= STRICT_DOMINANCE_TOL:
         return None
     return DominanceCertificate(
@@ -277,13 +276,11 @@ def contamination_need(problem: DecisionProblem, a: str, prior: Prior) -> Need:
     A[rows, :m] = diffs                   # <pi, u_a - u_b> - s = 0
     A[rows, 3 * m + 1 + np.arange(k)] = -1.0
 
-    lower = np.zeros(n_vars)
-    upper = np.full(n_vars, np.inf)
-    upper[m] = 1.0  # radius 1 already reaches the whole simplex
-
-    out = solve_lp(LinearProgram(objective, A, b, lower, upper))
+    out = solve_lp(LinearProgram(objective, A, b))
     if out.status is LpStatus.OPTIMAL:
-        return Need.value(out.point[m])
+        # Two simplex points are at most 1 apart, so the optimum is at most
+        # 1; at a vertex prior rounding can land an ulp above it.
+        return Need.value(min(out.point[m], 1.0))
     if out.status is LpStatus.INFEASIBLE:
         certificate = strict_inadmissibility_certificate(problem, a)
         if certificate is None:

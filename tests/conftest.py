@@ -9,17 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from priorstab import (
-    BandBox,
-    DecisionProblem,
-    LinearProgram,
-    LpStatus,
-    Prior,
-    SolverError,
-    minimize_over_band,
-    solve_lp,
-)
+from scipy.optimize import linprog
+
+from priorstab import BandBox, DecisionProblem, Prior, minimize_over_band
 from priorstab.selection import SCORE_TIE_TOL, ScoreBranch, score_lines
+
+# Tight tolerances for scipy's HiGHS, used as an independent LP oracle.
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 # Conditional mean returns of the six stock portfolios across the four
 # regimes, used as a regression anchor throughout the suite.
@@ -199,8 +195,8 @@ def band_feasible_with_halfspaces(band, halfspaces):
     """Is band-and-simplex compatible with the halfspaces <pi, h> >= 0?
 
     The band center is tried first (it always lies in band-and-simplex); when
-    it fails, a phase-1 simplex run over the slacked system decides
-    feasibility and supplies a witness vertex.
+    it fails, scipy's HiGHS decides feasibility of the bounded program and
+    supplies a witness, independently of the package's simplex.
     """
     m = band.dimension
     normals = np.asarray(list(halfspaces), dtype=float)
@@ -211,21 +207,16 @@ def band_feasible_with_halfspaces(band, halfspaces):
     if np.all(normals @ band.center >= 0.0):
         return BandFeasibility(feasible=True, witness=band.center.copy())
 
-    h = normals.shape[0]
-    A = np.zeros((1 + h, m + h))
-    A[0, :m] = 1.0
-    A[1:, :m] = normals
-    A[1 + np.arange(h), m + np.arange(h)] = -1.0
-    b = np.zeros(1 + h)
-    b[0] = 1.0
-    lower = np.concatenate([band.lower, np.zeros(h)])
-    upper = np.concatenate([band.upper, np.full(h, np.inf)])
-    out = solve_lp(LinearProgram(np.zeros(m + h), A, b, lower, upper))
-    if out.status is LpStatus.INFEASIBLE:
+    res = linprog(
+        np.zeros(m), A_ub=-normals, b_ub=np.zeros(normals.shape[0]),
+        A_eq=np.ones((1, m)), b_eq=[1.0], bounds=list(zip(band.lower, band.upper)),
+        method="highs", options=HIGHS_OPTIONS,
+    )
+    if res.status == 2:
         return BandFeasibility(feasible=False)
-    if out.status is not LpStatus.OPTIMAL:
-        raise SolverError("feasibility program reported unbounded")
-    return BandFeasibility(feasible=True, witness=out.point[:m])
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS ended with status {res.status}: {res.message}")
+    return BandFeasibility(feasible=True, witness=res.x)
 
 
 @dataclass(frozen=True)

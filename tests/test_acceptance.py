@@ -15,7 +15,6 @@ from priorstab import (
     BandBox,
     CostAssignment,
     DecisionProblem,
-    LpStatus,
     NeedKind,
     Prior,
     RadiusKind,
@@ -27,10 +26,9 @@ from priorstab import (
     rex_score,
     robustness_radius,
     selection_path,
-    solve_lp,
 )
 from priorstab.cli import main
-from priorstab.lp import LinearProgram
+from priorstab.lp import LinearProgram, LpStatus, solve_lp
 from priorstab.stability import Need, Radius, StabilityProfile, StabilityRow
 
 from conftest import (
@@ -101,10 +99,16 @@ def test_criterion_2_greedy_equals_simplex():
         band = BandBox(rng.dirichlet(np.ones(m)), float(rng.uniform(0.0, 1.0)))
         d = rng.uniform(-1.0, 1.0, m)
         greedy_value, _, _ = minimize_over_band(d, band)
-        lp = LinearProgram(d, np.ones((1, m)), [1.0], band.lower, band.upper)
-        out = solve_lp(lp)
+        # the band in standard form: pi = lower + y, sum(y) = 1 - sum(lower),
+        # y + s = upper - lower, with y, s >= 0
+        A = np.zeros((1 + m, 2 * m))
+        A[0, :m] = 1.0
+        A[1:, :m] = np.eye(m)
+        A[1:, m:] = np.eye(m)
+        b = np.concatenate([[1.0 - band.lower.sum()], band.upper - band.lower])
+        out = solve_lp(LinearProgram(np.concatenate([d, np.zeros(m)]), A, b))
         assert out.status is LpStatus.OPTIMAL
-        if abs(greedy_value - out.value) <= 1e-9:
+        if abs(greedy_value - (out.value + float(d @ band.lower))) <= 1e-9:
             agreements += 1
     assert agreements == total
     verdict(2, f"greedy value = simplex value within 1e-9 on {agreements}/{total} instances")
@@ -249,13 +253,7 @@ def test_criterion_7_selection_path_exactness():
 
 
 def test_criterion_8_affine_invariance():
-    rng = np.random.default_rng(1008)
-    for _ in range(200):
-        problem = random_problem(rng, max_acts=4, max_states=4)
-        prior = random_prior(rng, problem.num_states)
-        scale = float(rng.uniform(0.0, 10.0)) or 1e-3
-        shift = float(rng.uniform(-5.0, 5.0))
-        other = affine_transform(problem, scale, shift)
+    def assert_invariant(problem, prior, other):
         assert set(bayes_acts(problem, prior).optimal_acts) == set(
             bayes_acts(other, prior).optimal_acts
         )
@@ -270,7 +268,27 @@ def test_criterion_8_affine_invariance():
             assert n1.kind is n2.kind
             if n1.kind is NeedKind.VALUE:
                 assert abs(n1.epsilon - n2.epsilon) <= 1e-9
-    verdict(8, "optimal sets, radii and needs unchanged by 200 positive rescalings")
+
+    rng = np.random.default_rng(1008)
+    for _ in range(200):
+        problem = random_problem(rng, max_acts=4, max_states=4)
+        prior = random_prior(rng, problem.num_states)
+        scale = float(rng.uniform(0.0, 10.0)) or 1e-3
+        shift = float(rng.uniform(-5.0, 5.0))
+        assert_invariant(problem, prior, affine_transform(problem, scale, shift))
+    # extreme magnitudes: log-uniform scales in [1e-8, 1e8], shifts in proportion
+    rng = np.random.default_rng(1080)
+    for _ in range(100):
+        problem = random_problem(rng, max_acts=4, max_states=4)
+        prior = random_prior(rng, problem.num_states)
+        scale = float(10.0 ** rng.uniform(-8.0, 8.0))
+        shift = scale * float(rng.uniform(-5.0, 5.0))
+        assert_invariant(problem, prior, affine_transform(problem, scale, shift))
+    verdict(
+        8,
+        "optimal sets, radii and needs unchanged by 200 positive rescalings"
+        " and 100 more at scales 1e-8 to 1e8",
+    )
 
 
 def test_criterion_9_scenario_pipeline(tmp_path):

@@ -16,9 +16,6 @@ PUBLIC = [
     "DecisionProblem",
     "DominanceCertificate",
     "GammaResult",
-    "LinearProgram",
-    "LpOutcome",
-    "LpStatus",
     "Need",
     "NeedKind",
     "PortfolioBook",
@@ -50,7 +47,6 @@ PUBLIC = [
     "rex_score",
     "robustness_radius",
     "selection_path",
-    "solve_lp",
     "stability_profile",
     "strict_inadmissibility_certificate",
     "utility_matrix",

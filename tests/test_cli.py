@@ -474,6 +474,31 @@ class TestFailureExits:
         assert code == 2
         assert "duplicate state names" in err
 
+    def test_duplicate_weight_assets_are_exit_2(self, tmp_path, capsys):
+        # only the first market column would be read, halving the split's returns
+        m = write(tmp_path, "monthly.csv", planted_monthly_csv(build_planted_panel()))
+        w = write(
+            tmp_path, "weights.csv",
+            "portfolio,market,market,bond_fund,commodity_fund\nsplit,0.5,0.5,0.0,0.0\n",
+        )
+        code, err = self.run_exit(
+            capsys, ["scenarios", "--monthly", m, "--weights", w, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "asset names must be unique" in err
+
+    def test_duplicate_monthly_assets_are_exit_2(self, tmp_path, capsys):
+        m = write(
+            tmp_path, "monthly.csv",
+            "date,market,market,market_vol\n2020-01,0.01,0.01,0.02\n2020-02,0.02,0.02,0.03\n",
+        )
+        w = write(tmp_path, "weights.csv", "portfolio,market\nall,1.0\n")
+        code, err = self.run_exit(
+            capsys, ["scenarios", "--monthly", m, "--weights", w, "--k", "1", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "asset names must be unique" in err
+
     def test_bad_prior_sum_prints_a_plain_float(self, tmp_path, capsys):
         u = write(tmp_path, "u.csv", TOY_UTILITIES)
         p = write(tmp_path, "p.csv", "prior,s1,s2\nref,0.3,0.4\n")

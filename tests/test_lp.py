@@ -2,32 +2,55 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from priorstab import (
-    BandBox,
-    LinearProgram,
-    LpStatus,
-    minimize_over_band,
-    solve_lp,
-)
+from priorstab import BandBox, minimize_over_band
+from priorstab.lp import LinearProgram, LpStatus, solve_lp
 
 from conftest import band_feasible_with_halfspaces
+
+
+def standard_form(objective, eq_matrix, eq_rhs, lower, upper):
+    """Pose min c.x, A x = b, lower <= x <= upper as a standard-form program.
+
+    Substitutes x = lower + y with y >= 0, and adds a row y_j + s_j = cap_j
+    for each finite upper bound.  Returns the program and a map from its
+    outcome to the original point and objective value.
+    """
+    c = np.asarray(objective, dtype=float)
+    A = np.asarray(eq_matrix, dtype=float).reshape(-1, c.size)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    n, r = c.size, A.shape[0]
+    capped = np.flatnonzero(np.isfinite(upper))
+    k = capped.size
+    rows = np.zeros((r + k, n + k))
+    rows[:r, :n] = A
+    rows[r + np.arange(k), capped] = 1.0
+    rows[r + np.arange(k), n + np.arange(k)] = 1.0
+    rhs = np.concatenate([np.asarray(eq_rhs, dtype=float) - A @ lower, (upper - lower)[capped]])
+    lp = LinearProgram(np.concatenate([c, np.zeros(k)]), rows, rhs)
+
+    def recover(out):
+        return lower + out.point[:n], out.value + float(c @ lower)
+
+    return lp, recover
 
 
 def band_lp(direction, band):
     """The band-minimization instance as an explicit program."""
     m = band.dimension
-    return LinearProgram(direction, np.ones((1, m)), [1.0], band.lower, band.upper)
+    return standard_form(direction, np.ones((1, m)), [1.0], band.lower, band.upper)
 
 
 class TestSolveLp:
     def test_vertex_of_unit_simplex(self):
-        out = solve_lp(LinearProgram([1.0, 0.0], [[1.0, 1.0]], [1.0], [0.0, 0.0], [1.0, 1.0]))
+        out = solve_lp(LinearProgram([1.0, 0.0], [[1.0, 1.0]], [1.0]))
         assert out.status is LpStatus.OPTIMAL
         assert out.value == pytest.approx(0.0, abs=1e-12)
         assert out.point == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_bound_contradiction_is_infeasible(self):
-        out = solve_lp(LinearProgram([0.0], [[1.0]], [2.0], [0.0], [1.0]))
+        # x = 2 against the bound row x + s = 1
+        out = solve_lp(LinearProgram([0.0, 0.0], [[1.0, 0.0], [1.0, 1.0]], [2.0, 1.0]))
         assert out.status is LpStatus.INFEASIBLE
 
     def test_segment_vertices(self):
@@ -36,60 +59,35 @@ class TestSolveLp:
         objective = np.array([1.0, 2.0])
         vertices = [np.array([0.7, 0.3]), np.array([0.3, 0.7])]
         expected = min(float(objective @ v) for v in vertices)
-        out = solve_lp(
-            LinearProgram(objective, [[1.0, 1.0]], [1.0], [0.3, 0.3], [0.7, 0.7])
-        )
+        lp, recover = standard_form(objective, [[1.0, 1.0]], [1.0], [0.3, 0.3], [0.7, 0.7])
+        out = solve_lp(lp)
         assert out.status is LpStatus.OPTIMAL
-        assert out.value == pytest.approx(expected, abs=1e-9)
-        assert out.point == pytest.approx([0.7, 0.3], abs=1e-9)
+        point, value = recover(out)
+        assert value == pytest.approx(expected, abs=1e-9)
+        assert point == pytest.approx([0.7, 0.3], abs=1e-9)
 
     def test_unbounded(self):
-        out = solve_lp(
-            LinearProgram([-1.0, 0.0], [[1.0, -1.0]], [0.0], [0.0, 0.0], [np.inf, np.inf])
-        )
+        out = solve_lp(LinearProgram([-1.0, 0.0], [[1.0, -1.0]], [0.0]))
         assert out.status is LpStatus.UNBOUNDED
 
     def test_dimension_mismatch_is_structural_error(self):
         with pytest.raises(ValueError):
-            LinearProgram([1.0, 2.0], [[1.0]], [1.0], [0.0, 0.0], [1.0, 1.0])
-
-    def test_inverted_bounds_are_structural_error(self):
-        with pytest.raises(ValueError):
-            LinearProgram([1.0], [[1.0]], [1.0], [2.0], [1.0])
+            LinearProgram([1.0, 2.0], [[1.0]], [1.0])
 
     def test_degenerate_instance_terminates(self):
         # Beale's example cycles under the naive most-negative rule; Bland's
         # rule must terminate at the optimum.
-        A = np.array(
-            [
-                [0.25, -60.0, -0.04, 9.0, 1.0, 0.0],
-                [0.5, -90.0, -0.02, 3.0, 0.0, 1.0],
-            ]
-        )
-        c = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0]
-        lower = np.zeros(6)
-        upper = np.array([np.inf, np.inf, 1.0, np.inf, np.inf, np.inf])
-        out = solve_lp(LinearProgram(c, A, [0.0, 0.0], lower, upper))
+        out = solve_lp(beale_program())
         assert out.status is LpStatus.OPTIMAL
         assert out.value == pytest.approx(-0.05, abs=1e-9)
 
     def test_redundant_rows_are_tolerated(self):
-        out = solve_lp(
-            LinearProgram(
-                [1.0, 0.0],
-                [[1.0, 1.0], [1.0, 1.0]],
-                [1.0, 1.0],
-                [0.0, 0.0],
-                [1.0, 1.0],
-            )
-        )
+        out = solve_lp(LinearProgram([1.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]))
         assert out.status is LpStatus.OPTIMAL
         assert out.value == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic(self):
-        lp = LinearProgram(
-            [1.0, -2.0, 0.5], [[1.0, 1.0, 1.0]], [1.0], [0.0, 0.0, 0.0], [0.6, 0.6, 0.6]
-        )
+        lp, _ = standard_form([1.0, -2.0, 0.5], [[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.full(3, 0.6))
         first = solve_lp(lp)
         second = solve_lp(lp)
         assert first.value == second.value
@@ -106,43 +104,42 @@ class TestSolveLp:
             A = rng.normal(size=(m, n))
             b = A @ x0
             c = rng.normal(size=n)
-            lp = LinearProgram(c, A, b, lower, upper)
+            lp, recover = standard_form(c, A, b, lower, upper)
             ours = solve_lp(lp)
             ref = linprog(c, A_eq=A, b_eq=b, bounds=list(zip(lower, upper)), method="highs")
             assert ours.status is LpStatus.OPTIMAL
             assert ref.status == 0
-            assert ours.value == pytest.approx(ref.fun, abs=1e-7)
-            assert np.all(ours.point >= lower - 1e-12)
-            assert np.all(ours.point <= upper + 1e-12)
-            assert np.max(np.abs(A @ ours.point - b)) < 1e-9
+            point, value = recover(ours)
+            assert value == pytest.approx(ref.fun, abs=1e-7)
+            assert np.all(point >= lower - 1e-12)
+            assert np.all(point <= upper + 1e-12)
+            assert np.max(np.abs(A @ point - b)) < 1e-9
 
 
 def beale_program():
-    """Beale's example: cycles under the most-negative rule on its own."""
+    """Beale's example: cycles under the most-negative rule on its own.
+
+    The third variable is capped at 1 by the last row.
+    """
     A = np.array(
         [
-            [0.25, -60.0, -0.04, 9.0, 1.0, 0.0],
-            [0.5, -90.0, -0.02, 3.0, 0.0, 1.0],
+            [0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
+            [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
         ]
     )
-    c = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0]
-    upper = np.array([np.inf, np.inf, 1.0, np.inf, np.inf, np.inf])
-    return LinearProgram(c, A, [0.0, 0.0], np.zeros(6), upper)
+    c = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
+    return LinearProgram(c, A, [0.0, 0.0, 1.0])
 
 
 def assert_matches_highs(lp):
     ours = solve_lp(lp)
-    ref = linprog(
-        lp.objective, A_eq=lp.eq_matrix, b_eq=lp.eq_rhs,
-        bounds=list(zip(lp.lower, [None if np.isinf(u) else u for u in lp.upper])),
-        method="highs",
-    )
+    ref = linprog(lp.objective, A_eq=lp.eq_matrix, b_eq=lp.eq_rhs, method="highs")
     assert ref.status == 0
     assert ours.status is LpStatus.OPTIMAL
     assert ours.value == pytest.approx(ref.fun, abs=1e-9)
     assert np.max(np.abs(lp.eq_matrix @ ours.point - lp.eq_rhs)) < 1e-9
-    assert np.all(ours.point >= lp.lower - 1e-12)
-    assert np.all(ours.point <= lp.upper + 1e-12)
+    assert np.all(ours.point >= 0.0)
 
 
 class TestPricingAndCrash:
@@ -154,11 +151,10 @@ class TestPricingAndCrash:
         assert out.point[:4] == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
 
     def test_program_without_rows(self):
-        lp = LinearProgram([1.0, 2.0], np.zeros((0, 2)), [], [0.0, -1.0], [np.inf, np.inf])
-        out = solve_lp(lp)
+        out = solve_lp(LinearProgram([1.0, 2.0], np.zeros((0, 2)), []))
         assert out.status is LpStatus.OPTIMAL
-        assert out.value == pytest.approx(-2.0, abs=1e-12)
-        assert out.point == pytest.approx([0.0, -1.0], abs=1e-12)
+        assert out.value == 0.0
+        assert np.array_equal(out.point, [0.0, 0.0])
 
     def test_beale_cycles_without_the_bland_fallback(self, monkeypatch):
         import priorstab.lp as lp_module
@@ -190,15 +186,15 @@ class TestPricingAndCrash:
             n = int(rng.integers(2, 6))
             m = int(rng.integers(1, 5))
             # slacked inequalities B x <= d; every other row has rhs 0 and a
-            # surplus column (-1), which the crash takes after a sign flip
+            # surplus column (-1), which the crash takes after a sign flip;
+            # the capped x get a slack row each
             B = rng.uniform(-1.0, 1.0, size=(m, n))
             sign = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
             d = np.where(sign > 0, rng.uniform(0.1, 2.0, m), 0.0)
             A = np.hstack([B, np.diag(sign)])
             upper = np.concatenate([rng.uniform(0.5, 2.0, n), np.full(m, np.inf)])
-            assert_matches_highs(
-                LinearProgram(rng.normal(size=n + m), A, d, np.zeros(n + m), upper)
-            )
+            lp, _ = standard_form(rng.normal(size=n + m), A, d, np.zeros(n + m), upper)
+            assert_matches_highs(lp)
             assert np.all(crashes.pop() >= 0)
 
     def test_no_row_crashed_matches_highs(self, crashes):
@@ -208,9 +204,7 @@ class TestPricingAndCrash:
             m = int(rng.integers(2, 5))
             A = rng.uniform(0.1, 1.0, size=(m, n)) * rng.choice([-1.0, 1.0], size=(m, n))
             b = A @ rng.uniform(0.0, 1.0, n)
-            assert_matches_highs(
-                LinearProgram(rng.uniform(0.1, 1.0, n), A, b, np.zeros(n), np.full(n, np.inf))
-            )
+            assert_matches_highs(LinearProgram(rng.uniform(0.1, 1.0, n), A, b))
             assert np.all(crashes.pop() < 0)
 
 
@@ -239,8 +233,8 @@ class TestMinimizeOverBand:
     def test_matches_explicit_program(self):
         band = BandBox([0.5, 0.5], 0.2)
         value, point, _ = minimize_over_band([1.0, 2.0], band)
-        out = solve_lp(band_lp([1.0, 2.0], band))
-        assert value == pytest.approx(out.value, abs=1e-9)
+        lp, recover = band_lp([1.0, 2.0], band)
+        assert value == pytest.approx(recover(solve_lp(lp))[1], abs=1e-9)
         assert value == pytest.approx(1.3, abs=1e-9)
         assert point == pytest.approx([0.7, 0.3], abs=1e-12)
 
@@ -274,9 +268,10 @@ class TestMinimizeOverBand:
             band = BandBox(rng.dirichlet(np.ones(m)), float(rng.uniform(0.0, 1.0)))
             d = rng.uniform(-1.0, 1.0, m)
             value, point, _ = minimize_over_band(d, band)
-            out = solve_lp(band_lp(d, band))
+            lp, recover = band_lp(d, band)
+            out = solve_lp(lp)
             assert out.status is LpStatus.OPTIMAL
-            assert value == pytest.approx(out.value, abs=1e-9)
+            assert value == pytest.approx(recover(out)[1], abs=1e-9)
             # the greedy point itself lies in band-and-simplex
             assert point.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(point >= band.lower - 1e-15)

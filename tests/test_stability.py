@@ -19,6 +19,7 @@ from priorstab import (
 from priorstab.beliefs import default_catalog
 
 from conftest import (
+    HIGHS_OPTIONS,
     affine_transform,
     band_feasible_with_halfspaces,
     pairwise_margin,
@@ -26,8 +27,6 @@ from conftest import (
     random_problem,
     worst_case_margin,
 )
-
-HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def margin_scan_radius(problem, act, prior, step=1e-4):
@@ -290,7 +289,35 @@ def test_radius_is_the_boundary_of_the_margin(seed, scale):
         assert worst_case_margin(problem, act, prior, min(1.0, r + 1e-9)) < 0.0
 
 
+def near_tie_problem(scale):
+    """a1 trails a0 by 1e-5 of the utility range, and only in state s0."""
+    utilities = np.array([[1.0, 0.0], [0.99999, 0.0]]) * scale
+    return DecisionProblem(("a0", "a1"), ("s0", "s1"), utilities)
+
+
 class TestContaminationNeed:
+    def test_need_reaches_one_at_a_vertex_prior(self):
+        # a1 is optimal only where pi(s0) = 0, which is 1 away from (1, 0)
+        need = contamination_need(near_tie_problem(1.0), "a1", Prior("v", [1.0, 0.0]))
+        assert need.kind is NeedKind.VALUE
+        assert need.epsilon == 1.0
+
+    def test_needs_stay_in_the_unit_interval_at_vertex_priors(self):
+        # Rounded utilities put optima at the far vertex, 1 away from a
+        # vertex prior, where pivot rounding can land an ulp above 1.
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            problem = random_problem(rng, max_acts=6, max_states=6)
+            problem = DecisionProblem(
+                problem.acts, problem.states, np.round(problem.utilities, 1)
+            )
+            for vertex in np.eye(problem.num_states):
+                prior = Prior("v", vertex)
+                for act in problem.acts:
+                    need = contamination_need(problem, act, prior)
+                    if need.kind is NeedKind.VALUE:
+                        assert 0.0 <= need.epsilon <= 1.0
+
     def test_toy_value(self, toy_problem, toy_prior):
         n = contamination_need(toy_problem, "b", toy_prior)
         assert n.kind is NeedKind.VALUE
@@ -461,6 +488,17 @@ class TestAffineInvariance:
                             need.certificate.margins, scale * ref.certificate.margins,
                             rtol=1e-9, atol=0.0,
                         )
+
+    def test_near_tie_is_scale_free(self):
+        # the tie tolerance is relative to the utility range, so a gap of
+        # 1e-5 of the range separates the acts at every scale
+        prior = Prior("v", [1.0, 0.0])
+        for scale in (1e-8, 1.0, 1e8):
+            problem = near_tie_problem(scale)
+            assert bayes_acts(problem, prior).optimal_acts == ("a0",)
+            assert robustness_radius(problem, "a1", prior).kind is RadiusKind.NOT_BAYES
+            assert robustness_radius(problem, "a0", prior).epsilon > 0.0
+            assert contamination_need(problem, "a1", prior).epsilon == 1.0
 
 
 class TestStabilityProfile:
