@@ -18,7 +18,7 @@ from .core import (
     bayes_acts,
     expected_utility,
 )
-from .lp import BandBox, SolverError, minimize_over_band
+from .lp import SolverError, minimize_over_band
 from .scenarios import (
     REGIME_ORDER,
     PortfolioBook,
@@ -58,7 +58,6 @@ from .stability import (
 
 __all__ = [
     "__version__",
-    "BandBox",
     "BayesSet",
     "CostAssignment",
     "DecisionProblem",

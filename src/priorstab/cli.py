@@ -31,7 +31,7 @@ from .io import (
     write_json,
     write_rows,
 )
-from .lp import BandBox, SolverError
+from .lp import SolverError
 from .scenarios import (
     generic_labels,
     kmeans_partition,
@@ -350,10 +350,9 @@ def cmd_baselines(args) -> int:
     eta = _in_unit_interval(args.eta, "--eta")
     mu = _in_unit_interval(args.mu, "--mu")
 
-    band = BandBox(prior.mass, epsilon)
-    worst = gamma_aggregate(problem, band, "minimax")
-    best = gamma_aggregate(problem, band, "maximax")
-    mixed = gamma_aggregate(problem, band, "mix", eta)
+    worst = gamma_aggregate(problem, prior, epsilon, "minimax")
+    best = gamma_aggregate(problem, prior, epsilon, "maximax")
+    mixed = gamma_aggregate(problem, prior, epsilon, "mix", eta)
     rex = rex_score(problem, prior, mu)
 
     rows = []

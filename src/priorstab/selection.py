@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .core import DecisionProblem, Prior, expected_utility
-from .lp import BandBox, minimize_over_band
+from .lp import minimize_over_band
 from .stability import NeedKind, StabilityProfile
 
 __all__ = [
@@ -249,26 +249,31 @@ class GammaResult:
 
 
 def gamma_aggregate(
-    problem: DecisionProblem, band: BandBox, mode: str = "minimax", eta: float | None = None
+    problem: DecisionProblem,
+    prior: Prior,
+    radius: float,
+    mode: str = "minimax",
+    eta: float | None = None,
 ) -> GammaResult:
-    """Rank acts by worst, best, or mixed expected utility over the band.
+    """Rank acts by worst, best, or mixed expected utility over a band.
 
-    ``minimax`` aggregates with the infimum, ``maximax`` with the supremum,
-    and ``mix`` with eta*inf + (1-eta)*sup.
+    The band holds the priors within ``radius`` of ``prior`` in every
+    coordinate.  ``minimax`` aggregates with the infimum, ``maximax`` with
+    the supremum, and ``mix`` with eta*inf + (1-eta)*sup.
     """
     if mode not in ("minimax", "maximax", "mix"):
         raise ValueError(f"unknown aggregation mode {mode!r}")
     if mode == "mix":
         if eta is None or not 0.0 <= eta <= 1.0:
             raise ValueError(f"mix mode needs eta in [0, 1], got {eta!r}")
-    if band.dimension != problem.num_states:
-        raise ValueError("band dimension does not match the problem")
+    if not 0.0 <= radius <= 1.0:
+        raise ValueError(f"band radius must lie in [0, 1], got {radius!r}")
     lower = {}
     upper = {}
     for act in problem.acts:
         row = problem.row(act)
-        lower[act] = minimize_over_band(row, band)[0]
-        upper[act] = -minimize_over_band(-row, band)[0]
+        lower[act] = minimize_over_band(row, prior.mass, radius)[0]
+        upper[act] = -minimize_over_band(-row, prior.mass, radius)[0]
     if mode == "minimax":
         values = dict(lower)
     elif mode == "maximax":

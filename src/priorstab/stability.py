@@ -18,8 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DecisionProblem, Prior, bayes_acts
-from .lp import BandBox, LinearProgram, LpStatus, SolverError, minimize_over_band, solve_lp
+from .core import BayesSet, DecisionProblem, Prior, bayes_acts
+from .lp import LinearProgram, LpStatus, SolverError, minimize_over_band, solve_lp
 
 __all__ = [
     "STRICT_DOMINANCE_TOL",
@@ -155,35 +155,39 @@ def _largest_safe_radius(d: np.ndarray, center: np.ndarray) -> float:
     ulps above 0 there.
     """
     radius = 0.0
-    value, _, slope = minimize_over_band(d, BandBox(center, radius))
+    value, _, slope = minimize_over_band(d, center, radius)
     while value > 0.0:
         step = min(1.0, radius - value / slope)
         if step <= radius:
             break
         radius = step
-        value, _, next_slope = minimize_over_band(d, BandBox(center, radius))
+        value, _, next_slope = minimize_over_band(d, center, radius)
         if next_slope == slope:
             break
         slope = next_slope
     return radius
 
 
-def robustness_radius(problem: DecisionProblem, a: str, prior: Prior) -> Radius:
+def robustness_radius(
+    problem: DecisionProblem, a: str, prior: Prior, *, bayes: BayesSet | None = None
+) -> Radius:
     """Largest band radius keeping ``a`` optimal everywhere in the band.
 
     The radius is the smallest of the competitors' safe radii, capped at 1.
     A competitor that ``a`` beats in every state never binds, and one whose
     band minimum is still nonnegative at the smallest radius found so far
-    cannot lower it, so it costs a single evaluation.
+    cannot lower it, so it costs a single evaluation.  ``bayes`` is the
+    Bayes set that decides whether ``a`` is optimal at ``prior``; it defaults
+    to the problem's own.
     """
-    if a not in bayes_acts(problem, prior):
+    if a not in (bayes_acts(problem, prior) if bayes is None else bayes):
         return Radius.not_bayes()
     _, diffs = _difference_rows(problem, a)
     radius = 1.0
     for d in diffs:
         if d.min() >= 0.0:
             continue
-        if radius < 1.0 and minimize_over_band(d, BandBox(prior.mass, radius))[0] >= 0.0:
+        if radius < 1.0 and minimize_over_band(d, prior.mass, radius)[0] >= 0.0:
             continue
         radius = min(radius, _largest_safe_radius(d, prior.mass))
     return Radius.value(radius)
@@ -223,8 +227,13 @@ def strict_inadmissibility_certificate(
     A[1 + np.arange(m), k + 1 + np.arange(m)] = -1.0
     b = np.full(1 + m, t_lo)
     b[0] = 1.0
+    # Start at the first competitor alone: its weight is basic in the
+    # simplex row, t - t_lo in the row of its smallest unit gain (where t
+    # binds), and each other state's slack in its own row.
+    basis = np.concatenate([[0], k + 1 + np.arange(m)])
+    basis[1 + np.argmin(unit[0])] = k
 
-    out = solve_lp(LinearProgram(objective, A, b))
+    out = solve_lp(LinearProgram(objective, A, b, basis))
     if out.status is not LpStatus.OPTIMAL:
         raise SolverError(f"dominance program ended with status {out.status.value}")
     beta = out.point[:k]
@@ -237,15 +246,18 @@ def strict_inadmissibility_certificate(
     )
 
 
-def contamination_need(problem: DecisionProblem, a: str, prior: Prior) -> Need:
+def contamination_need(
+    problem: DecisionProblem, a: str, prior: Prior, *, bayes: BayesSet | None = None
+) -> Need:
     """Smallest band radius at which some prior in the band makes ``a`` optimal.
 
-    Acts optimal at the reference prior need no contamination.  Otherwise a
-    single program minimizes the radius subject to the band, the simplex, and
-    the dominance inequalities of ``a``; infeasibility means no prior at all
-    works, which is certified by a strictly dominating mixture.
+    Acts optimal at the reference prior need no contamination; ``bayes``
+    decides which those are, as in `robustness_radius`.  Otherwise the need
+    is the optimum of a single program, solved in dual form; an unbounded
+    dual means no prior at all works, which is certified by a strictly
+    dominating mixture.
     """
-    if a in bayes_acts(problem, prior):
+    if a in (bayes_acts(problem, prior) if bayes is None else bayes):
         return Need.value(0.0)
     _, diffs = _difference_rows(problem, a)
     # Each dominance row is a halfspace through the origin, so scaling it to
@@ -254,42 +266,34 @@ def contamination_need(problem: DecisionProblem, a: str, prior: Prior) -> Need:
     diffs = diffs / np.where(norms > 0.0, norms, 1.0)
     k, m = diffs.shape
 
-    # Variables: pi (m), epsilon (1), band slacks (2m), dominance slacks (k).
-    n_vars = m + 1 + 2 * m + k
-    objective = np.zeros(n_vars)
-    objective[m] = 1.0
-    A = np.zeros((1 + 2 * m + k, n_vars))
-    b = np.zeros(1 + 2 * m + k)
-    A[0, :m] = 1.0
-    b[0] = 1.0
-    rows = 1 + np.arange(m)
-    A[rows, np.arange(m)] = 1.0           # pi_j - eps + s = pi0_j
-    A[rows, m] = -1.0
-    A[rows, m + 1 + np.arange(m)] = 1.0
-    b[rows] = prior.mass
-    rows = 1 + m + np.arange(m)
-    A[rows, np.arange(m)] = 1.0           # pi_j + eps - s = pi0_j
-    A[rows, m] = 1.0
-    A[rows, 2 * m + 1 + np.arange(m)] = -1.0
-    b[rows] = prior.mass
-    rows = 1 + 2 * m + np.arange(k)
-    A[rows, :m] = diffs                   # <pi, u_a - u_b> - s = 0
-    A[rows, 3 * m + 1 + np.arange(k)] = -1.0
+    # The primal is min eps over pi in the simplex with |pi - pi0| <= eps
+    # and diffs @ pi >= 0.  Its dual is max y - pi0.u + pi0.l subject to
+    # y - u_j + l_j + (diffs.T w)_j <= 0 per state and sum(u) + sum(l) <= 1,
+    # with u, l, w >= 0 and y = y+ - y- free.  Variables: y+, y- (2), u (m),
+    # l (m), w (k) and one slack per row (m + 1).  The right-hand side is
+    # (0, ..., 0, 1), so the slack basis is feasible.
+    eye, ones = np.eye(m), np.ones((m, 1))
+    A = np.block([
+        [ones, -ones, -eye, eye, diffs.T, np.eye(m, m + 1)],
+        [np.zeros((1, 2)), ones.T, ones.T, np.zeros((1, k)), np.eye(1, m + 1, m)],
+    ])
+    b = np.zeros(m + 1)
+    b[m] = 1.0
+    objective = np.concatenate([[-1.0, 1.0], prior.mass, -prior.mass, np.zeros(k + m + 1)])
+    basis = 2 + 2 * m + k + np.arange(m + 1)
 
-    out = solve_lp(LinearProgram(objective, A, b))
+    out = solve_lp(LinearProgram(objective, A, b, basis))
     if out.status is LpStatus.OPTIMAL:
-        # Two simplex points are at most 1 apart, so the optimum is at most
-        # 1; at a vertex prior rounding can land an ulp above it.
-        return Need.value(min(out.point[m], 1.0))
-    if out.status is LpStatus.INFEASIBLE:
-        certificate = strict_inadmissibility_certificate(problem, a)
-        if certificate is None:
-            raise SolverError(
-                f"contamination program for act {a!r} is infeasible "
-                "but no dominance certificate exists"
-            )
-        return Need.infeasible(certificate)
-    raise SolverError("contamination program reported unbounded")
+        # The optimum is a distance between simplex points, so it lies in
+        # [0, 1]; rounding can land it an ulp outside.
+        return Need.value(min(max(-out.value, 0.0), 1.0))
+    certificate = strict_inadmissibility_certificate(problem, a)
+    if certificate is None:
+        raise SolverError(
+            f"contamination program for act {a!r} is infeasible "
+            "but no dominance certificate exists"
+        )
+    return Need.infeasible(certificate)
 
 
 @dataclass(frozen=True)
@@ -330,8 +334,11 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     without a program.  Every row of a dominated act reuses its certificate.
     The other acts are measured against the undominated acts only: at every
     prior some undominated act attains the maximum expected utility, so
-    dropping the dominated ones changes no radius and no need.  Failures are
-    re-raised with the offending act, and prior where there is one, attached.
+    dropping the dominated ones changes no radius and no need.  Each row's
+    radius and need are judged by the full table's Bayes set, the same one
+    that sets ``is_bayes``: the smaller table has a smaller utility range and
+    so a tighter tie tolerance.  Failures are re-raised with the offending
+    act, and prior where there is one, attached.
     """
     priors = list(priors)
     names = [p.name for p in priors]
@@ -357,8 +364,8 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
         for act in problem.acts:
             try:
                 if certificates[act] is None:
-                    radius = robustness_radius(undominated, act, prior)
-                    need = contamination_need(undominated, act, prior)
+                    radius = robustness_radius(undominated, act, prior, bayes=bset)
+                    need = contamination_need(undominated, act, prior, bayes=bset)
                 else:
                     radius = Radius.not_bayes()
                     need = Need.infeasible(certificates[act])

@@ -11,7 +11,7 @@ import pytest
 
 from scipy.optimize import linprog
 
-from priorstab import BandBox, DecisionProblem, Prior, minimize_over_band
+from priorstab import DecisionProblem, Prior, minimize_over_band
 from priorstab.selection import SCORE_TIE_TOL, ScoreBranch, score_lines
 
 # Tight tolerances for scipy's HiGHS, used as an independent LP oracle.
@@ -175,7 +175,7 @@ def pairwise_margin(problem, a, b, prior, epsilon):
     if a == b:
         raise ValueError("pairwise margin needs two distinct acts")
     d = problem.row(a) - problem.row(b)
-    return minimize_over_band(d, BandBox(prior.mass, epsilon))[0]
+    return minimize_over_band(d, prior.mass, epsilon)[0]
 
 
 def worst_case_margin(problem, a, prior, epsilon):
@@ -185,31 +185,39 @@ def worst_case_margin(problem, a, prior, epsilon):
     return min(pairwise_margin(problem, a, b, prior, epsilon) for b in problem.acts if b != a)
 
 
+def band_bounds(center, radius):
+    """Per-coordinate lower and upper bounds of the band, clipped to [0, 1]."""
+    center = np.asarray(center, dtype=float)
+    return np.maximum(0.0, center - radius), np.minimum(1.0, center + radius)
+
+
 @dataclass(frozen=True)
 class BandFeasibility:
     feasible: bool
     witness: np.ndarray | None = None
 
 
-def band_feasible_with_halfspaces(band, halfspaces):
+def band_feasible_with_halfspaces(center, radius, halfspaces):
     """Is band-and-simplex compatible with the halfspaces <pi, h> >= 0?
 
     The band center is tried first (it always lies in band-and-simplex); when
     it fails, scipy's HiGHS decides feasibility of the bounded program and
     supplies a witness, independently of the package's simplex.
     """
-    m = band.dimension
+    center = np.asarray(center, dtype=float)
+    m = center.size
     normals = np.asarray(list(halfspaces), dtype=float)
     if normals.size == 0:
-        return BandFeasibility(feasible=True, witness=band.center.copy())
+        return BandFeasibility(feasible=True, witness=center.copy())
     if normals.ndim != 2 or normals.shape[1] != m:
         raise ValueError(f"halfspace normals must be rows of length {m}")
-    if np.all(normals @ band.center >= 0.0):
-        return BandFeasibility(feasible=True, witness=band.center.copy())
+    if np.all(normals @ center >= 0.0):
+        return BandFeasibility(feasible=True, witness=center.copy())
 
+    lower, upper = band_bounds(center, radius)
     res = linprog(
         np.zeros(m), A_ub=-normals, b_ub=np.zeros(normals.shape[0]),
-        A_eq=np.ones((1, m)), b_eq=[1.0], bounds=list(zip(band.lower, band.upper)),
+        A_eq=np.ones((1, m)), b_eq=[1.0], bounds=list(zip(lower, upper)),
         method="highs", options=HIGHS_OPTIONS,
     )
     if res.status == 2:

@@ -10,9 +10,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from priorstab import (
-    BandBox,
     CostAssignment,
     DecisionProblem,
     NeedKind,
@@ -28,16 +28,17 @@ from priorstab import (
     selection_path,
 )
 from priorstab.cli import main
-from priorstab.lp import LinearProgram, LpStatus, solve_lp
 from priorstab.stability import Need, Radius, StabilityProfile, StabilityRow
 
 from conftest import (
+    HIGHS_OPTIONS,
     PLANTED_WEIGHTS_CSV,
     PORTFOLIO_ACTS,
     PORTFOLIO_UTILITIES,
     REGIME_STATES,
     acts_at,
     affine_transform,
+    band_bounds,
     build_planted_panel,
     planted_monthly_csv,
     random_prior,
@@ -96,22 +97,20 @@ def test_criterion_2_greedy_equals_simplex():
     total = 1000
     for _ in range(total):
         m = int(rng.integers(2, 7))
-        band = BandBox(rng.dirichlet(np.ones(m)), float(rng.uniform(0.0, 1.0)))
+        center, radius = rng.dirichlet(np.ones(m)), float(rng.uniform(0.0, 1.0))
         d = rng.uniform(-1.0, 1.0, m)
-        greedy_value, _, _ = minimize_over_band(d, band)
-        # the band in standard form: pi = lower + y, sum(y) = 1 - sum(lower),
-        # y + s = upper - lower, with y, s >= 0
-        A = np.zeros((1 + m, 2 * m))
-        A[0, :m] = 1.0
-        A[1:, :m] = np.eye(m)
-        A[1:, m:] = np.eye(m)
-        b = np.concatenate([[1.0 - band.lower.sum()], band.upper - band.lower])
-        out = solve_lp(LinearProgram(np.concatenate([d, np.zeros(m)]), A, b))
-        assert out.status is LpStatus.OPTIMAL
-        if abs(greedy_value - (out.value + float(d @ band.lower))) <= 1e-9:
+        greedy_value, _, _ = minimize_over_band(d, center, radius)
+        # the band as an explicit program, solved by scipy's HiGHS
+        lower, upper = band_bounds(center, radius)
+        out = linprog(
+            d, A_eq=np.ones((1, m)), b_eq=[1.0], bounds=list(zip(lower, upper)),
+            method="highs", options=HIGHS_OPTIONS,
+        )
+        assert out.status == 0
+        if abs(greedy_value - out.fun) <= 1e-9:
             agreements += 1
     assert agreements == total
-    verdict(2, f"greedy value = simplex value within 1e-9 on {agreements}/{total} instances")
+    verdict(2, f"greedy value = HiGHS simplex value within 1e-9 on {agreements}/{total} instances")
 
 
 def test_criterion_3_margin_monotone_in_radius():
@@ -126,7 +125,7 @@ def test_criterion_3_margin_monotone_in_radius():
             problem.utilities, problem.act_index(act), axis=0
         )
         values = [
-            min(minimize_over_band(d, BandBox(prior.mass, float(e)))[0] for d in diffs)
+            min(minimize_over_band(d, prior.mass, float(e))[0] for d in diffs)
             for e in grid
         ]
         violations += int(np.sum(np.diff(values) > 1e-12))
@@ -348,9 +347,8 @@ def test_criterion_10_baseline_reductions():
     for _ in range(100):
         problem = random_problem(rng)
         prior = random_prior(rng, problem.num_states)
-        band = BandBox(prior.mass, 0.0)
         for mode, eta in (("minimax", None), ("maximax", None), ("mix", 0.37)):
-            result = gamma_aggregate(problem, band, mode, eta)
+            result = gamma_aggregate(problem, prior, 0.0, mode, eta)
             for act in problem.acts:
                 assert result.values[act] == expected_utility(problem, act, prior)
         trusting = rex_score(problem, prior, 1.0)

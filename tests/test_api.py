@@ -10,7 +10,6 @@ import priorstab
 MODULES = ("beliefs", "cli", "core", "io", "lp", "scenarios", "selection", "stability")
 
 PUBLIC = [
-    "BandBox",
     "BayesSet",
     "CostAssignment",
     "DecisionProblem",

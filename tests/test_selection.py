@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from priorstab import (
-    BandBox,
     CostAssignment,
     DecisionProblem,
     Prior,
@@ -281,26 +280,23 @@ class TestSelectionPath:
 
 class TestGammaAggregate:
     def test_zero_radius_equals_expected_utility(self, portfolio_problem, uniform4):
-        band = BandBox(uniform4.mass, 0.0)
         for mode, eta in (("minimax", None), ("maximax", None), ("mix", 0.3)):
-            result = gamma_aggregate(portfolio_problem, band, mode, eta)
+            result = gamma_aggregate(portfolio_problem, uniform4, 0.0, mode, eta)
             for act in portfolio_problem.acts:
                 assert result.values[act] == expected_utility(portfolio_problem, act, uniform4)
 
     def test_full_band_minimax_is_row_minimum(self, portfolio_problem, uniform4):
-        band = BandBox(uniform4.mass, 1.0)
-        result = gamma_aggregate(portfolio_problem, band, "minimax")
+        result = gamma_aggregate(portfolio_problem, uniform4, 1.0, "minimax")
         for act in portfolio_problem.acts:
             assert result.values[act] == pytest.approx(
                 float(portfolio_problem.row(act).min()), abs=1e-12
             )
 
     def test_mix_endpoints_match_pure_modes(self, portfolio_problem, uniform4):
-        band = BandBox(uniform4.mass, 0.35)
-        worst = gamma_aggregate(portfolio_problem, band, "minimax")
-        best = gamma_aggregate(portfolio_problem, band, "maximax")
-        eta1 = gamma_aggregate(portfolio_problem, band, "mix", 1.0)
-        eta0 = gamma_aggregate(portfolio_problem, band, "mix", 0.0)
+        worst = gamma_aggregate(portfolio_problem, uniform4, 0.35, "minimax")
+        best = gamma_aggregate(portfolio_problem, uniform4, 0.35, "maximax")
+        eta1 = gamma_aggregate(portfolio_problem, uniform4, 0.35, "mix", 1.0)
+        eta0 = gamma_aggregate(portfolio_problem, uniform4, 0.35, "mix", 0.0)
         assert eta1.values == worst.values
         assert eta0.values == best.values
 
@@ -313,9 +309,8 @@ class TestGammaAggregate:
             lowers = []
             uppers = []
             for eps in radii:
-                band = BandBox(prior.mass, float(eps))
-                lowers.append(gamma_aggregate(problem, band, "minimax").values)
-                uppers.append(gamma_aggregate(problem, band, "maximax").values)
+                lowers.append(gamma_aggregate(problem, prior, float(eps), "minimax").values)
+                uppers.append(gamma_aggregate(problem, prior, float(eps), "maximax").values)
             for act in problem.acts:
                 lo_series = [v[act] for v in lowers]
                 hi_series = [v[act] for v in uppers]
@@ -323,13 +318,21 @@ class TestGammaAggregate:
                 assert np.all(np.diff(hi_series) >= -1e-12)
 
     def test_bad_mode_and_eta(self, toy_problem, toy_prior):
-        band = BandBox(toy_prior.mass, 0.1)
         with pytest.raises(ValueError):
-            gamma_aggregate(toy_problem, band, "median")
+            gamma_aggregate(toy_problem, toy_prior, 0.1, "median")
         with pytest.raises(ValueError):
-            gamma_aggregate(toy_problem, band, "mix", 1.5)
+            gamma_aggregate(toy_problem, toy_prior, 0.1, "mix", 1.5)
         with pytest.raises(ValueError):
-            gamma_aggregate(toy_problem, band, "mix")
+            gamma_aggregate(toy_problem, toy_prior, 0.1, "mix")
+
+    def test_rejects_bad_radius(self, toy_problem, toy_prior):
+        for radius in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="radius"):
+                gamma_aggregate(toy_problem, toy_prior, radius)
+
+    def test_rejects_mismatched_dimension(self, toy_problem):
+        with pytest.raises(ValueError, match="dimension"):
+            gamma_aggregate(toy_problem, Prior("p3", [0.2, 0.3, 0.5]), 0.1)
 
 
 class TestRexScore:

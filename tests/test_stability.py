@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from priorstab import (
-    BandBox,
     DecisionProblem,
     NeedKind,
     Prior,
@@ -101,7 +100,7 @@ def feasibility_bisect_need(problem, act, prior, tol=1e-9):
     )
 
     def feasible(eps):
-        return band_feasible_with_halfspaces(BandBox(prior.mass, eps), diffs).feasible
+        return band_feasible_with_halfspaces(prior.mass, eps, diffs).feasible
 
     if not feasible(1.0):
         return None
@@ -373,8 +372,8 @@ class TestContaminationNeed:
                 problem.utilities, problem.act_index(act), axis=0
             )
             # a slightly inflated band absorbs the solver tolerance
-            band = BandBox(prior.mass, min(1.0, need.epsilon + 1e-7))
-            res = band_feasible_with_halfspaces(band, diffs)
+            radius = min(1.0, need.epsilon + 1e-7)
+            res = band_feasible_with_halfspaces(prior.mass, radius, diffs)
             assert res.feasible
             witness = Prior("w", res.witness)
             assert act in bayes_acts(problem, witness).optimal_acts or np.all(
@@ -548,7 +547,7 @@ class TestStabilityProfile:
     def test_failures_carry_pair_identification(self, toy_problem, toy_prior, monkeypatch):
         import priorstab.stability as stab
 
-        def boom(problem, act, prior):
+        def boom(problem, act, prior, **_):
             raise stab.SolverError("boom")
 
         monkeypatch.setattr(stab, "contamination_need", boom)
@@ -581,9 +580,9 @@ class TestStabilityProfile:
             calls.append(act)
             return certificate(problem, act)
 
-        def spied(problem, act, prior):
+        def spied(problem, act, prior, **kwargs):
             need_acts.add(problem.acts)
-            return need(problem, act, prior)
+            return need(problem, act, prior, **kwargs)
 
         monkeypatch.setattr(stab, "strict_inadmissibility_certificate", counted)
         monkeypatch.setattr(stab, "contamination_need", spied)
@@ -613,13 +612,35 @@ def dominated_table(rng):
     )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_profile_rows_equal_per_row_computations(seed):
-    """Rows equal the per-row functions on the full table: radius exactly."""
+def seeded_case(seed):
+    """A dominated table and three priors, drawn from one seed."""
     rng = np.random.default_rng(seed)
     problem = dominated_table(rng)
-    priors = [random_prior(rng, problem.num_states, name=f"p{i}") for i in range(3)]
+    return problem, [random_prior(rng, problem.num_states, name=f"p{i}") for i in range(3)]
+
+
+# b trails a by 5e-12 at the even prior.  That is a tie within the full
+# table's utility range but not within the range left once the dominated c
+# is dropped, so a profile that re-judged optimality there would call b
+# Bayes and yet give it no radius and a positive need.
+NEAR_TIE = (
+    DecisionProblem(
+        ("a", "b", "c"), ("s1", "s2"), [[1.0, 0.0], [0.0, 1.0 - 1e-11], [-999.0, -999.0]]
+    ),
+    [Prior("even", [0.5, 0.5])],
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=st.integers(0, 2**32 - 1).map(seeded_case))
+@example(case=NEAR_TIE)
+def test_profile_rows_equal_per_row_computations(case):
+    """Rows equal the per-row functions on the full table: radius exactly.
+
+    Within a row, the act is Bayes exactly when it has a radius and exactly
+    when its need is 0.
+    """
+    problem, priors = case
     profile = stability_profile(problem, priors)
     for prior in priors:
         for act in problem.acts:
@@ -633,3 +654,52 @@ def test_profile_rows_equal_per_row_computations(seed):
                 assert abs(row.need.epsilon - need.epsilon) <= 1e-9
             else:
                 assert row.need.certificate.weights == certificate.weights
+            assert row.is_bayes == (row.radius.kind is RadiusKind.VALUE)
+            assert row.is_bayes == (row.need.as_float() == 0.0)
+
+
+def reordered_profile(problem, priors, acts, states, order):
+    """The profile of the table with acts, states and priors reordered.
+
+    Priors are rebuilt only when their states move: a rebuilt ``Prior``
+    renormalizes its mass, which can move it by an ulp.
+    """
+    moved = states is not None
+    states = states if moved else np.arange(problem.num_states)
+    table = DecisionProblem(
+        [problem.acts[i] for i in acts],
+        [problem.states[j] for j in states],
+        problem.utilities[np.ix_(acts, states)],
+    )
+    return stability_profile(
+        table,
+        [Prior(priors[i].name, priors[i].mass[states]) if moved else priors[i] for i in order],
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reordering_only_permutes_profile_rows(seed):
+    """Reordering acts or priors changes no verdict and no radius, and moves
+    needs by at most 1e-12; reordering states too (with the priors' masses
+    permuted alike) moves radii only by the rounding of the reordered sums."""
+    problem, priors = seeded_case(seed)
+    rng = np.random.default_rng([seed, 1])
+    acts = rng.permutation(problem.num_acts)
+    order = rng.permutation(len(priors))
+    before = stability_profile(problem, priors)
+    for states, radius_tol in ((None, 0.0), (rng.permutation(problem.num_states), 1e-15)):
+        after = reordered_profile(problem, priors, acts, states, order)
+        assert sorted((r.prior, r.act) for r in after.rows) == sorted(
+            (r.prior, r.act) for r in before.rows
+        )
+        for row in before.rows:
+            other = after.row(row.prior, row.act)
+            assert other.is_bayes == row.is_bayes
+            assert other.radius.kind is row.radius.kind
+            assert abs(other.radius.as_float() - row.radius.as_float()) <= radius_tol or (
+                other.radius == row.radius
+            )
+            assert other.need.kind is row.need.kind
+            if row.need.kind is NeedKind.VALUE:
+                assert abs(other.need.epsilon - row.need.epsilon) <= 1e-12

@@ -52,6 +52,11 @@ def test_analyze_under_the_span_recorder(tmp_path):
     for attrs in by_caller["stability.strict_inadmissibility_certificate"]:
         assert attrs["rows"] == 1 + 2
         assert attrs["status"] == "optimal"
+    # the need program, posed in dual form, has one row per state and the
+    # row of the band budget
+    for attrs in by_caller["stability.contamination_need"]:
+        assert attrs["rows"] == 2 + 1
+        assert attrs["status"] == "optimal"
     metrics = spans_module.layer_metrics(spans)
     assert metrics["lp.solves_need"] > 0
     assert metrics["lp.solves_certificate"] > 0
