@@ -68,16 +68,19 @@ class DecisionProblem:
 class Prior:
     """A named point of the probability simplex.
 
-    Masses must be nonnegative and sum to 1 within 1e-9; they are then
-    renormalized by their exact sum so downstream programs can rely on the
-    total being as close to 1 as floating point allows.
+    Masses must be nonnegative and sum to 1 within 1e-9.  A sum further
+    from 1 than the rounding of the sum itself (size times machine epsilon)
+    is renormalized away, so downstream programs can rely on the total being
+    as close to 1 as floating point allows; a mass already that close is
+    kept bit for bit, so rebuilding a prior from its own mass changes
+    nothing.
     """
 
     name: str
     mass: np.ndarray
 
     def __init__(self, name: str, mass):
-        m = np.asarray(mass, dtype=float)
+        m = np.array(mass, dtype=float)
         if m.ndim != 1 or m.size == 0:
             raise ValueError("prior mass must be a nonempty vector")
         if not np.all(np.isfinite(m)):
@@ -87,8 +90,10 @@ class Prior:
         total = m.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"prior {name!r} mass sums to {float(total)!r}, not 1")
+        if abs(total - 1.0) > m.size * np.finfo(float).eps:
+            m = m / total
         object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "mass", m / total)
+        object.__setattr__(self, "mass", m)
 
     @property
     def dimension(self) -> int:

@@ -12,11 +12,18 @@ Dantzig's rule (most negative reduced cost); after a run of degenerate pivots
 the run switches to Bland's rule, which cannot cycle, so termination stays
 guaranteed.  Leaving-row ties always go to the lowest basic index.  Every
 choice is deterministic, so a program always yields the same vertex.
+
+An optimal outcome keeps its final basis and tableau.  A program that shares
+its constraints (A and b) and differs only in its objective can restart from
+that outcome: the basis is still feasible, so only the cost row is replaced
+and re-priced, and phase 2 continues from the old optimum (parametric cost,
+Dantzig 1963).  The need program of an act, whose reference prior enters
+only its objective, is restarted this way across the priors of a profile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -98,9 +105,14 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """Status, optimal value and point; an optimal outcome also keeps its
+    final basis and tableau, from which `solve_lp` can restart."""
+
     status: LpStatus
     value: float | None = None
     point: np.ndarray | None = None
+    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    tableau: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -146,34 +158,56 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray) -> LpStatus:
     raise SolverError("simplex pivot limit exceeded")
 
 
-def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Solve a standard-form program from its own feasible basis (phase 2 only).
+def solve_lp(lp: LinearProgram, *, start: LpOutcome | None = None) -> LpOutcome:
+    """Solve a standard-form program from a feasible basis (phase 2 only).
 
-    Returns a basic optimal solution; its point is clipped at 0, so pivot
-    rounding never leaves a coordinate below its bound.  A singular or
-    infeasible starting basis is the caller's error and raises
-    ``SolverError``.
+    Without ``start`` the run begins at the program's own basis.  With it,
+    the run restarts from that earlier optimal outcome, which must come from
+    a program with the same constraints (only the objective may differ; the
+    caller guarantees this, and a start of another shape is rejected): its
+    final tableau is copied, its cost row replaced by this objective and
+    re-priced, and the simplex continues from its basis.  Returns a basic
+    optimal solution; its point is clipped at 0, so pivot rounding never
+    leaves a coordinate below its bound.  A singular or infeasible starting
+    basis is the caller's error and raises ``SolverError``.
     """
-    c, A, b, basis = lp.objective, lp.eq_matrix, lp.eq_rhs, lp.basis.copy()
+    c, A, b = lp.objective, lp.eq_matrix, lp.eq_rhs
     m, n = A.shape
-    T = np.zeros((m + 1, n + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
-    for r, j in enumerate(basis.tolist()):
-        if abs(T[r, j]) <= _PIVOT_TOL:
-            raise SolverError("starting basis is singular")
-        _pivot(T, r, j)
+    if start is None:
+        basis = lp.basis.copy()
+        T = np.zeros((m + 1, n + 1))
+        T[:m, :n] = A
+        T[:m, -1] = b
+        # A slack basis is already canonical: pivoting it in would change nothing.
+        if not np.array_equal(A[:, basis], np.eye(m)):
+            for r, j in enumerate(basis.tolist()):
+                if abs(T[r, j]) <= _PIVOT_TOL:
+                    raise SolverError("starting basis is singular")
+                _pivot(T, r, j)
+    else:
+        if start.tableau is None:
+            raise ValueError("a restart needs an optimal outcome with its tableau")
+        if start.tableau.shape != (m + 1, n + 1):
+            raise ValueError(
+                f"start tableau has shape {start.tableau.shape} for a program "
+                f"of {m} rows and {n} variables"
+            )
+        basis = start.basis.copy()
+        T = start.tableau.copy()
     if np.any(T[:m, -1] < -FEASIBILITY_TOL):
         raise SolverError("starting basis is infeasible")
     T[:m, -1] = np.maximum(T[:m, -1], 0.0)
     T[-1, :n] = c
+    T[-1, -1] = 0.0
     T[-1, :] -= c[basis] @ T[:m, :]
     if _run_simplex(T, basis) is LpStatus.UNBOUNDED:
         return LpOutcome(status=LpStatus.UNBOUNDED)
 
     x = np.zeros(n)
     x[basis] = np.maximum(T[:m, -1], 0.0)
-    return LpOutcome(status=LpStatus.OPTIMAL, value=float(c @ x), point=x)
+    return LpOutcome(
+        status=LpStatus.OPTIMAL, value=float(c @ x), point=x, basis=basis, tableau=T
+    )
 
 
 def minimize_over_band(direction, center, radius: float) -> tuple[float, np.ndarray, float]:

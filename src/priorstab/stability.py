@@ -8,7 +8,9 @@ each competitor's convex band minimum; the need comes from a single linear
 program.  When no prior anywhere makes an act optimal, a mixture of the
 competing acts strictly dominates it, and that mixture is returned as a
 checkable certificate.  A profile over several priors decides this once per
-act.
+act, and builds each act's need program once: the reference prior enters the
+program only through its objective, so each further prior restarts the
+simplex from the act's last optimal tableau.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from enum import Enum
 import numpy as np
 
 from .core import BayesSet, DecisionProblem, Prior, bayes_acts
-from .lp import LinearProgram, LpStatus, SolverError, minimize_over_band, solve_lp
+from .lp import LinearProgram, LpOutcome, LpStatus, SolverError, minimize_over_band, solve_lp
 
 __all__ = [
     "STRICT_DOMINANCE_TOL",
     "DominanceCertificate",
     "Need",
     "NeedKind",
+    "NeedProgram",
     "Radius",
     "RadiusKind",
     "StabilityProfile",
@@ -246,44 +249,74 @@ def strict_inadmissibility_certificate(
     )
 
 
+class NeedProgram:
+    """The constraints of one act's need program, kept across priors.
+
+    The primal is min eps over pi in the simplex with |pi - pi0| <= eps and
+    diffs @ pi >= 0, where diffs holds the act's dominance rows scaled to
+    unit max-norm.  Its dual is max y - pi0.u + pi0.l subject to
+    y - u_j + l_j + (diffs.T w)_j <= 0 per state and sum(u) + sum(l) <= 1,
+    with u, l, w >= 0 and y = y+ - y- free.  Variables: y+, y- (2), u (m),
+    l (m), w (k) and one slack per row (m + 1).  The right-hand side is
+    (0, ..., 0, 1), so the slack basis is feasible, and the reference prior
+    pi0 enters only the objective.  ``last`` holds the latest optimal
+    outcome, from which the next prior's solve restarts.
+    """
+
+    def __init__(self, problem: DecisionProblem, act: str):
+        _, diffs = _difference_rows(problem, act)
+        # Each dominance row is a halfspace through the origin, so scaling it
+        # to unit max-norm leaves the program unchanged and keeps pivots well
+        # sized.
+        norms = np.abs(diffs).max(axis=1, keepdims=True)
+        diffs = diffs / np.where(norms > 0.0, norms, 1.0)
+        k, m = diffs.shape
+        eye, ones = np.eye(m), np.ones((m, 1))
+        self.problem, self.act = problem, act
+        self.eq_matrix = np.block([
+            [ones, -ones, -eye, eye, diffs.T, np.eye(m, m + 1)],
+            [np.zeros((1, 2)), ones.T, ones.T, np.zeros((1, k)), np.eye(1, m + 1, m)],
+        ])
+        self.eq_rhs = np.zeros(m + 1)
+        self.eq_rhs[m] = 1.0
+        self.basis = 2 + 2 * m + k + np.arange(m + 1)
+        self._zeros = np.zeros(k + m + 1)
+        self.last: LpOutcome | None = None
+
+    def at(self, prior: Prior) -> LinearProgram:
+        """The program with ``prior`` as the reference."""
+        objective = np.concatenate([[-1.0, 1.0], prior.mass, -prior.mass, self._zeros])
+        return LinearProgram(objective, self.eq_matrix, self.eq_rhs, self.basis)
+
+
 def contamination_need(
-    problem: DecisionProblem, a: str, prior: Prior, *, bayes: BayesSet | None = None
+    problem: DecisionProblem,
+    a: str,
+    prior: Prior,
+    *,
+    bayes: BayesSet | None = None,
+    program: NeedProgram | None = None,
 ) -> Need:
     """Smallest band radius at which some prior in the band makes ``a`` optimal.
 
     Acts optimal at the reference prior need no contamination; ``bayes``
     decides which those are, as in `robustness_radius`.  Otherwise the need
-    is the optimum of a single program, solved in dual form; an unbounded
-    dual means no prior at all works, which is certified by a strictly
-    dominating mixture.
+    is the optimum of a single program, solved in dual form (`NeedProgram`);
+    an unbounded dual means no prior at all works, which is certified by a
+    strictly dominating mixture.  ``program`` is the act's program, built
+    from this problem, to be reused across priors: the solve restarts from
+    its last optimal outcome and leaves its own optimum there.  Without it the
+    program is built and solved cold.
     """
     if a in (bayes_acts(problem, prior) if bayes is None else bayes):
         return Need.value(0.0)
-    _, diffs = _difference_rows(problem, a)
-    # Each dominance row is a halfspace through the origin, so scaling it to
-    # unit max-norm leaves the program unchanged and keeps pivots well sized.
-    norms = np.abs(diffs).max(axis=1, keepdims=True)
-    diffs = diffs / np.where(norms > 0.0, norms, 1.0)
-    k, m = diffs.shape
-
-    # The primal is min eps over pi in the simplex with |pi - pi0| <= eps
-    # and diffs @ pi >= 0.  Its dual is max y - pi0.u + pi0.l subject to
-    # y - u_j + l_j + (diffs.T w)_j <= 0 per state and sum(u) + sum(l) <= 1,
-    # with u, l, w >= 0 and y = y+ - y- free.  Variables: y+, y- (2), u (m),
-    # l (m), w (k) and one slack per row (m + 1).  The right-hand side is
-    # (0, ..., 0, 1), so the slack basis is feasible.
-    eye, ones = np.eye(m), np.ones((m, 1))
-    A = np.block([
-        [ones, -ones, -eye, eye, diffs.T, np.eye(m, m + 1)],
-        [np.zeros((1, 2)), ones.T, ones.T, np.zeros((1, k)), np.eye(1, m + 1, m)],
-    ])
-    b = np.zeros(m + 1)
-    b[m] = 1.0
-    objective = np.concatenate([[-1.0, 1.0], prior.mass, -prior.mass, np.zeros(k + m + 1)])
-    basis = 2 + 2 * m + k + np.arange(m + 1)
-
-    out = solve_lp(LinearProgram(objective, A, b, basis))
+    if program is None:
+        program = NeedProgram(problem, a)
+    elif program.problem is not problem or program.act != a:
+        raise ValueError(f"the need program passed was not built for act {a!r} of this problem")
+    out = solve_lp(program.at(prior), start=program.last)
     if out.status is LpStatus.OPTIMAL:
+        program.last = out
         # The optimum is a distance between simplex points, so it lies in
         # [0, 1]; rounding can land it an ulp outside.
         return Need.value(min(max(-out.value, 0.0), 1.0))
@@ -337,8 +370,13 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     dropping the dominated ones changes no radius and no need.  Each row's
     radius and need are judged by the full table's Bayes set, the same one
     that sets ``is_bayes``: the smaller table has a smaller utility range and
-    so a tighter tie tolerance.  Failures are re-raised with the offending
-    act, and prior where there is one, attached.
+    so a tighter tie tolerance.  Each undominated act's need program is built
+    once (`NeedProgram`); its first solve starts from the slack basis and
+    every later prior's solve restarts from the previous optimal tableau with
+    the new prior's cost row, so rows of one act share that program while
+    `robustness_radius` and `contamination_need` stay usable row by row.
+    Failures are re-raised with the offending act, and prior where there is
+    one, attached.
     """
     priors = list(priors)
     names = [p.name for p in priors]
@@ -359,13 +397,16 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     undominated = DecisionProblem(
         [problem.acts[i] for i in kept], problem.states, problem.utilities[kept]
     )
+    programs = {act: NeedProgram(undominated, act) for act in undominated.acts}
     rows = []
     for prior, bset in zip(priors, bsets):
         for act in problem.acts:
             try:
                 if certificates[act] is None:
                     radius = robustness_radius(undominated, act, prior, bayes=bset)
-                    need = contamination_need(undominated, act, prior, bayes=bset)
+                    need = contamination_need(
+                        undominated, act, prior, bayes=bset, program=programs[act]
+                    )
                 else:
                     radius = Radius.not_bayes()
                     need = Need.infeasible(certificates[act])

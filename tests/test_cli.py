@@ -524,3 +524,85 @@ class TestEntryPoint:
 
     def test_no_command_is_exit_2(self):
         assert main([]) == 2
+
+
+# Valid inputs of every kind the CLI reads; each fuzz case corrupts one.
+FUZZ_FILES = {
+    "utilities": "act,s1,s2\na,1.0,0.0\nb,0.0,1.0\nc,0.4,0.4\n",
+    "priors": "prior,s1,s2\nref,0.7,0.3\nalt,0.2,0.8\n",
+    "costs": "act,cost\na,0.1\nb,0.2\nc,0.3\n",
+    "weights": PLANTED_WEIGHTS_CSV,
+    "monthly": planted_monthly_csv(build_planted_panel(months=24)),
+}
+BAD_NUMBERS = ("abc", "1.2.3", "0x1p", "--1", "1e", "nan", "NaN", "inf", "-inf", "1e999")
+CORRUPTIONS = [*(("cell", token) for token in BAD_NUMBERS), ("drop", None),
+               ("extra", "0.5"), ("file", ""), ("file", "\n \n"), ("header", None)]
+# Negative entries are malformed only where the file holds masses, costs or
+# weights; negative utilities and returns are valid.
+FUZZ_CASES = [(target, corruption) for target in sorted(FUZZ_FILES) for corruption in CORRUPTIONS]
+FUZZ_CASES += [(target, ("cell", "-0.25")) for target in ("costs", "priors", "weights")]
+
+
+def corrupt(text, corruption, rng):
+    kind, token = corruption
+    lines = text.splitlines()
+    if kind == "file":
+        return token
+    if kind == "header":
+        return lines[0] + "\n"
+    r = int(rng.integers(1, len(lines)))
+    cells = lines[r].split(",")
+    c = int(rng.integers(1, len(cells)))
+    if kind == "cell":
+        cells[c] = token
+    elif kind == "drop":
+        del cells[c]
+    else:
+        cells.insert(c, token)
+    lines[r] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def fuzz_argv(files, out):
+    """The command that reads every file in ``files``."""
+    if "monthly" in files:
+        return ["scenarios", "--monthly", files["monthly"], "--weights", files["weights"],
+                "--k", "2", "--out", out]
+    if "costs" in files:
+        return ["path", "--utilities", files["utilities"], "--priors", files["priors"],
+                "--prior", "ref", "--cost-mode", "file", "--costs", files["costs"], "--out", out]
+    return ["analyze", "--utilities", files["utilities"], "--priors", files["priors"],
+            "--out", out]
+
+
+def fuzz_files(tmp_path, target, text):
+    """Write ``text`` as the ``target`` file and valid files for the rest of
+    its command's inputs; returns their paths by kind."""
+    group = {"weights": ("monthly", "weights"), "monthly": ("monthly", "weights"),
+             "costs": ("utilities", "priors", "costs")}.get(target, ("utilities", "priors"))
+    files = {}
+    for kind in group:
+        files[kind] = write(tmp_path, f"{kind}.csv", text if kind == target else FUZZ_FILES[kind])
+    return files
+
+
+class TestCliFuzz:
+    @pytest.mark.parametrize("target", sorted(FUZZ_FILES))
+    def test_uncorrupted_inputs_run(self, tmp_path, target, capsys):
+        files = fuzz_files(tmp_path, target, FUZZ_FILES[target])
+        assert main(fuzz_argv(files, str(tmp_path / "out"))) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "target,corruption", FUZZ_CASES, ids=[f"{t}-{c[0]}-{c[1]!r}" for t, c in FUZZ_CASES]
+    )
+    def test_malformed_input_is_one_line_and_exit_2_or_3(self, tmp_path, target, corruption, capsys):
+        rng = np.random.default_rng(FUZZ_CASES.index((target, corruption)))
+        for _ in range(3):
+            text = corrupt(FUZZ_FILES[target], corruption, rng)
+            files = fuzz_files(tmp_path, target, text)
+            code = main(fuzz_argv(files, str(tmp_path / "out")))
+            err = capsys.readouterr().err
+            assert code in (2, 3), (text, err)
+            assert err.endswith("\n") and err.count("\n") == 1, err
+            assert "Traceback" not in err

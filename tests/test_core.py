@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorstab import DecisionProblem, Prior, bayes_acts, expected_utility
 
@@ -130,6 +132,26 @@ class TestValidation:
     def test_prior_renormalizes_exactly(self):
         p = Prior("p", [0.3 + 2e-10, 0.7])
         assert p.mass.sum() == pytest.approx(1.0, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=29).filter(
+            lambda w: sum(w) > 0.0
+        ),
+        drift=st.floats(-1e-10, 1e-10),
+    )
+    def test_rebuilt_prior_keeps_its_mass_bit_for_bit(self, weights, drift):
+        raw = np.array(weights) / np.sum(weights) * (1.0 + drift)
+        p = Prior("p", raw)
+        rebuilt = Prior(p.name, p.mass)
+        assert rebuilt.mass.tobytes() == p.mass.tobytes()
+        assert abs(p.mass.sum() - 1.0) <= p.dimension * np.finfo(float).eps
+
+    def test_prior_owns_its_mass(self):
+        raw = np.array([0.25, 0.75])
+        p = Prior("p", raw)
+        raw[0] = 0.5
+        assert p.mass.tolist() == [0.25, 0.75]
 
     def test_prior_rejects_bad_sum(self):
         with pytest.raises(ValueError):

@@ -125,12 +125,8 @@ class TestSolveLp:
     def test_random_instances_match_scipy(self):
         rng = np.random.default_rng(101)
         for _ in range(80):
-            n = int(rng.integers(2, 7))
-            m = int(rng.integers(1, 4))
-            upper = rng.uniform(0.5, 3.0, n)
-            A = rng.normal(size=(m, n))
-            b = rng.uniform(0.0, 2.0, m)
-            c = rng.normal(size=n)
+            c, A, b, upper = random_inequality_program(rng)
+            n = c.size
             # x <= upper enters as rows, so the program is bounded
             lp = inequality_form(c, np.vstack([A, np.eye(n)]), np.concatenate([b, upper]))
             ours = solve_lp(lp)
@@ -142,6 +138,109 @@ class TestSolveLp:
             assert np.all(point >= 0.0)
             assert np.all(point <= upper + 1e-12)
             assert np.max(A @ point - b) < 1e-9
+
+
+def random_inequality_program(rng):
+    """min c.x subject to A x <= b and 0 <= x <= upper, with b >= 0."""
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(1, 4))
+    upper = rng.uniform(0.5, 3.0, n)
+    A = rng.normal(size=(m, n))
+    b = rng.uniform(0.0, 2.0, m)
+    c = rng.normal(size=n)
+    return c, A, b, upper
+
+
+class TestRestart:
+    def test_restarts_match_scipy(self):
+        # Each program is solved from its slack basis, then restarted under
+        # three fresh objectives in turn, each from the previous optimum.
+        rng = np.random.default_rng(101)
+        pivoted = 0
+        for _ in range(80):
+            c, A, b, upper = random_inequality_program(rng)
+            n = c.size
+            rows, rhs = np.vstack([A, np.eye(n)]), np.concatenate([b, upper])
+            start = solve_lp(inequality_form(c, rows, rhs))
+            for _ in range(3):
+                fresh = rng.normal(size=n)
+                ours = solve_lp(inequality_form(fresh, rows, rhs), start=start)
+                ref = linprog(
+                    fresh, A_ub=A, b_ub=b, bounds=list(zip(np.zeros(n), upper)),
+                    method="highs", options=HIGHS_OPTIONS,
+                )
+                assert ours.status is LpStatus.OPTIMAL
+                assert ref.status == 0
+                assert ours.value == pytest.approx(ref.fun, abs=1e-9)
+                point = ours.point[:n]
+                assert np.all(point >= 0.0)
+                assert np.all(point <= upper + 1e-12)
+                assert np.max(A @ point - b) < 1e-9
+                pivoted += not np.array_equal(ours.basis, start.basis)
+                start = ours
+        assert pivoted > 0
+
+    def test_restart_to_an_unbounded_objective(self):
+        # x0 has no cap row and only loosens the rows (A[:, 0] <= 0), so a
+        # positive cost on it is bounded and a negative one is not
+        rng = np.random.default_rng(707)
+        for _ in range(40):
+            c, A, b, upper = random_inequality_program(rng)
+            n = c.size
+            A[:, 0] = -np.abs(A[:, 0])
+            rows, rhs = np.vstack([A, np.eye(n)[1:]]), np.concatenate([b, upper[1:]])
+            c[0] = abs(c[0])
+            start = solve_lp(inequality_form(c, rows, rhs))
+            assert start.status is LpStatus.OPTIMAL
+            fresh = rng.normal(size=n)
+            fresh[0] = -abs(fresh[0])
+            ref = linprog(
+                fresh, A_ub=rows, b_ub=rhs, bounds=(0, None), method="highs",
+                options=HIGHS_OPTIONS,
+            )
+            assert ref.status == 3  # unbounded
+            out = solve_lp(inequality_form(fresh, rows, rhs), start=start)
+            assert out.status is LpStatus.UNBOUNDED
+            assert out.tableau is None
+            with pytest.raises(ValueError, match="tableau"):
+                solve_lp(inequality_form(c, rows, rhs), start=out)
+
+    def test_same_objective_takes_no_pivot(self, monkeypatch):
+        import priorstab.lp as lp_module
+
+        pivots = []
+        pivot = lp_module._pivot
+
+        def counted(T, row, col):
+            pivots.append((row, col))
+            pivot(T, row, col)
+
+        rng = np.random.default_rng(808)
+        for _ in range(20):
+            c, A, b, upper = random_inequality_program(rng)
+            lp = inequality_form(c, np.vstack([A, np.eye(c.size)]), np.concatenate([b, upper]))
+            first = solve_lp(lp)
+            monkeypatch.setattr(lp_module, "_pivot", counted)
+            again = solve_lp(lp, start=first)
+            monkeypatch.undo()
+            assert pivots == []
+            assert again.value == first.value
+            assert np.array_equal(again.point, first.point)
+            assert np.array_equal(again.basis, first.basis)
+
+    def test_start_of_another_shape_is_rejected(self):
+        first = solve_lp(inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0]))
+        other = inequality_form([1.0, -1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.5])
+        with pytest.raises(ValueError, match="shape"):
+            solve_lp(other, start=first)
+        wider = inequality_form([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0]], [1.0])
+        with pytest.raises(ValueError, match="shape"):
+            solve_lp(wider, start=first)
+
+    def test_repr_leaves_out_the_restart_state(self):
+        out = solve_lp(inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0]))
+        assert out.tableau is not None
+        assert "tableau" not in repr(out) and "basis" not in repr(out)
 
 
 def beale_program():

@@ -595,6 +595,45 @@ class TestStabilityProfile:
         assert len(certificates) == 1
         assert all(r.need.kind is NeedKind.INFEASIBLE for r in profile.rows if r.act == "low")
 
+    def test_need_programs_restart_across_priors(self, monkeypatch):
+        import priorstab.stability as stab
+
+        problem = DecisionProblem(
+            ("a", "b", "c"), ("s1", "s2", "s3"),
+            [[1.0, 0.0, 0.2], [0.0, 1.0, 0.3], [0.4, 0.3, 1.0]],
+        )
+        priors = [Prior(f"p{i}", m) for i, m in enumerate(
+            ([0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7], [0.3, 0.3, 0.4]))]
+        starts = []
+        solve = stab.solve_lp
+
+        def spied(lp, *, start=None):
+            starts.append(start is not None)
+            return solve(lp, start=start)
+
+        monkeypatch.setattr(stab, "solve_lp", spied)
+        stab.stability_profile(problem, priors[:1])
+        # a single prior solves every program cold (here two certificate
+        # programs, for b and c, and their two need programs)
+        assert starts == [False] * 4
+        starts.clear()
+        profile = stab.stability_profile(problem, priors)
+        monkeypatch.undo()
+        # each act's first program is cold and every later one restarts: a is
+        # optimal only at p0, b only at p1, and c at p2 and p3
+        assert starts == [False, False, False, True, True, True, True, True]
+        by_name = {p.name: p for p in priors}
+        for row in profile.rows:
+            need = contamination_need(problem, row.act, by_name[row.prior])
+            assert abs(row.need.epsilon - need.epsilon) <= 1e-9
+
+    def test_a_need_program_serves_its_own_act(self, toy_problem):
+        from priorstab.stability import NeedProgram
+
+        program = NeedProgram(toy_problem, "b")
+        with pytest.raises(ValueError, match="not built for act 'a'"):
+            contamination_need(toy_problem, "a", Prior("v", [0.0, 1.0]), program=program)
+
 
 def dominated_table(rng):
     """Random table with a duplicated act and acts dominated by mixtures."""
@@ -659,21 +698,15 @@ def test_profile_rows_equal_per_row_computations(case):
 
 
 def reordered_profile(problem, priors, acts, states, order):
-    """The profile of the table with acts, states and priors reordered.
-
-    Priors are rebuilt only when their states move: a rebuilt ``Prior``
-    renormalizes its mass, which can move it by an ulp.
-    """
-    moved = states is not None
-    states = states if moved else np.arange(problem.num_states)
+    """The profile of the table with acts, states and priors reordered."""
+    states = np.arange(problem.num_states) if states is None else states
     table = DecisionProblem(
         [problem.acts[i] for i in acts],
         [problem.states[j] for j in states],
         problem.utilities[np.ix_(acts, states)],
     )
     return stability_profile(
-        table,
-        [Prior(priors[i].name, priors[i].mass[states]) if moved else priors[i] for i in order],
+        table, [Prior(priors[i].name, priors[i].mass[states]) for i in order]
     )
 
 
@@ -703,3 +736,33 @@ def test_reordering_only_permutes_profile_rows(seed):
             assert other.need.kind is row.need.kind
             if row.need.kind is NeedKind.VALUE:
                 assert abs(other.need.epsilon - row.need.epsilon) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    case=st.integers(0, 2**32 - 1).map(seeded_case),
+    exponent=st.floats(-8.0, 8.0),
+    shift=st.floats(-5.0, 5.0),
+)
+def test_profile_survives_affine_rescaling(case, exponent, shift):
+    """u -> s u + c, with s log-uniform in [1e-8, 1e8] and c in proportion,
+    changes no verdict, no kind and no certificate weight, and moves radii
+    and needs by at most 1e-9 (three priors, so need programs restart)."""
+    problem, priors = case
+    scale = 10.0**exponent
+    before = stability_profile(problem, priors)
+    after = stability_profile(affine_transform(problem, scale, scale * shift), priors)
+    for row, other in zip(before.rows, after.rows):
+        assert (other.prior, other.act) == (row.prior, row.act)
+        assert other.is_bayes == row.is_bayes
+        assert other.radius.kind is row.radius.kind
+        if row.radius.kind is RadiusKind.VALUE:
+            assert abs(other.radius.epsilon - row.radius.epsilon) <= 1e-9
+        assert other.need.kind is row.need.kind
+        if row.need.kind is NeedKind.VALUE:
+            assert abs(other.need.epsilon - row.need.epsilon) <= 1e-9
+        else:
+            weights = other.need.certificate.weights
+            assert weights.keys() == row.need.certificate.weights.keys()
+            for act, w in row.need.certificate.weights.items():
+                assert abs(weights[act] - w) <= 1e-12

@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import priorstab.cli
+from priorstab import DecisionProblem, NeedKind, Prior, stability_profile
 from priorstab.cli import main
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -27,10 +28,10 @@ def load_spans():
     return module
 
 
-def test_analyze_under_the_span_recorder(tmp_path):
-    spans_module = load_spans()
-    (tmp_path / "u.csv").write_text(UTILITIES)
-    (tmp_path / "p.csv").write_text(PRIORS)
+def traced_analyze(spans_module, tmp_path, utilities, priors):
+    """Run ``analyze`` on the two CSV texts under the recorder; its spans."""
+    (tmp_path / "u.csv").write_text(utilities)
+    (tmp_path / "p.csv").write_text(priors)
     argv = ["analyze", "--utilities", str(tmp_path / "u.csv"),
             "--priors", str(tmp_path / "p.csv"), "--out", str(tmp_path / "out")]
     recorder = spans_module.Recorder()
@@ -40,8 +41,12 @@ def test_analyze_under_the_span_recorder(tmp_path):
     finally:
         recorder.uninstall()
     assert priorstab.cli.main is main  # the recorder left no wrapper behind
+    return recorder.take()
 
-    spans = recorder.take()
+
+def test_analyze_under_the_span_recorder(tmp_path):
+    spans_module = load_spans()
+    spans = traced_analyze(spans_module, tmp_path, UTILITIES, PRIORS)
     solves = [s for s in spans if s[1] == "lp.solve_lp"]
     assert solves
     by_caller = {}
@@ -60,3 +65,44 @@ def test_analyze_under_the_span_recorder(tmp_path):
     metrics = spans_module.layer_metrics(spans)
     assert metrics["lp.solves_need"] > 0
     assert metrics["lp.solves_certificate"] > 0
+
+
+# e is strictly dominated by d; each of a, b, c and d is optimal under one of
+# the four priors, so every act but e takes a need program under the other
+# three, and the profile restarts each act's program from its last optimum
+TABLE = [[1.0, 0.0, 0.2], [0.0, 1.0, 0.3], [0.4, 0.3, 1.0], [0.5, 0.5, 0.5], [0.2, 0.1, 0.2]]
+MASSES = {"ref": [0.6, 0.3, 0.1], "p2": [0.2, 0.5, 0.3], "p3": [0.1, 0.2, 0.7],
+          "p4": [0.4, 0.4, 0.2]}
+
+
+def test_restarted_need_solves_keep_the_contract(tmp_path):
+    spans_module = load_spans()
+    utilities = "act,s1,s2,s3\n" + "".join(
+        f"{act},{','.join(map(str, row))}\n" for act, row in zip("abcde", TABLE)
+    )
+    priors = "prior,s1,s2,s3\n" + "".join(
+        f"{name},{','.join(map(str, mass))}\n" for name, mass in MASSES.items()
+    )
+    spans = traced_analyze(spans_module, tmp_path, utilities, priors)
+
+    profile = stability_profile(
+        DecisionProblem("abcde", ("s1", "s2", "s3"), TABLE),
+        [Prior(name, mass) for name, mass in MASSES.items()],
+    )
+    measured = sum(
+        not r.is_bayes and r.need.kind is NeedKind.VALUE for r in profile.rows
+    )
+    assert measured == 12
+    needs = [i for i, s in enumerate(spans) if s[1] == "stability.contamination_need"]
+    solves = [s for s in spans if s[1] == "lp.solve_lp"
+              and spans[s[0]][1] == "stability.contamination_need"]
+    assert len(solves) == measured
+    # one solve per need call at most, cold or restarted, each with one row
+    # per state and the band budget's row
+    assert len({s[0] for s in solves}) == len(solves)
+    for _, _, _, _, attrs in solves:
+        assert attrs["rows"] == 3 + 1
+        assert attrs["status"] == "optimal"
+    metrics = spans_module.layer_metrics(spans)
+    assert metrics["lp.solves_need"] == measured
+    assert metrics["stability.need_calls"] == len(needs) == 4 * 4
