@@ -13,12 +13,13 @@ the run switches to Bland's rule, which cannot cycle, so termination stays
 guaranteed.  Leaving-row ties always go to the lowest basic index.  Every
 choice is deterministic, so a program always yields the same vertex.
 
-An optimal outcome keeps its final basis and tableau.  A program that shares
-its constraints (A and b) and differs only in its objective can restart from
-that outcome: the basis is still feasible, so only the cost row is replaced
-and re-priced, and phase 2 continues from the old optimum (parametric cost,
-Dantzig 1963).  The need program of an act, whose reference prior enters
-only its objective, is restarted this way across the priors of a profile.
+An optimal outcome keeps its final basis and tableau.  A program built on
+the same constraint arrays (A and b) and differing only in its objective can
+restart from that outcome: the basis is still feasible, so only the cost row
+is replaced and re-priced, and phase 2 continues from the old optimum
+(parametric cost, Dantzig 1963).  The need program of an act, whose
+reference prior enters only its objective, is restarted this way across the
+priors of a profile.
 """
 
 from __future__ import annotations
@@ -105,12 +106,14 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Status, optimal value and point; an optimal outcome also keeps its
-    final basis and tableau, from which `solve_lp` can restart."""
+    """Status, optimal value and point; an optimal outcome also keeps the
+    program it solved and its final basis and tableau, from which
+    `solve_lp` can restart."""
 
     status: LpStatus
     value: float | None = None
     point: np.ndarray | None = None
+    program: LinearProgram | None = field(default=None, repr=False, compare=False)
     basis: np.ndarray | None = field(default=None, repr=False, compare=False)
     tableau: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -163,13 +166,14 @@ def solve_lp(lp: LinearProgram, *, start: LpOutcome | None = None) -> LpOutcome:
 
     Without ``start`` the run begins at the program's own basis.  With it,
     the run restarts from that earlier optimal outcome, which must come from
-    a program with the same constraints (only the objective may differ; the
-    caller guarantees this, and a start of another shape is rejected): its
-    final tableau is copied, its cost row replaced by this objective and
-    re-priced, and the simplex continues from its basis.  Returns a basic
-    optimal solution; its point is clipped at 0, so pivot rounding never
-    leaves a coordinate below its bound.  A singular or infeasible starting
-    basis is the caller's error and raises ``SolverError``.
+    a program holding the very same ``eq_matrix`` and ``eq_rhs`` arrays, left
+    unmodified (only the objective may differ; a start solved on other
+    arrays is rejected): its final tableau is copied, its cost row replaced
+    by this objective and re-priced, and the simplex continues from its
+    basis.  Returns a basic optimal solution; its point is clipped at 0, so
+    pivot rounding never leaves a coordinate below its bound.  A singular or
+    infeasible starting basis is the caller's error and raises
+    ``SolverError``.
     """
     c, A, b = lp.objective, lp.eq_matrix, lp.eq_rhs
     m, n = A.shape
@@ -178,20 +182,15 @@ def solve_lp(lp: LinearProgram, *, start: LpOutcome | None = None) -> LpOutcome:
         T = np.zeros((m + 1, n + 1))
         T[:m, :n] = A
         T[:m, -1] = b
-        # A slack basis is already canonical: pivoting it in would change nothing.
-        if not np.array_equal(A[:, basis], np.eye(m)):
-            for r, j in enumerate(basis.tolist()):
-                if abs(T[r, j]) <= _PIVOT_TOL:
-                    raise SolverError("starting basis is singular")
-                _pivot(T, r, j)
+        for r, j in enumerate(basis.tolist()):
+            if abs(T[r, j]) <= _PIVOT_TOL:
+                raise SolverError("starting basis is singular")
+            _pivot(T, r, j)
     else:
         if start.tableau is None:
             raise ValueError("a restart needs an optimal outcome with its tableau")
-        if start.tableau.shape != (m + 1, n + 1):
-            raise ValueError(
-                f"start tableau has shape {start.tableau.shape} for a program "
-                f"of {m} rows and {n} variables"
-            )
+        if start.program.eq_matrix is not A or start.program.eq_rhs is not b:
+            raise ValueError("a restart needs a start solved on the same constraint arrays")
         basis = start.basis.copy()
         T = start.tableau.copy()
     if np.any(T[:m, -1] < -FEASIBILITY_TOL):
@@ -206,7 +205,8 @@ def solve_lp(lp: LinearProgram, *, start: LpOutcome | None = None) -> LpOutcome:
     x = np.zeros(n)
     x[basis] = np.maximum(T[:m, -1], 0.0)
     return LpOutcome(
-        status=LpStatus.OPTIMAL, value=float(c @ x), point=x, basis=basis, tableau=T
+        status=LpStatus.OPTIMAL, value=float(c @ x), point=x, program=lp, basis=basis,
+        tableau=T,
     )
 
 

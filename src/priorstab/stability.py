@@ -260,7 +260,8 @@ class NeedProgram:
     l (m), w (k) and one slack per row (m + 1).  The right-hand side is
     (0, ..., 0, 1), so the slack basis is feasible, and the reference prior
     pi0 enters only the objective.  ``last`` holds the latest optimal
-    outcome, from which the next prior's solve restarts.
+    outcome, from which the next prior's solve restarts, so a program is
+    mutable state of one profile: it is not to be shared between threads.
     """
 
     def __init__(self, problem: DecisionProblem, act: str):
@@ -306,7 +307,8 @@ def contamination_need(
     strictly dominating mixture.  ``program`` is the act's program, built
     from this problem, to be reused across priors: the solve restarts from
     its last optimal outcome and leaves its own optimum there.  Without it the
-    program is built and solved cold.
+    program is built and solved cold.  Either way the need is read off the
+    final basis alone, so it does not depend on the priors solved before.
     """
     if a in (bayes_acts(problem, prior) if bayes is None else bayes):
         return Need.value(0.0)
@@ -314,12 +316,20 @@ def contamination_need(
         program = NeedProgram(problem, a)
     elif program.problem is not problem or program.act != a:
         raise ValueError(f"the need program passed was not built for act {a!r} of this problem")
-    out = solve_lp(program.at(prior), start=program.last)
+    lp = program.at(prior)
+    out = solve_lp(lp, start=program.last)
     if out.status is LpStatus.OPTIMAL:
         program.last = out
+        # The tableau carries the rounding of every pivot since the program's
+        # cold start, which depends on the priors solved before.  Reading the
+        # optimum off the final basis alone, solved afresh from the original
+        # constraints, makes the need independent of that path.
+        basis = np.sort(out.basis)
+        x = np.linalg.solve(program.eq_matrix[:, basis], program.eq_rhs)
+        value = float(lp.objective[basis] @ x)
         # The optimum is a distance between simplex points, so it lies in
         # [0, 1]; rounding can land it an ulp outside.
-        return Need.value(min(max(-out.value, 0.0), 1.0))
+        return Need.value(min(max(-value, 0.0), 1.0))
     certificate = strict_inadmissibility_certificate(problem, a)
     if certificate is None:
         raise SolverError(

@@ -151,6 +151,13 @@ def random_inequality_program(rng):
     return c, A, b, upper
 
 
+def with_objective(lp, objective):
+    """``lp`` on the same constraint arrays, with a new cost on its original
+    variables (none on the slacks), as a restart requires."""
+    slacks = np.zeros(lp.eq_rhs.size)
+    return LinearProgram(np.concatenate([objective, slacks]), lp.eq_matrix, lp.eq_rhs, lp.basis)
+
+
 class TestRestart:
     def test_restarts_match_scipy(self):
         # Each program is solved from its slack basis, then restarted under
@@ -161,10 +168,11 @@ class TestRestart:
             c, A, b, upper = random_inequality_program(rng)
             n = c.size
             rows, rhs = np.vstack([A, np.eye(n)]), np.concatenate([b, upper])
-            start = solve_lp(inequality_form(c, rows, rhs))
+            cold = inequality_form(c, rows, rhs)
+            start = solve_lp(cold)
             for _ in range(3):
                 fresh = rng.normal(size=n)
-                ours = solve_lp(inequality_form(fresh, rows, rhs), start=start)
+                ours = solve_lp(with_objective(cold, fresh), start=start)
                 ref = linprog(
                     fresh, A_ub=A, b_ub=b, bounds=list(zip(np.zeros(n), upper)),
                     method="highs", options=HIGHS_OPTIONS,
@@ -190,7 +198,8 @@ class TestRestart:
             A[:, 0] = -np.abs(A[:, 0])
             rows, rhs = np.vstack([A, np.eye(n)[1:]]), np.concatenate([b, upper[1:]])
             c[0] = abs(c[0])
-            start = solve_lp(inequality_form(c, rows, rhs))
+            cold = inequality_form(c, rows, rhs)
+            start = solve_lp(cold)
             assert start.status is LpStatus.OPTIMAL
             fresh = rng.normal(size=n)
             fresh[0] = -abs(fresh[0])
@@ -199,11 +208,11 @@ class TestRestart:
                 options=HIGHS_OPTIONS,
             )
             assert ref.status == 3  # unbounded
-            out = solve_lp(inequality_form(fresh, rows, rhs), start=start)
+            out = solve_lp(with_objective(cold, fresh), start=start)
             assert out.status is LpStatus.UNBOUNDED
             assert out.tableau is None
             with pytest.raises(ValueError, match="tableau"):
-                solve_lp(inequality_form(c, rows, rhs), start=out)
+                solve_lp(cold, start=out)
 
     def test_same_objective_takes_no_pivot(self, monkeypatch):
         import priorstab.lp as lp_module
@@ -231,11 +240,25 @@ class TestRestart:
     def test_start_of_another_shape_is_rejected(self):
         first = solve_lp(inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0]))
         other = inequality_form([1.0, -1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.5])
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="same constraint arrays"):
             solve_lp(other, start=first)
         wider = inequality_form([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0]], [1.0])
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="same constraint arrays"):
             solve_lp(wider, start=first)
+
+    def test_start_from_other_constraints_of_the_same_shape_is_rejected(self):
+        # Restarted from x <= 1, the program x <= 2 would stop at the old
+        # optimum x = 1: a same-shape start must come from the same arrays.
+        lp = inequality_form([-1.0], [[1.0]], [1.0])
+        first = solve_lp(lp)
+        assert first.value == -1.0
+        other = inequality_form([-1.0], [[1.0]], [2.0])
+        with pytest.raises(ValueError, match="same constraint arrays"):
+            solve_lp(other, start=first)
+        copied = LinearProgram(lp.objective, lp.eq_matrix.copy(), lp.eq_rhs, lp.basis)
+        with pytest.raises(ValueError, match="same constraint arrays"):
+            solve_lp(copied, start=first)
+        assert solve_lp(with_objective(lp, [-2.0]), start=first).value == -2.0
 
     def test_repr_leaves_out_the_restart_state(self):
         out = solve_lp(inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0]))

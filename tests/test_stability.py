@@ -627,6 +627,22 @@ class TestStabilityProfile:
             need = contamination_need(problem, row.act, by_name[row.prior])
             assert abs(row.need.epsilon - need.epsilon) <= 1e-9
 
+    def test_long_prior_lists_keep_needs_exact(self):
+        # 200 priors on a 24x8 table chain up to 200 restarts per act; every
+        # need must still equal a cold solve of its own row.
+        rng = np.random.default_rng(2024)
+        problem = random_problem(rng, 24, 8, min_acts=24, min_states=8)
+        priors = [random_prior(rng, 8, name=f"p{i}") for i in range(200)]
+        profile = stability_profile(problem, priors)
+        by_name = {p.name: p for p in priors}
+        checked = 0
+        for row in profile.rows:
+            if row.need.kind is NeedKind.VALUE and row.need.epsilon > 0.0:
+                need = contamination_need(problem, row.act, by_name[row.prior])
+                assert abs(row.need.epsilon - need.epsilon) <= 1e-12
+                checked += 1
+        assert checked > 1000
+
     def test_a_need_program_serves_its_own_act(self, toy_problem):
         from priorstab.stability import NeedProgram
 
@@ -712,6 +728,10 @@ def reordered_profile(problem, priors, acts, states, order):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
+# Here a need read off the restarted tableau moved by 9e-12 when the priors
+# were reordered, because the tableau's rounding depends on the priors solved
+# before.
+@example(seed=1000150)
 def test_reordering_only_permutes_profile_rows(seed):
     """Reordering acts or priors changes no verdict and no radius, and moves
     needs by at most 1e-12; reordering states too (with the priors' masses
