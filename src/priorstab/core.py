@@ -42,6 +42,12 @@ class DecisionProblem:
             )
         if not np.all(np.isfinite(u)):
             raise ValueError("utilities must be finite")
+        # Tie tolerances scale with the range and programs take differences
+        # of utilities, so both must be finite too.
+        with np.errstate(over="ignore"):
+            spread = u.max() - u.min()
+        if not np.isfinite(spread):
+            raise ValueError("the utility range (largest minus smallest utility) overflows")
         object.__setattr__(self, "acts", acts)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "utilities", u)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
-import re
+from datetime import date
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
 NOT_BAYES = "NOT_BAYES"
 INADMISSIBLE = "INADMISSIBLE"
 
-_DAY_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
 
 class InputError(ValueError):
@@ -111,7 +111,10 @@ def load_utilities(path) -> DecisionProblem:
         matrix.append([_number(source, lineno, c, "utility") for c in row[1:]])
     if not acts:
         raise InputError(f"{source}: no act rows")
-    return DecisionProblem(acts, states, np.array(matrix))
+    try:
+        return DecisionProblem(acts, states, np.array(matrix))
+    except ValueError as exc:
+        raise InputError(f"{source}: {exc}") from exc
 
 
 def load_priors(path) -> tuple[tuple[str, ...], list[Prior]]:
@@ -238,6 +241,17 @@ def load_monthly(path) -> ReturnPanel:
         raise InputError(f"{source}: {exc}") from exc
 
 
+def _is_day(text: str) -> bool:
+    """Is ``text`` a calendar date written YYYY-MM-DD?"""
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        return False
+    try:
+        date.fromisoformat(text)  # digits only, and a real day of a real month
+    except ValueError:
+        return False
+    return True
+
+
 def load_daily(path) -> tuple[str, dict[str, np.ndarray]]:
     """`date,<market>` rows of daily returns, grouped by month."""
     rows = _read_rows(path)
@@ -247,12 +261,22 @@ def load_daily(path) -> tuple[str, dict[str, np.ndarray]]:
         raise InputError(f"{source}:{lineno}: header must be 'date,<market>'")
     market = _label(source, lineno, header[1], "market name")
     grouped: dict[str, list[float]] = {}
+    seen: dict[str, int] = {}
     for lineno, row in rows[1:]:
         _expect_width(source, lineno, row, 2)
         day = row[0]
-        if not _DAY_RE.match(day):
-            raise InputError(f"{source}:{lineno}: malformed date {day!r} (expected YYYY-MM-DD)")
-        grouped.setdefault(day[:7], []).append(_number(source, lineno, row[1], "return"))
+        if not _is_day(day):
+            raise InputError(
+                f"{source}:{lineno}: malformed date {day!r} (expected a calendar date YYYY-MM-DD)"
+            )
+        if day in seen:
+            # a repeated day would count twice in its month's volatility
+            raise InputError(f"{source}:{lineno}: date {day} repeats line {seen[day]}")
+        seen[day] = lineno
+        value = _number(source, lineno, row[1], "return")
+        if not math.isfinite(value):
+            raise InputError(f"{source}:{lineno}: return {row[1]!r} is not finite")
+        grouped.setdefault(day[:7], []).append(value)
     if not grouped:
         raise InputError(f"{source}: no daily rows")
     return market, {month: np.array(obs) for month, obs in grouped.items()}

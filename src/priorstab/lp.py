@@ -14,8 +14,8 @@ guaranteed.  Leaving-row ties always go to the lowest basic index.  Every
 choice is deterministic, so a program always yields the same vertex.
 
 An optimal outcome keeps its final basis and tableau.  A program built on
-the same constraint arrays (A and b) and differing only in its objective can
-restart from that outcome: the basis is still feasible, so only the cost row
+the same constraint arrays (A and b) and differing only in its objective
+(`LinearProgram.with_objective`) can restart from that outcome: the basis is still feasible, so only the cost row
 is replaced and re-priced, and phase 2 continues from the old optimum
 (parametric cost, Dantzig 1963).  The need program of an act, whose
 reference prior enters only its objective, is restarted this way across the
@@ -99,6 +99,20 @@ class LinearProgram:
         object.__setattr__(self, "eq_rhs", b)
         object.__setattr__(self, "basis", basis)
 
+    def with_objective(self, objective) -> LinearProgram:
+        """This program under a new objective, on the very same constraint
+        arrays and basis, so that `solve_lp` can restart it from an outcome of
+        this program.  Only the objective is validated: the constraints were
+        checked when this program was built."""
+        c = _vector(objective, "objective")
+        if c.shape != self.objective.shape:
+            raise ValueError(f"objective has {c.size} entries for {self.num_variables} variables")
+        if not np.isfinite(c).all():
+            raise ValueError("objective must be finite")
+        lp = object.__new__(LinearProgram)
+        lp.__dict__.update(self.__dict__, objective=c)
+        return lp
+
     @property
     def num_variables(self) -> int:
         return self.objective.size
@@ -119,12 +133,13 @@ class LpOutcome:
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row, :] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row, :])
+    prow = T[row] / T[row, col]
+    # Every row, the pivot row too, takes one broadcast update; the pivot row
+    # is then written back.  Its pivot entry is exactly 1 (x / x), and adding
+    # 0 turns its -0.0 entries into 0.0, as subtracting 0 * prow would.
+    T -= T[:, col, None] * prow
     T[:, col] = 0.0
-    T[row, col] = 1.0
+    np.add(prow, 0.0, out=T[row])
 
 
 def _run_simplex(T: np.ndarray, basis: np.ndarray) -> LpStatus:
@@ -134,26 +149,27 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray) -> LpStatus:
     ``_STALL_LIMIT`` consecutive degenerate pivots, then Bland's rule for the
     rest of the run.
     """
+    # Views into T, which every pivot updates in place.
+    reduced, body, rhs = T[-1, :-1], T[:-1], T[:-1, -1]
     stalled = 0
     for _ in range(_MAX_PIVOTS):
-        reduced = T[-1, :-1]
         if stalled < _STALL_LIMIT:
-            enter = int(np.argmin(reduced))  # Dantzig: most negative
+            enter = int(reduced.argmin())  # Dantzig: most negative
             if reduced[enter] >= -_PIVOT_TOL:
                 return LpStatus.OPTIMAL
         else:
-            candidates = np.flatnonzero(reduced < -_PIVOT_TOL)
-            if candidates.size == 0:
+            eligible = reduced < -_PIVOT_TOL
+            enter = int(eligible.argmax())  # Bland: lowest eligible index
+            if not eligible[enter]:
                 return LpStatus.OPTIMAL
-            enter = int(candidates[0])  # Bland: lowest eligible index
-        column = T[:-1, enter]
-        rows = np.flatnonzero(column > _PIVOT_TOL)
+        column = body[:, enter]
+        rows = (column > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return LpStatus.UNBOUNDED
-        ratios = T[rows, -1] / column[rows]
-        best = ratios.min()
+        ratios = rhs[rows] / column[rows]
+        best = float(np.minimum.reduce(ratios))
         tied = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        leave = int(tied[np.argmin(basis[tied])])  # Bland: lowest basic index
+        leave = int(tied[basis[tied].argmin()])  # Bland: lowest basic index
         if stalled < _STALL_LIMIT:
             stalled = stalled + 1 if best <= _PIVOT_TOL else 0
         _pivot(T, leave, enter)
@@ -193,7 +209,7 @@ def solve_lp(lp: LinearProgram, *, start: LpOutcome | None = None) -> LpOutcome:
             raise ValueError("a restart needs a start solved on the same constraint arrays")
         basis = start.basis.copy()
         T = start.tableau.copy()
-    if np.any(T[:m, -1] < -FEASIBILITY_TOL):
+    if (T[:m, -1] < -FEASIBILITY_TOL).any():
         raise SolverError("starting basis is infeasible")
     T[:m, -1] = np.maximum(T[:m, -1], 0.0)
     T[-1, :n] = c

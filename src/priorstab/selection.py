@@ -184,7 +184,7 @@ def selection_path(
         raise ValueError("all acts are strictly inadmissible; no path exists")
     act_order = [r.act for r in profile.for_prior(prior)]
 
-    candidates = {0.0, float(lambda_max)}
+    candidates = set()
     for i, li in enumerate(lines):
         for lj in lines[i + 1:]:
             denom = li.slope - lj.slope
@@ -193,13 +193,13 @@ def selection_path(
             lam = (lj.intercept - li.intercept) / denom
             if 0.0 < lam < lambda_max:
                 candidates.add(float(lam))
-    knots = sorted(candidates)
-    merged = [knots[0]]
-    for x in knots[1:]:
-        if x - merged[-1] > 1e-12:
+    # 0 and lambda_max always stay the ends; an interior knot within 1e-12
+    # of the last one kept, or of lambda_max, merges into it.
+    merged = [0.0]
+    for x in sorted(candidates):
+        if x - merged[-1] > 1e-12 and lambda_max - x > 1e-12:
             merged.append(x)
-    if merged[-1] < lambda_max:
-        merged[-1] = float(lambda_max)
+    merged.append(float(lambda_max))
 
     segments: list[PathSegment] = []
     for lo, hi in zip(merged[:-1], merged[1:]):

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import BayesSet, DecisionProblem, Prior, bayes_acts
+from .core import TIE_TOL, BayesSet, DecisionProblem, Prior, bayes_acts
 from .lp import LinearProgram, LpOutcome, LpStatus, SolverError, minimize_over_band, solve_lp
 
 __all__ = [
@@ -249,6 +249,24 @@ def strict_inadmissibility_certificate(
     )
 
 
+def _bayes_at_probes(problem: DecisionProblem) -> list[str]:
+    """Acts Bayes, by `bayes_acts`' tie rule, at a vertex of the simplex or
+    at the midpoint of one of its edges.
+
+    Vertex j and the midpoints of its edges to the later vertices are priced
+    in one sum of half-utility columns (the vertex as the midpoint of j with
+    itself), so memory stays linear in the table's size.
+    """
+    u = problem.utilities
+    half = 0.5 * u
+    tol = TIE_TOL * (u.max() - u.min())
+    found = np.zeros(problem.num_acts, dtype=bool)
+    for j in range(problem.num_states):
+        values = half[:, j:] + half[:, j, None]
+        found |= (values >= values.max(axis=0) - tol).any(axis=1)
+    return [act for act, hit in zip(problem.acts, found.tolist()) if hit]
+
+
 class NeedProgram:
     """The constraints of one act's need program, kept across priors.
 
@@ -272,22 +290,32 @@ class NeedProgram:
         norms = np.abs(diffs).max(axis=1, keepdims=True)
         diffs = diffs / np.where(norms > 0.0, norms, 1.0)
         k, m = diffs.shape
-        eye, ones = np.eye(m), np.ones((m, 1))
-        self.problem, self.act = problem, act
-        self.eq_matrix = np.block([
-            [ones, -ones, -eye, eye, diffs.T, np.eye(m, m + 1)],
-            [np.zeros((1, 2)), ones.T, ones.T, np.zeros((1, k)), np.eye(1, m + 1, m)],
-        ])
-        self.eq_rhs = np.zeros(m + 1)
-        self.eq_rhs[m] = 1.0
-        self.basis = 2 + 2 * m + k + np.arange(m + 1)
-        self._zeros = np.zeros(k + m + 1)
+        w = 2 + 2 * m  # first column of w; the slacks follow it
+        A = np.zeros((m + 1, w + k + m + 1))
+        A[:m, 0], A[:m, 1] = 1.0, -1.0
+        A[:m, 2:2 + m] = -np.eye(m)
+        A[:m, 2 + m:w] = np.eye(m)
+        A[:m, w:w + k] = diffs.T
+        A[m, 2:w] = 1.0
+        A[:, w + k:] = np.eye(m + 1)
+        slacks = w + k + np.arange(m + 1)
+        b = np.zeros(m + 1)
+        b[m] = 1.0
+        self.problem, self.act, self._states = problem, act, m
+        # Validated once; each prior's program shares its arrays.
+        self._program = LinearProgram(np.zeros(A.shape[1]), A, b, slacks)
         self.last: LpOutcome | None = None
 
     def at(self, prior: Prior) -> LinearProgram:
         """The program with ``prior`` as the reference."""
-        objective = np.concatenate([[-1.0, 1.0], prior.mass, -prior.mass, self._zeros])
-        return LinearProgram(objective, self.eq_matrix, self.eq_rhs, self.basis)
+        m = self._states
+        if prior.dimension != m:
+            raise ValueError(f"prior {prior.name!r} has {prior.dimension} states, problem has {m}")
+        objective = np.zeros(self._program.num_variables)
+        objective[0], objective[1] = -1.0, 1.0
+        objective[2:2 + m] = prior.mass
+        np.negative(prior.mass, out=objective[2 + m:2 + 2 * m])
+        return self._program.with_objective(objective)
 
 
 def contamination_need(
@@ -325,7 +353,7 @@ def contamination_need(
         # optimum off the final basis alone, solved afresh from the original
         # constraints, makes the need independent of that path.
         basis = np.sort(out.basis)
-        x = np.linalg.solve(program.eq_matrix[:, basis], program.eq_rhs)
+        x = np.linalg.solve(lp.eq_matrix[:, basis], lp.eq_rhs)
         value = float(lp.objective[basis] @ x)
         # The optimum is a distance between simplex points, so it lies in
         # [0, 1]; rounding can land it an ulp outside.
@@ -373,8 +401,12 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     """Compute radius and need for every (act, prior) pair.
 
     Strict inadmissibility does not depend on the prior, so it is decided
-    once per act; an act optimal under some profile prior is admissible
-    without a program.  Every row of a dominated act reuses its certificate.
+    once per act.  An act that is Bayes somewhere is not strictly dominated
+    (Pearce, Econometrica 1984, Lemma 3), so before any program is solved,
+    admissibility is witnessed by the profile priors and by fixed probe
+    priors: the vertices of the simplex and the midpoints of its edges, all
+    judged by `bayes_acts`' tie rule.  Only the acts Bayes at none of them get
+    a certificate program.  Every row of a dominated act reuses its certificate.
     The other acts are measured against the undominated acts only: at every
     prior some undominated act attains the maximum expected utility, so
     dropping the dominated ones changes no radius and no need.  Each row's
@@ -394,6 +426,7 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
         raise ValueError("prior names must be unique within a profile")
     bsets = [bayes_acts(problem, prior) for prior in priors]
     optimal_somewhere = {act for bset in bsets for act in bset.optimal_acts}
+    optimal_somewhere.update(_bayes_at_probes(problem))
     certificates = {}
     for act in problem.acts:
         if act in optimal_somewhere:

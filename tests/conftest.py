@@ -258,6 +258,81 @@ def optimal_acts(scores):
     return tuple(s.act for s in finite if s.value >= best - SCORE_TIE_TOL)
 
 
+@dataclass(frozen=True)
+class ReferenceRun:
+    status: str
+    value: float | None
+    point: np.ndarray | None
+    basis: np.ndarray
+    tableau: np.ndarray
+    used_bland: bool
+
+
+def reference_simplex(lp, start=None):
+    """A plain tableau simplex written from `solve_lp`'s documented rules.
+
+    A cold start pivots the program's basis in row by row; a restart copies
+    an earlier outcome's tableau and basis.  Either way the right-hand side
+    is clipped at 0 and the cost row set to the objective and re-priced.
+    Entering columns: Dantzig's most negative reduced cost, lowest index
+    first, until ``_STALL_LIMIT`` consecutive degenerate pivots, then Bland's
+    lowest eligible index for the rest of the run.  Leaving rows: minimum
+    ratio, ties within 1e-12 relative going to the lowest basic index.  Each
+    pivot is one ``np.outer`` update.
+    """
+    from priorstab.lp import _PIVOT_TOL, _STALL_LIMIT
+
+    def pivot(T, row, col):
+        T[row, :] /= T[row, col]
+        factors = T[:, col].copy()
+        factors[row] = 0.0
+        T -= np.outer(factors, T[row, :])
+        T[:, col] = 0.0
+        T[row, col] = 1.0
+
+    c, A, b = lp.objective, lp.eq_matrix, lp.eq_rhs
+    m, n = A.shape
+    if start is None:
+        basis = lp.basis.copy()
+        T = np.zeros((m + 1, n + 1))
+        T[:m, :n] = A
+        T[:m, -1] = b
+        for r in range(m):
+            pivot(T, r, basis[r])
+    else:
+        basis, T = start.basis.copy(), start.tableau.copy()
+    T[:m, -1] = np.maximum(T[:m, -1], 0.0)
+    T[-1, :n] = c
+    T[-1, -1] = 0.0
+    T[-1, :] -= c[basis] @ T[:m, :]
+    stalled = 0
+    while True:
+        reduced = T[-1, :-1]
+        if stalled < _STALL_LIMIT:
+            enter = int(np.argmin(reduced))
+            if reduced[enter] >= -_PIVOT_TOL:
+                break
+        else:
+            eligible = [j for j in range(n) if reduced[j] < -_PIVOT_TOL]
+            if not eligible:
+                break
+            enter = eligible[0]
+        rows = [r for r in range(m) if T[r, enter] > _PIVOT_TOL]
+        if not rows:
+            return ReferenceRun("unbounded", None, None, basis, T, stalled >= _STALL_LIMIT)
+        ratios = {r: T[r, -1] / T[r, enter] for r in rows}
+        best = min(ratios.values())
+        tied = [r for r in rows if ratios[r] <= best + 1e-12 * (1.0 + abs(best))]
+        leave = min(tied, key=lambda r: basis[r])
+        if stalled < _STALL_LIMIT:
+            stalled = stalled + 1 if best <= _PIVOT_TOL else 0
+        pivot(T, leave, enter)
+        basis[leave] = enter
+    x = np.zeros(n)
+    x[basis] = np.maximum(T[:m, -1], 0.0)
+    return ReferenceRun("optimal", float(c @ x), x, basis, T, stalled >= _STALL_LIMIT)
+
+
 def acts_at(path, lam, breakpoint_tol=1e-9):
     """Acts a selection path selects at ``lam``: both neighbors near a breakpoint."""
     acts = []

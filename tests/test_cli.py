@@ -188,6 +188,18 @@ class TestPath:
             data_rows = fh.read().strip().splitlines()[1:]
         assert len(data_rows) == 301
 
+    def test_tiny_lambda_max_prints_its_one_segment(self, tmp_path, capsys):
+        u = write(tmp_path, "u.csv", TOY_UTILITIES)
+        p = write(tmp_path, "p.csv", TOY_PRIORS)
+        assert main(
+            ["path", "--utilities", u, "--priors", p, "--lambda-max", "1e-13",
+             "--out", str(tmp_path)]
+        ) == 0
+        assert "lambda in [0, 1e-13]: a" in capsys.readouterr().out
+        report = json.loads((tmp_path / "path.json").read_text())
+        assert report["segments"] == [{"lo": 0.0, "hi": 1e-13, "act": "a"}]
+        assert [g["selected"] for g in report["grid"]] == ["a", "a"]
+
     def test_nonpositive_lambda_max_is_exit_2(self, tmp_path):
         u = write(tmp_path, "u.csv", TOY_UTILITIES)
         p = write(tmp_path, "p.csv", TOY_PRIORS)
@@ -499,6 +511,13 @@ class TestFailureExits:
         assert code == 2
         assert "asset names must be unique" in err
 
+    def test_overflowing_utility_range_is_exit_2(self, tmp_path, capsys):
+        u = write(tmp_path, "u.csv", "act,s1,s2\na,1e308,0\nb,-1e308,1\n")
+        p = write(tmp_path, "p.csv", "prior,s1,s2\nref,0.9,0.1\n")
+        code, err = self.run_exit(capsys, ["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"{u}: the utility range" in err
+
     def test_bad_prior_sum_prints_a_plain_float(self, tmp_path, capsys):
         u = write(tmp_path, "u.csv", TOY_UTILITIES)
         p = write(tmp_path, "p.csv", "prior,s1,s2\nref,0.3,0.4\n")
@@ -526,14 +545,31 @@ class TestEntryPoint:
         assert main([]) == 2
 
 
+def planted_daily_csv(panel, days=6):
+    """``days`` daily market returns per month of ``panel``, spread by its
+    volatility around its monthly return."""
+    rng = np.random.default_rng(24)
+    lines = ["date,market"]
+    for i, month in enumerate(panel["months"]):
+        obs = panel["returns"][i, 0] / days + panel["volatility"][i] * rng.normal(size=days)
+        lines += [f"{month}-{d + 1:02d},{x!r}" for d, x in enumerate(obs.tolist())]
+    return "\n".join(lines) + "\n"
+
+
 # Valid inputs of every kind the CLI reads; each fuzz case corrupts one.
+FUZZ_PANEL = build_planted_panel(months=24)
 FUZZ_FILES = {
     "utilities": "act,s1,s2\na,1.0,0.0\nb,0.0,1.0\nc,0.4,0.4\n",
     "priors": "prior,s1,s2\nref,0.7,0.3\nalt,0.2,0.8\n",
     "costs": "act,cost\na,0.1\nb,0.2\nc,0.3\n",
     "weights": PLANTED_WEIGHTS_CSV,
-    "monthly": planted_monthly_csv(build_planted_panel(months=24)),
+    "monthly": planted_monthly_csv(FUZZ_PANEL),
+    "daily": planted_daily_csv(FUZZ_PANEL),
 }
+# The daily file is read only beside a monthly file without market_vol.
+DAILY_MONTHLY = "".join(
+    line.rsplit(",", 1)[0] + "\n" for line in FUZZ_FILES["monthly"].splitlines()
+)
 BAD_NUMBERS = ("abc", "1.2.3", "0x1p", "--1", "1e", "nan", "NaN", "inf", "-inf", "1e999")
 CORRUPTIONS = [*(("cell", token) for token in BAD_NUMBERS), ("drop", None),
                ("extra", "0.5"), ("file", ""), ("file", "\n \n"), ("header", None)]
@@ -541,6 +577,9 @@ CORRUPTIONS = [*(("cell", token) for token in BAD_NUMBERS), ("drop", None),
 # weights; negative utilities and returns are valid.
 FUZZ_CASES = [(target, corruption) for target in sorted(FUZZ_FILES) for corruption in CORRUPTIONS]
 FUZZ_CASES += [(target, ("cell", "-0.25")) for target in ("costs", "priors", "weights")]
+# A repeated day would count twice in its month's volatility.
+FUZZ_CASES += [("daily", ("repeat", None)), ("daily", ("date", "1985-13-45")),
+               ("daily", ("date", "2021-02-29"))]
 
 
 def corrupt(text, corruption, rng):
@@ -551,9 +590,12 @@ def corrupt(text, corruption, rng):
     if kind == "header":
         return lines[0] + "\n"
     r = int(rng.integers(1, len(lines)))
+    if kind == "repeat":
+        lines.insert(r, lines[r])
+        return "\n".join(lines) + "\n"
     cells = lines[r].split(",")
-    c = int(rng.integers(1, len(cells)))
-    if kind == "cell":
+    c = 0 if kind == "date" else int(rng.integers(1, len(cells)))
+    if kind in ("cell", "date"):
         cells[c] = token
     elif kind == "drop":
         del cells[c]
@@ -566,8 +608,9 @@ def corrupt(text, corruption, rng):
 def fuzz_argv(files, out):
     """The command that reads every file in ``files``."""
     if "monthly" in files:
+        daily = ["--daily", files["daily"]] if "daily" in files else []
         return ["scenarios", "--monthly", files["monthly"], "--weights", files["weights"],
-                "--k", "2", "--out", out]
+                *daily, "--k", "2", "--out", out]
     if "costs" in files:
         return ["path", "--utilities", files["utilities"], "--priors", files["priors"],
                 "--prior", "ref", "--cost-mode", "file", "--costs", files["costs"], "--out", out]
@@ -579,20 +622,25 @@ def fuzz_files(tmp_path, target, text):
     """Write ``text`` as the ``target`` file and valid files for the rest of
     its command's inputs; returns their paths by kind."""
     group = {"weights": ("monthly", "weights"), "monthly": ("monthly", "weights"),
+             "daily": ("monthly", "weights", "daily"),
              "costs": ("utilities", "priors", "costs")}.get(target, ("utilities", "priors"))
+    valid = {**FUZZ_FILES, "monthly": DAILY_MONTHLY} if target == "daily" else FUZZ_FILES
     files = {}
     for kind in group:
-        files[kind] = write(tmp_path, f"{kind}.csv", text if kind == target else FUZZ_FILES[kind])
+        files[kind] = write(tmp_path, f"{kind}.csv", text if kind == target else valid[kind])
     return files
 
 
 class TestCliFuzz:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("target", sorted(FUZZ_FILES))
     def test_uncorrupted_inputs_run(self, tmp_path, target, capsys):
         files = fuzz_files(tmp_path, target, FUZZ_FILES[target])
         assert main(fuzz_argv(files, str(tmp_path / "out"))) == 0
         assert capsys.readouterr().err == ""
 
+    # numpy warns on stderr outside pytest, so a warning fails the case too
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "target,corruption", FUZZ_CASES, ids=[f"{t}-{c[0]}-{c[1]!r}" for t, c in FUZZ_CASES]
     )

@@ -169,6 +169,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             DecisionProblem(("a",), ("s",), [[np.nan]])
 
+    def test_problem_rejects_an_overflowing_utility_range(self):
+        # Each utility is finite, but their range is not: every expected
+        # utility would tie within an infinite tolerance.
+        with pytest.raises(ValueError, match="utility range"):
+            DecisionProblem(("a", "b"), ("s1", "s2"), [[1e308, 0.0], [-1e308, 1.0]])
+        wide = DecisionProblem(("a", "b"), ("s1", "s2"), [[8e307, 0.0], [-8e307, 1.0]])
+        assert bayes_acts(wide, Prior("p", [0.9, 0.1])).optimal_acts == ("a",)
+
     def test_problem_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             DecisionProblem(("a", "a"), ("s1", "s2"), [[1.0, 0.0], [0.0, 1.0]])

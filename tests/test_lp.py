@@ -5,7 +5,13 @@ from scipy.optimize import linprog
 from priorstab import minimize_over_band
 from priorstab.lp import LinearProgram, LpStatus, SolverError, solve_lp
 
-from conftest import HIGHS_OPTIONS, band_bounds, band_feasible_with_halfspaces
+from conftest import (
+    HIGHS_OPTIONS,
+    band_bounds,
+    band_feasible_with_halfspaces,
+    random_prior,
+    reference_simplex,
+)
 
 
 def standard_form(objective, eq_matrix, eq_rhs, lower, upper, basis):
@@ -154,8 +160,7 @@ def random_inequality_program(rng):
 def with_objective(lp, objective):
     """``lp`` on the same constraint arrays, with a new cost on its original
     variables (none on the slacks), as a restart requires."""
-    slacks = np.zeros(lp.eq_rhs.size)
-    return LinearProgram(np.concatenate([objective, slacks]), lp.eq_matrix, lp.eq_rhs, lp.basis)
+    return lp.with_objective(np.concatenate([objective, np.zeros(lp.eq_rhs.size)]))
 
 
 class TestRestart:
@@ -260,10 +265,88 @@ class TestRestart:
             solve_lp(copied, start=first)
         assert solve_lp(with_objective(lp, [-2.0]), start=first).value == -2.0
 
+    def test_with_objective_keeps_the_constraints_and_checks_the_objective(self):
+        lp = inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0])
+        other = lp.with_objective([2.0, -1.0, 0.0])
+        assert other.objective.tolist() == [2.0, -1.0, 0.0]
+        assert lp.objective.tolist() == [1.0, -1.0, 0.0]
+        assert other.eq_matrix is lp.eq_matrix and other.eq_rhs is lp.eq_rhs
+        assert other.basis is lp.basis
+        for bad, match in (([1.0, 2.0], "2 entries for 3"), ([[1.0, 2.0, 3.0]], "one-dimensional"),
+                           ([np.nan, 0.0, 0.0], "finite"), ([np.inf, 0.0, 0.0], "finite")):
+            with pytest.raises(ValueError, match=match):
+                lp.with_objective(bad)
+
     def test_repr_leaves_out_the_restart_state(self):
         out = solve_lp(inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0]))
         assert out.tableau is not None
         assert "tableau" not in repr(out) and "basis" not in repr(out)
+
+
+def assert_same_path(ours, ref):
+    """``solve_lp``'s outcome equals the reference run's, bit for bit."""
+    assert ours.status.value == ref.status
+    if ref.status == "optimal":
+        assert float(ours.value).hex() == float(ref.value).hex()
+        assert ours.point.tobytes() == ref.point.tobytes()
+        assert np.array_equal(ours.basis, ref.basis)
+        assert ours.tableau.tobytes() == ref.tableau.tobytes()
+
+
+class TestPivotPath:
+    """`solve_lp` takes the reference simplex's pivots, not only its optimum."""
+
+    def test_random_programs_and_their_restarts(self):
+        rng = np.random.default_rng(101)
+        for _ in range(80):
+            c, A, b, upper = random_inequality_program(rng)
+            n = c.size
+            cold = inequality_form(c, np.vstack([A, np.eye(n)]), np.concatenate([b, upper]))
+            start = solve_lp(cold)
+            assert_same_path(start, reference_simplex(cold))
+            for _ in range(3):
+                lp = with_objective(cold, rng.normal(size=n))
+                ours = solve_lp(lp, start=start)
+                assert_same_path(ours, reference_simplex(lp, start))
+                start = ours
+
+    def test_beale_takes_the_bland_fallback(self):
+        ref = reference_simplex(beale_program())
+        assert ref.used_bland
+        assert_same_path(solve_lp(beale_program()), ref)
+
+    def test_profile_programs(self, monkeypatch):
+        # Every certificate and need program of some profiles, cold or
+        # restarted; the certificate programs pivot in -1 slack entries.
+        import priorstab.stability as stab
+
+        solved = []
+        solve = stab.solve_lp
+
+        def spied(lp, *, start=None):
+            out = solve(lp, start=start)
+            solved.append((lp, start, out))
+            return out
+
+        monkeypatch.setattr(stab, "solve_lp", spied)
+        rng = np.random.default_rng(303)
+        for _ in range(12):
+            n, m = int(rng.integers(3, 9)), int(rng.integers(2, 6))
+            u = rng.uniform(-1.0, 1.0, size=(n + 2, m))
+            u[n] = u[:2].mean(axis=0) - 0.05  # strictly dominated
+            u[n + 1] = np.round(u[n + 1], 1)
+            problem = stab.DecisionProblem(
+                [f"a{i}" for i in range(n + 2)], [f"s{j}" for j in range(m)], u
+            )
+            stab.stability_profile(problem, [random_prior(rng, m, f"p{k}") for k in range(5)])
+        monkeypatch.undo()
+        # a need program's objective starts (-1, 1); a certificate program's
+        # has its only nonzero, -1, at t
+        need = [(lp, start) for lp, start, _ in solved if lp.objective[1] == 1.0]
+        assert len(need) < len(solved)
+        assert any(start is not None for _, start in need)
+        for lp, start, out in solved:
+            assert_same_path(out, reference_simplex(lp, start))
 
 
 def beale_program():

@@ -170,6 +170,18 @@ class TestSelectionPath:
         assert abs(path.breakpoints[0] - 0.625) <= 1e-9
         assert [(s.act) for s in path.segments] == ["a", "b"]
 
+    @pytest.mark.parametrize("lambda_max", [1e-300, 1e-13, 1e-12, 2e-12])
+    def test_tiny_range_keeps_one_segment(self, lambda_max):
+        # The engineered breakpoint at 0.625 lies outside the range, and the
+        # range itself is no wider than the knot-merging distance.
+        profile = synthetic_profile([bayes_row("a", 0.8), bayes_row("b", 0.4)])
+        costs = CostAssignment(("a", "b"), [1.0, 0.2])
+        path = selection_path(profile, costs, "p", lambda_max, 0.01)
+        assert path.lambda_grid.tolist() == [0.0, lambda_max]
+        assert path.breakpoints == ()
+        assert [(s.lo, s.hi, s.act) for s in path.segments] == [(0.0, lambda_max, "a")]
+        assert set(path.grid_selected) == {"a"}
+
     def test_equal_costs_no_breakpoints(self):
         profile = synthetic_profile(
             [bayes_row("a", 0.6), loser_row("b", 0.2), loser_row("c", 0.7)]

@@ -554,16 +554,21 @@ class TestStabilityProfile:
         with pytest.raises(stab.SolverError, match="act 'a', prior 'ref'"):
             stab.stability_profile(toy_problem, [toy_prior])
 
-    def test_certificate_failures_carry_the_act(self, toy_problem, toy_prior, monkeypatch):
+    def test_certificate_failures_carry_the_act(self, monkeypatch):
         import priorstab.stability as stab
 
         def boom(problem, act):
             raise stab.SolverError("boom")
 
-        # "b" is optimal under no profile prior, so its admissibility is decided
+        # "d" is optimal under no profile prior and at no vertex or edge
+        # midpoint of the simplex (it is Bayes only near the centre), so its
+        # admissibility is decided by a program
+        problem = DecisionProblem(
+            "abcd", ("s1", "s2", "s3"), [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.4, 0.4, 0.4]]
+        )
         monkeypatch.setattr(stab, "strict_inadmissibility_certificate", boom)
-        with pytest.raises(stab.SolverError, match="act 'b': boom"):
-            stab.stability_profile(toy_problem, [toy_prior])
+        with pytest.raises(stab.SolverError, match="act 'd': boom"):
+            stab.stability_profile(problem, [Prior("ref", [0.7, 0.2, 0.1])])
 
     def test_admissibility_is_decided_once_per_act(self, monkeypatch):
         import priorstab.stability as stab
@@ -595,6 +600,30 @@ class TestStabilityProfile:
         assert len(certificates) == 1
         assert all(r.need.kind is NeedKind.INFEASIBLE for r in profile.rows if r.act == "low")
 
+    def test_probe_priors_admit_acts_without_a_program(self, monkeypatch):
+        import priorstab.stability as stab
+
+        # a, b, c are Bayes at the vertices and e at the midpoint of the edge
+        # from s1 to s2; d is Bayes only near the centre, and f is dominated
+        # by d, so only d and f take a certificate program
+        problem = DecisionProblem(
+            "abcdef", ("s1", "s2", "s3"),
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.4, 0.4, 0.4], [0.6, 0.6, 0], [0.1, 0.1, 0.1]],
+        )
+        calls = []
+        certificate = stab.strict_inadmissibility_certificate
+
+        def counted(problem, act):
+            calls.append(act)
+            return certificate(problem, act)
+
+        monkeypatch.setattr(stab, "strict_inadmissibility_certificate", counted)
+        profile = stab.stability_profile(problem, [Prior("ref", [0.8, 0.1, 0.1])])
+        assert calls == ["d", "f"]
+        kinds = {r.act: r.need.kind for r in profile.rows}
+        assert kinds == {act: NeedKind.INFEASIBLE if act == "f" else NeedKind.VALUE
+                         for act in "abcdef"}
+
     def test_need_programs_restart_across_priors(self, monkeypatch):
         import priorstab.stability as stab
 
@@ -613,9 +642,10 @@ class TestStabilityProfile:
 
         monkeypatch.setattr(stab, "solve_lp", spied)
         stab.stability_profile(problem, priors[:1])
-        # a single prior solves every program cold (here two certificate
-        # programs, for b and c, and their two need programs)
-        assert starts == [False] * 4
+        # a single prior solves every program cold; here the need programs of
+        # b and c, and no certificate program, since b and c are Bayes at the
+        # vertices of the simplex
+        assert starts == [False] * 2
         starts.clear()
         profile = stab.stability_profile(problem, priors)
         monkeypatch.undo()
@@ -649,6 +679,10 @@ class TestStabilityProfile:
         program = NeedProgram(toy_problem, "b")
         with pytest.raises(ValueError, match="not built for act 'a'"):
             contamination_need(toy_problem, "a", Prior("v", [0.0, 1.0]), program=program)
+        # a one-state mass would broadcast into the objective unnoticed
+        for mass in ([1.0], [0.2, 0.3, 0.5]):
+            with pytest.raises(ValueError, match="states, problem has 2"):
+                program.at(Prior("v", mass))
 
 
 def dominated_table(rng):
