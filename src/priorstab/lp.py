@@ -15,11 +15,21 @@ choice is deterministic, so a program always yields the same vertex.
 
 An optimal outcome keeps its final basis and tableau.  A program built on
 the same constraint arrays (A and b) and differing only in its objective
-(`LinearProgram.with_objective`) can restart from that outcome: the basis is still feasible, so only the cost row
-is replaced and re-priced, and phase 2 continues from the old optimum
-(parametric cost, Dantzig 1963).  The need program of an act, whose
-reference prior enters only its objective, is restarted this way across the
-priors of a profile.
+(`LinearProgram.with_objective`) can restart from that outcome: the basis is
+still feasible, so only the cost row is replaced and re-priced, and phase 2
+continues from the old optimum (parametric cost, Dantzig 1963).  The need
+program of an act, whose reference prior enters only its objective, is
+restarted this way across the priors of a profile.
+
+Programs of one shape can run side by side (`solve_lps`) in one
+(members, rows, columns) stack of tableaux.  A pivot here costs about as much
+in numpy call overhead as in arithmetic, so each step prices, ratio-tests and
+pivots every active member with whole-stack operations.  The arithmetic is
+the 2D run's, element by element, so each member takes the very pivots and
+bits it would take alone.  A stacked step of a few members costs several 2D
+pivots (about 40 against 11 microseconds for two members, on the need
+programs of 20-24 x 8-10 tables, 2-core x86-64, numpy 2.4), so a lone
+program, and the last member left in a stack, run in the 2D loop.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ __all__ = [
     "SolverError",
     "minimize_over_band",
     "solve_lp",
+    "solve_lps",
 ]
 
 FEASIBILITY_TOL = 1e-9  # negative value allowed on a starting basic variable
@@ -49,7 +60,15 @@ _STALL_LIMIT = 50
 
 
 class SolverError(RuntimeError):
-    """The solver produced an internally inconsistent result."""
+    """The solver produced an internally inconsistent result.
+
+    ``member`` is the position of the program at fault in its call: its
+    index in the list `solve_lps` was given, and 0 for `solve_lp`.
+    """
+
+    def __init__(self, message: str, member: int = 0):
+        super().__init__(message)
+        self.member = member
 
 
 class LpStatus(Enum):
@@ -142,17 +161,29 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     np.add(prow, 0.0, out=T[row])
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray) -> LpStatus:
+def _pivot_stack(T: np.ndarray, rows, cols, column: np.ndarray) -> None:
+    """`_pivot` on every tableau of a stack: tableau i pivots on row
+    ``rows[i]`` (or on the one row ``rows``) and column ``cols[i]``, whose
+    entries ``column[i]`` the caller has gathered.  The arithmetic is
+    `_pivot`'s, element by element, so each tableau takes a 2D pivot's bits."""
+    at = np.arange(T.shape[0])
+    prow = T[at, rows] / column[at, rows][:, None]
+    T -= column[:, :, None] * prow[:, None, :]
+    T[at, :, cols] = 0.0
+    T[at, rows] = prow + 0.0
+
+
+def _run_simplex(T: np.ndarray, basis: np.ndarray, stalled: int = 0, pivots: int = 0) -> LpStatus:
     """Minimize the objective encoded in the last tableau row.
 
     Dantzig pricing (lowest index among equal reduced costs) until
     ``_STALL_LIMIT`` consecutive degenerate pivots, then Bland's rule for the
-    rest of the run.
+    rest of the run.  ``stalled`` and ``pivots`` carry the counts of a run
+    begun in a stack (`_run_stack`).
     """
     # Views into T, which every pivot updates in place.
     reduced, body, rhs = T[-1, :-1], T[:-1], T[:-1, -1]
-    stalled = 0
-    for _ in range(_MAX_PIVOTS):
+    for _ in range(pivots, _MAX_PIVOTS):
         if stalled < _STALL_LIMIT:
             enter = int(reduced.argmin())  # Dantzig: most negative
             if reduced[enter] >= -_PIVOT_TOL:
@@ -177,6 +208,120 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray) -> LpStatus:
     raise SolverError("simplex pivot limit exceeded")
 
 
+def _run_stack(T: np.ndarray, bases: np.ndarray) -> list[LpStatus]:
+    """`_run_simplex` on every tableau of a stack at once, in place.
+
+    Each step prices, ratio-tests and pivots all active members with
+    whole-stack operations, by the rules and the elementwise arithmetic of
+    `_run_simplex`, so every member takes the pivots it would take alone.  A
+    member that is optimal or unbounded leaves the stack; the last one
+    finishes in `_run_simplex`, carrying its stall and pivot counts.
+    """
+    status = [None] * len(T)
+    ids = np.arange(len(T))  # stack position -> member
+    S, B = T, bases  # the active members; a copy once one has left
+    # The step at which each member's run of degenerate pivots began, so its
+    # stall count is step - since; Bland's rule, once on, stays on.
+    since = np.zeros(len(T), dtype=int)
+    at = ids
+    step = 0
+    while ids.size > 1:
+        if step == _MAX_PIVOTS:
+            raise SolverError("simplex pivot limit exceeded", int(ids[0]))
+        reduced = S[:, -1, :-1]
+        enter = reduced.argmin(axis=1)  # Dantzig: most negative
+        bland = None
+        if step >= _STALL_LIMIT:  # no count can reach the limit sooner
+            bland = step - since >= _STALL_LIMIT
+            # Bland: lowest eligible index
+            enter = np.where(bland, (reduced < -_PIVOT_TOL).argmax(axis=1), enter)
+        improving = reduced[at, enter] < -_PIVOT_TOL
+        column = S[at, :, enter]
+        positive = column[:, :-1] > _PIVOT_TOL
+        ratios = np.divide(S[:, :-1, -1], column[:, :-1], out=np.full(positive.shape, np.inf),
+                           where=positive)
+        best = ratios.min(axis=1, initial=np.inf)
+        go = improving & (best < np.inf)
+        if not go.all():
+            for pos in (~go).nonzero()[0].tolist():
+                i = ids[pos]
+                status[i] = LpStatus.UNBOUNDED if improving[pos] else LpStatus.OPTIMAL
+                if S is not T:
+                    T[i], bases[i] = S[pos], B[pos]
+            S, B, ids, since = S[go], B[go], ids[go], since[go]
+            if ids.size < 2:
+                break  # the last member redoes this step's choice in 2D
+            at = at[:ids.size]
+            enter, column, ratios, best = enter[go], column[go], ratios[go], best[go]
+            if bland is not None:
+                bland = bland[go]
+        tied = ratios <= (best + 1e-12 * (1.0 + np.abs(best)))[:, None]
+        leave = np.where(tied, B, T.shape[2]).argmin(axis=1)  # lowest basic index
+        moved = best > _PIVOT_TOL
+        if bland is not None:
+            moved &= ~bland
+        since[moved] = step + 1
+        _pivot_stack(S, leave, enter, column)
+        B[at, leave] = enter
+        step += 1
+    if ids.size == 1:
+        i = int(ids[0])
+        try:
+            status[i] = _run_simplex(S[0], B[0], step - int(since[0]), step)
+        except SolverError as exc:
+            exc.member = i
+            raise
+        if S is not T:
+            T[i], bases[i] = S[0], B[0]
+    return status
+
+
+def _check_start(lp: LinearProgram, start: LpOutcome) -> None:
+    if start.tableau is None:
+        raise ValueError("a restart needs an optimal outcome with its tableau")
+    if start.program.eq_matrix is not lp.eq_matrix or start.program.eq_rhs is not lp.eq_rhs:
+        raise ValueError("a restart needs a start solved on the same constraint arrays")
+
+
+def _outcome(lp: LinearProgram, status: LpStatus, T: np.ndarray, basis: np.ndarray) -> LpOutcome:
+    if status is LpStatus.UNBOUNDED:
+        return LpOutcome(status=status)
+    x = np.zeros(lp.num_variables)
+    x[basis] = np.maximum(T[:-1, -1], 0.0)
+    return LpOutcome(
+        status=status, value=float(lp.objective @ x), point=x, program=lp, basis=basis,
+        tableau=T,
+    )
+
+
+def _solve_one(lp: LinearProgram, start: LpOutcome | None) -> LpOutcome:
+    # The body of `solve_lp`, which `solve_lps` also runs for a lone program:
+    # a wrapper around either public name (as a span recorder installs) then
+    # sees each call once.
+    c, A, b = lp.objective, lp.eq_matrix, lp.eq_rhs
+    m, n = A.shape
+    if start is None:
+        basis = lp.basis.copy()
+        T = np.zeros((m + 1, n + 1))
+        T[:m, :n] = A
+        T[:m, -1] = b
+        for r, j in enumerate(basis.tolist()):
+            if abs(T[r, j]) <= _PIVOT_TOL:
+                raise SolverError("starting basis is singular")
+            _pivot(T, r, j)
+    else:
+        _check_start(lp, start)
+        basis = start.basis.copy()
+        T = start.tableau.copy()
+    if (T[:m, -1] < -FEASIBILITY_TOL).any():
+        raise SolverError("starting basis is infeasible")
+    T[:m, -1] = np.maximum(T[:m, -1], 0.0)
+    T[-1, :n] = c
+    T[-1, -1] = 0.0
+    T[-1, :] -= c[basis] @ T[:m, :]
+    return _outcome(lp, _run_simplex(T, basis), T, basis)
+
+
 def solve_lp(lp: LinearProgram, *, start: LpOutcome | None = None) -> LpOutcome:
     """Solve a standard-form program from a feasible basis (phase 2 only).
 
@@ -191,39 +336,72 @@ def solve_lp(lp: LinearProgram, *, start: LpOutcome | None = None) -> LpOutcome:
     infeasible starting basis is the caller's error and raises
     ``SolverError``.
     """
-    c, A, b = lp.objective, lp.eq_matrix, lp.eq_rhs
-    m, n = A.shape
-    if start is None:
-        basis = lp.basis.copy()
-        T = np.zeros((m + 1, n + 1))
-        T[:m, :n] = A
-        T[:m, -1] = b
-        for r, j in enumerate(basis.tolist()):
-            if abs(T[r, j]) <= _PIVOT_TOL:
-                raise SolverError("starting basis is singular")
-            _pivot(T, r, j)
-    else:
-        if start.tableau is None:
-            raise ValueError("a restart needs an optimal outcome with its tableau")
-        if start.program.eq_matrix is not A or start.program.eq_rhs is not b:
-            raise ValueError("a restart needs a start solved on the same constraint arrays")
-        basis = start.basis.copy()
-        T = start.tableau.copy()
-    if (T[:m, -1] < -FEASIBILITY_TOL).any():
-        raise SolverError("starting basis is infeasible")
-    T[:m, -1] = np.maximum(T[:m, -1], 0.0)
-    T[-1, :n] = c
-    T[-1, -1] = 0.0
-    T[-1, :] -= c[basis] @ T[:m, :]
-    if _run_simplex(T, basis) is LpStatus.UNBOUNDED:
-        return LpOutcome(status=LpStatus.UNBOUNDED)
+    return _solve_one(lp, start)
 
-    x = np.zeros(n)
-    x[basis] = np.maximum(T[:m, -1], 0.0)
-    return LpOutcome(
-        status=LpStatus.OPTIMAL, value=float(c @ x), point=x, program=lp, basis=basis,
-        tableau=T,
-    )
+
+def solve_lps(lps, *, starts=None) -> list[LpOutcome]:
+    """Solve programs of one shape side by side, each as `solve_lp` would alone.
+
+    ``starts`` holds, per program, ``None`` or an outcome to restart from,
+    under the rules of `solve_lp`'s ``start``.  A lone program runs as in
+    `solve_lp`.  Several share one stack of tableaux: cold members are set up
+    from their bases by one stacked pivot per row, restarted members copy
+    their start's tableau, and then `_run_stack` runs them all.  Each outcome
+    equals `solve_lp`'s bit for bit, and an unbounded member drops out while
+    the others go on.  A failure raises `SolverError` with ``member`` set to
+    the position of the program at fault.
+    """
+    lps = list(lps)
+    starts = [None] * len(lps) if starts is None else list(starts)
+    if len(starts) != len(lps):
+        raise ValueError(f"{len(starts)} starts for {len(lps)} programs")
+    if len(lps) < 2:
+        return [_solve_one(lp, start) for lp, start in zip(lps, starts)]
+    m, n = lps[0].eq_matrix.shape
+    if any(lp.eq_matrix.shape != (m, n) for lp in lps):
+        raise ValueError("programs solved together must share one shape")
+    T = np.zeros((len(lps), m + 1, n + 1))
+    bases = np.empty((len(lps), m), dtype=int)
+    cold = []
+    for i, (lp, start) in enumerate(zip(lps, starts)):
+        if start is None:
+            T[i, :m, :n] = lp.eq_matrix
+            T[i, :m, -1] = lp.eq_rhs
+            bases[i] = lp.basis
+            cold.append(i)
+        else:
+            _check_start(lp, start)
+            T[i], bases[i] = start.tableau, start.basis
+    if len(cold) == 1:  # 2D pivots cost less than stacked ones of one member
+        i = cold[0]
+        for r, j in enumerate(bases[i].tolist()):
+            if abs(T[i, r, j]) <= _PIVOT_TOL:
+                raise SolverError("starting basis is singular", i)
+            _pivot(T[i], r, j)
+    elif cold:
+        C = T if len(cold) == len(lps) else T[cold]
+        at = np.arange(len(cold))
+        for r in range(m):
+            cols = bases[cold, r]
+            column = C[at, :, cols]
+            singular = np.abs(column[:, r]) <= _PIVOT_TOL
+            if singular.any():
+                raise SolverError("starting basis is singular", cold[int(singular.argmax())])
+            _pivot_stack(C, r, cols, column)
+        T[cold] = C
+    infeasible = (T[:, :m, -1] < -FEASIBILITY_TOL).any(axis=1)
+    if infeasible.any():
+        raise SolverError("starting basis is infeasible", int(infeasible.argmax()))
+    T[:, :m, -1] = np.maximum(T[:, :m, -1], 0.0)
+    # One stacked matmul prices every cost row: it runs the same BLAS product
+    # on each member as a 2D one does, so each row takes the same bits.
+    costs = np.array([lp.objective for lp in lps])
+    T[:, -1, :n] = costs
+    T[:, -1, -1] = 0.0
+    T[:, -1, :] -= np.matmul(costs[np.arange(len(lps))[:, None], bases][:, None, :],
+                             T[:, :m, :])[:, 0, :]
+    return [_outcome(lp, status, Ti, basis)
+            for lp, status, Ti, basis in zip(lps, _run_stack(T, bases), T, bases)]
 
 
 def minimize_over_band(direction, center, radius: float) -> tuple[float, np.ndarray, float]:

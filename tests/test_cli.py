@@ -91,6 +91,21 @@ class TestAnalyze:
         assert cert is not None
         assert cert["weights"]["up"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_dominance_small_next_to_the_largest_gain_is_certified(self, tmp_path, schema):
+        # b beats a in both states, by 1e-9 and 1e-3, against a largest gain
+        # of 1000 (c over a in s2); a is pending next to c at the even prior
+        u = write(tmp_path, "u.csv", "act,s1,s2\na,1000,-1000\nb,1000.000000001,-999.999\nc,0,0\n")
+        p = write(tmp_path, "p.csv", "prior,s1,s2\neven,0.5,0.5\n")
+        assert main(["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path)]) == 0
+        rows = read_tidy(tmp_path / "stability.csv")
+        assert rows[("even", "a", "con")] == "INADMISSIBLE"
+        assert float(rows[("even", "c", "con")]) > 0.0
+        report = json.loads((tmp_path / "stability.json").read_text())
+        jsonschema.validate(report, schema)
+        cert = report["rows"][0]["certificate"]
+        assert cert["weights"] == {"b": 1.0, "c": 0.0}
+        assert cert["margins"] == pytest.approx([1e-9, 1e-3], rel=1e-6)
+
     def test_empty_priors_file_is_exit_2(self, tmp_path, capsys):
         u = write(tmp_path, "u.csv", TOY_UTILITIES)
         p = write(tmp_path, "p.csv", "prior,s1,s2\n")

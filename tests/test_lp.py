@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from priorstab import minimize_over_band
-from priorstab.lp import LinearProgram, LpStatus, SolverError, solve_lp
+from priorstab.lp import LinearProgram, LpStatus, SolverError, solve_lp, solve_lps
 
 from conftest import (
     HIGHS_OPTIONS,
@@ -317,18 +317,26 @@ class TestPivotPath:
 
     def test_profile_programs(self, monkeypatch):
         # Every certificate and need program of some profiles, cold or
-        # restarted; the certificate programs pivot in -1 slack entries.
+        # restarted, alone or in a stack; the certificate programs pivot in
+        # -1 slack entries.
         import priorstab.stability as stab
 
-        solved = []
-        solve = stab.solve_lp
+        solved, stacked = [], []
+        solve, solve_stack = stab.solve_lp, stab.solve_lps
 
         def spied(lp, *, start=None):
             out = solve(lp, start=start)
             solved.append((lp, start, out))
             return out
 
+        def spied_stack(lps, *, starts=None):
+            outs = solve_stack(lps, starts=starts)
+            stacked.append(len(lps))
+            solved.extend(zip(lps, starts, outs))
+            return outs
+
         monkeypatch.setattr(stab, "solve_lp", spied)
+        monkeypatch.setattr(stab, "solve_lps", spied_stack)
         rng = np.random.default_rng(303)
         for _ in range(12):
             n, m = int(rng.integers(3, 9)), int(rng.integers(2, 6))
@@ -344,9 +352,194 @@ class TestPivotPath:
         # has its only nonzero, -1, at t
         need = [(lp, start) for lp, start, _ in solved if lp.objective[1] == 1.0]
         assert len(need) < len(solved)
+        assert len(need) == sum(stacked) and max(stacked) > 1
         assert any(start is not None for _, start in need)
         for lp, start, out in solved:
             assert_same_path(out, reference_simplex(lp, start))
+
+    def test_stacked_members_run_as_alone(self):
+        rng = np.random.default_rng(111)
+        for _ in range(40):
+            lps = program_stack(rng, int(rng.integers(2, 9)))
+            for lp, out in zip(lps, solve_lps(lps)):
+                assert_same_outcome(out, solve_lp(lp))
+                assert_same_path(out, reference_simplex(lp))
+
+    def test_stacks_mix_cold_and_restarted_members(self):
+        rng = np.random.default_rng(222)
+        restarted = pivoted = 0
+        for _ in range(40):
+            cold = program_stack(rng, int(rng.integers(2, 9)))
+            firsts = [solve_lp(lp) for lp in cold]
+            n = cold[0].num_variables - cold[0].eq_rhs.size
+            lps = [with_objective(lp, rng.normal(size=n)) for lp in cold]
+            starts = [first if rng.uniform() < 0.5 else None for first in firsts]
+            for lp, start, out in zip(lps, starts, solve_lps(lps, starts=starts)):
+                assert_same_outcome(out, solve_lp(lp, start=start))
+                assert_same_path(out, reference_simplex(lp, start))
+                if start is not None:
+                    restarted += 1
+                    pivoted += not np.array_equal(out.basis, start.basis)
+        assert restarted > 0 and pivoted > 0
+
+    def test_stacked_set_up_pivots_on_negative_entries(self, monkeypatch):
+        # The certificate programs of one table share a shape, and their
+        # starting bases pivot in -1 slack entries, whose rows then hold -0.0
+        import priorstab.stability as stab
+
+        programs = []
+        solve = stab.solve_lp
+
+        def spied(lp, *, start=None):
+            programs.append(lp)
+            return solve(lp, start=start)
+
+        monkeypatch.setattr(stab, "solve_lp", spied)
+        rng = np.random.default_rng(555)
+        stacks = []
+        for _ in range(10):
+            n, m = int(rng.integers(3, 8)), int(rng.integers(2, 6))
+            problem = stab.DecisionProblem(
+                [f"a{i}" for i in range(n)], [f"s{j}" for j in range(m)],
+                rng.uniform(-1.0, 1.0, size=(n, m)),
+            )
+            for act in problem.acts:
+                stab.strict_inadmissibility_certificate(problem, act)
+            stacks.append(programs[:])
+            programs.clear()
+        monkeypatch.undo()
+        for lps in stacks:
+            for lp, out in zip(lps, solve_lps(lps)):
+                assert_same_outcome(out, solve_lp(lp))
+                assert_same_path(out, reference_simplex(lp))
+
+    def test_an_unbounded_member_leaves_the_others_running(self):
+        # x0 has no cap row and only loosens the rows, so a negative cost on
+        # it is unbounded and a positive one is not
+        rng = np.random.default_rng(333)
+        for _ in range(30):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            lps = []
+            for k in range(int(rng.integers(3, 8))):
+                A = rng.normal(size=(m, n))
+                A[:, 0] = -np.abs(A[:, 0])
+                c = rng.normal(size=n)
+                c[0] = abs(c[0]) if k % 2 else -abs(c[0])
+                rows = np.vstack([A, np.eye(n)[1:]])
+                rhs = np.concatenate([rng.uniform(0.0, 2.0, m), rng.uniform(0.5, 3.0, n - 1)])
+                lps.append(inequality_form(c, rows, rhs))
+            outs = solve_lps(lps)
+            assert [out.status for out in outs[:2]] == [LpStatus.UNBOUNDED, LpStatus.OPTIMAL]
+            for lp, out in zip(lps, outs):
+                assert_same_outcome(out, solve_lp(lp))
+                assert_same_path(out, reference_simplex(lp))
+
+    def test_beale_members_keep_their_own_pricing_rule(self):
+        # Beale's objective, and twice it, cycle until both members switch to
+        # Bland's rule inside the stack; the other objectives do not stall
+        beale = beale_program()
+        rng = np.random.default_rng(444)
+        lps = [beale, beale.with_objective(2.0 * beale.objective)] + [
+            beale.with_objective(np.concatenate([rng.normal(size=4), np.zeros(3)]))
+            for _ in range(6)
+        ]
+        refs = [reference_simplex(lp) for lp in lps]
+        assert refs[0].used_bland and refs[1].used_bland
+        assert not any(ref.used_bland for ref in refs[2:])
+        for lp, ref, out in zip(lps, refs, solve_lps(lps)):
+            assert_same_outcome(out, solve_lp(lp))
+            assert_same_path(out, ref)
+
+    def test_members_switch_to_bland_at_their_own_step(self, monkeypatch):
+        # With a stall limit of 1 or 2, degenerate pivots (rows with a zero
+        # right-hand side) put members on Bland's rule at different steps
+        # inside the stack, where they stay
+        import priorstab.lp as lp_module
+
+        rng = np.random.default_rng(666)
+        switched = 0
+        for limit in (1, 2):
+            monkeypatch.setattr(lp_module, "_STALL_LIMIT", limit)
+            for _ in range(30):
+                n, m = int(rng.integers(3, 7)), int(rng.integers(2, 5))
+                lps = []
+                for _ in range(int(rng.integers(3, 8))):
+                    A = np.vstack([rng.normal(size=(m, n)), np.eye(n)])
+                    rhs = np.concatenate([np.where(np.arange(m) % 2 == 0, 0.0, 1.0),
+                                          rng.uniform(0.5, 2.0, n)])
+                    lps.append(inequality_form(rng.normal(size=n), A, rhs))
+                refs = [reference_simplex(lp) for lp in lps]
+                switched += sum(ref.used_bland for ref in refs)
+                for lp, ref, out in zip(lps, refs, solve_lps(lps)):
+                    assert_same_outcome(out, solve_lp(lp))
+                    assert_same_path(out, ref)
+        assert switched > 0
+
+    def test_the_last_member_finishes_in_the_2d_loop(self, monkeypatch):
+        # x3 alone takes one pivot to its cap; Beale, still cycling, is then
+        # handed over with the stall count it has run up in the stack
+        import priorstab.lp as lp_module
+
+        handed = []
+        run = lp_module._run_simplex
+
+        def spied(T, basis, stalled=0, pivots=0):
+            handed.append((stalled, pivots))
+            return run(T, basis, stalled, pivots)
+
+        beale = beale_program()
+        lps = [beale_program(), beale.with_objective([0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0])]
+        monkeypatch.setattr(lp_module, "_run_simplex", spied)
+        outs = solve_lps(lps)
+        monkeypatch.undo()
+        assert handed == [(1, 1)]
+        for lp, out in zip(lps, outs):
+            assert_same_outcome(out, solve_lp(lp))
+            assert_same_path(out, reference_simplex(lp))
+
+    def test_lone_and_malformed_stacks(self):
+        lp = inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0])
+        wider = inequality_form([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0]], [1.0])
+        assert solve_lps([]) == []
+        alone = solve_lp(lp)
+        assert_same_outcome(solve_lps([lp])[0], alone)
+        assert_same_outcome(solve_lps([lp], starts=[alone])[0], solve_lp(lp, start=alone))
+        with pytest.raises(ValueError, match="share one shape"):
+            solve_lps([lp, wider])
+        with pytest.raises(ValueError, match="1 starts for 2 programs"):
+            solve_lps([lp, lp], starts=[None])
+        first = solve_lp(lp)
+        with pytest.raises(ValueError, match="same constraint arrays"):
+            solve_lps([lp, inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0])],
+                      starts=[None, first])
+        valid = LinearProgram([1.0, 0.0], [[1.0, 1.0]], [1.0], [0])
+        singular = LinearProgram([1.0, 0.0], [[0.0, 1.0]], [1.0], [0])
+        for stack in ([valid, singular], [valid, singular, valid]):
+            with pytest.raises(SolverError, match="singular") as caught:
+                solve_lps(stack)
+            assert caught.value.member == 1
+
+
+def program_stack(rng, count):
+    """``count`` random capped inequality programs of one shape."""
+    n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+    lps = []
+    for _ in range(count):
+        A = rng.normal(size=(m, n))
+        caps = rng.uniform(0.5, 3.0, n)
+        rhs = np.concatenate([rng.uniform(0.0, 2.0, m), caps])
+        lps.append(inequality_form(rng.normal(size=n), np.vstack([A, np.eye(n)]), rhs))
+    return lps
+
+
+def assert_same_outcome(ours, alone):
+    """A stack member's outcome equals the solo run's, bit for bit."""
+    assert ours.status is alone.status
+    if alone.status is LpStatus.OPTIMAL:
+        assert float(ours.value).hex() == float(alone.value).hex()
+        assert ours.point.tobytes() == alone.point.tobytes()
+        assert np.array_equal(ours.basis, alone.basis)
+        assert ours.tableau.tobytes() == alone.tableau.tobytes()
 
 
 def beale_program():

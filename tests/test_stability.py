@@ -338,6 +338,22 @@ class TestContaminationNeed:
         assert cert.weights["c"] == pytest.approx(0.5, abs=1e-9)
         assert np.all(cert.margins >= 0.1 - 1e-9)
 
+    def test_dominance_small_next_to_the_largest_gain_is_certified(self):
+        # The need program scales each competitor's row to unit max-norm and
+        # sees b strictly dominate a; measured against c's gain of 1000, b's
+        # lead of (1e-9, 1e-3) is below the certificate program's threshold,
+        # so the certificate comes from the program on the need's scaling.
+        problem = DecisionProblem(
+            ("a", "b", "c"), ("s1", "s2"), [[1000, -1000], [1000.000000001, -999.999], [0, 0]]
+        )
+        assert strict_inadmissibility_certificate(problem, "a") is None
+        need = contamination_need(problem, "a", Prior("even", [0.5, 0.5]))
+        assert need.kind is NeedKind.INFEASIBLE
+        assert need.certificate.weights == {"b": 1.0, "c": 0.0}
+        margins = problem.row("b") - problem.row("a")
+        assert need.certificate.margins.tobytes() == margins.tobytes()
+        assert need.certificate.margins == pytest.approx([1e-9, 1e-3], rel=1e-6)
+
     def test_matches_feasibility_bisection(self, make_problem, make_prior):
         rng = np.random.default_rng(24)
         checked = 0
@@ -545,14 +561,23 @@ class TestStabilityProfile:
             profile.for_prior("zzz")
 
     def test_failures_carry_pair_identification(self, toy_problem, toy_prior, monkeypatch):
+        import priorstab.lp as lp_module
         import priorstab.stability as stab
 
-        def boom(problem, act, prior, **_):
-            raise stab.SolverError("boom")
-
-        monkeypatch.setattr(stab, "contamination_need", boom)
-        with pytest.raises(stab.SolverError, match="act 'a', prior 'ref'"):
+        # b is the one act not Bayes at the prior; its need program fails
+        monkeypatch.setattr(lp_module, "_MAX_PIVOTS", 0)
+        with pytest.raises(stab.SolverError, match="act 'b', prior 'ref': simplex pivot limit"):
             stab.stability_profile(toy_problem, [toy_prior])
+        monkeypatch.undo()
+
+        # in a stack, the member at fault names the act
+        def boom(lps, *, starts=None):
+            raise stab.SolverError("boom", 1)
+
+        problem = DecisionProblem("abc", ("s1", "s2"), [[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]])
+        monkeypatch.setattr(stab, "solve_lps", boom)
+        with pytest.raises(stab.SolverError, match="act 'c', prior 'ref': boom"):
+            stab.stability_profile(problem, [toy_prior])
 
     def test_certificate_failures_carry_the_act(self, monkeypatch):
         import priorstab.stability as stab
@@ -579,18 +604,18 @@ class TestStabilityProfile:
         priors = [Prior(f"p{i}", [w, 1.0 - w]) for i, w in enumerate((0.1, 0.5, 0.9))]
         calls, need_acts = [], set()
         certificate = stab.strict_inadmissibility_certificate
-        need = stab.contamination_need
+        program = stab.NeedProgram
 
         def counted(problem, act):
             calls.append(act)
             return certificate(problem, act)
 
-        def spied(problem, act, prior, **kwargs):
+        def spied(problem, act):
             need_acts.add(problem.acts)
-            return need(problem, act, prior, **kwargs)
+            return program(problem, act)
 
         monkeypatch.setattr(stab, "strict_inadmissibility_certificate", counted)
-        monkeypatch.setattr(stab, "contamination_need", spied)
+        monkeypatch.setattr(stab, "NeedProgram", spied)
         profile = stab.stability_profile(problem, priors)
         # b and c are optimal under some prior, so only "low" needs a program
         assert calls == ["low"]
@@ -634,13 +659,14 @@ class TestStabilityProfile:
         priors = [Prior(f"p{i}", m) for i, m in enumerate(
             ([0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7], [0.3, 0.3, 0.4]))]
         starts = []
-        solve = stab.solve_lp
+        solve = stab.solve_lps
 
-        def spied(lp, *, start=None):
-            starts.append(start is not None)
-            return solve(lp, start=start)
+        def spied(lps, **kwargs):
+            # one entry per program of the stack, in act order
+            starts.extend(start is not None for start in kwargs["starts"])
+            return solve(lps, **kwargs)
 
-        monkeypatch.setattr(stab, "solve_lp", spied)
+        monkeypatch.setattr(stab, "solve_lps", spied)
         stab.stability_profile(problem, priors[:1])
         # a single prior solves every program cold; here the need programs of
         # b and c, and no certificate program, since b and c are Bayes at the

@@ -3,7 +3,9 @@
 ``bench/spans.py`` wraps every public function of the package's modules from
 outside and reads the programs that ``lp.solve_lp`` receives.  This runs
 ``analyze`` in-process under that recorder, so a renamed function or a
-changed program shape shows up here and not only in a benchmark run.
+changed program shape shows up here and not only in a benchmark run.  A
+profile solves the need programs of each prior in one ``lp.solve_lps`` call,
+whose programs the recorder does not read, so a spy reads them here.
 """
 
 import importlib.util
@@ -28,25 +30,46 @@ def load_spans():
     return module
 
 
-def traced_analyze(spans_module, tmp_path, utilities, priors):
-    """Run ``analyze`` on the two CSV texts under the recorder; its spans."""
+def traced_analyze(spans_module, tmp_path, utilities, priors, monkeypatch):
+    """Run ``analyze`` on the two CSV texts under the recorder; its spans,
+    and per ``lp.solve_lps`` call of the profile, the rows and status of
+    each program."""
     (tmp_path / "u.csv").write_text(utilities)
     (tmp_path / "p.csv").write_text(priors)
     argv = ["analyze", "--utilities", str(tmp_path / "u.csv"),
             "--priors", str(tmp_path / "p.csv"), "--out", str(tmp_path / "out")]
+    stacks = []
+
+    def spied(lps, **kwargs):
+        # looked up at call time, so the recorder's wrapper records the span
+        outs = priorstab.lp.solve_lps(lps, **kwargs)
+        stacks.append([{"rows": lp.eq_matrix.shape[0], "status": out.status.value}
+                       for lp, out in zip(lps, outs)])
+        return outs
+
+    monkeypatch.setattr(priorstab.stability, "solve_lps", spied)
     recorder = spans_module.Recorder()
     recorder.install()
     try:
         assert main(argv) == 0
     finally:
         recorder.uninstall()
+    monkeypatch.undo()
     assert priorstab.cli.main is main  # the recorder left no wrapper behind
-    return recorder.take()
+    assert priorstab.stability.solve_lps is priorstab.lp.solve_lps
+    return recorder.take(), stacks
 
 
-def test_analyze_under_the_span_recorder(tmp_path):
+def need_stacks(spans):
+    """The ``lp.solve_lps`` spans that a profile opens, one per prior with
+    a pending need."""
+    return [s for s in spans if s[1] == "lp.solve_lps"
+            and spans[s[0]][1] == "stability.stability_profile"]
+
+
+def test_analyze_under_the_span_recorder(tmp_path, monkeypatch):
     spans_module = load_spans()
-    spans = traced_analyze(spans_module, tmp_path, UTILITIES, PRIORS)
+    spans, stacks = traced_analyze(spans_module, tmp_path, UTILITIES, PRIORS, monkeypatch)
     solves = [s for s in spans if s[1] == "lp.solve_lp"]
     assert solves
     by_caller = {}
@@ -58,12 +81,15 @@ def test_analyze_under_the_span_recorder(tmp_path):
         assert attrs["rows"] == 1 + 2
         assert attrs["status"] == "optimal"
     # the need program, posed in dual form, has one row per state and the
-    # row of the band budget
-    for attrs in by_caller["stability.contamination_need"]:
+    # row of the band budget; b is the one act pending at the one prior
+    assert len(need_stacks(spans)) == len(stacks) == 1
+    assert [len(stack) for stack in stacks] == [1]
+    for attrs in stacks[0]:
         assert attrs["rows"] == 2 + 1
         assert attrs["status"] == "optimal"
     metrics = spans_module.layer_metrics(spans)
-    assert metrics["lp.solves_need"] > 0
+    # the recorder counts need solves only under per-row contamination_need
+    assert metrics["lp.solves_need"] == 0
     assert metrics["lp.solves_certificate"] > 0
 
 
@@ -75,7 +101,7 @@ MASSES = {"ref": [0.6, 0.3, 0.1], "p2": [0.2, 0.5, 0.3], "p3": [0.1, 0.2, 0.7],
           "p4": [0.4, 0.4, 0.2]}
 
 
-def test_restarted_need_solves_keep_the_contract(tmp_path):
+def test_restarted_need_solves_keep_the_contract(tmp_path, monkeypatch):
     spans_module = load_spans()
     utilities = "act,s1,s2,s3\n" + "".join(
         f"{act},{','.join(map(str, row))}\n" for act, row in zip("abcde", TABLE)
@@ -83,7 +109,7 @@ def test_restarted_need_solves_keep_the_contract(tmp_path):
     priors = "prior,s1,s2,s3\n" + "".join(
         f"{name},{','.join(map(str, mass))}\n" for name, mass in MASSES.items()
     )
-    spans = traced_analyze(spans_module, tmp_path, utilities, priors)
+    spans, stacks = traced_analyze(spans_module, tmp_path, utilities, priors, monkeypatch)
 
     profile = stability_profile(
         DecisionProblem("abcde", ("s1", "s2", "s3"), TABLE),
@@ -94,15 +120,18 @@ def test_restarted_need_solves_keep_the_contract(tmp_path):
     )
     assert measured == 12
     needs = [i for i, s in enumerate(spans) if s[1] == "stability.contamination_need"]
-    solves = [s for s in spans if s[1] == "lp.solve_lp"
-              and spans[s[0]][1] == "stability.contamination_need"]
-    assert len(solves) == measured
-    # one solve per need call at most, cold or restarted, each with one row
-    # per state and the band budget's row
-    assert len({s[0] for s in solves}) == len(solves)
-    for _, _, _, _, attrs in solves:
-        assert attrs["rows"] == 3 + 1
-        assert attrs["status"] == "optimal"
+    # one stacked solve per prior, each holding the need program of every
+    # undominated act not Bayes there (three of a, b, c, d), cold or
+    # restarted, each with one row per state and the band budget's row
+    assert len(need_stacks(spans)) == len(stacks) == len(MASSES)
+    assert [len(stack) for stack in stacks] == [3] * len(MASSES)
+    assert sum(len(stack) for stack in stacks) == measured
+    for stack in stacks:
+        for attrs in stack:
+            assert attrs["rows"] == 3 + 1
+            assert attrs["status"] == "optimal"
     metrics = spans_module.layer_metrics(spans)
-    assert metrics["lp.solves_need"] == measured
-    assert metrics["stability.need_calls"] == len(needs) == 4 * 4
+    # the profile calls no per-row contamination_need, under which alone
+    # the recorder counts need calls and need solves
+    assert metrics["lp.solves_need"] == 0
+    assert metrics["stability.need_calls"] == len(needs) == 0
