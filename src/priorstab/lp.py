@@ -26,10 +26,8 @@ Programs of one shape can run side by side (`solve_lps`) in one
 in numpy call overhead as in arithmetic, so each step prices, ratio-tests and
 pivots every active member with whole-stack operations.  The arithmetic is
 the 2D run's, element by element, so each member takes the very pivots and
-bits it would take alone.  A stacked step of a few members costs several 2D
-pivots (about 40 against 11 microseconds for two members, on the need
-programs of 20-24 x 8-10 tables, 2-core x86-64, numpy 2.4), so a lone
-program, and the last member left in a stack, run in the 2D loop.
+bits it would take alone.  A stacked step costs more than a 2D pivot, so a
+lone program, and the last member left in a stack, run in the 2D loop.
 """
 
 from __future__ import annotations
@@ -372,13 +370,7 @@ def solve_lps(lps, *, starts=None) -> list[LpOutcome]:
         else:
             _check_start(lp, start)
             T[i], bases[i] = start.tableau, start.basis
-    if len(cold) == 1:  # 2D pivots cost less than stacked ones of one member
-        i = cold[0]
-        for r, j in enumerate(bases[i].tolist()):
-            if abs(T[i, r, j]) <= _PIVOT_TOL:
-                raise SolverError("starting basis is singular", i)
-            _pivot(T[i], r, j)
-    elif cold:
+    if cold:
         C = T if len(cold) == len(lps) else T[cold]
         at = np.arange(len(cold))
         for r in range(m):
@@ -388,7 +380,8 @@ def solve_lps(lps, *, starts=None) -> list[LpOutcome]:
             if singular.any():
                 raise SolverError("starting basis is singular", cold[int(singular.argmax())])
             _pivot_stack(C, r, cols, column)
-        T[cold] = C
+        if C is not T:
+            T[cold] = C
     infeasible = (T[:, :m, -1] < -FEASIBILITY_TOL).any(axis=1)
     if infeasible.any():
         raise SolverError("starting basis is infeasible", int(infeasible.argmax()))

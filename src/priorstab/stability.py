@@ -320,8 +320,9 @@ class NeedProgram:
         # Each dominance row is a halfspace through the origin, so scaling it
         # to unit max-norm leaves the program unchanged and keeps pivots well
         # sized.
-        norms = np.abs(diffs).max(axis=1, keepdims=True)
-        diffs = diffs / np.where(norms > 0.0, norms, 1.0)
+        norms = np.abs(diffs).max(axis=1)
+        norms = np.where(norms > 0.0, norms, 1.0)
+        diffs = diffs / norms[:, None]
         k, m = diffs.shape
         w = 2 + 2 * m  # first column of w; the slacks follow it
         A = np.zeros((m + 1, w + k + m + 1))
@@ -334,13 +335,19 @@ class NeedProgram:
         slacks = w + k + np.arange(m + 1)
         b = np.zeros(m + 1)
         b[m] = 1.0
-        self.problem, self.act, self._states = problem, act, m
+        self.problem, self.act, self._states, self._norms = problem, act, m, norms
         # Validated once; each prior's program shares its arrays.
         self._program = LinearProgram(np.zeros(A.shape[1]), A, b, slacks)
         self.last: LpOutcome | None = None
 
-    def at(self, prior: Prior) -> LinearProgram:
-        """The program with ``prior`` as the reference."""
+    def at(self, prior: Prior, tol: float = 0.0) -> LinearProgram:
+        """The program with ``prior`` as the reference.
+
+        With ``tol`` > 0 each dominance row may fall short of 0 by ``tol``
+        utility units, so the act need only come within ``tol`` of every
+        competitor, as `bayes_acts`' tie rule asks: the primal rows become
+        diffs @ pi >= -tol / norm, which costs tol / norm per unit of w.
+        """
         m = self._states
         if prior.dimension != m:
             raise ValueError(f"prior {prior.name!r} has {prior.dimension} states, problem has {m}")
@@ -348,28 +355,45 @@ class NeedProgram:
         objective[0], objective[1] = -1.0, 1.0
         objective[2:2 + m] = prior.mass
         np.negative(prior.mass, out=objective[2 + m:2 + 2 * m])
+        if tol > 0.0:
+            w = 2 + 2 * m
+            objective[w:w + self._norms.size] = tol / self._norms
         return self._program.with_objective(objective)
 
 
-def _read_need(program: NeedProgram, lp: LinearProgram, out: LpOutcome) -> Need:
-    """The need of ``program``'s act from the outcome of its program ``lp``.
+def _need_off_basis(out: LpOutcome) -> Need:
+    """The need at an optimal outcome of a need program, read off its basis."""
+    # The tableau carries the rounding of every pivot since the program's
+    # cold start, which depends on the priors solved before.  Reading the
+    # optimum off the final basis alone, solved afresh from the original
+    # constraints, makes the need independent of that path.
+    lp = out.program
+    basis = np.sort(out.basis)
+    x = np.linalg.solve(lp.eq_matrix[:, basis], lp.eq_rhs)
+    value = float(lp.objective[basis] @ x)
+    # The optimum is a distance between simplex points, so it lies in
+    # [0, 1]; rounding can land it an ulp outside.
+    return Need.value(min(max(-value, 0.0), 1.0))
+
+
+def _read_need(program: NeedProgram, prior: Prior, out: LpOutcome, tol: float) -> Need:
+    """The need of ``program``'s act at ``prior`` from the outcome ``out`` of
+    its program there; ``tol`` is the tie tolerance of the Bayes sets.
 
     An optimal outcome becomes the program's ``last``, and the need is read
-    off its final basis.  An unbounded one means no prior at all makes the
-    act optimal, which a strictly dominating mixture certifies.
+    off its final basis.  An unbounded one means no prior makes the act
+    exactly optimal.  The act may still be Bayes somewhere by the tie rule,
+    within ``tol`` of every competitor; the program loosened by ``tol``
+    decides that, and its optimum is then the need.  Only an act Bayes
+    nowhere gets a strictly dominating mixture as its certificate, so no
+    profile row calls an act inadmissible that another row finds Bayes.
     """
     if out.status is LpStatus.OPTIMAL:
         program.last = out
-        # The tableau carries the rounding of every pivot since the program's
-        # cold start, which depends on the priors solved before.  Reading the
-        # optimum off the final basis alone, solved afresh from the original
-        # constraints, makes the need independent of that path.
-        basis = np.sort(out.basis)
-        x = np.linalg.solve(lp.eq_matrix[:, basis], lp.eq_rhs)
-        value = float(lp.objective[basis] @ x)
-        # The optimum is a distance between simplex points, so it lies in
-        # [0, 1]; rounding can land it an ulp outside.
-        return Need.value(min(max(-value, 0.0), 1.0))
+        return _need_off_basis(out)
+    loose = solve_lp(program.at(prior, tol))
+    if loose.status is LpStatus.OPTIMAL:
+        return _need_off_basis(loose)
     problem, a = program.problem, program.act
     # The need program scales each dominance row to unit max-norm, so it can
     # see a strict dominance that is small next to the table's largest gain;
@@ -398,8 +422,11 @@ def contamination_need(
     Acts optimal at the reference prior need no contamination; ``bayes``
     decides which those are, as in `robustness_radius`.  Otherwise the need
     is the optimum of a single program, solved in dual form (`NeedProgram`);
-    an unbounded dual means no prior at all works, which is certified by a
-    strictly dominating mixture.  ``program`` is the act's program, built
+    an unbounded dual means no prior makes ``a`` exactly optimal.  The
+    program loosened by the problem's tie tolerance then decides whether a
+    prior makes it Bayes by `bayes_acts`' rule, and only where none does is
+    the need infinite, certified by a strictly dominating mixture.
+    ``program`` is the act's program, built
     from this problem, to be reused across priors: the solve restarts from
     its last optimal outcome and leaves its own optimum there.  Without it the
     program is built and solved cold.  Either way the need is read off the
@@ -411,8 +438,9 @@ def contamination_need(
         program = NeedProgram(problem, a)
     elif program.problem is not problem or program.act != a:
         raise ValueError(f"the need program passed was not built for act {a!r} of this problem")
-    lp = program.at(prior)
-    return _read_need(program, lp, solve_lp(lp, start=program.last))
+    u = problem.utilities
+    out = solve_lp(program.at(prior), start=program.last)
+    return _read_need(program, prior, out, TIE_TOL * (u.max() - u.min()))
 
 
 @dataclass(frozen=True)
@@ -467,10 +495,10 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     At each prior, the programs of all undominated acts not Bayes there are
     solved in one `solve_lps` call, a stacked simplex run in which each
     member takes the pivots and bits of its own solo run, and each need is
-    read off its member's final basis as in `contamination_need`.  On
-    uniform 20-24 x 8-10 tables under 4 priors, a stack holds 16 members on
-    average and takes about 15 stacked steps where its members would take
-    about 155 pivots alone.  Rows of one act share its program while
+    read off its member's final basis as in `contamination_need`, with the
+    full table's tie tolerance where the program is unbounded.  A stack
+    holds many members where a lone program would pay numpy's call overhead
+    on every pivot.  Rows of one act share its program while
     `robustness_radius` and `contamination_need` stay usable row by row.
     Failures are re-raised with the offending act, and prior where there is
     one, attached.
@@ -480,6 +508,8 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     if len(set(names)) != len(names):
         raise ValueError("prior names must be unique within a profile")
     bsets = [bayes_acts(problem, prior) for prior in priors]
+    u = problem.utilities
+    tol = TIE_TOL * (u.max() - u.min())  # the Bayes sets' tie tolerance
     optimal_somewhere = {act for bset in bsets for act in bset.optimal_acts}
     optimal_somewhere.update(_bayes_at_probes(problem))
     certificates = {}
@@ -509,12 +539,12 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
             raise SolverError(
                 f"act {pending[exc.member]!r}, prior {prior.name!r}: {exc}"
             ) from exc
-        solved = dict(zip(pending, zip(lps, outs)))
+        solved = dict(zip(pending, outs))
         for act in problem.acts:
             try:
                 if certificates[act] is None:
                     radius = robustness_radius(undominated, act, prior, bayes=bset)
-                    need = (_read_need(programs[act], *solved[act]) if act in solved
+                    need = (_read_need(programs[act], prior, solved[act], tol) if act in solved
                             else Need.value(0.0))
                 else:
                     radius = Radius.not_bayes()

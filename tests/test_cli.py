@@ -91,10 +91,25 @@ class TestAnalyze:
         assert cert is not None
         assert cert["weights"]["up"] == pytest.approx(0.5, abs=1e-9)
 
-    def test_dominance_small_next_to_the_largest_gain_is_certified(self, tmp_path, schema):
-        # b beats a in both states, by 1e-9 and 1e-3, against a largest gain
-        # of 1000 (c over a in s2); a is pending next to c at the even prior
+    def test_act_bayes_only_by_the_tie_rule_keeps_a_finite_need(self, tmp_path, schema):
+        # b beats a in both states, by 1e-9 and 1e-3; the first lead is inside
+        # the tie tolerance, so a is Bayes at (1, 0) and pending next to c at
+        # the even prior, with a finite need there
         u = write(tmp_path, "u.csv", "act,s1,s2\na,1000,-1000\nb,1000.000000001,-999.999\nc,0,0\n")
+        p = write(tmp_path, "p.csv", "prior,s1,s2\neven,0.5,0.5\nv,1,0\n")
+        assert main(["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path)]) == 0
+        rows = read_tidy(tmp_path / "stability.csv")
+        assert float(rows[("even", "a", "con")]) == pytest.approx(0.5 - 1e-6, abs=1e-6)
+        assert float(rows[("even", "c", "con")]) > 0.0
+        assert rows[("v", "a", "is_bayes")] == "1"
+        report = json.loads((tmp_path / "stability.json").read_text())
+        jsonschema.validate(report, schema)
+        assert all(row["certificate"] is None for row in report["rows"])
+
+    def test_dominance_small_next_to_the_largest_gain_is_certified(self, tmp_path, schema):
+        # b beats a in both states, by 5e-7 and 1e-3, against a largest gain
+        # of 1000 (c over a in s2); a is pending next to c at the even prior
+        u = write(tmp_path, "u.csv", "act,s1,s2\na,1000,-1000\nb,1000.0000005,-999.999\nc,0,0\n")
         p = write(tmp_path, "p.csv", "prior,s1,s2\neven,0.5,0.5\n")
         assert main(["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path)]) == 0
         rows = read_tidy(tmp_path / "stability.csv")
@@ -104,7 +119,7 @@ class TestAnalyze:
         jsonschema.validate(report, schema)
         cert = report["rows"][0]["certificate"]
         assert cert["weights"] == {"b": 1.0, "c": 0.0}
-        assert cert["margins"] == pytest.approx([1e-9, 1e-3], rel=1e-6)
+        assert cert["margins"] == pytest.approx([5e-7, 1e-3], rel=1e-6)
 
     def test_empty_priors_file_is_exit_2(self, tmp_path, capsys):
         u = write(tmp_path, "u.csv", TOY_UTILITIES)

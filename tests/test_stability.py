@@ -338,21 +338,86 @@ class TestContaminationNeed:
         assert cert.weights["c"] == pytest.approx(0.5, abs=1e-9)
         assert np.all(cert.margins >= 0.1 - 1e-9)
 
-    def test_dominance_small_next_to_the_largest_gain_is_certified(self):
-        # The need program scales each competitor's row to unit max-norm and
-        # sees b strictly dominate a; measured against c's gain of 1000, b's
-        # lead of (1e-9, 1e-3) is below the certificate program's threshold,
-        # so the certificate comes from the program on the need's scaling.
+    @pytest.mark.parametrize("rows", [
+        [[1000, -1000], [1000.000000001, -999.999], [0, 0]],
+        [[1000, -1000], [1000.000000001, -999.999]],
+    ])
+    def test_act_bayes_only_by_the_tie_rule_keeps_a_finite_need(self, rows):
+        # b beats a in both states, by 1e-9 and 1e-3, so no prior makes a
+        # exactly optimal; but 1e-9 is inside the tie tolerance (1e-12 of a
+        # range of 2000), so a is Bayes at the vertex (1, 0).  Its need at
+        # the even prior is then the distance to the priors where it comes
+        # within that tolerance of b, and no row may call it inadmissible.
+        problem = DecisionProblem(("a", "b", "c")[:len(rows)], ("s1", "s2"), rows)
+        even, vertex = Prior("even", [0.5, 0.5]), Prior("v", [1.0, 0.0])
+        need = contamination_need(problem, "a", even)
+        assert need.kind is NeedKind.VALUE
+        assert need.epsilon == pytest.approx(0.5 - 1e-6, abs=1e-10)
+        profile = stability_profile(problem, [even, vertex])
+        assert profile.row("v", "a").is_bayes
+        assert profile.row("v", "a").need.epsilon == 0.0
+        assert profile.row("even", "a").need.epsilon == need.epsilon
+
+    def test_dominance_beyond_the_tie_tolerance_is_certified_on_the_need_scaling(self):
+        # b's lead over a, (5e-7, 1e-3), is beyond the tie tolerance (2e-9),
+        # so a is Bayes nowhere; measured against c's gain of 1000 it is below
+        # the certificate program's threshold, so the certificate comes from
+        # the program on the need's per-competitor scaling.
         problem = DecisionProblem(
-            ("a", "b", "c"), ("s1", "s2"), [[1000, -1000], [1000.000000001, -999.999], [0, 0]]
+            ("a", "b", "c"), ("s1", "s2"), [[1000, -1000], [1000.0000005, -999.999], [0, 0]]
         )
         assert strict_inadmissibility_certificate(problem, "a") is None
-        need = contamination_need(problem, "a", Prior("even", [0.5, 0.5]))
+        even, vertex = Prior("even", [0.5, 0.5]), Prior("v", [1.0, 0.0])
+        need = contamination_need(problem, "a", even)
         assert need.kind is NeedKind.INFEASIBLE
         assert need.certificate.weights == {"b": 1.0, "c": 0.0}
         margins = problem.row("b") - problem.row("a")
         assert need.certificate.margins.tobytes() == margins.tobytes()
-        assert need.certificate.margins == pytest.approx([1e-9, 1e-3], rel=1e-6)
+        assert need.certificate.margins == pytest.approx([5e-7, 1e-3], rel=1e-6)
+        profile = stability_profile(problem, [even, vertex])
+        for prior in ("even", "v"):
+            row = profile.row(prior, "a")
+            assert not row.is_bayes
+            assert row.need.certificate.weights == need.certificate.weights
+            assert row.need.certificate.margins.tobytes() == margins.tobytes()
+
+    def test_loosened_program_matches_highs(self):
+        # NeedProgram.at(prior, tol) lets every dominance row fall short of 0
+        # by tol utility units; its optimum is the primal min eps over pi in
+        # the simplex with |pi - pi0| <= eps and u_a.pi >= u_b.pi - tol.
+        from priorstab.lp import LpStatus, solve_lp
+        from priorstab.stability import NeedProgram
+
+        rng = np.random.default_rng(31)
+        checked = 0
+        for _ in range(60):
+            problem = random_problem(rng, max_acts=5, max_states=5)
+            prior = random_prior(rng, problem.num_states)
+            act = problem.acts[int(rng.integers(problem.num_acts))]
+            tol = float(rng.uniform(0.0, 0.3))
+            m = problem.num_states
+            i = problem.act_index(act)
+            diffs = problem.utilities[i] - np.delete(problem.utilities, i, axis=0)
+            eye = np.eye(m)
+            A_ub = np.block([
+                [eye, -np.ones((m, 1))],
+                [-eye, -np.ones((m, 1))],
+                [-diffs, np.zeros((len(diffs), 1))],
+            ])
+            b_ub = np.concatenate([prior.mass, -prior.mass, np.full(len(diffs), tol)])
+            A_eq = np.concatenate([np.ones(m), [0.0]])[None, :]
+            c = np.zeros(m + 1)
+            c[-1] = 1.0
+            res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
+                          method="highs", options=HIGHS_OPTIONS)
+            out = solve_lp(NeedProgram(problem, act).at(prior, tol))
+            if res.status == 2:
+                assert out.status is LpStatus.UNBOUNDED
+                continue
+            assert out.status is LpStatus.OPTIMAL
+            assert -out.value == pytest.approx(res.fun, abs=1e-9)
+            checked += 1
+        assert checked >= 30
 
     def test_matches_feasibility_bisection(self, make_problem, make_prior):
         rng = np.random.default_rng(24)
