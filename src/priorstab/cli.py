@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -27,9 +26,10 @@ from .io import (
     load_priors,
     load_utilities,
     load_weights,
-    write_data_rows,
-    write_json,
-    write_rows,
+    render_data_rows,
+    render_json,
+    render_rows,
+    write_reports,
 )
 from .lp import SolverError
 from .scenarios import (
@@ -193,17 +193,16 @@ def cmd_analyze(args) -> int:
                 "certificate": certificate,
             }
         )
-    write_rows(os.path.join(args.out, "stability.csv"), ["prior", "act", "measure", "value"], csv_rows)
-    write_json(
-        os.path.join(args.out, "stability.json"),
-        {
+    write_reports(args.out, {
+        "stability.csv": render_rows(["prior", "act", "measure", "value"], csv_rows),
+        "stability.json": render_json({
             "report": "stability",
             "acts": list(problem.acts),
             "states": list(problem.states),
             "priors": [{"name": p.name, "mass": [float(x) for x in p.mass]} for p in priors],
             "rows": json_rows,
-        },
-    )
+        }),
+    })
     for prior in priors:
         bayes = [r.act for r in profile.for_prior(prior.name) if r.is_bayes]
         print(f"{prior.name}: optimal {', '.join(bayes)}")
@@ -261,16 +260,11 @@ def cmd_path(args) -> int:
         (lam, act, by_act[act].at(lam))
         for lam, act in zip(path.lambda_grid, path.grid_selected)
     ]
-    write_rows(os.path.join(args.out, "path_lines.csv"), ["act", "intercept", "slope", "cost"], lines_rows)
-    write_rows(os.path.join(args.out, "path_grid.csv"), ["lambda", "act", "score"], grid_rows)
-    write_rows(
-        os.path.join(args.out, "path_breakpoints.csv"),
-        ["lambda"],
-        [(b,) for b in path.breakpoints],
-    )
-    write_json(
-        os.path.join(args.out, "path.json"),
-        {
+    write_reports(args.out, {
+        "path_lines.csv": render_rows(["act", "intercept", "slope", "cost"], lines_rows),
+        "path_grid.csv": render_rows(["lambda", "act", "score"], grid_rows),
+        "path_breakpoints.csv": render_rows(["lambda"], [(b,) for b in path.breakpoints]),
+        "path.json": render_json({
             "report": "path",
             "prior": prior.name,
             "lambda_max": float(args.lambda_max),
@@ -285,8 +279,8 @@ def cmd_path(args) -> int:
                 {"lambda": float(lam), "selected": act, "score": by_act[act].at(lam)}
                 for lam, act in zip(path.lambda_grid, path.grid_selected)
             ],
-        },
-    )
+        }),
+    })
     for seg in path.segments:
         print(f"lambda in [{format_number(seg.lo)}, {format_number(seg.hi)}]: {seg.act}")
     print(f"wrote path_grid.csv, path_lines.csv, path_breakpoints.csv, path.json to {args.out}")
@@ -323,19 +317,18 @@ def cmd_scenarios(args) -> int:
     returns = portfolio_returns(panel, book)
     problem = utility_matrix(returns, model, book.names)
 
-    write_data_rows(
-        os.path.join(args.out, "regimes.csv"),
-        ["month", "cluster", "label"],
-        [
-            (month, int(cluster), model.labels[int(cluster)])
-            for month, cluster in zip(panel.months, model.assignment)
-        ],
-    )
-    write_data_rows(
-        os.path.join(args.out, "utilities.csv"),
-        ["act", *problem.states],
-        [(act, *problem.row(act)) for act in problem.acts],
-    )
+    write_reports(args.out, {
+        "regimes.csv": render_data_rows(
+            ["month", "cluster", "label"],
+            [
+                (month, int(cluster), model.labels[int(cluster)])
+                for month, cluster in zip(panel.months, model.assignment)
+            ],
+        ),
+        "utilities.csv": render_data_rows(
+            ["act", *problem.states], [(act, *problem.row(act)) for act in problem.acts]
+        ),
+    })
     sizes = {model.labels[j]: int((model.assignment == j).sum()) for j in range(model.k)}
     print("regime sizes: " + ", ".join(f"{name}={sizes[name]}" for name in problem.states))
     print(f"wrote regimes.csv and utilities.csv to {args.out}")
@@ -360,7 +353,9 @@ def cmd_baselines(args) -> int:
         rows.append((prior.name, act, "gamma_min", worst.values[act]))
         rows.append((prior.name, act, "gamma_max", best.values[act]))
         rows.append((prior.name, act, "rex", rex.values[act]))
-    write_rows(os.path.join(args.out, "baselines.csv"), ["prior", "act", "measure", "value"], rows)
+    write_reports(args.out, {
+        "baselines.csv": render_rows(["prior", "act", "measure", "value"], rows)
+    })
     print(f"band radius {format_number(epsilon)} around {prior.name}")
     print(f"worst-case optimal: {', '.join(worst.optimal)}")
     print(f"best-case optimal: {', '.join(best.optimal)}")

@@ -23,7 +23,6 @@ __all__ = [
     "InputError",
     "NOT_BAYES",
     "INADMISSIBLE",
-    "atomic_write_text",
     "format_number",
     "load_costs",
     "load_daily",
@@ -31,8 +30,9 @@ __all__ = [
     "load_priors",
     "load_utilities",
     "load_weights",
-    "write_json",
-    "write_rows",
+    "render_json",
+    "render_rows",
+    "write_reports",
 ]
 
 NOT_BAYES = "NOT_BAYES"
@@ -297,47 +297,57 @@ def _render_cell(value) -> str:
     return format_number(float(value))
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename.
+def write_reports(directory, texts: dict[str, str]) -> None:
+    """Write a run's reports into ``directory`` as one set.
 
-    The temp file is created with mode 0666 less the umask, as ``open`` would
-    create the report itself.  A directory that cannot be created (say, a
-    path naming an existing file) is an :class:`InputError`.
+    ``texts`` maps each report's file name to its rendered text.  Every text
+    is first staged in a temp file in the directory, created with mode 0666
+    less the umask, as ``open`` would create the report itself; only then is
+    each renamed over its report.  A failure while staging removes the temp
+    files and leaves every report as it was.  A directory that cannot be
+    created (say, a path naming an existing file) or a report that cannot be
+    written is an :class:`InputError`.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.path.abspath(directory)
     try:
         os.makedirs(directory, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot create output directory {directory}: {exc}") from exc
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    staged = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        for name, text in texts.items():
+            tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp, os.path.join(directory, name)))
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except BaseException as exc:
+        for tmp, _ in staged:
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write {os.path.join(directory, name)}: {exc}") from exc
         raise
+    for tmp, path in staged:
+        os.replace(tmp, path)
 
 
-def write_rows(path, header: list[str], rows) -> None:
-    """Write a CSV report; floats at 9 significant digits, sentinels quoted."""
+def render_rows(header: list[str], rows) -> str:
+    """A CSV report; floats at 9 significant digits, sentinels quoted."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_render_cell(cell) for cell in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def write_data_rows(path, header: list[str], rows) -> None:
-    """Write an interchange CSV; floats keep full round-trip precision."""
+def render_data_rows(header: list[str], rows) -> str:
+    """An interchange CSV; floats keep full round-trip precision."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(
             ",".join(repr(float(c)) if isinstance(c, (float, np.floating)) else str(c) for c in row)
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def write_json(path, document: dict) -> None:
-    atomic_write_text(path, json.dumps(document, indent=2) + "\n")
+def render_json(document: dict) -> str:
+    return json.dumps(document, indent=2) + "\n"

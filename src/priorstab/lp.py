@@ -13,13 +13,20 @@ the run switches to Bland's rule, which cannot cycle, so termination stays
 guaranteed.  Leaving-row ties always go to the lowest basic index.  Every
 choice is deterministic, so a program always yields the same vertex.
 
+A program whose basis columns, in row order, are exactly the unit vectors
+(the slack basis of the need program) starts from its constraints as they
+stand: pivoting such a basis in changes no entry but a -0.0, which becomes
+0.0, so the set-up pivots are skipped and the tableau is the constraints
+plus 0.0, bit for bit what the pivots would leave.
+
 An optimal outcome keeps its final basis and tableau.  A program built on
 the same constraint arrays (A and b) and differing only in its objective
 (`LinearProgram.with_objective`) can restart from that outcome: the basis is
 still feasible, so only the cost row is replaced and re-priced, and phase 2
 continues from the old optimum (parametric cost, Dantzig 1963).  The need
 program of an act, whose reference prior enters only its objective, is
-restarted this way across the priors of a profile.
+restarted this way across the priors of a profile, each further prior from
+the act's first optimum.
 
 Programs of one shape can run side by side (`solve_lps`) in one
 (members, rows, columns) stack of tableaux.  A pivot here costs about as much
@@ -116,6 +123,27 @@ class LinearProgram:
         object.__setattr__(self, "eq_rhs", b)
         object.__setattr__(self, "basis", basis)
 
+    @classmethod
+    def block(cls, eq_block, eq_rhs, basis) -> list[LinearProgram]:
+        """Programs on the matrices of a (programs, rows, columns) block, all
+        sharing ``eq_rhs`` and ``basis``, each under a zero objective to be
+        replaced by `with_objective`.  The block is validated once, and each
+        program holds a view of its own matrix."""
+        A = np.asarray(eq_block, dtype=float)
+        if A.ndim != 3:
+            raise ValueError(f"eq_block must be three-dimensional, got shape {A.shape}")
+        if not np.isfinite(A).all():
+            raise ValueError("objective, matrix and rhs must be finite")
+        if len(A) == 0:
+            return []
+        first = cls(np.zeros(A.shape[2]), A[0], eq_rhs, basis)
+        programs = [first]
+        for matrix in A[1:]:
+            lp = object.__new__(cls)
+            lp.__dict__.update(first.__dict__, eq_matrix=matrix)
+            programs.append(lp)
+        return programs
+
     def with_objective(self, objective) -> LinearProgram:
         """This program under a new objective, on the very same constraint
         arrays and basis, so that `solve_lp` can restart it from an outcome of
@@ -169,6 +197,14 @@ def _pivot_stack(T: np.ndarray, rows, cols, column: np.ndarray) -> None:
     T -= column[:, :, None] * prow[:, None, :]
     T[at, :, cols] = 0.0
     T[at, rows] = prow + 0.0
+
+
+def _unit_bases(T: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Per tableau of a stack, whether the columns that its basis names, in
+    row order, hold exactly the unit vectors in its constraint rows."""
+    members, m = bases.shape
+    gathered = T[np.arange(members)[:, None, None], np.arange(m)[:, None], bases[:, None, :]]
+    return (gathered == np.eye(m)).all(axis=(1, 2))
 
 
 def _run_simplex(T: np.ndarray, basis: np.ndarray, stalled: int = 0, pivots: int = 0) -> LpStatus:
@@ -303,10 +339,13 @@ def _solve_one(lp: LinearProgram, start: LpOutcome | None) -> LpOutcome:
         T = np.zeros((m + 1, n + 1))
         T[:m, :n] = A
         T[:m, -1] = b
-        for r, j in enumerate(basis.tolist()):
-            if abs(T[r, j]) <= _PIVOT_TOL:
-                raise SolverError("starting basis is singular")
-            _pivot(T, r, j)
+        if _unit_bases(A[None], basis[None])[0]:
+            T[:m] += 0.0  # the set-up pivots would only turn -0.0 into 0.0
+        else:
+            for r, j in enumerate(basis.tolist()):
+                if abs(T[r, j]) <= _PIVOT_TOL:
+                    raise SolverError("starting basis is singular")
+                _pivot(T, r, j)
     else:
         _check_start(lp, start)
         basis = start.basis.copy()
@@ -342,9 +381,10 @@ def solve_lps(lps, *, starts=None) -> list[LpOutcome]:
 
     ``starts`` holds, per program, ``None`` or an outcome to restart from,
     under the rules of `solve_lp`'s ``start``.  A lone program runs as in
-    `solve_lp`.  Several share one stack of tableaux: cold members are set up
-    from their bases by one stacked pivot per row, restarted members copy
-    their start's tableau, and then `_run_stack` runs them all.  Each outcome
+    `solve_lp`.  Several share one stack of tableaux: cold members start from
+    their constraints where their bases are unit vectors and are otherwise
+    set up by one stacked pivot per row, restarted members copy their start's
+    tableau, and then `_run_stack` runs them all.  Each outcome
     equals `solve_lp`'s bit for bit, and an unbounded member drops out while
     the others go on.  A failure raises `SolverError` with ``member`` set to
     the position of the program at fault.
@@ -360,28 +400,29 @@ def solve_lps(lps, *, starts=None) -> list[LpOutcome]:
         raise ValueError("programs solved together must share one shape")
     T = np.zeros((len(lps), m + 1, n + 1))
     bases = np.empty((len(lps), m), dtype=int)
-    cold = []
     for i, (lp, start) in enumerate(zip(lps, starts)):
         if start is None:
             T[i, :m, :n] = lp.eq_matrix
             T[i, :m, -1] = lp.eq_rhs
             bases[i] = lp.basis
-            cold.append(i)
         else:
             _check_start(lp, start)
             T[i], bases[i] = start.tableau, start.basis
-    if cold:
-        C = T if len(cold) == len(lps) else T[cold]
-        at = np.arange(len(cold))
+    cold = np.array([start is None for start in starts])
+    unit = cold & _unit_bases(T, bases)
+    T[unit, :m] += 0.0  # the set-up pivots would only turn -0.0 into 0.0
+    setup = (cold & ~unit).nonzero()[0]
+    if setup.size:
+        C = T[setup]
+        at = np.arange(setup.size)
         for r in range(m):
-            cols = bases[cold, r]
+            cols = bases[setup, r]
             column = C[at, :, cols]
             singular = np.abs(column[:, r]) <= _PIVOT_TOL
             if singular.any():
-                raise SolverError("starting basis is singular", cold[int(singular.argmax())])
+                raise SolverError("starting basis is singular", int(setup[singular.argmax()]))
             _pivot_stack(C, r, cols, column)
-        if C is not T:
-            T[cold] = C
+        T[setup] = C
     infeasible = (T[:, :m, -1] < -FEASIBILITY_TOL).any(axis=1)
     if infeasible.any():
         raise SolverError("starting basis is infeasible", int(infeasible.argmax()))

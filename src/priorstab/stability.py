@@ -8,11 +8,13 @@ each competitor's convex band minimum; the need comes from a single linear
 program.  When no prior anywhere makes an act optimal, a mixture of the
 competing acts strictly dominates it, and that mixture is returned as a
 checkable certificate.  A profile over several priors decides this once per
-act, and builds each act's need program once: the reference prior enters the
-program only through its objective, so each further prior restarts the
-simplex from the act's last optimal tableau.  At each prior, the need
-programs of all acts not Bayes there run as one stacked simplex
-(`solve_lps`), each member exactly as it would run alone.
+act, and builds the need programs of all its acts once, as one block of
+constraints.  The reference prior enters a program only through its
+objective, so a profile solves them in two stacked simplex runs
+(`solve_lps`), each member exactly as it would run alone: a cold stack
+holding each act at its first prior, and a restart stack holding every
+further (act, prior) pair, restarted from the act's first optimal tableau.
+The needs of a stack are read off their final bases in one stacked solve.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 from .core import TIE_TOL, BayesSet, DecisionProblem, Prior, bayes_acts
 from .lp import (
     LinearProgram,
-    LpOutcome,
     LpStatus,
     SolverError,
     minimize_over_band,
@@ -52,6 +53,9 @@ __all__ = [
 # Mixture advantage below this share of the largest utility difference is
 # not "strict".
 STRICT_DOMINANCE_TOL = 1e-9
+# Members per restart stack of a profile's need programs.  Each member holds
+# a tableau of (states + 2) x (3 states + acts + 3) floats.
+_RESTART_CHUNK = 64
 
 
 class RadiusKind(Enum):
@@ -310,35 +314,16 @@ class NeedProgram:
     with u, l, w >= 0 and y = y+ - y- free.  Variables: y+, y- (2), u (m),
     l (m), w (k) and one slack per row (m + 1).  The right-hand side is
     (0, ..., 0, 1), so the slack basis is feasible, and the reference prior
-    pi0 enters only the objective.  ``last`` holds the latest optimal
-    outcome, from which the next prior's solve restarts, so a program is
-    mutable state of one profile: it is not to be shared between threads.
+    pi0 enters only the objective.  Programs are built by `_need_programs`,
+    several acts at a time, as one block of constraints.  ``last`` holds the
+    latest optimal outcome of `contamination_need`, from which its next solve
+    restarts, so a program is mutable state: it is not to be shared between
+    threads.
     """
 
     def __init__(self, problem: DecisionProblem, act: str):
-        _, diffs = _difference_rows(problem, act)
-        # Each dominance row is a halfspace through the origin, so scaling it
-        # to unit max-norm leaves the program unchanged and keeps pivots well
-        # sized.
-        norms = np.abs(diffs).max(axis=1)
-        norms = np.where(norms > 0.0, norms, 1.0)
-        diffs = diffs / norms[:, None]
-        k, m = diffs.shape
-        w = 2 + 2 * m  # first column of w; the slacks follow it
-        A = np.zeros((m + 1, w + k + m + 1))
-        A[:m, 0], A[:m, 1] = 1.0, -1.0
-        A[:m, 2:2 + m] = -np.eye(m)
-        A[:m, 2 + m:w] = np.eye(m)
-        A[:m, w:w + k] = diffs.T
-        A[m, 2:w] = 1.0
-        A[:, w + k:] = np.eye(m + 1)
-        slacks = w + k + np.arange(m + 1)
-        b = np.zeros(m + 1)
-        b[m] = 1.0
-        self.problem, self.act, self._states, self._norms = problem, act, m, norms
-        # Validated once; each prior's program shares its arrays.
-        self._program = LinearProgram(np.zeros(A.shape[1]), A, b, slacks)
-        self.last: LpOutcome | None = None
+        (built,) = _need_programs(problem, [act])
+        self.__dict__.update(built.__dict__)
 
     def at(self, prior: Prior, tol: float = 0.0) -> LinearProgram:
         """The program with ``prior`` as the reference.
@@ -348,52 +333,99 @@ class NeedProgram:
         competitor, as `bayes_acts`' tie rule asks: the primal rows become
         diffs @ pi >= -tol / norm, which costs tol / norm per unit of w.
         """
-        m = self._states
+        m = self.problem.num_states
         if prior.dimension != m:
             raise ValueError(f"prior {prior.name!r} has {prior.dimension} states, problem has {m}")
-        objective = np.zeros(self._program.num_variables)
-        objective[0], objective[1] = -1.0, 1.0
-        objective[2:2 + m] = prior.mass
-        np.negative(prior.mass, out=objective[2 + m:2 + 2 * m])
+        objective = _need_objective(self._program.num_variables, prior)
         if tol > 0.0:
             w = 2 + 2 * m
             objective[w:w + self._norms.size] = tol / self._norms
         return self._program.with_objective(objective)
 
 
-def _need_off_basis(out: LpOutcome) -> Need:
-    """The need at an optimal outcome of a need program, read off its basis."""
-    # The tableau carries the rounding of every pivot since the program's
-    # cold start, which depends on the priors solved before.  Reading the
-    # optimum off the final basis alone, solved afresh from the original
-    # constraints, makes the need independent of that path.
-    lp = out.program
-    basis = np.sort(out.basis)
-    x = np.linalg.solve(lp.eq_matrix[:, basis], lp.eq_rhs)
-    value = float(lp.objective[basis] @ x)
+def _need_programs(problem: DecisionProblem, acts) -> list[NeedProgram]:
+    """The need programs of ``acts``, built as one (acts, m + 1, n) block of
+    constraints and validated once; each act's program holds its own matrix
+    of the block."""
+    u = problem.utilities
+    rows = np.array([problem.act_index(act) for act in acts], dtype=int)
+    k, m = problem.num_acts - 1, problem.num_states
+    # Per act, the dominance rows u(act, .) - u(b, .) for every competitor b,
+    # in act order, as `_difference_rows` gives them.
+    position = np.arange(k)
+    diffs = u[rows][:, None, :] - u[position + (position >= rows[:, None])]
+    # Each dominance row is a halfspace through the origin, so scaling it to
+    # unit max-norm leaves the program unchanged and keeps pivots well sized.
+    norms = np.abs(diffs).max(axis=2)
+    norms = np.where(norms > 0.0, norms, 1.0)
+    w = 2 + 2 * m  # first column of w; the slacks follow it
+    A = np.zeros((rows.size, m + 1, w + k + m + 1))
+    A[:, :m, 0], A[:, :m, 1] = 1.0, -1.0
+    A[:, :m, 2:2 + m] = -np.eye(m)
+    A[:, :m, 2 + m:w] = np.eye(m)
+    A[:, :m, w:w + k] = (diffs / norms[:, :, None]).transpose(0, 2, 1)
+    A[:, m, 2:w] = 1.0
+    A[:, :, w + k:] = np.eye(m + 1)
+    b = np.zeros(m + 1)
+    b[m] = 1.0
+    built = []
+    for act, lp, act_norms in zip(acts, LinearProgram.block(A, b, w + k + np.arange(m + 1)), norms):
+        program = object.__new__(NeedProgram)
+        program.problem, program.act, program._program, program._norms = problem, act, lp, act_norms
+        program.last = None
+        built.append(program)
+    return built
+
+
+def _need_objective(size: int, prior: Prior) -> np.ndarray:
+    """The need program's objective at ``prior``: its dual objective
+    y - pi0.u + pi0.l, negated to be minimized."""
+    m = prior.dimension
+    objective = np.zeros(size)
+    objective[0], objective[1] = -1.0, 1.0
+    objective[2:2 + m] = prior.mass
+    np.negative(prior.mass, out=objective[2 + m:2 + 2 * m])
+    return objective
+
+
+def _needs_off_bases(outs) -> list[Need]:
+    """The needs at optimal outcomes of need programs, read off their final
+    bases in one stacked solve."""
+    # A tableau carries the rounding of every pivot since its program's cold
+    # start, which depends on the priors solved before.  Reading the optimum
+    # off the final basis alone, solved afresh from the original constraints,
+    # makes the need independent of that path.  The stacked solve runs the
+    # same LAPACK routine on each basis as a 2D solve, and the stacked product
+    # of a row and a column the same dot product, so each need takes the bits
+    # of a member read off alone.
+    if not outs:
+        return []
+    bases = np.sort([out.basis for out in outs], axis=1)
+    x = np.linalg.solve(
+        np.array([out.program.eq_matrix[:, basis] for out, basis in zip(outs, bases)]),
+        np.array([out.program.eq_rhs for out in outs])[:, :, None],
+    )
+    costs = np.array([out.program.objective[basis] for out, basis in zip(outs, bases)])
+    values = np.matmul(costs[:, None, :], x)[:, 0, 0]
     # The optimum is a distance between simplex points, so it lies in
     # [0, 1]; rounding can land it an ulp outside.
-    return Need.value(min(max(-value, 0.0), 1.0))
+    return [Need.value(min(max(-value, 0.0), 1.0)) for value in values.tolist()]
 
 
-def _read_need(program: NeedProgram, prior: Prior, out: LpOutcome, tol: float) -> Need:
-    """The need of ``program``'s act at ``prior`` from the outcome ``out`` of
-    its program there; ``tol`` is the tie tolerance of the Bayes sets.
+def _unbounded_need(program: NeedProgram, prior: Prior, tol: float) -> Need:
+    """The need of ``program``'s act at ``prior`` where its program there is
+    unbounded; ``tol`` is the tie tolerance of the Bayes sets.
 
-    An optimal outcome becomes the program's ``last``, and the need is read
-    off its final basis.  An unbounded one means no prior makes the act
-    exactly optimal.  The act may still be Bayes somewhere by the tie rule,
-    within ``tol`` of every competitor; the program loosened by ``tol``
-    decides that, and its optimum is then the need.  Only an act Bayes
-    nowhere gets a strictly dominating mixture as its certificate, so no
-    profile row calls an act inadmissible that another row finds Bayes.
+    An unbounded program means no prior makes the act exactly optimal.  The
+    act may still be Bayes somewhere by the tie rule, within ``tol`` of every
+    competitor; the program loosened by ``tol`` decides that, and its optimum
+    is then the need.  Only an act Bayes nowhere gets a strictly dominating
+    mixture as its certificate, so no profile row calls an act inadmissible
+    that another row finds Bayes.
     """
-    if out.status is LpStatus.OPTIMAL:
-        program.last = out
-        return _need_off_basis(out)
     loose = solve_lp(program.at(prior, tol))
     if loose.status is LpStatus.OPTIMAL:
-        return _need_off_basis(loose)
+        return _needs_off_bases([loose])[0]
     problem, a = program.problem, program.act
     # The need program scales each dominance row to unit max-norm, so it can
     # see a strict dominance that is small next to the table's largest gain;
@@ -438,9 +470,12 @@ def contamination_need(
         program = NeedProgram(problem, a)
     elif program.problem is not problem or program.act != a:
         raise ValueError(f"the need program passed was not built for act {a!r} of this problem")
-    u = problem.utilities
     out = solve_lp(program.at(prior), start=program.last)
-    return _read_need(program, prior, out, TIE_TOL * (u.max() - u.min()))
+    if out.status is not LpStatus.OPTIMAL:
+        u = problem.utilities
+        return _unbounded_need(program, prior, TIE_TOL * (u.max() - u.min()))
+    program.last = out
+    return _needs_off_bases([out])[0]
 
 
 @dataclass(frozen=True)
@@ -473,6 +508,41 @@ class StabilityProfile:
         return tuple(r for r in self.rows if r.prior == prior)
 
 
+def _stacked_needs(programs, priors, members, tol: float) -> dict:
+    """The needs of (act, prior index) ``members`` from one `solve_lps` stack.
+
+    Each member restarts from its program's ``last``, the act's first
+    optimum, or starts cold where there is none yet; the first optimum of an
+    act is kept as its ``last``.  Optimal members are read off their bases in one stacked solve, and an
+    unbounded one as `contamination_need` reads it, with the tie tolerance
+    ``tol``.  Failures are re-raised with the member's act and prior.
+    """
+    objectives = {}
+    lps = []
+    for act, j in members:
+        program = programs[act]
+        if j not in objectives:
+            objectives[j] = _need_objective(program._program.num_variables, priors[j])
+        lps.append(program._program.with_objective(objectives[j]))
+    try:
+        outs = solve_lps(lps, starts=[programs[act].last for act, _ in members])
+    except SolverError as exc:
+        act, j = members[exc.member]
+        raise SolverError(f"act {act!r}, prior {priors[j].name!r}: {exc}") from exc
+    optimal = [i for i, out in enumerate(outs) if out.status is LpStatus.OPTIMAL]
+    needs = dict(zip([members[i] for i in optimal], _needs_off_bases([outs[i] for i in optimal])))
+    for (act, j), out in zip(members, outs):
+        if out.status is LpStatus.OPTIMAL:
+            if programs[act].last is None:
+                programs[act].last = out
+            continue
+        try:
+            needs[act, j] = _unbounded_need(programs[act], priors[j], tol)
+        except (SolverError, ValueError) as exc:
+            raise type(exc)(f"act {act!r}, prior {priors[j].name!r}: {exc}") from exc
+    return needs
+
+
 def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     """Compute radius and need for every (act, prior) pair.
 
@@ -488,20 +558,24 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     dropping the dominated ones changes no radius and no need.  Each row's
     radius and need are judged by the full table's Bayes set, the same one
     that sets ``is_bayes``: the smaller table has a smaller utility range and
-    so a tighter tie tolerance.  Each undominated act's need program is built
-    once (`NeedProgram`), at the first prior where the act is not Bayes; its
-    first solve starts from the slack basis and every later prior's solve
-    restarts from the previous optimal tableau with the new prior's cost row.
-    At each prior, the programs of all undominated acts not Bayes there are
-    solved in one `solve_lps` call, a stacked simplex run in which each
-    member takes the pivots and bits of its own solo run, and each need is
-    read off its member's final basis as in `contamination_need`, with the
-    full table's tie tolerance where the program is unbounded.  A stack
-    holds many members where a lone program would pay numpy's call overhead
-    on every pivot.  Rows of one act share its program while
-    `robustness_radius` and `contamination_need` stay usable row by row.
-    Failures are re-raised with the offending act, and prior where there is
-    one, attached.
+    so a tighter tie tolerance.
+
+    The need programs of every undominated act that is not Bayes at some
+    prior are built as one block (`_need_programs`) and solved in two
+    stacked simplex runs (`solve_lps`).  The cold stack holds each act's
+    program at the first prior where the act is not Bayes, started from the
+    slack basis.  The reference prior enters the program only through its
+    objective, so the restart stack holds the program at every later such
+    prior, each of which restarts from the act's first optimal tableau with
+    the new prior's cost row; it is cut into stacks of at most
+    ``_RESTART_CHUNK`` members, so that memory stays bounded however many
+    priors there are.  Each member takes the pivots and bits of its own solo
+    run, and the needs of a stack are read off their members' final bases in
+    one stacked solve, as `contamination_need` reads one, with the full
+    table's tie tolerance where a program is unbounded.  Rows of one act
+    share its program while `robustness_radius` and `contamination_need`
+    stay usable row by row.  Failures are re-raised with the offending act,
+    and prior where there is one, attached.
     """
     priors = list(priors)
     names = [p.name for p in priors]
@@ -525,27 +599,26 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     undominated = DecisionProblem(
         [problem.acts[i] for i in kept], problem.states, problem.utilities[kept]
     )
-    programs = {}
+    first, later = {}, []  # act -> its first prior with a need; later (act, prior)
+    for j, bset in enumerate(bsets):
+        for act in undominated.acts:
+            if act in bset:
+                continue
+            if act in first:
+                later.append((act, j))
+            else:
+                first[act] = j
+    programs = dict(zip(first, _need_programs(undominated, list(first))))
+    needs = _stacked_needs(programs, priors, list(first.items()), tol)
+    for lo in range(0, len(later), _RESTART_CHUNK):
+        needs.update(_stacked_needs(programs, priors, later[lo:lo + _RESTART_CHUNK], tol))
     rows = []
-    for prior, bset in zip(priors, bsets):
-        pending = [act for act in undominated.acts if act not in bset]
-        for act in pending:
-            if act not in programs:
-                programs[act] = NeedProgram(undominated, act)
-        lps = [programs[act].at(prior) for act in pending]
-        try:
-            outs = solve_lps(lps, starts=[programs[act].last for act in pending])
-        except SolverError as exc:
-            raise SolverError(
-                f"act {pending[exc.member]!r}, prior {prior.name!r}: {exc}"
-            ) from exc
-        solved = dict(zip(pending, outs))
+    for j, (prior, bset) in enumerate(zip(priors, bsets)):
         for act in problem.acts:
             try:
                 if certificates[act] is None:
                     radius = robustness_radius(undominated, act, prior, bayes=bset)
-                    need = (_read_need(programs[act], prior, solved[act], tol) if act in solved
-                            else Need.value(0.0))
+                    need = Need.value(0.0) if act in bset else needs[act, j]
                 else:
                     radius = Radius.not_bayes()
                     need = Need.infeasible(certificates[act])

@@ -483,6 +483,43 @@ class TestFailureExits:
         assert code == 2
         assert "output directory" in err
 
+    @pytest.mark.parametrize("command, reports", [
+        ("analyze", ["stability.csv", "stability.json"]),
+        ("path", ["path_lines.csv", "path_grid.csv", "path_breakpoints.csv", "path.json"]),
+    ])
+    def test_a_failed_write_leaves_no_new_report(self, tmp_path, capsys, monkeypatch,
+                                                 command, reports):
+        # The second report cannot be written: the run exits 2 with one line,
+        # the reports of an earlier run stay as they were, and no report of
+        # this run, nor any temp file, is left behind
+        import errno
+        import os
+
+        u = write(tmp_path, "u.csv", TOY_UTILITIES)
+        p = write(tmp_path, "p.csv", TOY_PRIORS)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / reports[0]).write_text("earlier run\n")
+        opened = []
+        open_file = os.open
+
+        def full_disk(path, *args):
+            opened.append(path)
+            if len(opened) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return open_file(path, *args)
+
+        monkeypatch.setattr(os, "open", full_disk)
+        code, err = self.run_exit(
+            capsys, [command, "--utilities", u, "--priors", p, "--out", str(out)]
+        )
+        monkeypatch.undo()
+        assert code == 2
+        assert reports[1] in err and "No space left on device" in err
+        assert len(opened) == 2
+        assert os.listdir(out) == [reports[0]]
+        assert (out / reports[0]).read_text() == "earlier run\n"
+
     def test_reports_follow_the_umask(self, tmp_path):
         import os
 

@@ -497,6 +497,164 @@ class TestPivotPath:
             assert_same_outcome(out, solve_lp(lp))
             assert_same_path(out, reference_simplex(lp))
 
+    def test_a_unit_basis_starts_without_set_up_pivots(self, monkeypatch):
+        # Slack bases are exactly the unit vectors in row order, here with
+        # -0.0 entries in the body and beside the slacks' ones, and with the
+        # slack columns placed in shuffled positions; the run starts from the
+        # constraints as they stand, with the reference's bits
+        import priorstab.lp as lp_module
+
+        pivots = []
+        pivot, pivot_stack = lp_module._pivot, lp_module._pivot_stack
+        run, run_stack = lp_module._run_simplex, lp_module._run_stack
+
+        def counted(T, *args):
+            pivots.append(1)
+            return pivot(T, *args)
+
+        def counted_stack(T, *args):
+            pivots.append(len(T))
+            return pivot_stack(T, *args)
+
+        set_up = []
+
+        def entered(T, *args):
+            set_up.append(len(pivots))
+            return run(T, *args)
+
+        def entered_stack(T, *args):
+            set_up.append(len(pivots))
+            return run_stack(T, *args)
+
+        monkeypatch.setattr(lp_module, "_pivot", counted)
+        monkeypatch.setattr(lp_module, "_pivot_stack", counted_stack)
+        monkeypatch.setattr(lp_module, "_run_simplex", entered)
+        monkeypatch.setattr(lp_module, "_run_stack", entered_stack)
+        rng = np.random.default_rng(777)
+        signed_zeros = 0
+        for _ in range(40):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            lps = []
+            for _ in range(int(rng.integers(1, 5))):
+                A = np.round(rng.normal(size=(m + n, n)), 1)
+                A[rng.uniform(size=A.shape) < 0.3] = -0.0
+                A[m:] = np.where(np.eye(n), 1.0, -0.0)  # caps on every variable
+                order = rng.permutation(n + m + n)
+                slacks = np.where(np.eye(m + n), 1.0, -0.0)
+                matrix = np.empty((m + n, n + m + n))
+                matrix[:, order[:n]] = A
+                matrix[:, order[n:]] = slacks
+                rhs = np.concatenate([rng.uniform(0.0, 2.0, m), rng.uniform(0.5, 3.0, n)])
+                lps.append(LinearProgram(rng.normal(size=2 * n + m), matrix, rhs, order[n:]))
+                signed_zeros += int(np.signbit(matrix[matrix == 0.0]).sum())
+            pivots.clear()
+            set_up.clear()
+            outs = solve_lps(lps)
+            assert set_up[0] == 0
+            for lp, out in zip(lps, outs):
+                pivots.clear()
+                set_up.clear()
+                alone = solve_lp(lp)
+                assert set_up == [0]
+                assert_same_outcome(out, alone)
+                assert_same_path(out, reference_simplex(lp))
+        assert signed_zeros > 0
+
+    def test_a_permuted_unit_basis_still_pivots(self, monkeypatch):
+        # The identity's columns named out of row order are no unit basis:
+        # the set-up pivots run, and here find the basis singular, as they
+        # would for any program; a diagonal basis other than the identity
+        # pivots to the reference's bits
+        import priorstab.lp as lp_module
+
+        lp = inequality_form([1.0, -1.0], [[1.0, 1.0], [2.0, -1.0]], [1.0, 2.0])
+        swapped = LinearProgram(lp.objective, lp.eq_matrix, lp.eq_rhs, lp.basis[::-1])
+        for stack in ([swapped], [lp, swapped]):
+            with pytest.raises(SolverError, match="singular") as caught:
+                solve_lps(stack)
+            assert caught.value.member == len(stack) - 1
+        scaled = LinearProgram(lp.objective, lp.eq_matrix * [[2.0], [0.5]], lp.eq_rhs, lp.basis)
+        pivots = []
+        pivot = lp_module._pivot
+
+        def counted(T, *args):
+            pivots.append(args)
+            return pivot(T, *args)
+
+        monkeypatch.setattr(lp_module, "_pivot", counted)
+        out = solve_lp(scaled)
+        monkeypatch.undo()
+        assert pivots[:2] == [(0, 2), (1, 3)]
+        assert_same_path(out, reference_simplex(scaled))
+        for out in solve_lps([scaled, lp]):
+            assert_same_path(out, reference_simplex(out.program))
+
+    def test_stacked_read_off_takes_each_members_bits(self, monkeypatch):
+        # Every optimal need program of some profiles, read off its basis
+        # within its stack, alone, and by a 2D solve of its own
+        import priorstab.stability as stab
+
+        stacks = []
+        solve_stack = stab.solve_lps
+
+        def spied(lps, *, starts=None):
+            found = solve_stack(lps, starts=starts)
+            stacks.append([out for out in found if out.status is LpStatus.OPTIMAL])
+            return found
+
+        monkeypatch.setattr(stab, "solve_lps", spied)
+        rng = np.random.default_rng(888)
+        for _ in range(10):
+            n, m = int(rng.integers(4, 12)), int(rng.integers(2, 7))
+            problem = stab.DecisionProblem(
+                [f"a{i}" for i in range(n)], [f"s{j}" for j in range(m)],
+                rng.uniform(-1.0, 1.0, size=(n, m)),
+            )
+            stab.stability_profile(problem, [random_prior(rng, m, f"p{k}") for k in range(4)])
+        monkeypatch.undo()
+        assert sum(map(len, stacks)) > 100 and max(map(len, stacks)) > 10
+        for outs in stacks:
+            for out, need in zip(outs, stab._needs_off_bases(outs)):
+                expected = need_off_basis(out)
+                assert need.epsilon.hex() == expected.hex()
+                assert stab._needs_off_bases([out])[0].epsilon.hex() == expected.hex()
+
+    def test_restart_stacks_cut_into_chunks_read_the_same(self, monkeypatch):
+        import priorstab.stability as stab
+
+        rng = np.random.default_rng(999)
+        problem = stab.DecisionProblem(
+            [f"a{i}" for i in range(12)], [f"s{j}" for j in range(5)],
+            rng.uniform(-1.0, 1.0, size=(12, 5)),
+        )
+        priors = [random_prior(rng, 5, f"p{k}") for k in range(12)]
+        sizes, members = [], []
+        solve_stack = stab.solve_lps
+
+        def spied(lps, *, starts=None):
+            sizes.append(len(lps))
+            outs = solve_stack(lps, starts=starts)
+            members.extend(zip(lps, starts, outs))
+            return outs
+
+        monkeypatch.setattr(stab, "solve_lps", spied)
+        monkeypatch.setattr(stab, "_RESTART_CHUNK", 1000)
+        whole = stab.stability_profile(problem, priors)
+        assert len(sizes) == 2 and sizes[1] > 50
+        sizes.clear()
+        monkeypatch.setattr(stab, "_RESTART_CHUNK", 5)
+        chunked = stab.stability_profile(problem, priors)
+        assert len(sizes) > 10 and max(sizes[1:]) == 5
+        # in every chunk, each act restarts from its first outcome
+        first = {}
+        for lp, start, out in members:
+            if start is None:
+                first[id(lp.eq_matrix)] = out
+            else:
+                assert start is first[id(lp.eq_matrix)]
+        assert [row.need.as_float().hex() for row in chunked.rows] == [
+            row.need.as_float().hex() for row in whole.rows]
+
     def test_lone_and_malformed_stacks(self):
         lp = inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0])
         wider = inequality_form([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0]], [1.0])
@@ -530,6 +688,14 @@ def program_stack(rng, count):
         rhs = np.concatenate([rng.uniform(0.0, 2.0, m), caps])
         lps.append(inequality_form(rng.normal(size=n), np.vstack([A, np.eye(n)]), rhs))
     return lps
+
+
+def need_off_basis(out):
+    """The need at an optimal need-program outcome, by a 2D solve of its
+    final basis: the read-off of a single member."""
+    basis = np.sort(out.basis)
+    x = np.linalg.solve(out.program.eq_matrix[:, basis], out.program.eq_rhs)
+    return min(max(-float(out.program.objective[basis] @ x), 0.0), 1.0)
 
 
 def assert_same_outcome(ours, alone):

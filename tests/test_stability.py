@@ -669,18 +669,18 @@ class TestStabilityProfile:
         priors = [Prior(f"p{i}", [w, 1.0 - w]) for i, w in enumerate((0.1, 0.5, 0.9))]
         calls, need_acts = [], set()
         certificate = stab.strict_inadmissibility_certificate
-        program = stab.NeedProgram
+        build = stab._need_programs
 
         def counted(problem, act):
             calls.append(act)
             return certificate(problem, act)
 
-        def spied(problem, act):
+        def spied(problem, acts):
             need_acts.add(problem.acts)
-            return program(problem, act)
+            return build(problem, acts)
 
         monkeypatch.setattr(stab, "strict_inadmissibility_certificate", counted)
-        monkeypatch.setattr(stab, "NeedProgram", spied)
+        monkeypatch.setattr(stab, "_need_programs", spied)
         profile = stab.stability_profile(problem, priors)
         # b and c are optimal under some prior, so only "low" needs a program
         assert calls == ["low"]
@@ -723,26 +723,38 @@ class TestStabilityProfile:
         )
         priors = [Prior(f"p{i}", m) for i, m in enumerate(
             ([0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7], [0.3, 0.3, 0.4]))]
-        starts = []
+        solved = []
         solve = stab.solve_lps
 
         def spied(lps, **kwargs):
-            # one entry per program of the stack, in act order
-            starts.extend(start is not None for start in kwargs["starts"])
-            return solve(lps, **kwargs)
+            # one entry per program of the stack: program, start, outcome
+            outs = solve(lps, **kwargs)
+            solved.extend(zip(lps, kwargs["starts"], outs))
+            return outs
 
         monkeypatch.setattr(stab, "solve_lps", spied)
         stab.stability_profile(problem, priors[:1])
         # a single prior solves every program cold; here the need programs of
         # b and c, and no certificate program, since b and c are Bayes at the
         # vertices of the simplex
-        assert starts == [False] * 2
-        starts.clear()
+        assert [start is not None for _, start, _ in solved] == [False] * 2
+        solved.clear()
         profile = stab.stability_profile(problem, priors)
         monkeypatch.undo()
-        # each act's first program is cold and every later one restarts: a is
-        # optimal only at p0, b only at p1, and c at p2 and p3
-        assert starts == [False, False, False, True, True, True, True, True]
+        # a cold stack of each act's first program, then a restart stack of
+        # every later one: a is optimal only at p0, b only at p1, and c at p2
+        # and p3
+        assert [start is not None for _, start, _ in solved] == [
+            False, False, False, True, True, True, True, True]
+        # per act, that is per constraint matrix, the first program is cold
+        # and every later one restarts from its outcome
+        by_act = {}
+        for lp, start, out in solved:
+            by_act.setdefault(id(lp.eq_matrix), []).append((start, out))
+        assert sorted(map(len, by_act.values())) == [2, 3, 3]
+        for (first_start, first), *rest in by_act.values():
+            assert first_start is None and first.status is stab.LpStatus.OPTIMAL
+            assert all(start is first for start, _ in rest)
         by_name = {p.name: p for p in priors}
         for row in profile.rows:
             need = contamination_need(problem, row.act, by_name[row.prior])

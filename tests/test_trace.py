@@ -4,8 +4,9 @@
 outside and reads the programs that ``lp.solve_lp`` receives.  This runs
 ``analyze`` in-process under that recorder, so a renamed function or a
 changed program shape shows up here and not only in a benchmark run.  A
-profile solves the need programs of each prior in one ``lp.solve_lps`` call,
-whose programs the recorder does not read, so a spy reads them here.
+profile solves its need programs in ``lp.solve_lps`` calls, a cold stack and
+a restart stack, whose programs the recorder does not read, so a spy reads
+them here.
 """
 
 import importlib.util
@@ -61,8 +62,8 @@ def traced_analyze(spans_module, tmp_path, utilities, priors, monkeypatch):
 
 
 def need_stacks(spans):
-    """The ``lp.solve_lps`` spans that a profile opens, one per prior with
-    a pending need."""
+    """The ``lp.solve_lps`` spans that a profile opens: a cold stack, and a
+    restart stack where an act has a need at more than one prior."""
     return [s for s in spans if s[1] == "lp.solve_lps"
             and spans[s[0]][1] == "stability.stability_profile"]
 
@@ -95,7 +96,7 @@ def test_analyze_under_the_span_recorder(tmp_path, monkeypatch):
 
 # e is strictly dominated by d; each of a, b, c and d is optimal under one of
 # the four priors, so every act but e takes a need program under the other
-# three, and the profile restarts each act's program from its last optimum
+# three, and the profile restarts each act's program from its first optimum
 TABLE = [[1.0, 0.0, 0.2], [0.0, 1.0, 0.3], [0.4, 0.3, 1.0], [0.5, 0.5, 0.5], [0.2, 0.1, 0.2]]
 MASSES = {"ref": [0.6, 0.3, 0.1], "p2": [0.2, 0.5, 0.3], "p3": [0.1, 0.2, 0.7],
           "p4": [0.4, 0.4, 0.2]}
@@ -120,11 +121,11 @@ def test_restarted_need_solves_keep_the_contract(tmp_path, monkeypatch):
     )
     assert measured == 12
     needs = [i for i, s in enumerate(spans) if s[1] == "stability.contamination_need"]
-    # one stacked solve per prior, each holding the need program of every
-    # undominated act not Bayes there (three of a, b, c, d), cold or
-    # restarted, each with one row per state and the band budget's row
-    assert len(need_stacks(spans)) == len(stacks) == len(MASSES)
-    assert [len(stack) for stack in stacks] == [3] * len(MASSES)
+    # a cold stack holding each of a, b, c and d at its first prior with a
+    # need, and a restart stack holding the two later priors of each, every
+    # member with one row per state and the band budget's row
+    assert len(need_stacks(spans)) == len(stacks) == 2
+    assert [len(stack) for stack in stacks] == [4, 8]
     assert sum(len(stack) for stack in stacks) == measured
     for stack in stacks:
         for attrs in stack:
