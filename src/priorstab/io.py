@@ -318,17 +318,17 @@ def write_reports(directory, texts: dict[str, str]) -> None:
         for name, text in texts.items():
             tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            staged.append((tmp, os.path.join(directory, name)))
+            staged.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except BaseException as exc:
-        for tmp, _ in staged:
+        for tmp in staged:
             os.unlink(tmp)
         if isinstance(exc, OSError):
             raise InputError(f"cannot write {os.path.join(directory, name)}: {exc}") from exc
         raise
-    for tmp, path in staged:
-        os.replace(tmp, path)
+    for tmp, name in zip(staged, texts):
+        os.replace(tmp, os.path.join(directory, name))
 
 
 def render_rows(header: list[str], rows) -> str:

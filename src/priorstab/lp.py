@@ -13,11 +13,10 @@ the run switches to Bland's rule, which cannot cycle, so termination stays
 guaranteed.  Leaving-row ties always go to the lowest basic index.  Every
 choice is deterministic, so a program always yields the same vertex.
 
-A program whose basis columns, in row order, are exactly the unit vectors
-(the slack basis of the need program) starts from its constraints as they
-stand: pivoting such a basis in changes no entry but a -0.0, which becomes
-0.0, so the set-up pivots are skipped and the tableau is the constraints
-plus 0.0, bit for bit what the pivots would leave.
+A cold start pivots the program's basis in, row by row, unless the basis
+columns, in row order, are exactly the unit vectors (the need program's slack
+basis): those pivots would only turn -0.0 entries into 0.0, so the tableau
+starts from the constraints plus 0.0.
 
 An optimal outcome keeps its final basis and tableau.  A program built on
 the same constraint arrays (A and b) and differing only in its objective
@@ -125,22 +124,16 @@ class LinearProgram:
 
     @classmethod
     def block(cls, eq_block, eq_rhs, basis) -> list[LinearProgram]:
-        """Programs on the matrices of a (programs, rows, columns) block, all
-        sharing ``eq_rhs`` and ``basis``, each under a zero objective to be
-        replaced by `with_objective`.  The block is validated once, and each
-        program holds a view of its own matrix."""
+        """Zero-objective programs, one per matrix of a (programs, rows,
+        columns) block, all sharing ``eq_rhs`` and ``basis``: the block is
+        validated once, and each program holds a view of its matrix."""
         A = np.asarray(eq_block, dtype=float)
-        if A.ndim != 3:
-            raise ValueError(f"eq_block must be three-dimensional, got shape {A.shape}")
-        if not np.isfinite(A).all():
-            raise ValueError("objective, matrix and rhs must be finite")
-        if len(A) == 0:
-            return []
-        first = cls(np.zeros(A.shape[2]), A[0], eq_rhs, basis)
-        programs = [first]
+        if A.ndim != 3 or not np.isfinite(A).all():
+            raise ValueError("eq_block must be a finite three-dimensional array")
+        programs = [cls(np.zeros(A.shape[2]), matrix, eq_rhs, basis) for matrix in A[:1]]
         for matrix in A[1:]:
             lp = object.__new__(cls)
-            lp.__dict__.update(first.__dict__, eq_matrix=matrix)
+            lp.__dict__.update(programs[0].__dict__, eq_matrix=matrix)
             programs.append(lp)
         return programs
 
@@ -189,22 +182,14 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
 
 def _pivot_stack(T: np.ndarray, rows, cols, column: np.ndarray) -> None:
     """`_pivot` on every tableau of a stack: tableau i pivots on row
-    ``rows[i]`` (or on the one row ``rows``) and column ``cols[i]``, whose
-    entries ``column[i]`` the caller has gathered.  The arithmetic is
-    `_pivot`'s, element by element, so each tableau takes a 2D pivot's bits."""
+    ``rows[i]`` and column ``cols[i]``, whose entries ``column[i]`` the
+    caller has gathered.  The arithmetic is `_pivot`'s, element by element,
+    so each tableau takes a 2D pivot's bits."""
     at = np.arange(T.shape[0])
     prow = T[at, rows] / column[at, rows][:, None]
     T -= column[:, :, None] * prow[:, None, :]
     T[at, :, cols] = 0.0
     T[at, rows] = prow + 0.0
-
-
-def _unit_bases(T: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Per tableau of a stack, whether the columns that its basis names, in
-    row order, hold exactly the unit vectors in its constraint rows."""
-    members, m = bases.shape
-    gathered = T[np.arange(members)[:, None, None], np.arange(m)[:, None], bases[:, None, :]]
-    return (gathered == np.eye(m)).all(axis=(1, 2))
 
 
 def _run_simplex(T: np.ndarray, basis: np.ndarray, stalled: int = 0, pivots: int = 0) -> LpStatus:
@@ -328,37 +313,6 @@ def _outcome(lp: LinearProgram, status: LpStatus, T: np.ndarray, basis: np.ndarr
     )
 
 
-def _solve_one(lp: LinearProgram, start: LpOutcome | None) -> LpOutcome:
-    # The body of `solve_lp`, which `solve_lps` also runs for a lone program:
-    # a wrapper around either public name (as a span recorder installs) then
-    # sees each call once.
-    c, A, b = lp.objective, lp.eq_matrix, lp.eq_rhs
-    m, n = A.shape
-    if start is None:
-        basis = lp.basis.copy()
-        T = np.zeros((m + 1, n + 1))
-        T[:m, :n] = A
-        T[:m, -1] = b
-        if _unit_bases(A[None], basis[None])[0]:
-            T[:m] += 0.0  # the set-up pivots would only turn -0.0 into 0.0
-        else:
-            for r, j in enumerate(basis.tolist()):
-                if abs(T[r, j]) <= _PIVOT_TOL:
-                    raise SolverError("starting basis is singular")
-                _pivot(T, r, j)
-    else:
-        _check_start(lp, start)
-        basis = start.basis.copy()
-        T = start.tableau.copy()
-    if (T[:m, -1] < -FEASIBILITY_TOL).any():
-        raise SolverError("starting basis is infeasible")
-    T[:m, -1] = np.maximum(T[:m, -1], 0.0)
-    T[-1, :n] = c
-    T[-1, -1] = 0.0
-    T[-1, :] -= c[basis] @ T[:m, :]
-    return _outcome(lp, _run_simplex(T, basis), T, basis)
-
-
 def solve_lp(lp: LinearProgram, *, start: LpOutcome | None = None) -> LpOutcome:
     """Solve a standard-form program from a feasible basis (phase 2 only).
 
@@ -373,31 +327,34 @@ def solve_lp(lp: LinearProgram, *, start: LpOutcome | None = None) -> LpOutcome:
     infeasible starting basis is the caller's error and raises
     ``SolverError``.
     """
-    return _solve_one(lp, start)
+    return _solve([lp], [start])[0]
 
 
 def solve_lps(lps, *, starts=None) -> list[LpOutcome]:
     """Solve programs of one shape side by side, each as `solve_lp` would alone.
 
     ``starts`` holds, per program, ``None`` or an outcome to restart from,
-    under the rules of `solve_lp`'s ``start``.  A lone program runs as in
-    `solve_lp`.  Several share one stack of tableaux: cold members start from
-    their constraints where their bases are unit vectors and are otherwise
-    set up by one stacked pivot per row, restarted members copy their start's
-    tableau, and then `_run_stack` runs them all.  Each outcome
-    equals `solve_lp`'s bit for bit, and an unbounded member drops out while
-    the others go on.  A failure raises `SolverError` with ``member`` set to
-    the position of the program at fault.
+    under the rules of `solve_lp`'s ``start``.  The programs share one stack
+    of tableaux, which `_run_stack` runs.  Each outcome equals `solve_lp`'s
+    bit for bit, and an unbounded member drops out while the others go on.
+    A failure raises `SolverError` with ``member`` set to the position of
+    the program at fault.
     """
     lps = list(lps)
     starts = [None] * len(lps) if starts is None else list(starts)
     if len(starts) != len(lps):
         raise ValueError(f"{len(starts)} starts for {len(lps)} programs")
-    if len(lps) < 2:
-        return [_solve_one(lp, start) for lp, start in zip(lps, starts)]
-    m, n = lps[0].eq_matrix.shape
-    if any(lp.eq_matrix.shape != (m, n) for lp in lps):
+    if any(lp.eq_matrix.shape != lps[0].eq_matrix.shape for lp in lps):
         raise ValueError("programs solved together must share one shape")
+    return _solve(lps, starts) if lps else []
+
+
+def _solve(lps: list, starts: list) -> list[LpOutcome]:
+    # The body of `solve_lp` and `solve_lps`, so that a wrapper around either
+    # public name (as a span recorder installs) sees each call once.  Cold
+    # members pivot their bases in row by row, restarted members copy their
+    # start's tableau, and every cost row is then replaced and re-priced.
+    m, n = lps[0].eq_matrix.shape
     T = np.zeros((len(lps), m + 1, n + 1))
     bases = np.empty((len(lps), m), dtype=int)
     for i, (lp, start) in enumerate(zip(lps, starts)):
@@ -408,21 +365,18 @@ def solve_lps(lps, *, starts=None) -> list[LpOutcome]:
         else:
             _check_start(lp, start)
             T[i], bases[i] = start.tableau, start.basis
+    # A cold basis whose columns, in row order, hold exactly the unit vectors
+    # needs no set-up pivots: they would only turn -0.0 entries into 0.0.
+    at = np.arange(len(lps))
     cold = np.array([start is None for start in starts])
-    unit = cold & _unit_bases(T, bases)
-    T[unit, :m] += 0.0  # the set-up pivots would only turn -0.0 into 0.0
-    setup = (cold & ~unit).nonzero()[0]
-    if setup.size:
-        C = T[setup]
-        at = np.arange(setup.size)
-        for r in range(m):
-            cols = bases[setup, r]
-            column = C[at, :, cols]
-            singular = np.abs(column[:, r]) <= _PIVOT_TOL
-            if singular.any():
-                raise SolverError("starting basis is singular", int(setup[singular.argmax()]))
-            _pivot_stack(C, r, cols, column)
-        T[setup] = C
+    unit = cold & (T[at[:, None, None], np.arange(m)[:, None], bases[:, None, :]]
+                   == np.eye(m)).all(axis=(1, 2))
+    T[unit, :m] += 0.0
+    for i in (cold & ~unit).nonzero()[0].tolist():
+        for r, j in enumerate(bases[i].tolist()):
+            if abs(T[i, r, j]) <= _PIVOT_TOL:
+                raise SolverError("starting basis is singular", i)
+            _pivot(T[i], r, j)
     infeasible = (T[:, :m, -1] < -FEASIBILITY_TOL).any(axis=1)
     if infeasible.any():
         raise SolverError("starting basis is infeasible", int(infeasible.argmax()))
@@ -432,8 +386,7 @@ def solve_lps(lps, *, starts=None) -> list[LpOutcome]:
     costs = np.array([lp.objective for lp in lps])
     T[:, -1, :n] = costs
     T[:, -1, -1] = 0.0
-    T[:, -1, :] -= np.matmul(costs[np.arange(len(lps))[:, None], bases][:, None, :],
-                             T[:, :m, :])[:, 0, :]
+    T[:, -1, :] -= np.matmul(costs[at[:, None], bases][:, None, :], T[:, :m, :])[:, 0, :]
     return [_outcome(lp, status, Ti, basis)
             for lp, status, Ti, basis in zip(lps, _run_stack(T, bases), T, bases)]
 

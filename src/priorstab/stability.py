@@ -8,13 +8,10 @@ each competitor's convex band minimum; the need comes from a single linear
 program.  When no prior anywhere makes an act optimal, a mixture of the
 competing acts strictly dominates it, and that mixture is returned as a
 checkable certificate.  A profile over several priors decides this once per
-act, and builds the need programs of all its acts once, as one block of
-constraints.  The reference prior enters a program only through its
-objective, so a profile solves them in two stacked simplex runs
-(`solve_lps`), each member exactly as it would run alone: a cold stack
-holding each act at its first prior, and a restart stack holding every
-further (act, prior) pair, restarted from the act's first optimal tableau.
-The needs of a stack are read off their final bases in one stacked solve.
+act and builds the need programs of all its acts as one block.  A program's
+reference prior enters only its objective, so a profile solves a cold stack
+of each act's first program (`solve_lps`) and a restart stack of every later
+one, restarted from the act's first optimal tableau.
 """
 
 from __future__ import annotations
@@ -314,16 +311,14 @@ class NeedProgram:
     with u, l, w >= 0 and y = y+ - y- free.  Variables: y+, y- (2), u (m),
     l (m), w (k) and one slack per row (m + 1).  The right-hand side is
     (0, ..., 0, 1), so the slack basis is feasible, and the reference prior
-    pi0 enters only the objective.  Programs are built by `_need_programs`,
-    several acts at a time, as one block of constraints.  ``last`` holds the
-    latest optimal outcome of `contamination_need`, from which its next solve
-    restarts, so a program is mutable state: it is not to be shared between
-    threads.
+    pi0 enters only the objective.  ``last`` holds the latest optimal
+    outcome of `contamination_need`, from which its next solve restarts, so
+    a program is mutable state: it is not to be shared between threads.
     """
 
     def __init__(self, problem: DecisionProblem, act: str):
-        (built,) = _need_programs(problem, [act])
-        self.__dict__.update(built.__dict__)
+        (self._program,), (self._norms,) = _need_block(problem, [act])
+        self.problem, self.act, self.last = problem, act, None
 
     def at(self, prior: Prior, tol: float = 0.0) -> LinearProgram:
         """The program with ``prior`` as the reference.
@@ -343,10 +338,10 @@ class NeedProgram:
         return self._program.with_objective(objective)
 
 
-def _need_programs(problem: DecisionProblem, acts) -> list[NeedProgram]:
-    """The need programs of ``acts``, built as one (acts, m + 1, n) block of
-    constraints and validated once; each act's program holds its own matrix
-    of the block."""
+def _need_block(problem: DecisionProblem, acts) -> tuple[list[LinearProgram], np.ndarray]:
+    """The need programs of ``acts`` (see `NeedProgram`), under a zero
+    objective, and their dominance rows' norms, built as one (acts, m + 1, n)
+    block of constraints and validated once."""
     u = problem.utilities
     rows = np.array([problem.act_index(act) for act in acts], dtype=int)
     k, m = problem.num_acts - 1, problem.num_states
@@ -368,13 +363,7 @@ def _need_programs(problem: DecisionProblem, acts) -> list[NeedProgram]:
     A[:, :, w + k:] = np.eye(m + 1)
     b = np.zeros(m + 1)
     b[m] = 1.0
-    built = []
-    for act, lp, act_norms in zip(acts, LinearProgram.block(A, b, w + k + np.arange(m + 1)), norms):
-        program = object.__new__(NeedProgram)
-        program.problem, program.act, program._program, program._norms = problem, act, lp, act_norms
-        program.last = None
-        built.append(program)
-    return built
+    return LinearProgram.block(A, b, w + k + np.arange(m + 1)), norms
 
 
 def _need_objective(size: int, prior: Prior) -> np.ndarray:
@@ -416,12 +405,11 @@ def _unbounded_need(program: NeedProgram, prior: Prior, tol: float) -> Need:
     """The need of ``program``'s act at ``prior`` where its program there is
     unbounded; ``tol`` is the tie tolerance of the Bayes sets.
 
-    An unbounded program means no prior makes the act exactly optimal.  The
-    act may still be Bayes somewhere by the tie rule, within ``tol`` of every
-    competitor; the program loosened by ``tol`` decides that, and its optimum
-    is then the need.  Only an act Bayes nowhere gets a strictly dominating
-    mixture as its certificate, so no profile row calls an act inadmissible
-    that another row finds Bayes.
+    No prior makes the act exactly optimal, but it may be Bayes somewhere by
+    the tie rule; the program loosened by ``tol`` decides that, and its
+    optimum is then the need.  Only an act Bayes nowhere gets a strictly
+    dominating mixture as its certificate, so no profile row calls an act
+    inadmissible that another row finds Bayes.
     """
     loose = solve_lp(program.at(prior, tol))
     if loose.status is LpStatus.OPTIMAL:
@@ -458,10 +446,10 @@ def contamination_need(
     program loosened by the problem's tie tolerance then decides whether a
     prior makes it Bayes by `bayes_acts`' rule, and only where none does is
     the need infinite, certified by a strictly dominating mixture.
-    ``program`` is the act's program, built
-    from this problem, to be reused across priors: the solve restarts from
-    its last optimal outcome and leaves its own optimum there.  Without it the
-    program is built and solved cold.  Either way the need is read off the
+    ``program`` is the act's program, built from this problem, to be reused
+    across priors: the solve restarts from its last optimal outcome and
+    leaves its own optimum there.  Without it the program is built and solved
+    cold.  Either way the need is read off the
     final basis alone, so it does not depend on the priors solved before.
     """
     if a in (bayes_acts(problem, prior) if bayes is None else bayes):
@@ -508,41 +496,6 @@ class StabilityProfile:
         return tuple(r for r in self.rows if r.prior == prior)
 
 
-def _stacked_needs(programs, priors, members, tol: float) -> dict:
-    """The needs of (act, prior index) ``members`` from one `solve_lps` stack.
-
-    Each member restarts from its program's ``last``, the act's first
-    optimum, or starts cold where there is none yet; the first optimum of an
-    act is kept as its ``last``.  Optimal members are read off their bases in one stacked solve, and an
-    unbounded one as `contamination_need` reads it, with the tie tolerance
-    ``tol``.  Failures are re-raised with the member's act and prior.
-    """
-    objectives = {}
-    lps = []
-    for act, j in members:
-        program = programs[act]
-        if j not in objectives:
-            objectives[j] = _need_objective(program._program.num_variables, priors[j])
-        lps.append(program._program.with_objective(objectives[j]))
-    try:
-        outs = solve_lps(lps, starts=[programs[act].last for act, _ in members])
-    except SolverError as exc:
-        act, j = members[exc.member]
-        raise SolverError(f"act {act!r}, prior {priors[j].name!r}: {exc}") from exc
-    optimal = [i for i, out in enumerate(outs) if out.status is LpStatus.OPTIMAL]
-    needs = dict(zip([members[i] for i in optimal], _needs_off_bases([outs[i] for i in optimal])))
-    for (act, j), out in zip(members, outs):
-        if out.status is LpStatus.OPTIMAL:
-            if programs[act].last is None:
-                programs[act].last = out
-            continue
-        try:
-            needs[act, j] = _unbounded_need(programs[act], priors[j], tol)
-        except (SolverError, ValueError) as exc:
-            raise type(exc)(f"act {act!r}, prior {priors[j].name!r}: {exc}") from exc
-    return needs
-
-
 def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     """Compute radius and need for every (act, prior) pair.
 
@@ -560,22 +513,19 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     that sets ``is_bayes``: the smaller table has a smaller utility range and
     so a tighter tie tolerance.
 
-    The need programs of every undominated act that is not Bayes at some
-    prior are built as one block (`_need_programs`) and solved in two
-    stacked simplex runs (`solve_lps`).  The cold stack holds each act's
-    program at the first prior where the act is not Bayes, started from the
-    slack basis.  The reference prior enters the program only through its
-    objective, so the restart stack holds the program at every later such
-    prior, each of which restarts from the act's first optimal tableau with
-    the new prior's cost row; it is cut into stacks of at most
-    ``_RESTART_CHUNK`` members, so that memory stays bounded however many
-    priors there are.  Each member takes the pivots and bits of its own solo
-    run, and the needs of a stack are read off their members' final bases in
-    one stacked solve, as `contamination_need` reads one, with the full
-    table's tie tolerance where a program is unbounded.  Rows of one act
-    share its program while `robustness_radius` and `contamination_need`
-    stay usable row by row.  Failures are re-raised with the offending act,
-    and prior where there is one, attached.
+    The need programs of the undominated acts are built as one block
+    (`_need_block`) and solved in stacked simplex runs (`solve_lps`), each
+    member taking the pivots and bits of its own solo run.  The cold stack
+    holds each act's program at the first prior where the act is not Bayes.
+    The reference prior enters a program only through its objective, so the
+    restart stack holds the program at every later such prior, restarted from
+    the act's first optimal tableau with the new prior's cost row; it is cut
+    into stacks of ``_RESTART_CHUNK`` members, so memory stays bounded however
+    many priors there are.  The needs of a stack are read off their members'
+    final bases in one stacked solve, as `contamination_need` reads one, and
+    an unbounded program is resolved as there, with the full table's tie
+    tolerance.  Failures are re-raised with the offending act, and prior
+    where there is one, attached.
     """
     priors = list(priors)
     names = [p.name for p in priors]
@@ -599,26 +549,41 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     undominated = DecisionProblem(
         [problem.acts[i] for i in kept], problem.states, problem.utilities[kept]
     )
-    first, later = {}, []  # act -> its first prior with a need; later (act, prior)
-    for j, bset in enumerate(bsets):
-        for act in undominated.acts:
-            if act in bset:
-                continue
-            if act in first:
-                later.append((act, j))
-            else:
-                first[act] = j
-    programs = dict(zip(first, _need_programs(undominated, list(first))))
-    needs = _stacked_needs(programs, priors, list(first.items()), tol)
-    for lo in range(0, len(later), _RESTART_CHUNK):
-        needs.update(_stacked_needs(programs, priors, later[lo:lo + _RESTART_CHUNK], tol))
+    pending = [(act, j) for j, bset in enumerate(bsets) for act in undominated.acts
+               if act not in bset]
+    first = {}  # act -> its first prior with a need
+    for act, j in pending:
+        first.setdefault(act, j)
+    later = [(act, j) for act, j in pending if j != first[act]]
+    lps = dict(zip(first, _need_block(undominated, list(first))[0]))
+    # One objective per prior, sized like every need program (none if none)
+    objectives = [_need_objective(lp.num_variables, prior)
+                  for lp in list(lps.values())[:1] for prior in priors]
+    last, needs = {}, {}  # per act, its first optimum; per (act, prior), its need
+    for members in [list(first.items())] + [
+        later[lo:lo + _RESTART_CHUNK] for lo in range(0, len(later), _RESTART_CHUNK)
+    ]:
+        try:
+            outs = solve_lps([lps[act].with_objective(objectives[j]) for act, j in members],
+                             starts=[last.get(act) for act, _ in members])
+        except SolverError as exc:
+            act, j = members[exc.member]
+            raise SolverError(f"act {act!r}, prior {priors[j].name!r}: {exc}") from exc
+        optimal = [(member, out) for member, out in zip(members, outs)
+                   if out.status is LpStatus.OPTIMAL]
+        needs.update(zip([member for member, _ in optimal],
+                         _needs_off_bases([out for _, out in optimal])))
+        for (act, _), out in optimal:
+            last.setdefault(act, out)
     rows = []
     for j, (prior, bset) in enumerate(zip(priors, bsets)):
         for act in problem.acts:
             try:
                 if certificates[act] is None:
                     radius = robustness_radius(undominated, act, prior, bayes=bset)
-                    need = Need.value(0.0) if act in bset else needs[act, j]
+                    need = Need.value(0.0) if act in bset else needs.get((act, j))
+                    if need is None:  # its program is unbounded
+                        need = _unbounded_need(NeedProgram(undominated, act), prior, tol)
                 else:
                     radius = Radius.not_bayes()
                     need = Need.infeasible(certificates[act])

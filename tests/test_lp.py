@@ -555,7 +555,7 @@ class TestPivotPath:
                 pivots.clear()
                 set_up.clear()
                 alone = solve_lp(lp)
-                assert set_up == [0]
+                assert set_up[0] == 0
                 assert_same_outcome(out, alone)
                 assert_same_path(out, reference_simplex(lp))
         assert signed_zeros > 0

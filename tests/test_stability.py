@@ -669,7 +669,7 @@ class TestStabilityProfile:
         priors = [Prior(f"p{i}", [w, 1.0 - w]) for i, w in enumerate((0.1, 0.5, 0.9))]
         calls, need_acts = [], set()
         certificate = stab.strict_inadmissibility_certificate
-        build = stab._need_programs
+        build = stab._need_block
 
         def counted(problem, act):
             calls.append(act)
@@ -680,7 +680,7 @@ class TestStabilityProfile:
             return build(problem, acts)
 
         monkeypatch.setattr(stab, "strict_inadmissibility_certificate", counted)
-        monkeypatch.setattr(stab, "_need_programs", spied)
+        monkeypatch.setattr(stab, "_need_block", spied)
         profile = stab.stability_profile(problem, priors)
         # b and c are optimal under some prior, so only "low" needs a program
         assert calls == ["low"]
