@@ -121,6 +121,9 @@ class LinearProgram:
         object.__setattr__(self, "eq_matrix", A)
         object.__setattr__(self, "eq_rhs", b)
         object.__setattr__(self, "basis", basis)
+        # Whether the basis columns, in row order, are exactly the unit
+        # vectors, so that a cold start needs no set-up pivots.
+        object.__setattr__(self, "_unit_basis", bool((A[:, basis] == np.eye(b.size)).all()))
 
     @classmethod
     def block(cls, eq_block, eq_rhs, basis) -> list[LinearProgram]:
@@ -130,10 +133,13 @@ class LinearProgram:
         A = np.asarray(eq_block, dtype=float)
         if A.ndim != 3 or not np.isfinite(A).all():
             raise ValueError("eq_block must be a finite three-dimensional array")
-        programs = [cls(np.zeros(A.shape[2]), matrix, eq_rhs, basis) for matrix in A[:1]]
-        for matrix in A[1:]:
+        if not len(A):
+            return []
+        programs = [cls(np.zeros(A.shape[2]), A[0], eq_rhs, basis)]
+        units = (A[:, :, programs[0].basis] == np.eye(A.shape[1])).all(axis=(1, 2))
+        for matrix, unit in zip(A[1:], units[1:].tolist()):
             lp = object.__new__(cls)
-            lp.__dict__.update(programs[0].__dict__, eq_matrix=matrix)
+            lp.__dict__.update(programs[0].__dict__, eq_matrix=matrix, _unit_basis=unit)
             programs.append(lp)
         return programs
 
@@ -295,6 +301,22 @@ def _run_stack(T: np.ndarray, bases: np.ndarray) -> list[LpStatus]:
     return status
 
 
+def _cold_start(T: np.ndarray, lp: LinearProgram) -> None:
+    """Fill the zeroed tableau ``T`` with ``lp``'s constraints and pivot its
+    basis in, row by row.  A basis of unit vectors in row order is left as
+    it stands: its pivots would only turn -0.0 entries into 0.0."""
+    m, n = lp.eq_matrix.shape
+    T[:m, :n] = lp.eq_matrix
+    T[:m, -1] = lp.eq_rhs
+    if lp._unit_basis:
+        T[:m] += 0.0
+        return
+    for r, j in enumerate(lp.basis.tolist()):
+        if abs(T[r, j]) <= _PIVOT_TOL:
+            raise SolverError("starting basis is singular")
+        _pivot(T, r, j)
+
+
 def _check_start(lp: LinearProgram, start: LpOutcome) -> None:
     if start.tableau is None:
         raise ValueError("a restart needs an optimal outcome with its tableau")
@@ -313,6 +335,29 @@ def _outcome(lp: LinearProgram, status: LpStatus, T: np.ndarray, basis: np.ndarr
     )
 
 
+def _solve_one(lp: LinearProgram, start: LpOutcome | None) -> LpOutcome:
+    # The body of `solve_lp`, which `solve_lps` also runs for a lone program:
+    # a wrapper around either public name (as a span recorder installs) then
+    # sees each call once.
+    c = lp.objective
+    m, n = lp.eq_matrix.shape
+    if start is None:
+        basis = lp.basis.copy()
+        T = np.zeros((m + 1, n + 1))
+        _cold_start(T, lp)
+    else:
+        _check_start(lp, start)
+        basis = start.basis.copy()
+        T = start.tableau.copy()
+    if (T[:m, -1] < -FEASIBILITY_TOL).any():
+        raise SolverError("starting basis is infeasible")
+    T[:m, -1] = np.maximum(T[:m, -1], 0.0)
+    T[-1, :n] = c
+    T[-1, -1] = 0.0
+    T[-1, :] -= c[basis] @ T[:m, :]
+    return _outcome(lp, _run_simplex(T, basis), T, basis)
+
+
 def solve_lp(lp: LinearProgram, *, start: LpOutcome | None = None) -> LpOutcome:
     """Solve a standard-form program from a feasible basis (phase 2 only).
 
@@ -327,66 +372,54 @@ def solve_lp(lp: LinearProgram, *, start: LpOutcome | None = None) -> LpOutcome:
     infeasible starting basis is the caller's error and raises
     ``SolverError``.
     """
-    return _solve([lp], [start])[0]
+    return _solve_one(lp, start)
 
 
 def solve_lps(lps, *, starts=None) -> list[LpOutcome]:
     """Solve programs of one shape side by side, each as `solve_lp` would alone.
 
     ``starts`` holds, per program, ``None`` or an outcome to restart from,
-    under the rules of `solve_lp`'s ``start``.  The programs share one stack
-    of tableaux, which `_run_stack` runs.  Each outcome equals `solve_lp`'s
-    bit for bit, and an unbounded member drops out while the others go on.
-    A failure raises `SolverError` with ``member`` set to the position of
-    the program at fault.
+    under the rules of `solve_lp`'s ``start``.  A lone program runs as in
+    `solve_lp`.  Several share one stack of tableaux: cold members are set up
+    as in `solve_lp`, restarted members copy their start's tableau, and then
+    `_run_stack` runs them all.  Each outcome equals `solve_lp`'s bit for
+    bit, and an unbounded member drops out while the others go on.  A
+    failure raises `SolverError` with ``member`` set to the position of the
+    program at fault.
     """
     lps = list(lps)
     starts = [None] * len(lps) if starts is None else list(starts)
     if len(starts) != len(lps):
         raise ValueError(f"{len(starts)} starts for {len(lps)} programs")
-    if any(lp.eq_matrix.shape != lps[0].eq_matrix.shape for lp in lps):
-        raise ValueError("programs solved together must share one shape")
-    return _solve(lps, starts) if lps else []
-
-
-def _solve(lps: list, starts: list) -> list[LpOutcome]:
-    # The body of `solve_lp` and `solve_lps`, so that a wrapper around either
-    # public name (as a span recorder installs) sees each call once.  Cold
-    # members pivot their bases in row by row, restarted members copy their
-    # start's tableau, and every cost row is then replaced and re-priced.
+    if len(lps) < 2:
+        return [_solve_one(lp, start) for lp, start in zip(lps, starts)]
     m, n = lps[0].eq_matrix.shape
+    if any(lp.eq_matrix.shape != (m, n) for lp in lps):
+        raise ValueError("programs solved together must share one shape")
     T = np.zeros((len(lps), m + 1, n + 1))
     bases = np.empty((len(lps), m), dtype=int)
     for i, (lp, start) in enumerate(zip(lps, starts)):
-        if start is None:
-            T[i, :m, :n] = lp.eq_matrix
-            T[i, :m, -1] = lp.eq_rhs
-            bases[i] = lp.basis
-        else:
+        if start is not None:
             _check_start(lp, start)
             T[i], bases[i] = start.tableau, start.basis
-    # A cold basis whose columns, in row order, hold exactly the unit vectors
-    # needs no set-up pivots: they would only turn -0.0 entries into 0.0.
-    at = np.arange(len(lps))
-    cold = np.array([start is None for start in starts])
-    unit = cold & (T[at[:, None, None], np.arange(m)[:, None], bases[:, None, :]]
-                   == np.eye(m)).all(axis=(1, 2))
-    T[unit, :m] += 0.0
-    for i in (cold & ~unit).nonzero()[0].tolist():
-        for r, j in enumerate(bases[i].tolist()):
-            if abs(T[i, r, j]) <= _PIVOT_TOL:
-                raise SolverError("starting basis is singular", i)
-            _pivot(T[i], r, j)
-    infeasible = (T[:, :m, -1] < -FEASIBILITY_TOL).any(axis=1)
-    if infeasible.any():
-        raise SolverError("starting basis is infeasible", int(infeasible.argmax()))
+            continue
+        bases[i] = lp.basis
+        try:
+            _cold_start(T[i], lp)
+        except SolverError as exc:
+            exc.member = i
+            raise
+    infeasible = (T[:, :m, -1] < -FEASIBILITY_TOL).nonzero()[0]
+    if infeasible.size:
+        raise SolverError("starting basis is infeasible", int(infeasible[0]))
     T[:, :m, -1] = np.maximum(T[:, :m, -1], 0.0)
     # One stacked matmul prices every cost row: it runs the same BLAS product
     # on each member as a 2D one does, so each row takes the same bits.
     costs = np.array([lp.objective for lp in lps])
     T[:, -1, :n] = costs
     T[:, -1, -1] = 0.0
-    T[:, -1, :] -= np.matmul(costs[at[:, None], bases][:, None, :], T[:, :m, :])[:, 0, :]
+    T[:, -1, :] -= np.matmul(np.take_along_axis(costs, bases, axis=1)[:, None, :],
+                             T[:, :m, :])[:, 0, :]
     return [_outcome(lp, status, Ti, basis)
             for lp, status, Ti, basis in zip(lps, _run_stack(T, bases), T, bases)]
 

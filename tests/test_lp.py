@@ -589,6 +589,25 @@ class TestPivotPath:
         for out in solve_lps([scaled, lp]):
             assert_same_path(out, reference_simplex(out.program))
 
+    def test_a_block_validates_once_and_judges_each_basis_apart(self):
+        # The programs of a block share its basis columns' positions, but
+        # only the matrices whose columns there are unit vectors skip the
+        # set-up pivots; every program takes the reference's bits
+        lp = inequality_form([1.0, -1.0], [[1.0, 1.0], [2.0, -1.0]], [1.0, 2.0])
+        signed = np.where(lp.eq_matrix == 0.0, -0.0, lp.eq_matrix)
+        block = np.stack([lp.eq_matrix, lp.eq_matrix * [[2.0], [0.5]], signed])
+        programs = LinearProgram.block(block, lp.eq_rhs, lp.basis)
+        assert [p._unit_basis for p in programs] == [True, False, True]
+        assert all(p.eq_matrix.base is programs[0].eq_matrix.base for p in programs)
+        for program in programs:
+            program = program.with_objective(lp.objective)
+            out = solve_lp(program)
+            assert_same_path(out, reference_simplex(program))
+        assert LinearProgram.block(block[:0], lp.eq_rhs, lp.basis) == []
+        for bad in (block[0], np.where(block == 2.0, np.inf, block)):
+            with pytest.raises(ValueError, match="finite three-dimensional"):
+                LinearProgram.block(bad, lp.eq_rhs, lp.basis)
+
     def test_stacked_read_off_takes_each_members_bits(self, monkeypatch):
         # Every optimal need program of some profiles, read off its basis
         # within its stack, alone, and by a 2D solve of its own
