@@ -409,16 +409,16 @@ def solve_lps(lps, *, starts=None) -> list[LpOutcome]:
         except SolverError as exc:
             exc.member = i
             raise
-    infeasible = (T[:, :m, -1] < -FEASIBILITY_TOL).nonzero()[0]
-    if infeasible.size:
-        raise SolverError("starting basis is infeasible", int(infeasible[0]))
+    infeasible = (T[:, :m, -1] < -FEASIBILITY_TOL).any(axis=1)
+    if infeasible.any():
+        raise SolverError("starting basis is infeasible", int(infeasible.argmax()))
     T[:, :m, -1] = np.maximum(T[:, :m, -1], 0.0)
     # One stacked matmul prices every cost row: it runs the same BLAS product
     # on each member as a 2D one does, so each row takes the same bits.
     costs = np.array([lp.objective for lp in lps])
     T[:, -1, :n] = costs
     T[:, -1, -1] = 0.0
-    T[:, -1, :] -= np.matmul(np.take_along_axis(costs, bases, axis=1)[:, None, :],
+    T[:, -1, :] -= np.matmul(costs[np.arange(len(lps))[:, None], bases][:, None, :],
                              T[:, :m, :])[:, 0, :]
     return [_outcome(lp, status, Ti, basis)
             for lp, status, Ti, basis in zip(lps, _run_stack(T, bases), T, bases)]
