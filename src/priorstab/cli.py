@@ -292,6 +292,8 @@ def cmd_scenarios(args) -> int:
     book = load_weights(args.weights)
     if args.k < 1:
         raise InputError(f"--k must be at least 1, got {args.k}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be nonnegative, got {args.seed}")
     market = args.market if args.market else panel.assets[0]
     if market not in panel.assets:
         raise InputError(f"--market {market!r} is not a column of {args.monthly}")
@@ -348,11 +350,8 @@ def cmd_baselines(args) -> int:
     mixed = gamma_aggregate(problem, prior, epsilon, "mix", eta)
     rex = rex_score(problem, prior, mu)
 
-    rows = []
-    for act in problem.acts:
-        rows.append((prior.name, act, "gamma_min", worst.values[act]))
-        rows.append((prior.name, act, "gamma_max", best.values[act]))
-        rows.append((prior.name, act, "rex", rex.values[act]))
+    rows = [(prior.name, act, measure, result.values[act]) for act in problem.acts
+            for measure, result in (("gamma_min", worst), ("gamma_max", best), ("rex", rex))]
     write_reports(args.out, {
         "baselines.csv": render_rows(["prior", "act", "measure", "value"], rows)
     })

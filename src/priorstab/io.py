@@ -30,6 +30,7 @@ __all__ = [
     "load_priors",
     "load_utilities",
     "load_weights",
+    "render_data_rows",
     "render_json",
     "render_rows",
     "write_reports",
@@ -153,7 +154,7 @@ def parse_priors(stream, source: str) -> tuple[tuple[str, ...], list[Prior]]:
 
 
 def load_costs(path) -> dict[str, float]:
-    """`act,cost` rows of nonnegative costs."""
+    """`act,cost` rows of finite nonnegative costs."""
     rows = _read_rows(path)
     source = str(path)
     lineno, header = rows[0]
@@ -166,8 +167,9 @@ def load_costs(path) -> dict[str, float]:
         if act in costs:
             raise InputError(f"{source}:{lineno}: duplicate act {act!r}")
         value = _number(source, lineno, row[1], "cost")
-        if value < 0.0:
-            raise InputError(f"{source}:{lineno}: cost must be nonnegative, got {value!r}")
+        if not (math.isfinite(value) and value >= 0.0):
+            raise InputError(
+                f"{source}:{lineno}: cost must be finite and nonnegative, got {value!r}")
         costs[act] = value
     if not costs:
         raise InputError(f"{source}: no cost rows")
@@ -333,9 +335,7 @@ def write_reports(directory, texts: dict[str, str]) -> None:
 
 def render_rows(header: list[str], rows) -> str:
     """A CSV report; floats at 9 significant digits, sentinels quoted."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_render_cell(cell) for cell in row))
+    lines = [",".join(header)] + [",".join(_render_cell(cell) for cell in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -5,27 +5,24 @@ standard form (min c.x subject to A x = b and x >= 0), and a closed-form
 greedy minimizer for linear objectives over the intersection of a coordinate
 band with the probability simplex.  The simplex works on a dense tableau,
 which suits the small programs solved here.  Every program carries a
-feasible starting basis of its own (the package poses the need program in
-dual form, whose slack basis is feasible, and the certificate program from a
-known vertex), so there is no phase 1.  Entering columns are priced by
-Dantzig's rule (most negative reduced cost); after a run of degenerate pivots
-the run switches to Bland's rule, which cannot cycle, so termination stays
-guaranteed.  Leaving-row ties always go to the lowest basic index.  Every
-choice is deterministic, so a program always yields the same vertex.
+feasible starting basis of its own, so there is no phase 1.  Entering
+columns are priced by Dantzig's rule (most negative reduced cost); after a
+run of degenerate pivots the run switches to Bland's rule, which cannot
+cycle, so termination stays guaranteed.  Leaving-row ties always go to the
+lowest basic index.  Every choice is deterministic, so a program always
+yields the same vertex.
 
 A cold start pivots the program's basis in, row by row, unless the basis
-columns, in row order, are exactly the unit vectors (the need program's slack
-basis): those pivots would only turn -0.0 entries into 0.0, so the tableau
-starts from the constraints plus 0.0.
+columns, in row order, are exactly the unit vectors (a slack basis): those
+pivots would only turn -0.0 entries into 0.0, so the tableau starts from the
+constraints plus 0.0.
 
 An optimal outcome keeps its final basis and tableau.  A program built on
 the same constraint arrays (A and b) and differing only in its objective
-(`LinearProgram.with_objective`) can restart from that outcome: the basis is
-still feasible, so only the cost row is replaced and re-priced, and phase 2
-continues from the old optimum (parametric cost, Dantzig 1963).  The need
-program of an act, whose reference prior enters only its objective, is
-restarted this way across the priors of a profile, each further prior from
-the act's first optimum.
+(`LinearProgram.with_objective`) can restart from that outcome
+(`solve_lps`' ``starts``): the basis is still feasible, so only the cost row
+is replaced and re-priced, and phase 2 continues from the old optimum
+(parametric cost, Dantzig 1963).
 
 Programs of one shape can run side by side (`solve_lps`) in one
 (members, rows, columns) stack of tableaux.  A pivot here costs about as much
@@ -145,8 +142,8 @@ class LinearProgram:
 
     def with_objective(self, objective) -> LinearProgram:
         """This program under a new objective, on the very same constraint
-        arrays and basis, so that `solve_lp` can restart it from an outcome of
-        this program.  Only the objective is validated: the constraints were
+        arrays and basis, so that `solve_lps` can restart it from an outcome
+        of this program.  Only the objective is validated: the constraints were
         checked when this program was built."""
         c = _vector(objective, "objective")
         if c.shape != self.objective.shape:
@@ -166,7 +163,7 @@ class LinearProgram:
 class LpOutcome:
     """Status, optimal value and point; an optimal outcome also keeps the
     program it solved and its final basis and tableau, from which
-    `solve_lp` can restart."""
+    `solve_lps` can restart."""
 
     status: LpStatus
     value: float | None = None
@@ -358,34 +355,32 @@ def _solve_one(lp: LinearProgram, start: LpOutcome | None) -> LpOutcome:
     return _outcome(lp, _run_simplex(T, basis), T, basis)
 
 
-def solve_lp(lp: LinearProgram, *, start: LpOutcome | None = None) -> LpOutcome:
-    """Solve a standard-form program from a feasible basis (phase 2 only).
+def solve_lp(lp: LinearProgram) -> LpOutcome:
+    """Solve a standard-form program from its own feasible basis (phase 2
+    only).
 
-    Without ``start`` the run begins at the program's own basis.  With it,
-    the run restarts from that earlier optimal outcome, which must come from
-    a program holding the very same ``eq_matrix`` and ``eq_rhs`` arrays, left
-    unmodified (only the objective may differ; a start solved on other
-    arrays is rejected): its final tableau is copied, its cost row replaced
-    by this objective and re-priced, and the simplex continues from its
-    basis.  Returns a basic optimal solution; its point is clipped at 0, so
-    pivot rounding never leaves a coordinate below its bound.  A singular or
+    Returns a basic optimal solution; its point is clipped at 0, so pivot
+    rounding never leaves a coordinate below its bound.  A singular or
     infeasible starting basis is the caller's error and raises
     ``SolverError``.
     """
-    return _solve_one(lp, start)
+    return _solve_one(lp, None)
 
 
 def solve_lps(lps, *, starts=None) -> list[LpOutcome]:
-    """Solve programs of one shape side by side, each as `solve_lp` would alone.
+    """Solve programs of one shape side by side, each as it would run alone.
 
-    ``starts`` holds, per program, ``None`` or an outcome to restart from,
-    under the rules of `solve_lp`'s ``start``.  A lone program runs as in
-    `solve_lp`.  Several share one stack of tableaux: cold members are set up
-    as in `solve_lp`, restarted members copy their start's tableau, and then
-    `_run_stack` runs them all.  Each outcome equals `solve_lp`'s bit for
-    bit, and an unbounded member drops out while the others go on.  A
-    failure raises `SolverError` with ``member`` set to the position of the
-    program at fault.
+    ``starts`` holds, per program, ``None`` for a cold start (as `solve_lp`)
+    or an earlier optimal outcome to restart from.  That outcome must come
+    from a program holding the very same ``eq_matrix`` and ``eq_rhs`` arrays,
+    left unmodified (only the objective may differ; a start solved on other
+    arrays is rejected): its final tableau is copied, its cost row replaced
+    by this objective and re-priced, and the simplex continues from its
+    basis.  A lone program runs in the 2D loop.  Several share one stack of
+    tableaux, which `_run_stack` runs; each outcome equals the member's solo
+    run bit for bit, and an unbounded member drops out while the others go
+    on.  A failure raises `SolverError` with ``member`` set to the position
+    of the program at fault.
     """
     lps = list(lps)
     starts = [None] * len(lps) if starts is None else list(starts)

@@ -8,10 +8,7 @@ each competitor's convex band minimum; the need comes from a single linear
 program.  When no prior anywhere makes an act optimal, a mixture of the
 competing acts strictly dominates it, and that mixture is returned as a
 checkable certificate.  A profile over several priors decides this once per
-act and builds the need programs of all its acts as one block.  A program's
-reference prior enters only its objective, so a profile solves a cold stack
-of each act's first program (`solve_lps`) and a restart stack of every later
-one, restarted from the act's first optimal tableau.
+act, and solves the need programs of all its acts together (`_solve_needs`).
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ __all__ = [
     "DominanceCertificate",
     "Need",
     "NeedKind",
-    "NeedProgram",
     "Radius",
     "RadiusKind",
     "StabilityProfile",
@@ -301,47 +297,21 @@ def _bayes_at_probes(problem: DecisionProblem) -> list[str]:
     return [act for act, hit in zip(problem.acts, found.tolist()) if hit]
 
 
-class NeedProgram:
-    """The constraints of one act's need program, kept across priors.
-
-    The primal is min eps over pi in the simplex with |pi - pi0| <= eps and
-    diffs @ pi >= 0, where diffs holds the act's dominance rows scaled to
-    unit max-norm.  Its dual is max y - pi0.u + pi0.l subject to
-    y - u_j + l_j + (diffs.T w)_j <= 0 per state and sum(u) + sum(l) <= 1,
-    with u, l, w >= 0 and y = y+ - y- free.  Variables: y+, y- (2), u (m),
-    l (m), w (k) and one slack per row (m + 1).  The right-hand side is
-    (0, ..., 0, 1), so the slack basis is feasible, and the reference prior
-    pi0 enters only the objective.  ``last`` holds the latest optimal
-    outcome of `contamination_need`, from which its next solve restarts, so
-    a program is mutable state: it is not to be shared between threads.
-    """
-
-    def __init__(self, problem: DecisionProblem, act: str):
-        (self._program,), (self._norms,) = _need_block(problem, [act])
-        self.problem, self.act, self.last = problem, act, None
-
-    def at(self, prior: Prior, tol: float = 0.0) -> LinearProgram:
-        """The program with ``prior`` as the reference.
-
-        With ``tol`` > 0 each dominance row may fall short of 0 by ``tol``
-        utility units, so the act need only come within ``tol`` of every
-        competitor, as `bayes_acts`' tie rule asks: the primal rows become
-        diffs @ pi >= -tol / norm, which costs tol / norm per unit of w.
-        """
-        m = self.problem.num_states
-        if prior.dimension != m:
-            raise ValueError(f"prior {prior.name!r} has {prior.dimension} states, problem has {m}")
-        objective = _need_objective(self._program.num_variables, prior)
-        if tol > 0.0:
-            w = 2 + 2 * m
-            objective[w:w + self._norms.size] = tol / self._norms
-        return self._program.with_objective(objective)
-
-
 def _need_block(problem: DecisionProblem, acts) -> tuple[list[LinearProgram], np.ndarray]:
-    """The need programs of ``acts`` (see `NeedProgram`), under a zero
-    objective, and their dominance rows' norms, built as one (acts, m + 1, n)
-    block of constraints and validated once."""
+    """The need programs of ``acts``, under a zero objective, and their
+    dominance rows' norms, built as one (acts, m + 1, n) block of
+    constraints and validated once.
+
+    An act's need program is posed in dual form.  The primal is min eps over
+    pi in the simplex with |pi - pi0| <= eps and diffs @ pi >= 0, where
+    diffs holds the act's dominance rows scaled to unit max-norm.  Its dual
+    is max y - pi0.u + pi0.l subject to y - u_j + l_j + (diffs.T w)_j <= 0
+    per state and sum(u) + sum(l) <= 1, with u, l, w >= 0 and y = y+ - y-
+    free.  Variables: y+, y- (2), u (m), l (m), w (k) and one slack per row
+    (m + 1).  The right-hand side is (0, ..., 0, 1), so the slack basis is
+    feasible, and the reference prior pi0 enters only the objective
+    (`_need_objective`).
+    """
     u = problem.utilities
     rows = np.array([problem.act_index(act) for act in acts], dtype=int)
     k, m = problem.num_acts - 1, problem.num_states
@@ -366,11 +336,13 @@ def _need_block(problem: DecisionProblem, acts) -> tuple[list[LinearProgram], np
     return LinearProgram.block(A, b, w + k + np.arange(m + 1)), norms
 
 
-def _need_objective(size: int, prior: Prior) -> np.ndarray:
-    """The need program's objective at ``prior``: its dual objective
+def _need_objective(lp: LinearProgram, prior: Prior) -> np.ndarray:
+    """The objective of need program ``lp`` at ``prior``: its dual objective
     y - pi0.u + pi0.l, negated to be minimized."""
-    m = prior.dimension
-    objective = np.zeros(size)
+    m = lp.eq_rhs.size - 1
+    if prior.dimension != m:
+        raise ValueError(f"prior {prior.name!r} has {prior.dimension} states, problem has {m}")
+    objective = np.zeros(lp.num_variables)
     objective[0], objective[1] = -1.0, 1.0
     objective[2:2 + m] = prior.mass
     np.negative(prior.mass, out=objective[2 + m:2 + 2 * m])
@@ -401,8 +373,21 @@ def _needs_off_bases(outs) -> list[Need]:
     return [Need.value(min(max(-value, 0.0), 1.0)) for value in values.tolist()]
 
 
-def _unbounded_need(program: NeedProgram, prior: Prior, tol: float) -> Need:
-    """The need of ``program``'s act at ``prior`` where its program there is
+def _loosened_need(problem: DecisionProblem, act: str, prior: Prior, tol: float) -> LinearProgram:
+    """The need program of ``act`` at ``prior``, with each dominance row
+    allowed to fall short of 0 by ``tol`` utility units, so the act need
+    only come within ``tol`` of every competitor, as `bayes_acts`' tie rule
+    asks: the primal rows become diffs @ pi >= -tol / norm, which costs
+    tol / norm per unit of w."""
+    (lp,), (norms,) = _need_block(problem, [act])
+    objective = _need_objective(lp, prior)
+    w = 2 + 2 * problem.num_states
+    objective[w:w + norms.size] = tol / norms
+    return lp.with_objective(objective)
+
+
+def _unbounded_need(problem: DecisionProblem, act: str, prior: Prior, tol: float) -> Need:
+    """The need of ``act`` at ``prior`` where its need program there is
     unbounded; ``tol`` is the tie tolerance of the Bayes sets.
 
     No prior makes the act exactly optimal, but it may be Bayes somewhere by
@@ -411,59 +396,90 @@ def _unbounded_need(program: NeedProgram, prior: Prior, tol: float) -> Need:
     dominating mixture as its certificate, so no profile row calls an act
     inadmissible that another row finds Bayes.
     """
-    loose = solve_lp(program.at(prior, tol))
+    loose = solve_lp(_loosened_need(problem, act, prior, tol))
     if loose.status is LpStatus.OPTIMAL:
         return _needs_off_bases([loose])[0]
-    problem, a = program.problem, program.act
     # The need program scales each dominance row to unit max-norm, so it can
     # see a strict dominance that is small next to the table's largest gain;
     # the certificate program is then solved once more on that scaling.
-    certificate = strict_inadmissibility_certificate(problem, a)
+    certificate = strict_inadmissibility_certificate(problem, act)
     if certificate is None:
-        certificate = _certificate_on_row_scales(problem, a)
+        certificate = _certificate_on_row_scales(problem, act)
     if certificate is None:
         raise SolverError(
-            f"contamination program for act {a!r} is infeasible "
+            f"contamination program for act {act!r} is infeasible "
             "but no dominance certificate exists"
         )
     return Need.infeasible(certificate)
 
 
+def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
+    """The needs of the (act, prior index) pairs ``pending``, keyed by pair;
+    ``tol`` is the tie tolerance of the Bayes sets, and no pending act may be
+    Bayes at its prior.
+
+    The need programs of the pending acts are built as one block
+    (`_need_block`) and solved in stacked simplex runs (`solve_lps`), each
+    member taking the pivots and bits of its own solo run.  The cold stack
+    holds each act's program at its first pending prior.  The reference
+    prior enters a program only through its objective, so the restart stacks
+    hold the program at every later pending prior, restarted from the act's
+    first optimal tableau with the new prior's cost row; they are cut into
+    stacks of ``_RESTART_CHUNK`` members, so memory stays bounded however
+    many priors there are.  The needs of a stack are read off their members'
+    final bases (`_needs_off_bases`), and an unbounded program goes to
+    `_unbounded_need`.  Failures are re-raised with the act and prior at
+    fault attached.
+    """
+    first = {}  # act -> its first pending prior
+    for act, j in pending:
+        first.setdefault(act, j)
+    later = [(act, j) for act, j in pending if j != first[act]]
+    lps = dict(zip(first, _need_block(problem, list(first))[0]))
+    # One objective per prior, sized like every need program (none if none)
+    objectives = [_need_objective(lp, prior) for lp in list(lps.values())[:1] for prior in priors]
+    last, needs = {}, {}  # per act, its first optimum; per pair, its need
+    for members in [list(first.items())] + [
+        later[lo:lo + _RESTART_CHUNK] for lo in range(0, len(later), _RESTART_CHUNK)
+    ]:
+        try:
+            outs = solve_lps([lps[act].with_objective(objectives[j]) for act, j in members],
+                             starts=[last.get(act) for act, _ in members])
+        except SolverError as exc:
+            act, j = members[exc.member]
+            raise SolverError(f"act {act!r}, prior {priors[j].name!r}: {exc}") from exc
+        optimal = [(member, out) for member, out in zip(members, outs)
+                   if out.status is LpStatus.OPTIMAL]
+        needs.update(zip([member for member, _ in optimal],
+                         _needs_off_bases([out for _, out in optimal])))
+        for (act, _), out in optimal:
+            last.setdefault(act, out)
+    for act, j in pending:
+        if (act, j) not in needs:
+            try:
+                needs[act, j] = _unbounded_need(problem, act, priors[j], tol)
+            except (SolverError, ValueError) as exc:
+                raise type(exc)(f"act {act!r}, prior {priors[j].name!r}: {exc}") from exc
+    return needs
+
+
 def contamination_need(
-    problem: DecisionProblem,
-    a: str,
-    prior: Prior,
-    *,
-    bayes: BayesSet | None = None,
-    program: NeedProgram | None = None,
+    problem: DecisionProblem, a: str, prior: Prior, *, bayes: BayesSet | None = None
 ) -> Need:
     """Smallest band radius at which some prior in the band makes ``a`` optimal.
 
     Acts optimal at the reference prior need no contamination; ``bayes``
     decides which those are, as in `robustness_radius`.  Otherwise the need
-    is the optimum of a single program, solved in dual form (`NeedProgram`);
+    is the optimum of a single program, solved in dual form (`_need_block`);
     an unbounded dual means no prior makes ``a`` exactly optimal.  The
     program loosened by the problem's tie tolerance then decides whether a
     prior makes it Bayes by `bayes_acts`' rule, and only where none does is
     the need infinite, certified by a strictly dominating mixture.
-    ``program`` is the act's program, built from this problem, to be reused
-    across priors: the solve restarts from its last optimal outcome and
-    leaves its own optimum there.  Without it the program is built and solved
-    cold.  Either way the need is read off the
-    final basis alone, so it does not depend on the priors solved before.
     """
     if a in (bayes_acts(problem, prior) if bayes is None else bayes):
         return Need.value(0.0)
-    if program is None:
-        program = NeedProgram(problem, a)
-    elif program.problem is not problem or program.act != a:
-        raise ValueError(f"the need program passed was not built for act {a!r} of this problem")
-    out = solve_lp(program.at(prior), start=program.last)
-    if out.status is not LpStatus.OPTIMAL:
-        u = problem.utilities
-        return _unbounded_need(program, prior, TIE_TOL * (u.max() - u.min()))
-    program.last = out
-    return _needs_off_bases([out])[0]
+    u = problem.utilities
+    return _solve_needs(problem, [(a, 0)], [prior], TIE_TOL * (u.max() - u.min()))[a, 0]
 
 
 @dataclass(frozen=True)
@@ -511,21 +527,9 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     dropping the dominated ones changes no radius and no need.  Each row's
     radius and need are judged by the full table's Bayes set, the same one
     that sets ``is_bayes``: the smaller table has a smaller utility range and
-    so a tighter tie tolerance.
-
-    The need programs of the undominated acts are built as one block
-    (`_need_block`) and solved in stacked simplex runs (`solve_lps`), each
-    member taking the pivots and bits of its own solo run.  The cold stack
-    holds each act's program at the first prior where the act is not Bayes.
-    The reference prior enters a program only through its objective, so the
-    restart stack holds the program at every later such prior, restarted from
-    the act's first optimal tableau with the new prior's cost row; it is cut
-    into stacks of ``_RESTART_CHUNK`` members, so memory stays bounded however
-    many priors there are.  The needs of a stack are read off their members'
-    final bases in one stacked solve, as `contamination_need` reads one, and
-    an unbounded program is resolved as there, with the full table's tie
-    tolerance.  Failures are re-raised with the offending act, and prior
-    where there is one, attached.
+    so a tighter tie tolerance.  The needs of all (act, prior) pairs are
+    solved together (`_solve_needs`).  Failures are re-raised with the
+    offending act, and prior where there is one, attached.
     """
     priors = list(priors)
     names = [p.name for p in priors]
@@ -551,39 +555,14 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     )
     pending = [(act, j) for j, bset in enumerate(bsets) for act in undominated.acts
                if act not in bset]
-    first = {}  # act -> its first prior with a need
-    for act, j in pending:
-        first.setdefault(act, j)
-    later = [(act, j) for act, j in pending if j != first[act]]
-    lps = dict(zip(first, _need_block(undominated, list(first))[0]))
-    # One objective per prior, sized like every need program (none if none)
-    objectives = [_need_objective(lp.num_variables, prior)
-                  for lp in list(lps.values())[:1] for prior in priors]
-    last, needs = {}, {}  # per act, its first optimum; per (act, prior), its need
-    for members in [list(first.items())] + [
-        later[lo:lo + _RESTART_CHUNK] for lo in range(0, len(later), _RESTART_CHUNK)
-    ]:
-        try:
-            outs = solve_lps([lps[act].with_objective(objectives[j]) for act, j in members],
-                             starts=[last.get(act) for act, _ in members])
-        except SolverError as exc:
-            act, j = members[exc.member]
-            raise SolverError(f"act {act!r}, prior {priors[j].name!r}: {exc}") from exc
-        optimal = [(member, out) for member, out in zip(members, outs)
-                   if out.status is LpStatus.OPTIMAL]
-        needs.update(zip([member for member, _ in optimal],
-                         _needs_off_bases([out for _, out in optimal])))
-        for (act, _), out in optimal:
-            last.setdefault(act, out)
+    needs = _solve_needs(undominated, pending, priors, tol)
     rows = []
     for j, (prior, bset) in enumerate(zip(priors, bsets)):
         for act in problem.acts:
             try:
                 if certificates[act] is None:
                     radius = robustness_radius(undominated, act, prior, bayes=bset)
-                    need = Need.value(0.0) if act in bset else needs.get((act, j))
-                    if need is None:  # its program is unbounded
-                        need = _unbounded_need(NeedProgram(undominated, act), prior, tol)
+                    need = Need.value(0.0) if act in bset else needs[act, j]
                 else:
                     radius = Radius.not_bayes()
                     need = Need.infeasible(certificates[act])

@@ -11,7 +11,8 @@ import pytest
 
 from scipy.optimize import linprog
 
-from priorstab import DecisionProblem, Prior, minimize_over_band
+from priorstab import DecisionProblem, Prior
+from priorstab.lp import minimize_over_band
 from priorstab.selection import SCORE_TIE_TOL, ScoreBranch, score_lines
 
 # Tight tolerances for scipy's HiGHS, used as an independent LP oracle.

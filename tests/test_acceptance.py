@@ -13,20 +13,17 @@ import pytest
 from scipy.optimize import linprog
 
 from priorstab import (
-    CostAssignment,
     DecisionProblem,
-    NeedKind,
     Prior,
-    RadiusKind,
     bayes_acts,
     contamination_need,
-    expected_utility,
-    gamma_aggregate,
-    minimize_over_band,
-    rex_score,
     robustness_radius,
     selection_path,
 )
+from priorstab.core import expected_utility
+from priorstab.lp import minimize_over_band
+from priorstab.selection import CostAssignment, gamma_aggregate, rex_score
+from priorstab.stability import NeedKind, RadiusKind
 from priorstab.cli import main
 from priorstab.stability import Need, Radius, StabilityProfile, StabilityRow
 

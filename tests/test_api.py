@@ -1,7 +1,13 @@
 """The public surface: every module's ``__all__`` resolves, and the package's
-names are pinned, so a name cannot go stale or regrow unnoticed."""
+names are pinned, so a name cannot go stale or regrow unnoticed.  The
+package exports what the README's library example imports, and that example
+runs and prints what its comments say."""
 
+import ast
 import importlib
+import io
+import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -10,45 +16,14 @@ import priorstab
 MODULES = ("beliefs", "cli", "core", "io", "lp", "scenarios", "selection", "stability")
 
 PUBLIC = [
-    "BayesSet",
-    "CostAssignment",
     "DecisionProblem",
-    "DominanceCertificate",
-    "GammaResult",
-    "Need",
-    "NeedKind",
-    "PortfolioBook",
     "Prior",
-    "PriorCatalog",
-    "REGIME_ORDER",
-    "Radius",
-    "RadiusKind",
-    "RegimeModel",
-    "ReturnPanel",
-    "RexResult",
-    "ScoreBranch",
-    "SelectionPath",
-    "SolverError",
-    "StabilityProfile",
-    "StabilityRow",
     "__version__",
     "bayes_acts",
     "contamination_need",
-    "default_catalog",
-    "expected_utility",
-    "gamma_aggregate",
-    "generic_labels",
-    "kmeans_partition",
-    "label_regimes",
-    "minimize_over_band",
-    "monthly_features",
-    "portfolio_returns",
-    "rex_score",
     "robustness_radius",
     "selection_path",
     "stability_profile",
-    "strict_inadmissibility_certificate",
-    "utility_matrix",
     "variance_cost",
 ]
 
@@ -65,3 +40,36 @@ def test_package_names_are_pinned():
     assert sorted(priorstab.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(priorstab, name)
+
+
+def readme_example() -> str:
+    """The python block under the README's "Library use" heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Library use"):]
+    start = section.index("```python\n") + len("```python\n")
+    return section[start:section.index("```", start)]
+
+
+def test_readme_example_imports_the_package_surface():
+    imported = {alias.name for node in ast.walk(ast.parse(readme_example()))
+                if isinstance(node, ast.ImportFrom) and node.module == "priorstab"
+                for alias in node.names}
+    assert sorted(imported | {"__version__"}) == PUBLIC
+
+
+def test_readme_example_runs_as_its_comments_say():
+    # each expression line ends in a comment holding the literal it evaluates to
+    source = readme_example()
+    comments = {tok.start[0]: tok.string[1:].strip()
+                for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace = {}
+    checked = 0
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            assert value == ast.literal_eval(comments[node.end_lineno]), ast.unparse(node)
+            checked += 1
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    assert checked >= 5

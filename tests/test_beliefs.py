@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from priorstab import REGIME_ORDER, Prior, PriorCatalog, default_catalog
+from priorstab import Prior
+from priorstab.beliefs import PriorCatalog, default_catalog
+from priorstab.scenarios import REGIME_ORDER
 
 
 @pytest.fixture(scope="module")

@@ -8,8 +8,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from priorstab import DecisionProblem, Prior, expected_utility
+from priorstab import DecisionProblem, Prior
 from priorstab.cli import main
+from priorstab.core import expected_utility
 
 from conftest import (
     PLANTED_WEIGHTS_CSV,
@@ -310,7 +311,7 @@ class TestScenarios:
         assert agreement >= 0.95
 
     def test_utilities_round_trip_identically(self, tmp_path):
-        from priorstab import (
+        from priorstab.scenarios import (
             PortfolioBook,
             ReturnPanel,
             kmeans_partition,
@@ -544,6 +545,30 @@ class TestFailureExits:
         )
         assert code == 2
         assert flag in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_a_bad_cost_names_its_file_and_line(self, tmp_path, capsys, value):
+        u = write(tmp_path, "u.csv", TOY_UTILITIES)
+        p = write(tmp_path, "p.csv", TOY_PRIORS)
+        c = write(tmp_path, "c.csv", f"act,cost\na,0.5\nb,{value}\n")
+        code, err = self.run_exit(
+            capsys, ["path", "--utilities", u, "--priors", p, "--cost-mode", "file",
+                     "--costs", c, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert f"{c}:3: cost must be finite and nonnegative" in err
+        assert not (tmp_path / "path.json").exists()
+
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        m = write(tmp_path, "monthly.csv", planted_monthly_csv(build_planted_panel()))
+        w = write(tmp_path, "weights.csv", PLANTED_WEIGHTS_CSV)
+        code, err = self.run_exit(
+            capsys, ["scenarios", "--monthly", m, "--weights", w, "--seed", "-1",
+                     "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "--seed must be nonnegative, got -1" in err
+        assert not (tmp_path / "regimes.csv").exists()
 
     def test_duplicate_prior_states_are_exit_2(self, tmp_path, capsys):
         # dropping either s1 column would leave a valid prior

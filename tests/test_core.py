@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from priorstab import DecisionProblem, Prior, bayes_acts, expected_utility
+from priorstab import DecisionProblem, Prior, bayes_acts
+from priorstab.core import expected_utility
 
 from conftest import PORTFOLIO_UTILITIES, affine_transform, random_prior, random_problem
 

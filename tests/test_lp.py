@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from priorstab import minimize_over_band
-from priorstab.lp import LinearProgram, LpStatus, SolverError, solve_lp, solve_lps
+from priorstab.lp import (
+    LinearProgram,
+    LpStatus,
+    SolverError,
+    minimize_over_band,
+    solve_lp,
+    solve_lps,
+)
 
 from conftest import (
     HIGHS_OPTIONS,
@@ -157,6 +163,12 @@ def random_inequality_program(rng):
     return c, A, b, upper
 
 
+def restart(lp, start):
+    """``lp`` restarted from the outcome ``start``: a lone member of
+    `solve_lps`, the one restart route."""
+    return solve_lps([lp], starts=[start])[0]
+
+
 def with_objective(lp, objective):
     """``lp`` on the same constraint arrays, with a new cost on its original
     variables (none on the slacks), as a restart requires."""
@@ -177,7 +189,7 @@ class TestRestart:
             start = solve_lp(cold)
             for _ in range(3):
                 fresh = rng.normal(size=n)
-                ours = solve_lp(with_objective(cold, fresh), start=start)
+                ours = restart(with_objective(cold, fresh), start)
                 ref = linprog(
                     fresh, A_ub=A, b_ub=b, bounds=list(zip(np.zeros(n), upper)),
                     method="highs", options=HIGHS_OPTIONS,
@@ -213,11 +225,11 @@ class TestRestart:
                 options=HIGHS_OPTIONS,
             )
             assert ref.status == 3  # unbounded
-            out = solve_lp(with_objective(cold, fresh), start=start)
+            out = restart(with_objective(cold, fresh), start)
             assert out.status is LpStatus.UNBOUNDED
             assert out.tableau is None
             with pytest.raises(ValueError, match="tableau"):
-                solve_lp(cold, start=out)
+                restart(cold, out)
 
     def test_same_objective_takes_no_pivot(self, monkeypatch):
         import priorstab.lp as lp_module
@@ -235,7 +247,7 @@ class TestRestart:
             lp = inequality_form(c, np.vstack([A, np.eye(c.size)]), np.concatenate([b, upper]))
             first = solve_lp(lp)
             monkeypatch.setattr(lp_module, "_pivot", counted)
-            again = solve_lp(lp, start=first)
+            again = restart(lp, first)
             monkeypatch.undo()
             assert pivots == []
             assert again.value == first.value
@@ -246,10 +258,10 @@ class TestRestart:
         first = solve_lp(inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0]))
         other = inequality_form([1.0, -1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.5])
         with pytest.raises(ValueError, match="same constraint arrays"):
-            solve_lp(other, start=first)
+            restart(other, first)
         wider = inequality_form([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0]], [1.0])
         with pytest.raises(ValueError, match="same constraint arrays"):
-            solve_lp(wider, start=first)
+            restart(wider, first)
 
     def test_start_from_other_constraints_of_the_same_shape_is_rejected(self):
         # Restarted from x <= 1, the program x <= 2 would stop at the old
@@ -259,11 +271,11 @@ class TestRestart:
         assert first.value == -1.0
         other = inequality_form([-1.0], [[1.0]], [2.0])
         with pytest.raises(ValueError, match="same constraint arrays"):
-            solve_lp(other, start=first)
+            restart(other, first)
         copied = LinearProgram(lp.objective, lp.eq_matrix.copy(), lp.eq_rhs, lp.basis)
         with pytest.raises(ValueError, match="same constraint arrays"):
-            solve_lp(copied, start=first)
-        assert solve_lp(with_objective(lp, [-2.0]), start=first).value == -2.0
+            restart(copied, first)
+        assert restart(with_objective(lp, [-2.0]), first).value == -2.0
 
     def test_with_objective_keeps_the_constraints_and_checks_the_objective(self):
         lp = inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0])
@@ -306,7 +318,7 @@ class TestPivotPath:
             assert_same_path(start, reference_simplex(cold))
             for _ in range(3):
                 lp = with_objective(cold, rng.normal(size=n))
-                ours = solve_lp(lp, start=start)
+                ours = restart(lp, start)
                 assert_same_path(ours, reference_simplex(lp, start))
                 start = ours
 
@@ -324,9 +336,9 @@ class TestPivotPath:
         solved, stacked = [], []
         solve, solve_stack = stab.solve_lp, stab.solve_lps
 
-        def spied(lp, *, start=None):
-            out = solve(lp, start=start)
-            solved.append((lp, start, out))
+        def spied(lp):
+            out = solve(lp)
+            solved.append((lp, None, out))
             return out
 
         def spied_stack(lps, *, starts=None):
@@ -375,7 +387,7 @@ class TestPivotPath:
             lps = [with_objective(lp, rng.normal(size=n)) for lp in cold]
             starts = [first if rng.uniform() < 0.5 else None for first in firsts]
             for lp, start, out in zip(lps, starts, solve_lps(lps, starts=starts)):
-                assert_same_outcome(out, solve_lp(lp, start=start))
+                assert_same_outcome(out, restart(lp, start))
                 assert_same_path(out, reference_simplex(lp, start))
                 if start is not None:
                     restarted += 1
@@ -390,9 +402,9 @@ class TestPivotPath:
         programs = []
         solve = stab.solve_lp
 
-        def spied(lp, *, start=None):
+        def spied(lp):
             programs.append(lp)
-            return solve(lp, start=start)
+            return solve(lp)
 
         monkeypatch.setattr(stab, "solve_lp", spied)
         rng = np.random.default_rng(555)
@@ -680,7 +692,8 @@ class TestPivotPath:
         assert solve_lps([]) == []
         alone = solve_lp(lp)
         assert_same_outcome(solve_lps([lp])[0], alone)
-        assert_same_outcome(solve_lps([lp], starts=[alone])[0], solve_lp(lp, start=alone))
+        assert_same_outcome(restart(lp, alone), solve_lps([lp, lp], starts=[alone, None])[0])
+        assert_same_path(restart(lp, alone), reference_simplex(lp, alone))
         with pytest.raises(ValueError, match="share one shape"):
             solve_lps([lp, wider])
         with pytest.raises(ValueError, match="1 starts for 2 programs"):

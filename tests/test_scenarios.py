@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from priorstab import (
+from priorstab.scenarios import (
     PortfolioBook,
     RegimeModel,
     ReturnPanel,

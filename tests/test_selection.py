@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from priorstab import (
-    CostAssignment,
     DecisionProblem,
     Prior,
-    ScoreBranch,
     bayes_acts,
-    expected_utility,
-    gamma_aggregate,
-    rex_score,
     selection_path,
     stability_profile,
     variance_cost,
 )
+from priorstab.core import expected_utility
+from priorstab.selection import CostAssignment, ScoreBranch, gamma_aggregate, rex_score
 from priorstab.stability import Need, Radius, StabilityProfile, StabilityRow
 
 from conftest import (
@@ -41,7 +38,7 @@ def loser_row(act, con, prior="p"):
 
 
 def inadmissible_row(act, prior="p"):
-    from priorstab import DominanceCertificate
+    from priorstab.stability import DominanceCertificate
 
     cert = DominanceCertificate(weights={"other": 1.0}, margins=np.array([0.5]))
     return StabilityRow(prior, act, False, 0.0, Radius.not_bayes(), Need.infeasible(cert))

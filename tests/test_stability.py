@@ -6,16 +6,14 @@ from scipy.optimize import linprog
 
 from priorstab import (
     DecisionProblem,
-    NeedKind,
     Prior,
-    RadiusKind,
     bayes_acts,
     contamination_need,
     robustness_radius,
     stability_profile,
-    strict_inadmissibility_certificate,
 )
 from priorstab.beliefs import default_catalog
+from priorstab.stability import NeedKind, RadiusKind, strict_inadmissibility_certificate
 
 from conftest import (
     HIGHS_OPTIONS,
@@ -382,11 +380,11 @@ class TestContaminationNeed:
             assert row.need.certificate.margins.tobytes() == margins.tobytes()
 
     def test_loosened_program_matches_highs(self):
-        # NeedProgram.at(prior, tol) lets every dominance row fall short of 0
-        # by tol utility units; its optimum is the primal min eps over pi in
-        # the simplex with |pi - pi0| <= eps and u_a.pi >= u_b.pi - tol.
+        # _loosened_need lets every dominance row fall short of 0 by tol
+        # utility units; its optimum is the primal min eps over pi in the
+        # simplex with |pi - pi0| <= eps and u_a.pi >= u_b.pi - tol.
         from priorstab.lp import LpStatus, solve_lp
-        from priorstab.stability import NeedProgram
+        from priorstab.stability import _loosened_need
 
         rng = np.random.default_rng(31)
         checked = 0
@@ -410,7 +408,7 @@ class TestContaminationNeed:
             c[-1] = 1.0
             res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
                           method="highs", options=HIGHS_OPTIONS)
-            out = solve_lp(NeedProgram(problem, act).at(prior, tol))
+            out = solve_lp(_loosened_need(problem, act, prior, tol))
             if res.status == 2:
                 assert out.status is LpStatus.UNBOUNDED
                 continue
@@ -776,16 +774,14 @@ class TestStabilityProfile:
                 checked += 1
         assert checked > 1000
 
-    def test_a_need_program_serves_its_own_act(self, toy_problem):
-        from priorstab.stability import NeedProgram
-
-        program = NeedProgram(toy_problem, "b")
-        with pytest.raises(ValueError, match="not built for act 'a'"):
-            contamination_need(toy_problem, "a", Prior("v", [0.0, 1.0]), program=program)
-        # a one-state mass would broadcast into the objective unnoticed
+    def test_a_prior_of_another_dimension_is_rejected(self, toy_problem, toy_prior):
+        # with the Bayes set given, no other check sees the prior: a one- or
+        # three-state mass would go into the objective unnoticed
+        bayes = bayes_acts(toy_problem, toy_prior)
+        assert "b" not in bayes
         for mass in ([1.0], [0.2, 0.3, 0.5]):
             with pytest.raises(ValueError, match="states, problem has 2"):
-                program.at(Prior("v", mass))
+                contamination_need(toy_problem, "b", Prior("v", mass), bayes=bayes)
 
 
 def dominated_table(rng):

@@ -13,8 +13,9 @@ import importlib.util
 from pathlib import Path
 
 import priorstab.cli
-from priorstab import DecisionProblem, NeedKind, Prior, stability_profile
+from priorstab import DecisionProblem, Prior, stability_profile
 from priorstab.cli import main
+from priorstab.stability import NeedKind
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
