@@ -51,11 +51,11 @@ class PriorCatalog:
 
 def default_catalog() -> PriorCatalog:
     """Load the packaged eight-prior catalog over the regime state space."""
-    from .io import parse_priors  # local import to avoid a module cycle
+    from .io import _rows_from_stream, parse_priors  # local import to avoid a module cycle
 
     resource = resources.files("priorstab").joinpath("data", _CATALOG_RESOURCE)
     with resource.open("r", encoding="utf-8") as fh:
-        states, priors = parse_priors(fh, _CATALOG_RESOURCE)
+        states, priors = parse_priors(_rows_from_stream(fh, _CATALOG_RESOURCE), _CATALOG_RESOURCE)
     if states != REGIME_ORDER:
         raise ValueError(
             f"packaged catalog states {states} do not match the regime order"

@@ -152,55 +152,38 @@ def _select_prior(priors: list[Prior], name: str | None) -> Prior:
     raise InputError(f"no prior named {name!r} (available: {', '.join(p.name for p in priors)})")
 
 
-def _rob_cell(row):
-    return row.radius.epsilon if row.radius.kind is RadiusKind.VALUE else NOT_BAYES
-
-
-def _con_cell(row):
-    return row.need.epsilon if row.need.kind is NeedKind.VALUE else INADMISSIBLE
-
-
 def cmd_analyze(args) -> int:
     problem = load_utilities(args.utilities)
     priors = _resolve_priors(args.priors, problem)
     profile = stability_profile(problem, priors)
 
-    csv_rows = []
-    json_rows = []
-    for row in profile.rows:
-        csv_rows.extend(
-            [
-                (row.prior, row.act, "expected_utility", row.expected_utility),
-                (row.prior, row.act, "is_bayes", row.is_bayes),
-                (row.prior, row.act, "rob", _rob_cell(row)),
-                (row.prior, row.act, "con", _con_cell(row)),
-            ]
-        )
-        certificate = None
-        if row.need.kind is NeedKind.INFEASIBLE:
-            certificate = {
-                "weights": {act: w for act, w in row.need.certificate.weights.items()},
+    records = [
+        {
+            "prior": row.prior,
+            "act": row.act,
+            "is_bayes": row.is_bayes,
+            "expected_utility": row.expected_utility,
+            "rob": row.radius.epsilon if row.radius.kind is RadiusKind.VALUE else NOT_BAYES,
+            "con": row.need.epsilon if row.need.kind is NeedKind.VALUE else INADMISSIBLE,
+            "certificate": {
+                "weights": dict(row.need.certificate.weights),
                 "margins": [float(m) for m in row.need.certificate.margins],
-            }
-        json_rows.append(
-            {
-                "prior": row.prior,
-                "act": row.act,
-                "is_bayes": row.is_bayes,
-                "expected_utility": row.expected_utility,
-                "rob": _rob_cell(row),
-                "con": _con_cell(row),
-                "certificate": certificate,
-            }
-        )
+            } if row.need.kind is NeedKind.INFEASIBLE else None,
+        }
+        for row in profile.rows
+    ]
+    measures = ("expected_utility", "is_bayes", "rob", "con")
     write_reports(args.out, {
-        "stability.csv": render_rows(["prior", "act", "measure", "value"], csv_rows),
+        "stability.csv": render_rows(
+            ["prior", "act", "measure", "value"],
+            [(r["prior"], r["act"], m, r[m]) for r in records for m in measures],
+        ),
         "stability.json": render_json({
             "report": "stability",
             "acts": list(problem.acts),
             "states": list(problem.states),
             "priors": [{"name": p.name, "mass": [float(x) for x in p.mass]} for p in priors],
-            "rows": json_rows,
+            "rows": records,
         }),
     })
     for prior in priors:
@@ -240,45 +223,41 @@ def cmd_path(args) -> int:
     profile = stability_profile(problem, [prior])
     path = selection_path(profile, costs, prior.name, args.lambda_max, args.grid)
 
-    lines_rows = []
-    lines_json = []
-    for line in path.lines:
-        intercept = INADMISSIBLE if line.inadmissible else line.intercept
-        cost = costs.normalized(line.act)
-        lines_rows.append((line.act, intercept, line.slope, cost))
-        lines_json.append(
-            {
-                "act": line.act,
-                "intercept": intercept,
-                "slope": line.slope,
-                "cost": cost,
-                "inadmissible": line.inadmissible,
-            }
-        )
+    lines = [
+        {
+            "act": line.act,
+            "intercept": INADMISSIBLE if line.inadmissible else line.intercept,
+            "slope": line.slope,
+            "cost": costs.normalized(line.act),
+            "inadmissible": line.inadmissible,
+        }
+        for line in path.lines
+    ]
     by_act = {line.act: line for line in path.lines}
-    grid_rows = [
-        (lam, act, by_act[act].at(lam))
+    grid = [
+        {"lambda": float(lam), "selected": act, "score": by_act[act].at(lam)}
         for lam, act in zip(path.lambda_grid, path.grid_selected)
     ]
+    breakpoints = [float(b) for b in path.breakpoints]
     write_reports(args.out, {
-        "path_lines.csv": render_rows(["act", "intercept", "slope", "cost"], lines_rows),
-        "path_grid.csv": render_rows(["lambda", "act", "score"], grid_rows),
-        "path_breakpoints.csv": render_rows(["lambda"], [(b,) for b in path.breakpoints]),
+        "path_lines.csv": render_rows(
+            ["act", "intercept", "slope", "cost"],
+            [(x["act"], x["intercept"], x["slope"], x["cost"]) for x in lines],
+        ),
+        "path_grid.csv": render_rows(
+            ["lambda", "act", "score"], [(g["lambda"], g["selected"], g["score"]) for g in grid]
+        ),
+        "path_breakpoints.csv": render_rows(["lambda"], [(b,) for b in breakpoints]),
         "path.json": render_json({
             "report": "path",
             "prior": prior.name,
             "lambda_max": float(args.lambda_max),
             "grid_step": float(args.grid),
             "cost_mode": args.cost_mode,
-            "lines": lines_json,
-            "breakpoints": [float(b) for b in path.breakpoints],
-            "segments": [
-                {"lo": seg.lo, "hi": seg.hi, "act": seg.act} for seg in path.segments
-            ],
-            "grid": [
-                {"lambda": float(lam), "selected": act, "score": by_act[act].at(lam)}
-                for lam, act in zip(path.lambda_grid, path.grid_selected)
-            ],
+            "lines": lines,
+            "breakpoints": breakpoints,
+            "segments": [{"lo": s.lo, "hi": s.hi, "act": s.act} for s in path.segments],
+            "grid": grid,
         }),
     })
     for seg in path.segments:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from datetime import date
 
@@ -62,9 +61,9 @@ def _rows_from_stream(stream, source: str) -> list[tuple[int, list[str]]]:
     reader = csv.reader(stream)
     try:
         for lineno, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            rows.append((lineno, [cell.strip() for cell in row]))
+            cells = [cell.strip() for cell in row]
+            if any(cells):
+                rows.append((lineno, cells))
     except csv.Error as exc:
         raise InputError(f"{source}:{reader.line_num}: {exc}") from exc
     if not rows:
@@ -75,7 +74,7 @@ def _rows_from_stream(stream, source: str) -> list[tuple[int, list[str]]]:
 def _label(source: str, lineno: int, cell: str, what: str) -> str:
     if not cell:
         raise InputError(f"{source}:{lineno}: empty {what}")
-    if any(ch in cell for ch in ',"\n'):
+    if "," in cell or '"' in cell or "\n" in cell:
         raise InputError(f"{source}:{lineno}: {what} {cell!r} contains reserved characters")
     return cell
 
@@ -87,114 +86,98 @@ def _number(source: str, lineno: int, cell: str, what: str) -> float:
         raise InputError(f"{source}:{lineno}: {what} {cell!r} is not a number") from None
 
 
-def _expect_width(source: str, lineno: int, row: list[str], width: int) -> None:
-    if len(row) != width:
-        raise InputError(f"{source}:{lineno}: expected {width} fields, got {len(row)}")
+def _read_table(rows, source: str, key: str, what: str, nonnegative: bool = False):
+    """The `key,<what>,...` table of ``rows``: (columns, lines, values).
+
+    Column and row labels are identifiers, each unique in the file; ``lines``
+    maps each row label to its line, in file order.  Every other cell is a
+    finite number (also nonnegative with ``nonnegative``), and ``values``
+    holds them, one row per label.  Rows with empty cells are named together.
+    """
+    lineno, header = rows[0]
+    if len(header) < 2 or header[0] != key:
+        raise InputError(f"{source}:{lineno}: header must be '{key},<{what}>,...'")
+    columns = tuple(_label(source, lineno, c, f"{what} name") for c in header[1:])
+    if len(set(columns)) != len(columns):
+        twice = next(c for i, c in enumerate(columns) if c in columns[:i])
+        raise InputError(f"{source}:{lineno}: duplicate {what} names ({twice!r} twice); "
+                         f"{what} names must be unique")
+    width = len(header)
+    lines: dict[str, int] = {}
+    values, missing = [], []
+    for lineno, row in rows[1:]:
+        if len(row) != width:
+            raise InputError(f"{source}:{lineno}: expected {width} fields, got {len(row)}")
+        label = _label(source, lineno, row[0], key)
+        if label in lines:
+            raise InputError(f"{source}:{lineno}: {key} {label!r} repeats line {lines[label]}")
+        lines[label] = lineno
+        try:
+            values.extend(map(float, row[1:]))
+        except ValueError:
+            if "" not in row:
+                for column, cell in zip(columns, row[1:]):
+                    _number(source, lineno, cell, column)
+            missing.append(label)
+    if missing:
+        raise InputError(
+            f"{source}:{lines[missing[0]]}: missing values for {', '.join(missing)}")
+    if not lines:
+        raise InputError(f"{source}: no {key} rows")
+    table = np.array(values).reshape(len(lines), width - 1)
+    bad = ~np.isfinite(table)
+    if nonnegative:
+        bad |= table < 0.0
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        rule = "finite and nonnegative" if nonnegative else "finite"
+        raise InputError(f"{source}:{list(lines.values())[r]}: {columns[c]} must be {rule}, "
+                         f"got {float(table[r, c])!r}")
+    return columns, lines, table
 
 
 def load_utilities(path) -> DecisionProblem:
     """`act,<state...>` rows of utilities."""
-    rows = _read_rows(path)
-    source = str(path)
-    lineno, header = rows[0]
-    if len(header) < 2 or header[0] != "act":
-        raise InputError(f"{source}:{lineno}: header must be 'act,<state>,...'")
-    states = [_label(source, lineno, s, "state name") for s in header[1:]]
-    if len(set(states)) != len(states):
-        raise InputError(f"{source}:{lineno}: duplicate state names")
-    acts, matrix = [], []
-    for lineno, row in rows[1:]:
-        _expect_width(source, lineno, row, len(states) + 1)
-        act = _label(source, lineno, row[0], "act name")
-        if act in acts:
-            raise InputError(f"{source}:{lineno}: duplicate act {act!r}")
-        acts.append(act)
-        matrix.append([_number(source, lineno, c, "utility") for c in row[1:]])
-    if not acts:
-        raise InputError(f"{source}: no act rows")
+    states, lines, utilities = _read_table(_read_rows(path), str(path), "act", "state")
     try:
-        return DecisionProblem(acts, states, np.array(matrix))
+        return DecisionProblem(lines, states, utilities)
     except ValueError as exc:
-        raise InputError(f"{source}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_priors(path) -> tuple[tuple[str, ...], list[Prior]]:
     """`prior,<state...>` rows of probability masses; returns (states, priors)."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            return parse_priors(fh, str(path))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    return parse_priors(_read_rows(path), str(path))
 
 
-def parse_priors(stream, source: str) -> tuple[tuple[str, ...], list[Prior]]:
-    rows = _rows_from_stream(stream, source)
-    lineno, header = rows[0]
-    if len(header) < 2 or header[0] != "prior":
-        raise InputError(f"{source}:{lineno}: header must be 'prior,<state>,...'")
-    states = tuple(_label(source, lineno, s, "state name") for s in header[1:])
-    if len(set(states)) != len(states):
-        raise InputError(f"{source}:{lineno}: duplicate state names")
+def parse_priors(rows, source: str) -> tuple[tuple[str, ...], list[Prior]]:
+    states, lines, masses = _read_table(rows, source, "prior", "state", nonnegative=True)
     priors = []
-    seen = set()
-    for lineno, row in rows[1:]:
-        _expect_width(source, lineno, row, len(states) + 1)
-        name = _label(source, lineno, row[0], "prior name")
-        if name in seen:
-            raise InputError(f"{source}:{lineno}: duplicate prior {name!r}")
-        seen.add(name)
-        mass = [_number(source, lineno, c, "probability") for c in row[1:]]
+    for (name, lineno), mass in zip(lines.items(), masses):
         try:
             priors.append(Prior(name, mass))
         except ValueError as exc:
             raise InputError(f"{source}:{lineno}: {exc}") from exc
-    if not priors:
-        raise InputError(f"{source}: no prior rows")
     return states, priors
 
 
 def load_costs(path) -> dict[str, float]:
     """`act,cost` rows of finite nonnegative costs."""
     rows = _read_rows(path)
-    source = str(path)
-    lineno, header = rows[0]
-    if header != ["act", "cost"]:
-        raise InputError(f"{source}:{lineno}: header must be 'act,cost'")
-    costs: dict[str, float] = {}
-    for lineno, row in rows[1:]:
-        _expect_width(source, lineno, row, 2)
-        act = _label(source, lineno, row[0], "act name")
-        if act in costs:
-            raise InputError(f"{source}:{lineno}: duplicate act {act!r}")
-        value = _number(source, lineno, row[1], "cost")
-        if not (math.isfinite(value) and value >= 0.0):
-            raise InputError(
-                f"{source}:{lineno}: cost must be finite and nonnegative, got {value!r}")
-        costs[act] = value
-    if not costs:
-        raise InputError(f"{source}: no cost rows")
-    return costs
+    columns, lines, costs = _read_table(rows, str(path), "act", "cost", nonnegative=True)
+    if columns != ("cost",):
+        raise InputError(f"{path}:{rows[0][0]}: header must be 'act,cost'")
+    return dict(zip(lines, costs[:, 0].tolist()))
 
 
 def load_weights(path) -> PortfolioBook:
     """`portfolio,<asset...>` rows of convex weights."""
-    rows = _read_rows(path)
-    source = str(path)
-    lineno, header = rows[0]
-    if len(header) < 2 or header[0] != "portfolio":
-        raise InputError(f"{source}:{lineno}: header must be 'portfolio,<asset>,...'")
-    assets = tuple(_label(source, lineno, a, "asset name") for a in header[1:])
-    names, weights = [], []
-    for lineno, row in rows[1:]:
-        _expect_width(source, lineno, row, len(assets) + 1)
-        names.append(_label(source, lineno, row[0], "portfolio name"))
-        weights.append([_number(source, lineno, c, "weight") for c in row[1:]])
-    if not names:
-        raise InputError(f"{source}: no portfolio rows")
+    assets, lines, weights = _read_table(
+        _read_rows(path), str(path), "portfolio", "asset", nonnegative=True)
     try:
-        return PortfolioBook(tuple(names), assets, np.array(weights))
+        return PortfolioBook(tuple(lines), assets, weights)
     except ValueError as exc:
-        raise InputError(f"{source}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_monthly(path) -> ReturnPanel:
@@ -204,43 +187,18 @@ def load_monthly(path) -> ReturnPanel:
     volatility series.
     """
     rows = _read_rows(path)
-    source = str(path)
-    lineno, header = rows[0]
-    if len(header) < 2 or header[0] != "date":
-        raise InputError(f"{source}:{lineno}: header must be 'date,<asset>,...'")
-    columns = header[1:]
-    has_vol = columns and columns[-1] == "market_vol"
-    assets = tuple(
-        _label(source, lineno, a, "asset name")
-        for a in (columns[:-1] if has_vol else columns)
-    )
+    columns, lines, values = _read_table(rows, str(path), "date", "asset")
+    has_vol = columns[-1] == "market_vol"
+    assets = columns[:-1] if has_vol else columns
     if not assets:
-        raise InputError(f"{source}:{lineno}: no asset columns")
-    months, values, vols = [], [], []
-    incomplete = []
-    for lineno, row in rows[1:]:
-        _expect_width(source, lineno, row, len(columns) + 1)
-        month = row[0]
-        months.append(month)
-        cells = row[1:1 + len(assets)]
-        if any(not c for c in cells):
-            incomplete.append(month)
-            values.append([0.0] * len(assets))
-        else:
-            values.append([_number(source, lineno, c, "return") for c in cells])
-        if has_vol:
-            vols.append(_number(source, lineno, row[-1], "volatility"))
-    if incomplete:
-        raise InputError(
-            f"{source}: months with missing asset returns: {', '.join(incomplete)}"
-        )
+        raise InputError(f"{path}:{rows[0][0]}: no asset columns")
     try:
         return ReturnPanel(
-            tuple(months), assets, np.array(values),
-            volatility=np.array(vols) if has_vol else None,
+            tuple(lines), assets, values[:, :len(assets)],
+            volatility=values[:, -1] if has_vol else None,
         )
     except ValueError as exc:
-        raise InputError(f"{source}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _is_day(text: str) -> bool:
@@ -257,31 +215,16 @@ def _is_day(text: str) -> bool:
 def load_daily(path) -> tuple[str, dict[str, np.ndarray]]:
     """`date,<market>` rows of daily returns, grouped by month."""
     rows = _read_rows(path)
-    source = str(path)
-    lineno, header = rows[0]
-    if len(header) != 2 or header[0] != "date":
-        raise InputError(f"{source}:{lineno}: header must be 'date,<market>'")
-    market = _label(source, lineno, header[1], "market name")
+    columns, lines, values = _read_table(rows, str(path), "date", "market")
+    if len(columns) != 1:
+        raise InputError(f"{path}:{rows[0][0]}: header must be 'date,<market>'")
     grouped: dict[str, list[float]] = {}
-    seen: dict[str, int] = {}
-    for lineno, row in rows[1:]:
-        _expect_width(source, lineno, row, 2)
-        day = row[0]
+    for day, value in zip(lines, values[:, 0].tolist()):
         if not _is_day(day):
-            raise InputError(
-                f"{source}:{lineno}: malformed date {day!r} (expected a calendar date YYYY-MM-DD)"
-            )
-        if day in seen:
-            # a repeated day would count twice in its month's volatility
-            raise InputError(f"{source}:{lineno}: date {day} repeats line {seen[day]}")
-        seen[day] = lineno
-        value = _number(source, lineno, row[1], "return")
-        if not math.isfinite(value):
-            raise InputError(f"{source}:{lineno}: return {row[1]!r} is not finite")
+            raise InputError(f"{path}:{lines[day]}: malformed date {day!r} "
+                             "(expected a calendar date YYYY-MM-DD)")
         grouped.setdefault(day[:7], []).append(value)
-    if not grouped:
-        raise InputError(f"{source}: no daily rows")
-    return market, {month: np.array(obs) for month, obs in grouped.items()}
+    return columns[0], {month: np.array(obs) for month, obs in grouped.items()}
 
 
 def format_number(value: float) -> str:

@@ -33,6 +33,11 @@ REGIME_ORDER = ("Expansion", "Recovery", "Stagnation", "Recession")
 
 _MONTH_RE = re.compile(r"^\d{4}-\d{2}$")
 MIN_DAILY_OBS = 5
+# k-means: seeded k-means++ restarts, and Lloyd's iteration cap and
+# centroid-shift tolerance in each
+_RESTARTS = 10
+_MAX_ITER = 100
+_SHIFT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -204,12 +209,10 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, floa
     return assignment, wcss
 
 
-def _lloyd(
-    points: np.ndarray, centroids: np.ndarray, max_iter: int, shift_tol: float
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     k = centroids.shape[0]
     assignment, wcss = _assign(points, centroids)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         new_centroids = centroids.copy()
         used = set()
         for j in range(k):
@@ -232,7 +235,7 @@ def _lloyd(
             raise SolverError("clustering objective increased across an iteration")
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids, assignment, wcss = new_centroids, new_assignment, new_wcss
-        if shift < shift_tol:
+        if shift < _SHIFT_TOL:
             break
     return centroids, assignment, wcss
 
@@ -243,13 +246,10 @@ def kmeans_partition(
     seed: int,
     months=None,
     standardize: bool = True,
-    restarts: int = 10,
-    max_iter: int = 100,
-    shift_tol: float = 1e-8,
 ) -> RegimeModel:
     """Seeded k-means over (optionally standardized) monthly features.
 
-    Runs ``restarts`` k-means++ initializations from one seeded generator and
+    Runs ``_RESTARTS`` (10) k-means++ initializations from one seeded generator and
     keeps the partition with the lowest within-cluster sum of squares, so the
     result is a pure function of (features, k, seed).
     """
@@ -269,9 +269,9 @@ def kmeans_partition(
     Z = _standardize(X) if standardize else X.copy()
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         init = _kmeanspp_init(Z, k, rng)
-        centroids, assignment, wcss = _lloyd(Z, init, max_iter, shift_tol)
+        centroids, assignment, wcss = _lloyd(Z, init)
         if best is None or wcss < best[2]:
             best = (centroids, assignment, wcss)
     centroids, assignment, wcss = best

@@ -118,8 +118,9 @@ def score_lines(
             intercept = r.radius.epsilon / rob_den if rob_den > 0.0 else 0.0
         else:
             intercept = -(r.need.epsilon / con_den) if con_den > 0.0 else 0.0
+        # 0.0 - cost, not -cost, so that a zero cost gives slope 0.0 and not -0.0
         lines.append(
-            ScoreLine(r.act, intercept, -costs.normalized(r.act), branch, False)
+            ScoreLine(r.act, intercept, 0.0 - costs.normalized(r.act), branch, False)
         )
     return tuple(lines)
 

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from itertools import zip_longest
 
 import jsonschema
 import numpy as np
@@ -265,6 +266,26 @@ class TestPath:
             ["path", "--utilities", u, "--priors", p, "--prior", "nope", "--out", str(tmp_path)]
         ) == 2
 
+    @pytest.mark.parametrize("utilities, priors, costs", [
+        # one state: every utility row is constant, so every variance cost is 0
+        ("act,s1\na,1\nb,2\n", "prior,s1\nref,1\n", None),
+        (TOY_UTILITIES, TOY_PRIORS, "act,cost\na,0\nb,1\n"),
+    ], ids=["variance", "file"])
+    def test_a_zero_cost_gives_slope_zero_not_minus_zero(self, tmp_path, utilities, priors,
+                                                        costs):
+        u = write(tmp_path, "u.csv", utilities)
+        p = write(tmp_path, "p.csv", priors)
+        mode = ["--cost-mode", "file", "--costs", write(tmp_path, "c.csv", costs)] if costs else []
+        assert main(["path", "--utilities", u, "--priors", p, *mode, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "path_lines.csv", newline="") as fh:
+            slopes = {row["act"]: row["slope"] for row in csv.DictReader(fh)}
+        report = json.loads((tmp_path / "path.json").read_text())
+        free = [line for line in report["lines"] if line["cost"] == 0.0]
+        assert free
+        for line in free:
+            assert slopes[line["act"]] == "0"
+            assert line["slope"] == 0.0 and np.copysign(1.0, line["slope"]) == 1.0
+
     def test_portfolio_variance_path_structure(self, tmp_path, schema):
         u = write(tmp_path, "u.csv", portfolio_csv())
         code = main(
@@ -284,6 +305,81 @@ class TestPath:
         for earlier, later in zip(report["segments"], report["segments"][1:]):
             assert earlier["hi"] == later["lo"]
             assert earlier["act"] != later["act"]
+
+
+def table_csv(key, names, matrix):
+    lines = [f"{key}," + ",".join(f"s{j}" for j in range(matrix.shape[1]))]
+    lines += [name + "," + ",".join(repr(float(x)) for x in row) for name, row in zip(names, matrix)]
+    return "\n".join(lines) + "\n"
+
+
+def dense_inputs():
+    """A seeded uniform(-1, 1) 20x8 table under four Dirichlet priors."""
+    rng = np.random.default_rng(14)
+    table = rng.uniform(-1.0, 1.0, size=(20, 8))
+    table[7] = table[3] - 0.05  # strictly dominated by act03
+    priors = rng.dirichlet(np.ones(8), size=4)
+    return (table_csv("act", [f"act{i:02d}" for i in range(20)], table),
+            table_csv("prior", [f"p{k + 1}" for k in range(4)], priors))
+
+
+def csv_cell(value):
+    """A JSON report value as its CSV twin prints it."""
+    if isinstance(value, str):
+        return f'"{value}"'  # the only string values are the sentinels
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return f"{value:.9g}"
+
+
+# (utilities, priors, path prior); the dense table holds both sentinels and
+# its path has a breakpoint
+TWIN_CASES = {"toy": (TOY_UTILITIES, TOY_PRIORS, "ref"), "dense": (*dense_inputs(), "p4")}
+
+
+class TestReportTwins:
+    """Each CSV report holds its JSON twin's values at 9 significant digits."""
+
+    @pytest.mark.parametrize("case", sorted(TWIN_CASES))
+    def test_stability_csv_matches_its_json(self, tmp_path, case):
+        utilities, priors, _ = TWIN_CASES[case]
+        u = write(tmp_path, "u.csv", utilities)
+        p = write(tmp_path, "p.csv", priors)
+        assert main(["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "stability.json").read_text())
+        expected = ["prior,act,measure,value"] + [
+            f"{row['prior']},{row['act']},{measure},{csv_cell(row[measure])}"
+            for row in report["rows"]
+            for measure in ("expected_utility", "is_bayes", "rob", "con")
+        ]
+        assert (tmp_path / "stability.csv").read_text().splitlines() == expected
+        if case == "dense":
+            assert any(row["rob"] == "NOT_BAYES" for row in report["rows"])
+            assert any(row["con"] == "INADMISSIBLE" for row in report["rows"])
+
+    @pytest.mark.parametrize("case", sorted(TWIN_CASES))
+    def test_path_csvs_match_their_json(self, tmp_path, case):
+        utilities, priors, prior = TWIN_CASES[case]
+        u = write(tmp_path, "u.csv", utilities)
+        p = write(tmp_path, "p.csv", priors)
+        assert main(["path", "--utilities", u, "--priors", p, "--prior", prior,
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "path.json").read_text())
+        lines = ["act,intercept,slope,cost"] + [
+            f"{x['act']},{csv_cell(x['intercept'])},{csv_cell(x['slope'])},{csv_cell(x['cost'])}"
+            for x in report["lines"]
+        ]
+        grid = ["lambda,act,score"] + [
+            f"{csv_cell(g['lambda'])},{g['selected']},{csv_cell(g['score'])}"
+            for g in report["grid"]
+        ]
+        breakpoints = ["lambda"] + [csv_cell(b) for b in report["breakpoints"]]
+        assert (tmp_path / "path_lines.csv").read_text().splitlines() == lines
+        assert (tmp_path / "path_grid.csv").read_text().splitlines() == grid
+        assert (tmp_path / "path_breakpoints.csv").read_text().splitlines() == breakpoints
+        if case == "dense":
+            assert any(x["intercept"] == "INADMISSIBLE" for x in report["lines"])
+            assert report["breakpoints"]
 
 
 class TestScenarios:
@@ -374,6 +470,7 @@ class TestScenarios:
         assert main(["scenarios", "--monthly", m, "--weights", w, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "2020-02" in err and "2020-03" in err
+        assert f"{m}:3:" in err
 
     def test_weights_asset_mismatch_exit_3(self, tmp_path):
         panel = build_planted_panel()
@@ -672,6 +769,8 @@ FUZZ_CASES += [(target, ("cell", "-0.25")) for target in ("costs", "priors", "we
 # A repeated day would count twice in its month's volatility.
 FUZZ_CASES += [("daily", ("repeat", None)), ("daily", ("date", "1985-13-45")),
                ("daily", ("date", "2021-02-29"))]
+# Every row label is unique in its file.
+FUZZ_CASES += [(target, ("repeat", None)) for target in sorted(FUZZ_FILES) if target != "daily"]
 
 
 def corrupt(text, corruption, rng):
@@ -746,3 +845,8 @@ class TestCliFuzz:
             assert code in (2, 3), (text, err)
             assert err.endswith("\n") and err.count("\n") == 1, err
             assert "Traceback" not in err
+            if corruption[0] in ("cell", "repeat"):
+                # a bad number or a repeated row, wherever it is, names its file and line
+                pairs = zip_longest(FUZZ_FILES[target].splitlines(), text.splitlines())
+                line = next(i for i, (was, now) in enumerate(pairs, start=1) if was != now)
+                assert f"{files[target]}:{line}:" in err, err
