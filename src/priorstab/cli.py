@@ -19,6 +19,7 @@ from .io import (
     NOT_BAYES,
     ConsistencyError,
     InputError,
+    daily_market,
     format_number,
     load_costs,
     load_daily,
@@ -277,15 +278,17 @@ def cmd_scenarios(args) -> int:
     if market not in panel.assets:
         raise InputError(f"--market {market!r} is not a column of {args.monthly}")
     if args.daily:
-        daily_market, daily = load_daily(args.daily)
-        if daily_market != market:
+        # beside a market_vol column only the daily file's header is read
+        has_vol = panel.volatility is not None
+        column, daily = (daily_market(args.daily), None) if has_vol else load_daily(args.daily)
+        if column != market:
             raise ConsistencyError(
-                f"{args.daily}: daily column {daily_market!r} is not the market asset {market!r}"
+                f"{args.daily}: daily column {column!r} is not the market asset {market!r}"
             )
-        if panel.volatility is None:
-            panel = replace(panel, daily=daily)
-        else:
+        if has_vol:
             print("note: monthly file carries market_vol; daily file ignored")
+        else:
+            panel = replace(panel, daily=daily)
     if set(book.assets) != set(panel.assets):
         raise ConsistencyError(
             f"{args.weights}: weight assets {sorted(book.assets)} do not match "

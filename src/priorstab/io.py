@@ -22,6 +22,7 @@ __all__ = [
     "InputError",
     "NOT_BAYES",
     "INADMISSIBLE",
+    "daily_market",
     "format_number",
     "load_costs",
     "load_daily",
@@ -48,15 +49,15 @@ class ConsistencyError(ValueError):
     """Two individually valid inputs do not fit together."""
 
 
-def _read_rows(path) -> list[tuple[int, list[str]]]:
+def _read_rows(path, limit=None) -> list[tuple[int, list[str]]]:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            return _rows_from_stream(fh, str(path))
+            return _rows_from_stream(fh, str(path), limit)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _rows_from_stream(stream, source: str) -> list[tuple[int, list[str]]]:
+def _rows_from_stream(stream, source: str, limit=None) -> list[tuple[int, list[str]]]:
     rows = []
     reader = csv.reader(stream)
     try:
@@ -64,6 +65,8 @@ def _rows_from_stream(stream, source: str) -> list[tuple[int, list[str]]]:
             cells = [cell.strip() for cell in row]
             if any(cells):
                 rows.append((lineno, cells))
+                if len(rows) == limit:
+                    break
     except csv.Error as exc:
         raise InputError(f"{source}:{reader.line_num}: {exc}") from exc
     if not rows:
@@ -136,13 +139,20 @@ def _read_table(rows, source: str, key: str, what: str, nonnegative: bool = Fals
     return columns, lines, table
 
 
+def _build(path, lines: dict[str, int], cls, *args, **kwargs):
+    """``cls(...)``; its errors name ``path``, and the line of a row at fault."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        row = getattr(exc, "row", None)
+        line = "" if row is None else f":{list(lines.values())[row]}"
+        raise InputError(f"{path}{line}: {exc}") from exc
+
+
 def load_utilities(path) -> DecisionProblem:
     """`act,<state...>` rows of utilities."""
     states, lines, utilities = _read_table(_read_rows(path), str(path), "act", "state")
-    try:
-        return DecisionProblem(lines, states, utilities)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return _build(path, lines, DecisionProblem, lines, states, utilities)
 
 
 def load_priors(path) -> tuple[tuple[str, ...], list[Prior]]:
@@ -174,10 +184,7 @@ def load_weights(path) -> PortfolioBook:
     """`portfolio,<asset...>` rows of convex weights."""
     assets, lines, weights = _read_table(
         _read_rows(path), str(path), "portfolio", "asset", nonnegative=True)
-    try:
-        return PortfolioBook(tuple(lines), assets, weights)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return _build(path, lines, PortfolioBook, tuple(lines), assets, weights)
 
 
 def load_monthly(path) -> ReturnPanel:
@@ -192,13 +199,8 @@ def load_monthly(path) -> ReturnPanel:
     assets = columns[:-1] if has_vol else columns
     if not assets:
         raise InputError(f"{path}:{rows[0][0]}: no asset columns")
-    try:
-        return ReturnPanel(
-            tuple(lines), assets, values[:, :len(assets)],
-            volatility=values[:, -1] if has_vol else None,
-        )
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return _build(path, lines, ReturnPanel, tuple(lines), assets, values[:, :len(assets)],
+                  volatility=values[:, -1] if has_vol else None)
 
 
 def _is_day(text: str) -> bool:
@@ -212,12 +214,19 @@ def _is_day(text: str) -> bool:
     return True
 
 
+def daily_market(path, rows=None) -> str:
+    """The market column of a daily file, read off its header alone."""
+    lineno, header = (rows or _read_rows(path, limit=1))[0]
+    if len(header) != 2 or header[0] != "date":
+        raise InputError(f"{path}:{lineno}: header must be 'date,<market>'")
+    return _label(str(path), lineno, header[1], "market name")
+
+
 def load_daily(path) -> tuple[str, dict[str, np.ndarray]]:
     """`date,<market>` rows of daily returns, grouped by month."""
     rows = _read_rows(path)
+    daily_market(path, rows)
     columns, lines, values = _read_table(rows, str(path), "date", "market")
-    if len(columns) != 1:
-        raise InputError(f"{path}:{rows[0][0]}: header must be 'date,<market>'")
     grouped: dict[str, list[float]] = {}
     for day, value in zip(lines, values[:, 0].tolist()):
         if not _is_day(day):

@@ -12,25 +12,24 @@ cycle, so termination stays guaranteed.  Leaving-row ties always go to the
 lowest basic index.  Every choice is deterministic, so a program always
 yields the same vertex.
 
-A cold start pivots the program's basis in, row by row, unless the basis
-columns, in row order, are exactly the unit vectors (a slack basis): those
-pivots would only turn -0.0 entries into 0.0, so the tableau starts from the
-constraints plus 0.0.
+Programs of one shape run side by side in one (members, rows + 1,
+columns + 1) stack of tableaux, constraint rows first and the cost row
+last, right-hand side in the last column (`solve_stack`).  A pivot here
+costs about as much in numpy call overhead as in arithmetic, so each step
+prices, ratio-tests and pivots every active member with whole-stack
+operations.  The arithmetic is the 2D run's, element by element, so each
+member takes the very pivots and bits it would take alone.  A stacked step
+costs more than a 2D pivot, so a lone program, and the last member left in
+a stack, run in the 2D loop.
 
-An optimal outcome keeps its final basis and tableau.  A program built on
-the same constraint arrays (A and b) and differing only in its objective
-(`LinearProgram.with_objective`) can restart from that outcome
-(`solve_lps`' ``starts``): the basis is still feasible, so only the cost row
-is replaced and re-priced, and phase 2 continues from the old optimum
-(parametric cost, Dantzig 1963).
-
-Programs of one shape can run side by side (`solve_lps`) in one
-(members, rows, columns) stack of tableaux.  A pivot here costs about as much
-in numpy call overhead as in arithmetic, so each step prices, ratio-tests and
-pivots every active member with whole-stack operations.  The arithmetic is
-the 2D run's, element by element, so each member takes the very pivots and
-bits it would take alone.  A stacked step costs more than a 2D pivot, so a
-lone program, and the last member left in a stack, run in the 2D loop.
+A stack starts either from its programs' slack bases (`slack_tableaux`:
+the last columns, in row order, are the unit vectors, so no set-up pivot is
+needed) or from tableaux an earlier run left optimal.  A restart needs no
+more: the basis of an optimal tableau is still feasible under any other
+objective, so only the cost row is replaced and re-priced, and phase 2
+continues from the old optimum (parametric cost, Dantzig 1963).
+`solve_lps` solves `LinearProgram` objects through the same stack, after
+pivoting in any basis that is not a slack basis, row by row.
 """
 
 from __future__ import annotations
@@ -47,8 +46,10 @@ __all__ = [
     "LpStatus",
     "SolverError",
     "minimize_over_band",
+    "slack_tableaux",
     "solve_lp",
     "solve_lps",
+    "solve_stack",
 ]
 
 FEASIBILITY_TOL = 1e-9  # negative value allowed on a starting basic variable
@@ -122,38 +123,6 @@ class LinearProgram:
         # vectors, so that a cold start needs no set-up pivots.
         object.__setattr__(self, "_unit_basis", bool((A[:, basis] == np.eye(b.size)).all()))
 
-    @classmethod
-    def block(cls, eq_block, eq_rhs, basis) -> list[LinearProgram]:
-        """Zero-objective programs, one per matrix of a (programs, rows,
-        columns) block, all sharing ``eq_rhs`` and ``basis``: the block is
-        validated once, and each program holds a view of its matrix."""
-        A = np.asarray(eq_block, dtype=float)
-        if A.ndim != 3 or not np.isfinite(A).all():
-            raise ValueError("eq_block must be a finite three-dimensional array")
-        if not len(A):
-            return []
-        programs = [cls(np.zeros(A.shape[2]), A[0], eq_rhs, basis)]
-        units = (A[:, :, programs[0].basis] == np.eye(A.shape[1])).all(axis=(1, 2))
-        for matrix, unit in zip(A[1:], units[1:].tolist()):
-            lp = object.__new__(cls)
-            lp.__dict__.update(programs[0].__dict__, eq_matrix=matrix, _unit_basis=unit)
-            programs.append(lp)
-        return programs
-
-    def with_objective(self, objective) -> LinearProgram:
-        """This program under a new objective, on the very same constraint
-        arrays and basis, so that `solve_lps` can restart it from an outcome
-        of this program.  Only the objective is validated: the constraints were
-        checked when this program was built."""
-        c = _vector(objective, "objective")
-        if c.shape != self.objective.shape:
-            raise ValueError(f"objective has {c.size} entries for {self.num_variables} variables")
-        if not np.isfinite(c).all():
-            raise ValueError("objective must be finite")
-        lp = object.__new__(LinearProgram)
-        lp.__dict__.update(self.__dict__, objective=c)
-        return lp
-
     @property
     def num_variables(self) -> int:
         return self.objective.size
@@ -161,14 +130,12 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Status, optimal value and point; an optimal outcome also keeps the
-    program it solved and its final basis and tableau, from which
-    `solve_lps` can restart."""
+    """Status, optimal value and point; an optimal outcome also keeps its
+    final basis and tableau, from which `solve_stack` can restart."""
 
     status: LpStatus
     value: float | None = None
     point: np.ndarray | None = None
-    program: LinearProgram | None = field(default=None, repr=False, compare=False)
     basis: np.ndarray | None = field(default=None, repr=False, compare=False)
     tableau: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -299,14 +266,12 @@ def _run_stack(T: np.ndarray, bases: np.ndarray) -> list[LpStatus]:
 
 
 def _cold_start(T: np.ndarray, lp: LinearProgram) -> None:
-    """Fill the zeroed tableau ``T`` with ``lp``'s constraints and pivot its
-    basis in, row by row.  A basis of unit vectors in row order is left as
-    it stands: its pivots would only turn -0.0 entries into 0.0."""
-    m, n = lp.eq_matrix.shape
-    T[:m, :n] = lp.eq_matrix
-    T[:m, -1] = lp.eq_rhs
+    """Pivot ``lp``'s basis into the tableau ``T``, which holds its
+    constraints, row by row.  A basis of unit vectors in row order is left
+    as it stands (its pivots would only turn -0.0 entries into 0.0, which
+    adding 0.0 does)."""
     if lp._unit_basis:
-        T[:m] += 0.0
+        T[:-1] += 0.0
         return
     for r, j in enumerate(lp.basis.tolist()):
         if abs(T[r, j]) <= _PIVOT_TOL:
@@ -314,45 +279,59 @@ def _cold_start(T: np.ndarray, lp: LinearProgram) -> None:
         _pivot(T, r, j)
 
 
-def _check_start(lp: LinearProgram, start: LpOutcome) -> None:
-    if start.tableau is None:
-        raise ValueError("a restart needs an optimal outcome with its tableau")
-    if start.program.eq_matrix is not lp.eq_matrix or start.program.eq_rhs is not lp.eq_rhs:
-        raise ValueError("a restart needs a start solved on the same constraint arrays")
+def _tableaux(eq_block, eq_rhs) -> np.ndarray:
+    """A stack of tableaux holding the constraints of a (programs, rows,
+    columns) block and their right-hand sides, under a zero cost row."""
+    p, m, n = eq_block.shape
+    T = np.zeros((p, m + 1, n + 1))
+    T[:, :m, :n] = eq_block
+    T[:, :m, -1] = eq_rhs
+    return T
 
 
-def _outcome(lp: LinearProgram, status: LpStatus, T: np.ndarray, basis: np.ndarray) -> LpOutcome:
-    if status is LpStatus.UNBOUNDED:
-        return LpOutcome(status=status)
-    x = np.zeros(lp.num_variables)
-    x[basis] = np.maximum(T[:-1, -1], 0.0)
-    return LpOutcome(
-        status=status, value=float(lp.objective @ x), point=x, program=lp, basis=basis,
-        tableau=T,
-    )
+def slack_tableaux(eq_block, eq_rhs) -> tuple[np.ndarray, np.ndarray]:
+    """Starting tableaux and bases of programs whose last columns are a
+    slack basis: the unit vectors, in row order.
+
+    ``eq_block`` holds one (rows, columns) constraint matrix per program,
+    and ``eq_rhs`` their right-hand sides (one shared vector, or one per
+    program).  The caller builds the slack columns; no set-up pivot is run,
+    so each tableau is the constraints plus 0.0.
+    """
+    T = _tableaux(eq_block, eq_rhs)
+    T[:, :-1] += 0.0
+    p, m, n = eq_block.shape
+    return T, np.tile(np.arange(n - m, n), (p, 1))
 
 
-def _solve_one(lp: LinearProgram, start: LpOutcome | None) -> LpOutcome:
-    # The body of `solve_lp`, which `solve_lps` also runs for a lone program:
-    # a wrapper around either public name (as a span recorder installs) then
-    # sees each call once.
-    c = lp.objective
-    m, n = lp.eq_matrix.shape
-    if start is None:
-        basis = lp.basis.copy()
-        T = np.zeros((m + 1, n + 1))
-        _cold_start(T, lp)
-    else:
-        _check_start(lp, start)
-        basis = start.basis.copy()
-        T = start.tableau.copy()
-    if (T[:m, -1] < -FEASIBILITY_TOL).any():
-        raise SolverError("starting basis is infeasible")
-    T[:m, -1] = np.maximum(T[:m, -1], 0.0)
-    T[-1, :n] = c
-    T[-1, -1] = 0.0
-    T[-1, :] -= c[basis] @ T[:m, :]
-    return _outcome(lp, _run_simplex(T, basis), T, basis)
+def solve_stack(tableaux: np.ndarray, bases: np.ndarray, costs: np.ndarray) -> list[LpStatus]:
+    """Minimize ``costs`` over a stack of tableaux, in place, each member as
+    it would run alone.
+
+    ``tableaux`` (members, rows + 1, columns + 1) hold each member's
+    constraints in canonical form for its feasible basis ``bases``
+    (members, rows): from `slack_tableaux`, or as an earlier run left them
+    (a restart).  The right-hand sides are clipped at 0, the cost rows set
+    to ``costs`` (members, columns) and priced, and the simplex runs; the
+    final tableaux and bases are left in the arrays.  An unbounded member
+    drops out while the others go on.  A failure raises `SolverError` with
+    ``member`` set to the member at fault.
+    """
+    T = tableaux
+    m, n = bases.shape[1], costs.shape[1]
+    if T.shape[1:] != (m + 1, n + 1) or len(bases) != len(T) or len(costs) != len(T):
+        raise ValueError(f"a stack of {T.shape} tableaux needs bases and costs of its shape")
+    infeasible = (T[:, :m, -1] < -FEASIBILITY_TOL).any(axis=1)
+    if infeasible.any():
+        raise SolverError("starting basis is infeasible", int(infeasible.argmax()))
+    T[:, :m, -1] = np.maximum(T[:, :m, -1], 0.0)
+    # One stacked matmul prices every cost row: it runs the same BLAS product
+    # on each member as a 2D one does, so each row takes the same bits.
+    T[:, -1, :n] = costs
+    T[:, -1, -1] = 0.0
+    T[:, -1, :] -= np.matmul(np.take_along_axis(costs, bases, axis=1)[:, None, :],
+                             T[:, :m, :])[:, 0, :]
+    return _run_stack(T, bases)
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
@@ -364,59 +343,38 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     infeasible starting basis is the caller's error and raises
     ``SolverError``.
     """
-    return _solve_one(lp, None)
+    return solve_lps([lp])[0]
 
 
-def solve_lps(lps, *, starts=None) -> list[LpOutcome]:
-    """Solve programs of one shape side by side, each as it would run alone.
-
-    ``starts`` holds, per program, ``None`` for a cold start (as `solve_lp`)
-    or an earlier optimal outcome to restart from.  That outcome must come
-    from a program holding the very same ``eq_matrix`` and ``eq_rhs`` arrays,
-    left unmodified (only the objective may differ; a start solved on other
-    arrays is rejected): its final tableau is copied, its cost row replaced
-    by this objective and re-priced, and the simplex continues from its
-    basis.  A lone program runs in the 2D loop.  Several share one stack of
-    tableaux, which `_run_stack` runs; each outcome equals the member's solo
-    run bit for bit, and an unbounded member drops out while the others go
-    on.  A failure raises `SolverError` with ``member`` set to the position
-    of the program at fault.
-    """
+def solve_lps(lps) -> list[LpOutcome]:
+    """Solve programs of one shape side by side (`solve_stack`), each as it
+    would run alone, cold from its own basis.  A failure raises
+    `SolverError` with ``member`` set to the position of the program at
+    fault."""
     lps = list(lps)
-    starts = [None] * len(lps) if starts is None else list(starts)
-    if len(starts) != len(lps):
-        raise ValueError(f"{len(starts)} starts for {len(lps)} programs")
-    if len(lps) < 2:
-        return [_solve_one(lp, start) for lp, start in zip(lps, starts)]
-    m, n = lps[0].eq_matrix.shape
-    if any(lp.eq_matrix.shape != (m, n) for lp in lps):
+    if not lps:
+        return []
+    if any(lp.eq_matrix.shape != lps[0].eq_matrix.shape for lp in lps):
         raise ValueError("programs solved together must share one shape")
-    T = np.zeros((len(lps), m + 1, n + 1))
-    bases = np.empty((len(lps), m), dtype=int)
-    for i, (lp, start) in enumerate(zip(lps, starts)):
-        if start is not None:
-            _check_start(lp, start)
-            T[i], bases[i] = start.tableau, start.basis
-            continue
-        bases[i] = lp.basis
+    T = _tableaux(np.array([lp.eq_matrix for lp in lps]), np.array([lp.eq_rhs for lp in lps]))
+    for i, lp in enumerate(lps):
         try:
             _cold_start(T[i], lp)
         except SolverError as exc:
             exc.member = i
             raise
-    infeasible = (T[:, :m, -1] < -FEASIBILITY_TOL).any(axis=1)
-    if infeasible.any():
-        raise SolverError("starting basis is infeasible", int(infeasible.argmax()))
-    T[:, :m, -1] = np.maximum(T[:, :m, -1], 0.0)
-    # One stacked matmul prices every cost row: it runs the same BLAS product
-    # on each member as a 2D one does, so each row takes the same bits.
-    costs = np.array([lp.objective for lp in lps])
-    T[:, -1, :n] = costs
-    T[:, -1, -1] = 0.0
-    T[:, -1, :] -= np.matmul(costs[np.arange(len(lps))[:, None], bases][:, None, :],
-                             T[:, :m, :])[:, 0, :]
-    return [_outcome(lp, status, Ti, basis)
-            for lp, status, Ti, basis in zip(lps, _run_stack(T, bases), T, bases)]
+    bases = np.array([lp.basis for lp in lps])
+    statuses = solve_stack(T, bases, np.array([lp.objective for lp in lps]))
+    outs = []
+    for lp, status, Ti, basis in zip(lps, statuses, T, bases):
+        if status is LpStatus.UNBOUNDED:
+            outs.append(LpOutcome(status=status))
+            continue
+        x = np.zeros(lp.num_variables)
+        x[basis] = np.maximum(Ti[:-1, -1], 0.0)
+        outs.append(LpOutcome(status=status, value=float(lp.objective @ x), point=x,
+                              basis=basis, tableau=Ti))
+    return outs
 
 
 def minimize_over_band(direction, center, radius: float) -> tuple[float, np.ndarray, float]:

@@ -40,6 +40,14 @@ _MAX_ITER = 100
 _SHIFT_TOL = 1e-8
 
 
+class _RowError(ValueError):
+    """A rule that one row breaks; ``row`` is the row's index."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass(frozen=True)
 class ReturnPanel:
     """Monthly asset returns, with optional volatility or daily-return backing."""
@@ -58,11 +66,11 @@ class ReturnPanel:
             raise ValueError("panel needs at least one month and one asset")
         if len(set(assets)) != len(assets):
             raise ValueError("panel asset names must be unique")
-        for m in months:
+        for i, m in enumerate(months):
             if not _MONTH_RE.match(m):
-                raise ValueError(f"malformed month label {m!r} (expected YYYY-MM)")
-        if any(a >= b for a, b in zip(months, months[1:])):
-            raise ValueError("months must be strictly increasing")
+                raise _RowError(f"malformed month label {m!r} (expected YYYY-MM)", i)
+            if i and m <= months[i - 1]:
+                raise _RowError("months must be strictly increasing", i)
         if r.shape != (len(months), len(assets)):
             raise ValueError(f"returns shape {r.shape} does not match panel labels")
         if not np.all(np.isfinite(r)):
@@ -102,10 +110,10 @@ class PortfolioBook:
             raise ValueError(f"weights shape {w.shape} does not match labels")
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite and nonnegative")
-        sums = w.sum(axis=1)
-        bad = [names[i] for i in np.flatnonzero(np.abs(sums - 1.0) > 1e-9)]
+        bad = np.flatnonzero(np.abs(w.sum(axis=1) - 1.0) > 1e-9).tolist()
         if bad:
-            raise ValueError(f"portfolio weights must sum to 1: {', '.join(bad)}")
+            raise _RowError(f"portfolio weights must sum to 1: "
+                            f"{', '.join(names[i] for i in bad)}", bad[0])
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "assets", assets)
         object.__setattr__(self, "weights", w)

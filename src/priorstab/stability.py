@@ -4,11 +4,14 @@ For an act that is optimal at the reference prior, the *robustness radius* is
 the largest band radius within which it stays optimal for every prior in the
 band; for any act, the *contamination need* is the smallest radius at which
 some prior in the band makes it optimal.  The radius is exact, by Newton on
-each competitor's convex band minimum; the need comes from a single linear
-program.  When no prior anywhere makes an act optimal, a mixture of the
-competing acts strictly dominates it, and that mixture is returned as a
-checkable certificate.  A profile over several priors decides this once per
-act, and solves the need programs of all its acts together (`_solve_needs`).
+each competitor's convex band minimum, skipping the competitors that a
+cheap bound shows cannot bind; the need comes from a single linear program.
+When no prior anywhere makes an act optimal, a mixture of the competing acts
+strictly dominates it, and that mixture is returned as a checkable
+certificate.  A profile over several priors decides this once per act, in
+one stack of certificate programs, and solves the need programs of all its
+acts together (`_solve_needs`).  Both run in `lp.solve_stack` on arrays
+built straight from the table.
 """
 
 from __future__ import annotations
@@ -19,14 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .core import TIE_TOL, BayesSet, DecisionProblem, Prior, bayes_acts
-from .lp import (
-    LinearProgram,
-    LpStatus,
-    SolverError,
-    minimize_over_band,
-    solve_lp,
-    solve_lps,
-)
+from .lp import LpStatus, SolverError, minimize_over_band, slack_tableaux, solve_stack
 
 __all__ = [
     "STRICT_DOMINANCE_TOL",
@@ -144,12 +140,12 @@ class Need:
         return self.epsilon if self.kind is NeedKind.VALUE else np.inf
 
 
-def _difference_rows(problem: DecisionProblem, act: str) -> tuple[list[str], np.ndarray]:
-    """Rows u(act, .) - u(b, .) for every competitor b, in act order."""
-    i = problem.act_index(act)
-    others = [b for b in problem.acts if b != act]
-    diffs = problem.utilities[i] - np.delete(problem.utilities, i, axis=0)
-    return others, diffs
+def _dominance_rows(u: np.ndarray, rows) -> np.ndarray:
+    """Per act row i of ``rows``, the rows u[i] - u[b] for every competitor
+    b, in act order: a (len(rows), acts - 1, states) block."""
+    rows = np.asarray(rows)[:, None]
+    position = np.arange(len(u) - 1)
+    return u[rows[:, 0]][:, None, :] - u[position + (position >= rows)]
 
 
 def _largest_safe_radius(d: np.ndarray, center: np.ndarray) -> float:
@@ -184,52 +180,87 @@ def robustness_radius(
     """Largest band radius keeping ``a`` optimal everywhere in the band.
 
     The radius is the smallest of the competitors' safe radii, capped at 1.
-    A competitor that ``a`` beats in every state never binds, and one whose
-    band minimum is still nonnegative at the smallest radius found so far
-    cannot lower it, so it costs a single evaluation.  ``bayes`` is the
-    Bayes set that decides whether ``a`` is optimal at ``prior``; it defaults
-    to the problem's own.
+    A competitor that ``a`` beats in every state never binds.  Over the band
+    of radius eps, <pi - pi0, d> >= -eps * spread(d), where spread(d) is the
+    sum of the largest floor(m / 2) entries of d minus the sum of the
+    smallest floor(m / 2), so <pi0, d> / spread(d) is a lower bound on the
+    competitor's safe radius.  Competitors are visited in ascending order of
+    that bound, and the visit stops once it exceeds the smallest radius
+    found so far, so the radius is the smallest root over every competitor
+    that can bind.  ``bayes`` is the Bayes set that decides whether ``a`` is
+    optimal at ``prior``; it defaults to the problem's own.
     """
     if a not in (bayes_acts(problem, prior) if bayes is None else bayes):
         return Radius.not_bayes()
-    _, diffs = _difference_rows(problem, a)
+    u = problem.utilities
+    diffs = u[problem.act_index(a)] - u
+    diffs = diffs[(diffs < 0.0).any(axis=1)]  # a's own row is 0
+    h = problem.num_states // 2
+    bounds = []
+    for lead, d in zip((diffs @ prior.mass).tolist(), diffs.tolist()):
+        d.sort()
+        spread = sum(d[len(d) - h:]) - sum(d[:h])
+        bounds.append(lead / spread if spread > 0.0 else -np.inf)
     radius = 1.0
-    for d in diffs:
-        if d.min() >= 0.0:
-            continue
-        if radius < 1.0 and minimize_over_band(d, prior.mass, radius)[0] >= 0.0:
-            continue
-        radius = min(radius, _largest_safe_radius(d, prior.mass))
+    for i in sorted(range(len(bounds)), key=bounds.__getitem__):
+        # Newton's roots and the bounds are each a few ulps off, so a bound
+        # must clear the radius by a margin before it proves anything.
+        if bounds[i] > radius * (1.0 + 1e-9):
+            break
+        radius = min(radius, _largest_safe_radius(diffs[i], prior.mass))
     return Radius.value(radius)
 
 
-def _best_mixture(rows: np.ndarray) -> tuple[np.ndarray, float]:
-    """Mixture weights of the rows maximizing their smallest entry, and that
-    entry: the dominance program on gains of unit scale."""
-    k, m = rows.shape
-    # Variables: mixture weights (k), shifted advantage t - t_lo (1), and
-    # per-state slack (m).  The optimal t is at least min(rows) > t_lo, so
-    # the shift never binds; the weights need no cap, as they sum to 1.
-    t_lo = float(rows.min()) - 1.0
-    objective = np.zeros(k + 1 + m)
-    objective[k] = -1.0  # maximize t
-    A = np.zeros((1 + m, k + 1 + m))
-    A[0, :k] = 1.0
-    A[1:, :k] = rows.T
-    A[1:, k] = -1.0
-    A[1 + np.arange(m), k + 1 + np.arange(m)] = -1.0
-    b = np.full(1 + m, t_lo)
-    b[0] = 1.0
-    # Start at the first competitor alone: its weight is basic in the
-    # simplex row, t - t_lo in the row of its smallest entry (where t
-    # binds), and each other state's slack in its own row.
-    basis = np.concatenate([[0], k + 1 + np.arange(m)])
-    basis[1 + np.argmin(rows[0])] = k
+def _best_mixtures(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per (competitors, states) block of unit-scale gains, the mixture
+    weights of its rows that maximize their smallest entry, and that entry
+    where it is positive (0 where it is not): the dominance programs of all
+    blocks, solved as one stack.
 
-    out = solve_lp(LinearProgram(objective, A, b, basis))
-    if out.status is not LpStatus.OPTIMAL:
-        raise SolverError(f"dominance program ended with status {out.status.value}")
-    return out.point[:k], t_lo + out.point[k]
+    Each program is posed homogenized: max t subject to t <= (G.T w)_j for
+    every state j, sum(w) <= 1 and t, w >= 0.  Variables: t, the weights w
+    (k) and one slack per row (m + 1).  The right-hand side is (0, ..., 0,
+    1), so the slack basis is feasible.  At a positive optimum the weights
+    sum to 1, so it is the best mixture's smallest gain.
+    """
+    p, k, m = gains.shape
+    A = np.zeros((p, m + 1, k + m + 2))
+    A[:, :m, 0] = 1.0
+    A[:, :m, 1:k + 1] = -gains.transpose(0, 2, 1)
+    A[:, m, 1:k + 1] = 1.0
+    A[:, :, k + 1:] = np.eye(m + 1)
+    b = np.zeros(m + 1)
+    b[m] = 1.0
+    T, bases = slack_tableaux(A, b)
+    costs = np.zeros((p, k + m + 2))
+    costs[:, 0] = -1.0  # maximize t
+    for i, status in enumerate(solve_stack(T, bases, costs)):
+        if status is not LpStatus.OPTIMAL:
+            raise SolverError(f"dominance program ended with status {status.value}", i)
+    x = np.zeros_like(costs)
+    np.put_along_axis(x, bases, np.maximum(T[:, :-1, -1], 0.0), axis=1)
+    return x[:, 1:k + 1], x[:, 0]
+
+
+def _dominating_mixtures(problem: DecisionProblem, acts):
+    """Per act of ``acts``: its competitors' gains u(b, .) - u(act, .), and
+    the best mixture of them and its smallest gain on unit scale, so that
+    the threshold is scale-free (`_best_mixtures`)."""
+    gains = -_dominance_rows(problem.utilities, [problem.act_index(act) for act in acts])
+    scale = np.abs(gains).max(axis=(1, 2))
+    weights, t = _best_mixtures(gains / np.where(scale > 0.0, scale, 1.0)[:, None, None])
+    return gains, weights, t
+
+
+def _certificate(problem: DecisionProblem, act: str, gains, weights, t):
+    """The mixture ``weights`` of ``act``'s competitors as its certificate,
+    where the program's optimum ``t`` passes the strictness threshold."""
+    if t <= STRICT_DOMINANCE_TOL:
+        return None
+    others = [b for b in problem.acts if b != act]
+    return DominanceCertificate(
+        weights={b: float(w) for b, w in zip(others, weights)}, margins=weights @ gains
+    )
 
 
 def strict_inadmissibility_certificate(
@@ -246,17 +277,8 @@ def strict_inadmissibility_certificate(
     """
     if problem.num_acts < 2:
         raise ValueError("a certificate needs at least one competing act")
-    others, diffs = _difference_rows(problem, a)
-    gains = -diffs  # per competitor: u(b, .) - u(a, .)
-    # The program runs on unit-scale gains, so its threshold is scale-free.
-    scale = float(np.abs(gains).max())
-    beta, t_star = _best_mixture(gains / scale if scale > 0.0 else gains)
-    if t_star <= STRICT_DOMINANCE_TOL:
-        return None
-    return DominanceCertificate(
-        weights={b_act: float(w) for b_act, w in zip(others, beta)},
-        margins=beta @ gains,
-    )
+    (gains,), (weights,), (t,) = _dominating_mixtures(problem, [a])
+    return _certificate(problem, a, gains, weights, t)
 
 
 def _certificate_on_row_scales(problem: DecisionProblem, a: str) -> DominanceCertificate | None:
@@ -264,19 +286,15 @@ def _certificate_on_row_scales(problem: DecisionProblem, a: str) -> DominanceCer
     gains at unit max-norm, so strictness is judged per competitor and not
     against the table's largest gain.  The weights are mapped back through
     the row norms and renormalised, so the margins stay in utility units."""
-    others, diffs = _difference_rows(problem, a)
-    gains = -diffs
+    (gains,) = -_dominance_rows(problem.utilities, [problem.act_index(a)])
     norms = np.abs(gains).max(axis=1)
     norms = np.where(norms > 0.0, norms, 1.0)
-    beta, t_star = _best_mixture(gains / norms[:, None])
+    (beta,), (t_star,) = _best_mixtures((gains / norms[:, None])[None])
     if t_star <= STRICT_DOMINANCE_TOL:
         return None
     weights = beta / norms
     weights /= weights.sum()
-    return DominanceCertificate(
-        weights={b_act: float(w) for b_act, w in zip(others, weights)},
-        margins=weights @ gains,
-    )
+    return _certificate(problem, a, gains, weights, t_star)
 
 
 def _bayes_at_probes(problem: DecisionProblem) -> list[str]:
@@ -297,10 +315,10 @@ def _bayes_at_probes(problem: DecisionProblem) -> list[str]:
     return [act for act, hit in zip(problem.acts, found.tolist()) if hit]
 
 
-def _need_block(problem: DecisionProblem, acts) -> tuple[list[LinearProgram], np.ndarray]:
-    """The need programs of ``acts``, under a zero objective, and their
-    dominance rows' norms, built as one (acts, m + 1, n) block of
-    constraints and validated once.
+def _need_block(problem: DecisionProblem, acts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constraints of the need programs of ``acts``, as one (acts,
+    m + 1, n) block, their shared right-hand side, and their dominance rows'
+    norms.
 
     An act's need program is posed in dual form.  The primal is min eps over
     pi in the simplex with |pi - pi0| <= eps and diffs @ pi >= 0, where
@@ -310,21 +328,16 @@ def _need_block(problem: DecisionProblem, acts) -> tuple[list[LinearProgram], np
     free.  Variables: y+, y- (2), u (m), l (m), w (k) and one slack per row
     (m + 1).  The right-hand side is (0, ..., 0, 1), so the slack basis is
     feasible, and the reference prior pi0 enters only the objective
-    (`_need_objective`).
+    (`_need_costs`).
     """
-    u = problem.utilities
-    rows = np.array([problem.act_index(act) for act in acts], dtype=int)
     k, m = problem.num_acts - 1, problem.num_states
-    # Per act, the dominance rows u(act, .) - u(b, .) for every competitor b,
-    # in act order, as `_difference_rows` gives them.
-    position = np.arange(k)
-    diffs = u[rows][:, None, :] - u[position + (position >= rows[:, None])]
+    diffs = _dominance_rows(problem.utilities, [problem.act_index(act) for act in acts])
     # Each dominance row is a halfspace through the origin, so scaling it to
     # unit max-norm leaves the program unchanged and keeps pivots well sized.
     norms = np.abs(diffs).max(axis=2)
     norms = np.where(norms > 0.0, norms, 1.0)
     w = 2 + 2 * m  # first column of w; the slacks follow it
-    A = np.zeros((rows.size, m + 1, w + k + m + 1))
+    A = np.zeros((len(acts), m + 1, w + k + m + 1))
     A[:, :m, 0], A[:, :m, 1] = 1.0, -1.0
     A[:, :m, 2:2 + m] = -np.eye(m)
     A[:, :m, 2 + m:w] = np.eye(m)
@@ -333,25 +346,28 @@ def _need_block(problem: DecisionProblem, acts) -> tuple[list[LinearProgram], np
     A[:, :, w + k:] = np.eye(m + 1)
     b = np.zeros(m + 1)
     b[m] = 1.0
-    return LinearProgram.block(A, b, w + k + np.arange(m + 1)), norms
+    return A, b, norms
 
 
-def _need_objective(lp: LinearProgram, prior: Prior) -> np.ndarray:
-    """The objective of need program ``lp`` at ``prior``: its dual objective
-    y - pi0.u + pi0.l, negated to be minimized."""
-    m = lp.eq_rhs.size - 1
-    if prior.dimension != m:
-        raise ValueError(f"prior {prior.name!r} has {prior.dimension} states, problem has {m}")
-    objective = np.zeros(lp.num_variables)
-    objective[0], objective[1] = -1.0, 1.0
-    objective[2:2 + m] = prior.mass
-    np.negative(prior.mass, out=objective[2 + m:2 + 2 * m])
-    return objective
+def _need_costs(priors, m: int, n: int) -> np.ndarray:
+    """The cost rows of the need programs, of n columns, at each of
+    ``priors``: the dual objective y - pi0.u + pi0.l, negated to be
+    minimized."""
+    for prior in priors:
+        if prior.dimension != m:
+            raise ValueError(f"prior {prior.name!r} has {prior.dimension} states, problem has {m}")
+    masses = np.array([prior.mass for prior in priors])
+    costs = np.zeros((len(priors), n))
+    costs[:, 0], costs[:, 1] = -1.0, 1.0
+    costs[:, 2:2 + m] = masses
+    costs[:, 2 + m:2 + 2 * m] = -masses
+    return costs
 
 
-def _needs_off_bases(outs) -> list[Need]:
-    """The needs at optimal outcomes of need programs, read off their final
-    bases in one stacked solve."""
+def _needs_off_bases(A: np.ndarray, b: np.ndarray, at: np.ndarray, costs, bases) -> list[Need]:
+    """The needs at optimal bases ``bases`` of need programs: member i is
+    program ``at[i]`` of the block ``A`` under cost row ``costs[i]``, read
+    off in one stacked solve."""
     # A tableau carries the rounding of every pivot since its program's cold
     # start, which depends on the priors solved before.  Reading the optimum
     # off the final basis alone, solved afresh from the original constraints,
@@ -359,31 +375,32 @@ def _needs_off_bases(outs) -> list[Need]:
     # same LAPACK routine on each basis as a 2D solve, and the stacked product
     # of a row and a column the same dot product, so each need takes the bits
     # of a member read off alone.
-    if not outs:
-        return []
-    bases = np.sort([out.basis for out in outs], axis=1)
+    bases = np.sort(bases, axis=1)
     x = np.linalg.solve(
-        np.array([out.program.eq_matrix[:, basis] for out, basis in zip(outs, bases)]),
-        np.array([out.program.eq_rhs for out in outs])[:, :, None],
+        A[at[:, None, None], np.arange(b.size)[:, None], bases[:, None, :]],
+        np.tile(b, (len(at), 1))[:, :, None],
     )
-    costs = np.array([out.program.objective[basis] for out, basis in zip(outs, bases)])
-    values = np.matmul(costs[:, None, :], x)[:, 0, 0]
+    values = np.matmul(np.take_along_axis(costs, bases, axis=1)[:, None, :], x)[:, 0, 0]
     # The optimum is a distance between simplex points, so it lies in
     # [0, 1]; rounding can land it an ulp outside.
     return [Need.value(min(max(-value, 0.0), 1.0)) for value in values.tolist()]
 
 
-def _loosened_need(problem: DecisionProblem, act: str, prior: Prior, tol: float) -> LinearProgram:
-    """The need program of ``act`` at ``prior``, with each dominance row
-    allowed to fall short of 0 by ``tol`` utility units, so the act need
-    only come within ``tol`` of every competitor, as `bayes_acts`' tie rule
-    asks: the primal rows become diffs @ pi >= -tol / norm, which costs
-    tol / norm per unit of w."""
-    (lp,), (norms,) = _need_block(problem, [act])
-    objective = _need_objective(lp, prior)
+def _loosened_need(problem: DecisionProblem, act: str, prior: Prior, tol: float) -> Need | None:
+    """The optimum of the need program of ``act`` at ``prior`` with each
+    dominance row allowed to fall short of 0 by ``tol`` utility units, so
+    the act need only come within ``tol`` of every competitor, as
+    `bayes_acts`' tie rule asks: the primal rows become
+    diffs @ pi >= -tol / norm, which costs tol / norm per unit of w.
+    ``None`` where the loosened program is unbounded too."""
+    A, b, norms = _need_block(problem, [act])
+    costs = _need_costs([prior], problem.num_states, A.shape[2])
     w = 2 + 2 * problem.num_states
-    objective[w:w + norms.size] = tol / norms
-    return lp.with_objective(objective)
+    costs[0, w:w + norms.shape[1]] = tol / norms[0]
+    T, bases = slack_tableaux(A, b)
+    if solve_stack(T, bases, costs)[0] is not LpStatus.OPTIMAL:
+        return None
+    return _needs_off_bases(A, b, np.zeros(1, dtype=int), costs, bases)[0]
 
 
 def _unbounded_need(problem: DecisionProblem, act: str, prior: Prior, tol: float) -> Need:
@@ -396,9 +413,9 @@ def _unbounded_need(problem: DecisionProblem, act: str, prior: Prior, tol: float
     dominating mixture as its certificate, so no profile row calls an act
     inadmissible that another row finds Bayes.
     """
-    loose = solve_lp(_loosened_need(problem, act, prior, tol))
-    if loose.status is LpStatus.OPTIMAL:
-        return _needs_off_bases([loose])[0]
+    loose = _loosened_need(problem, act, prior, tol)
+    if loose is not None:
+        return loose
     # The need program scales each dominance row to unit max-norm, so it can
     # see a strict dominance that is small next to the table's largest gain;
     # the certificate program is then solved once more on that scaling.
@@ -418,42 +435,58 @@ def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
     ``tol`` is the tie tolerance of the Bayes sets, and no pending act may be
     Bayes at its prior.
 
-    The need programs of the pending acts are built as one block
-    (`_need_block`) and solved in stacked simplex runs (`solve_lps`), each
-    member taking the pivots and bits of its own solo run.  The cold stack
-    holds each act's program at its first pending prior.  The reference
-    prior enters a program only through its objective, so the restart stacks
-    hold the program at every later pending prior, restarted from the act's
-    first optimal tableau with the new prior's cost row; they are cut into
-    stacks of ``_RESTART_CHUNK`` members, so memory stays bounded however
-    many priors there are.  The needs of a stack are read off their members'
-    final bases (`_needs_off_bases`), and an unbounded program goes to
+    The need programs of the pending acts are built as one block of
+    constraints (`_need_block`) and solved in stacked simplex runs
+    (`solve_stack`), each member taking the pivots and bits of its own solo
+    run.  The cold stack holds each act's program at its first pending
+    prior, started from the slack bases.  The reference prior enters a
+    program only through its cost row, so the restart stacks hold the
+    program at every later pending prior, each a copy of its act's final
+    tableau and basis in the cold stack under the new prior's cost row.  An
+    act whose cold program is unbounded is unbounded at every prior, since
+    its primal constraints do not depend on the prior; its later programs
+    start cold too.  Restarts are cut into stacks of ``_RESTART_CHUNK``
+    members, so memory stays bounded however many priors there are.  The
+    needs of a stack are read off their members' final bases
+    (`_needs_off_bases`), and an unbounded program goes to
     `_unbounded_need`.  Failures are re-raised with the act and prior at
     fault attached.
     """
-    first = {}  # act -> its first pending prior
+    if not pending:
+        return {}
+    cold, later = {}, []  # per act, its first pending pair; every later pair
     for act, j in pending:
-        first.setdefault(act, j)
-    later = [(act, j) for act, j in pending if j != first[act]]
-    lps = dict(zip(first, _need_block(problem, list(first))[0]))
-    # One objective per prior, sized like every need program (none if none)
-    objectives = [_need_objective(lp, prior) for lp in list(lps.values())[:1] for prior in priors]
-    last, needs = {}, {}  # per act, its first optimum; per pair, its need
-    for members in [list(first.items())] + [
-        later[lo:lo + _RESTART_CHUNK] for lo in range(0, len(later), _RESTART_CHUNK)
-    ]:
+        if act in cold:
+            later.append((act, j))
+        else:
+            cold[act] = (act, j)
+    position = {act: i for i, act in enumerate(cold)}  # in the block
+    A, b, _ = _need_block(problem, list(cold))
+    costs = _need_costs(priors, problem.num_states, A.shape[2])
+    needs = {}
+
+    def run(members, T, bases):
+        at = np.array([position[act] for act, _ in members])
+        member_costs = costs[[j for _, j in members]]
         try:
-            outs = solve_lps([lps[act].with_objective(objectives[j]) for act, j in members],
-                             starts=[last.get(act) for act, _ in members])
+            statuses = solve_stack(T, bases, member_costs)
         except SolverError as exc:
             act, j = members[exc.member]
             raise SolverError(f"act {act!r}, prior {priors[j].name!r}: {exc}") from exc
-        optimal = [(member, out) for member, out in zip(members, outs)
-                   if out.status is LpStatus.OPTIMAL]
-        needs.update(zip([member for member, _ in optimal],
-                         _needs_off_bases([out for _, out in optimal])))
-        for (act, _), out in optimal:
-            last.setdefault(act, out)
+        optimal = np.array([status is LpStatus.OPTIMAL for status in statuses])
+        needs.update(zip([pair for pair, ok in zip(members, optimal.tolist()) if ok],
+                         _needs_off_bases(A, b, at[optimal], member_costs[optimal],
+                                          bases[optimal])))
+        return optimal
+
+    T, bases = slack_tableaux(A, b)
+    unbounded = ~run(list(cold.values()), T, bases)
+    if unbounded.any():
+        T[unbounded], bases[unbounded] = slack_tableaux(A[unbounded], b)
+    for lo in range(0, len(later), _RESTART_CHUNK):
+        members = later[lo:lo + _RESTART_CHUNK]
+        at = [position[act] for act, _ in members]
+        run(members, T[at], bases[at])
     for act, j in pending:
         if (act, j) not in needs:
             try:
@@ -540,15 +573,18 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     tol = TIE_TOL * (u.max() - u.min())  # the Bayes sets' tie tolerance
     optimal_somewhere = {act for bset in bsets for act in bset.optimal_acts}
     optimal_somewhere.update(_bayes_at_probes(problem))
-    certificates = {}
-    for act in problem.acts:
-        if act in optimal_somewhere:
-            certificates[act] = None
-            continue
+    certificates = dict.fromkeys(problem.acts)
+    unwitnessed = [act for act in problem.acts if act not in optimal_somewhere]
+    if unwitnessed:
         try:
-            certificates[act] = strict_inadmissibility_certificate(problem, act)
-        except (SolverError, ValueError) as exc:
-            raise type(exc)(f"act {act!r}: {exc}") from exc
+            mixtures = _dominating_mixtures(problem, unwitnessed)
+        except SolverError as exc:
+            raise SolverError(f"act {unwitnessed[exc.member]!r}: {exc}") from exc
+        for act, *mixture in zip(unwitnessed, *mixtures):
+            try:
+                certificates[act] = _certificate(problem, act, *mixture)
+            except ValueError as exc:
+                raise ValueError(f"act {act!r}: {exc}") from exc
     kept = [i for i, act in enumerate(problem.acts) if certificates[act] is None]
     undominated = DecisionProblem(
         [problem.acts[i] for i in kept], problem.states, problem.utilities[kept]

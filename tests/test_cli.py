@@ -495,6 +495,23 @@ class TestScenarios:
         )
         assert code == 0
 
+    def test_market_vol_reads_only_the_daily_header(self, tmp_path, capsys):
+        # beside a market_vol column the daily rows are never parsed, so a
+        # malformed one goes unnoticed; the header's market column is checked
+        monthly = "date,market,market_vol\n2020-01,0.02,0.01\n2020-02,0.01,0.02\n"
+        m = write(tmp_path, "monthly.csv", monthly)
+        w = write(tmp_path, "weights.csv", "portfolio,market\nall,1.0\n")
+        for header, code in (("date,market", 0), ("date,other", 3), ("day,market", 2),
+                             ("date,market,extra", 2)):
+            d = write(tmp_path, "daily.csv", f"\n{header}\n2020-01-02,abc\n2020-01-02,\n")
+            argv = ["scenarios", "--monthly", m, "--weights", w, "--daily", d, "--k", "1",
+                    "--out", str(tmp_path)]
+            assert main(argv) == code
+            out, err = capsys.readouterr()
+            assert ("daily file ignored" in out) == (code == 0)
+            if code == 2:
+                assert f"{d}:2: header must be 'date,<market>'" in err
+
     def test_daily_column_mismatch_exit_3(self, tmp_path):
         monthly = "date,market\n2020-01,0.02\n"
         daily = "date,other\n2020-01-02,0.01\n"
@@ -771,6 +788,10 @@ FUZZ_CASES += [("daily", ("repeat", None)), ("daily", ("date", "1985-13-45")),
                ("daily", ("date", "2021-02-29"))]
 # Every row label is unique in its file.
 FUZZ_CASES += [(target, ("repeat", None)) for target in sorted(FUZZ_FILES) if target != "daily"]
+# Months are YYYY-MM labels in increasing order, and each portfolio's
+# weights sum to 1.
+FUZZ_CASES += [("monthly", ("date", "2020-3")), ("monthly", ("swap", None)),
+               ("weights", ("cell", "0.05"))]
 
 
 def corrupt(text, corruption, rng):
@@ -783,6 +804,10 @@ def corrupt(text, corruption, rng):
     r = int(rng.integers(1, len(lines)))
     if kind == "repeat":
         lines.insert(r, lines[r])
+        return "\n".join(lines) + "\n"
+    if kind == "swap":
+        r = min(r, len(lines) - 2)
+        lines[r], lines[r + 1] = lines[r + 1], lines[r]
         return "\n".join(lines) + "\n"
     cells = lines[r].split(",")
     c = 0 if kind == "date" else int(rng.integers(1, len(cells)))
@@ -845,8 +870,11 @@ class TestCliFuzz:
             assert code in (2, 3), (text, err)
             assert err.endswith("\n") and err.count("\n") == 1, err
             assert "Traceback" not in err
-            if corruption[0] in ("cell", "repeat"):
-                # a bad number or a repeated row, wherever it is, names its file and line
+            if corruption[0] in ("cell", "repeat", "date", "swap"):
+                # a bad number or label, a repeated row or months out of
+                # order, wherever it is, names its file and line: for a swap,
+                # the line of the month that does not follow the one before
                 pairs = zip_longest(FUZZ_FILES[target].splitlines(), text.splitlines())
                 line = next(i for i, (was, now) in enumerate(pairs, start=1) if was != now)
+                line += corruption[0] == "swap"
                 assert f"{files[target]}:{line}:" in err, err

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from types import SimpleNamespace
+
 from priorstab.lp import (
     LinearProgram,
     LpStatus,
     SolverError,
     minimize_over_band,
+    slack_tableaux,
     solve_lp,
     solve_lps,
+    solve_stack,
 )
 
 from conftest import (
@@ -163,16 +167,35 @@ def random_inequality_program(rng):
     return c, A, b, upper
 
 
+def stack_outcome(cost, tableau, basis, status):
+    """The outcome of one member of a `solve_stack` run, read as `solve_lps`
+    reads it."""
+    if status is LpStatus.UNBOUNDED:
+        return SimpleNamespace(status=status, value=None, point=None, basis=None, tableau=None)
+    x = np.zeros(cost.size)
+    x[basis] = np.maximum(tableau[:-1, -1], 0.0)
+    return SimpleNamespace(status=status, value=float(cost @ x), point=x, basis=basis,
+                           tableau=tableau)
+
+
 def restart(lp, start):
-    """``lp`` restarted from the outcome ``start``: a lone member of
-    `solve_lps`, the one restart route."""
-    return solve_lps([lp], starts=[start])[0]
+    """``lp`` restarted from the optimal outcome ``start`` of a program on
+    the same constraints: a one-member `solve_stack` run from a copy of its
+    final tableau and basis, as the need programs of a profile restart."""
+    T, bases = start.tableau[None].copy(), start.basis[None].copy()
+    (status,) = solve_stack(T, bases, lp.objective[None])
+    return stack_outcome(lp.objective, T[0], bases[0], status)
+
+
+def reobjective(lp, objective):
+    """``lp`` on the same constraint arrays and basis under ``objective``."""
+    return LinearProgram(objective, lp.eq_matrix, lp.eq_rhs, lp.basis)
 
 
 def with_objective(lp, objective):
     """``lp`` on the same constraint arrays, with a new cost on its original
     variables (none on the slacks), as a restart requires."""
-    return lp.with_objective(np.concatenate([objective, np.zeros(lp.eq_rhs.size)]))
+    return reobjective(lp, np.concatenate([objective, np.zeros(lp.eq_rhs.size)]))
 
 
 class TestRestart:
@@ -227,9 +250,7 @@ class TestRestart:
             assert ref.status == 3  # unbounded
             out = restart(with_objective(cold, fresh), start)
             assert out.status is LpStatus.UNBOUNDED
-            assert out.tableau is None
-            with pytest.raises(ValueError, match="tableau"):
-                restart(cold, out)
+            assert solve_lp(with_objective(cold, fresh)).tableau is None
 
     def test_same_objective_takes_no_pivot(self, monkeypatch):
         import priorstab.lp as lp_module
@@ -255,39 +276,17 @@ class TestRestart:
             assert np.array_equal(again.basis, first.basis)
 
     def test_start_of_another_shape_is_rejected(self):
+        # a restart tableau must fit the costs and bases it is run under
         first = solve_lp(inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0]))
         other = inequality_form([1.0, -1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.5])
-        with pytest.raises(ValueError, match="same constraint arrays"):
+        with pytest.raises(ValueError, match="of its shape"):
             restart(other, first)
         wider = inequality_form([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0]], [1.0])
-        with pytest.raises(ValueError, match="same constraint arrays"):
+        with pytest.raises(ValueError, match="of its shape"):
             restart(wider, first)
-
-    def test_start_from_other_constraints_of_the_same_shape_is_rejected(self):
-        # Restarted from x <= 1, the program x <= 2 would stop at the old
-        # optimum x = 1: a same-shape start must come from the same arrays.
-        lp = inequality_form([-1.0], [[1.0]], [1.0])
-        first = solve_lp(lp)
-        assert first.value == -1.0
-        other = inequality_form([-1.0], [[1.0]], [2.0])
-        with pytest.raises(ValueError, match="same constraint arrays"):
-            restart(other, first)
-        copied = LinearProgram(lp.objective, lp.eq_matrix.copy(), lp.eq_rhs, lp.basis)
-        with pytest.raises(ValueError, match="same constraint arrays"):
-            restart(copied, first)
-        assert restart(with_objective(lp, [-2.0]), first).value == -2.0
-
-    def test_with_objective_keeps_the_constraints_and_checks_the_objective(self):
-        lp = inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0])
-        other = lp.with_objective([2.0, -1.0, 0.0])
-        assert other.objective.tolist() == [2.0, -1.0, 0.0]
-        assert lp.objective.tolist() == [1.0, -1.0, 0.0]
-        assert other.eq_matrix is lp.eq_matrix and other.eq_rhs is lp.eq_rhs
-        assert other.basis is lp.basis
-        for bad, match in (([1.0, 2.0], "2 entries for 3"), ([[1.0, 2.0, 3.0]], "one-dimensional"),
-                           ([np.nan, 0.0, 0.0], "finite"), ([np.inf, 0.0, 0.0], "finite")):
-            with pytest.raises(ValueError, match=match):
-                lp.with_objective(bad)
+        with pytest.raises(ValueError, match="of its shape"):
+            solve_stack(first.tableau[None].copy(), first.basis[None].copy(),
+                        np.zeros((2, first.tableau.shape[1] - 1)))
 
     def test_repr_leaves_out_the_restart_state(self):
         out = solve_lp(inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0]))
@@ -328,27 +327,22 @@ class TestPivotPath:
         assert_same_path(solve_lp(beale_program()), ref)
 
     def test_profile_programs(self, monkeypatch):
-        # Every certificate and need program of some profiles, cold or
-        # restarted, alone or in a stack; the certificate programs pivot in
-        # -1 slack entries.
+        # Every member of the certificate and need stacks of some profiles,
+        # cold or restarted, takes the reference simplex's pivots from the
+        # tableau and basis it starts with.
         import priorstab.stability as stab
 
-        solved, stacked = [], []
-        solve, solve_stack = stab.solve_lp, stab.solve_lps
+        members, stacked = [], []
+        solve = stab.solve_stack
 
-        def spied(lp):
-            out = solve(lp)
-            solved.append((lp, None, out))
-            return out
+        def spied(T, bases, costs):
+            starts = T.copy(), bases.copy()
+            statuses = solve(T, bases, costs)
+            stacked.append(len(T))
+            members.extend(zip(*starts, costs, T.copy(), bases.copy(), statuses))
+            return statuses
 
-        def spied_stack(lps, *, starts=None):
-            outs = solve_stack(lps, starts=starts)
-            stacked.append(len(lps))
-            solved.extend(zip(lps, starts, outs))
-            return outs
-
-        monkeypatch.setattr(stab, "solve_lp", spied)
-        monkeypatch.setattr(stab, "solve_lps", spied_stack)
+        monkeypatch.setattr(stab, "solve_stack", spied)
         rng = np.random.default_rng(303)
         for _ in range(12):
             n, m = int(rng.integers(3, 9)), int(rng.integers(2, 6))
@@ -360,15 +354,17 @@ class TestPivotPath:
             )
             stab.stability_profile(problem, [random_prior(rng, m, f"p{k}") for k in range(5)])
         monkeypatch.undo()
-        # a need program's objective starts (-1, 1); a certificate program's
+        # a need program's cost row starts (-1, 1); a certificate program's
         # has its only nonzero, -1, at t
-        need = [(lp, start) for lp, start, _ in solved if lp.objective[1] == 1.0]
-        assert len(need) < len(solved)
-        assert len(need) == sum(stacked) and max(stacked) > 1
-        assert any(start is not None for _, start in need)
-        for lp, start, out in solved:
-            assert_same_path(out, reference_simplex(lp, start))
-
+        need = [member for member in members if member[2][1] == 1.0]
+        assert 0 < len(need) < len(members) == sum(stacked) and max(stacked) > 1
+        slack = [np.array_equal(B0, np.arange(T0.shape[1] - B0.size - 1, T0.shape[1] - 1))
+                 for T0, B0, *_ in need]
+        assert any(slack) and not all(slack)  # cold and restarted members
+        for T0, B0, cost, T, basis, status in members:
+            lp = LinearProgram(cost, T0[:-1, :-1], T0[:-1, -1], B0)
+            ref = reference_simplex(lp, SimpleNamespace(tableau=T0, basis=B0))
+            assert_same_path(stack_outcome(cost, T, basis, status), ref)
     def test_stacked_members_run_as_alone(self):
         rng = np.random.default_rng(111)
         for _ in range(40):
@@ -378,6 +374,7 @@ class TestPivotPath:
                 assert_same_path(out, reference_simplex(lp))
 
     def test_stacks_mix_cold_and_restarted_members(self):
+        # slack tableaux and earlier optima side by side in one stack
         rng = np.random.default_rng(222)
         restarted = pivoted = 0
         for _ in range(40):
@@ -386,45 +383,35 @@ class TestPivotPath:
             n = cold[0].num_variables - cold[0].eq_rhs.size
             lps = [with_objective(lp, rng.normal(size=n)) for lp in cold]
             starts = [first if rng.uniform() < 0.5 else None for first in firsts]
-            for lp, start, out in zip(lps, starts, solve_lps(lps, starts=starts)):
-                assert_same_outcome(out, restart(lp, start))
+            T, bases = slack_tableaux(np.array([lp.eq_matrix for lp in lps]),
+                                      np.array([lp.eq_rhs for lp in lps]))
+            for i, start in enumerate(starts):
+                if start is not None:
+                    T[i], bases[i] = start.tableau, start.basis
+            costs = np.array([lp.objective for lp in lps])
+            for lp, start, *member in zip(lps, starts, costs, T, bases,
+                                          solve_stack(T, bases, costs)):
+                out = stack_outcome(*member)
+                alone = solve_lp(lp) if start is None else restart(lp, start)
+                assert_same_outcome(out, alone)
                 assert_same_path(out, reference_simplex(lp, start))
                 if start is not None:
                     restarted += 1
                     pivoted += not np.array_equal(out.basis, start.basis)
         assert restarted > 0 and pivoted > 0
-
-    def test_stacked_set_up_pivots_on_negative_entries(self, monkeypatch):
-        # The certificate programs of one table share a shape, and their
-        # starting bases pivot in -1 slack entries, whose rows then hold -0.0
-        import priorstab.stability as stab
-
-        programs = []
-        solve = stab.solve_lp
-
-        def spied(lp):
-            programs.append(lp)
-            return solve(lp)
-
-        monkeypatch.setattr(stab, "solve_lp", spied)
+    def test_stacked_set_up_pivots_on_negative_entries(self):
+        # Dominance programs posed with the mixture's advantage shifted and
+        # started at the first competitor alone share a shape per table, and
+        # their starting bases pivot in -1 slack entries, whose rows then
+        # hold -0.0
         rng = np.random.default_rng(555)
-        stacks = []
         for _ in range(10):
             n, m = int(rng.integers(3, 8)), int(rng.integers(2, 6))
-            problem = stab.DecisionProblem(
-                [f"a{i}" for i in range(n)], [f"s{j}" for j in range(m)],
-                rng.uniform(-1.0, 1.0, size=(n, m)),
-            )
-            for act in problem.acts:
-                stab.strict_inadmissibility_certificate(problem, act)
-            stacks.append(programs[:])
-            programs.clear()
-        monkeypatch.undo()
-        for lps in stacks:
+            u = rng.uniform(-1.0, 1.0, size=(n, m))
+            lps = [shifted_dominance_program(np.delete(u, i, axis=0) - u[i]) for i in range(n)]
             for lp, out in zip(lps, solve_lps(lps)):
                 assert_same_outcome(out, solve_lp(lp))
                 assert_same_path(out, reference_simplex(lp))
-
     def test_an_unbounded_member_leaves_the_others_running(self):
         # x0 has no cap row and only loosens the rows, so a negative cost on
         # it is unbounded and a positive one is not
@@ -451,8 +438,8 @@ class TestPivotPath:
         # Bland's rule inside the stack; the other objectives do not stall
         beale = beale_program()
         rng = np.random.default_rng(444)
-        lps = [beale, beale.with_objective(2.0 * beale.objective)] + [
-            beale.with_objective(np.concatenate([rng.normal(size=4), np.zeros(3)]))
+        lps = [beale, reobjective(beale, 2.0 * beale.objective)] + [
+            reobjective(beale, np.concatenate([rng.normal(size=4), np.zeros(3)]))
             for _ in range(6)
         ]
         refs = [reference_simplex(lp) for lp in lps]
@@ -500,7 +487,7 @@ class TestPivotPath:
             return run(T, basis, stalled, pivots)
 
         beale = beale_program()
-        lps = [beale_program(), beale.with_objective([0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0])]
+        lps = [beale_program(), reobjective(beale, [0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0])]
         monkeypatch.setattr(lp_module, "_run_simplex", spied)
         outs = solve_lps(lps)
         monkeypatch.undo()
@@ -598,42 +585,38 @@ class TestPivotPath:
         monkeypatch.undo()
         assert pivots[:2] == [(0, 2), (1, 3)]
         assert_same_path(out, reference_simplex(scaled))
-        for out in solve_lps([scaled, lp]):
-            assert_same_path(out, reference_simplex(out.program))
+        for program, out in zip([scaled, lp], solve_lps([scaled, lp])):
+            assert_same_path(out, reference_simplex(program))
 
-    def test_a_block_validates_once_and_judges_each_basis_apart(self):
-        # The programs of a block share its basis columns' positions, but
-        # only the matrices whose columns there are unit vectors skip the
-        # set-up pivots; every program takes the reference's bits
+    def test_slack_tableaux_start_as_the_reference_does(self):
+        # Slack tableaux are the constraints plus 0.0, with no set-up pivot:
+        # -0.0 entries come out as the reference's set-up pivots leave them,
+        # and every program takes the reference's bits
         lp = inequality_form([1.0, -1.0], [[1.0, 1.0], [2.0, -1.0]], [1.0, 2.0])
         signed = np.where(lp.eq_matrix == 0.0, -0.0, lp.eq_matrix)
-        block = np.stack([lp.eq_matrix, lp.eq_matrix * [[2.0], [0.5]], signed])
-        programs = LinearProgram.block(block, lp.eq_rhs, lp.basis)
-        assert [p._unit_basis for p in programs] == [True, False, True]
-        assert all(p.eq_matrix.base is programs[0].eq_matrix.base for p in programs)
-        for program in programs:
-            program = program.with_objective(lp.objective)
-            out = solve_lp(program)
-            assert_same_path(out, reference_simplex(program))
-        assert LinearProgram.block(block[:0], lp.eq_rhs, lp.basis) == []
-        for bad in (block[0], np.where(block == 2.0, np.inf, block)):
-            with pytest.raises(ValueError, match="finite three-dimensional"):
-                LinearProgram.block(bad, lp.eq_rhs, lp.basis)
-
+        block = np.stack([lp.eq_matrix, lp.eq_matrix * [[2.0], [1.0]], signed])
+        T, bases = slack_tableaux(block, lp.eq_rhs)
+        assert not np.signbit(T[T == 0.0]).any()
+        assert (bases == lp.basis).all()
+        costs = np.tile(lp.objective, (len(block), 1))
+        for A, cost, *member in zip(block, costs, T, bases, solve_stack(T, bases, costs)):
+            program = LinearProgram(cost, A, lp.eq_rhs, lp.basis)
+            assert_same_path(stack_outcome(cost, *member), reference_simplex(program))
+        T, bases = slack_tableaux(block[:0], lp.eq_rhs)
+        assert solve_stack(T, bases, costs[:0]) == []
     def test_stacked_read_off_takes_each_members_bits(self, monkeypatch):
         # Every optimal need program of some profiles, read off its basis
         # within its stack, alone, and by a 2D solve of its own
         import priorstab.stability as stab
 
         stacks = []
-        solve_stack = stab.solve_lps
+        read_off = stab._needs_off_bases
 
-        def spied(lps, *, starts=None):
-            found = solve_stack(lps, starts=starts)
-            stacks.append([out for out in found if out.status is LpStatus.OPTIMAL])
-            return found
+        def spied(A, b, at, costs, bases):
+            stacks.append((A, b, at, costs, bases))
+            return read_off(A, b, at, costs, bases)
 
-        monkeypatch.setattr(stab, "solve_lps", spied)
+        monkeypatch.setattr(stab, "_needs_off_bases", spied)
         rng = np.random.default_rng(888)
         for _ in range(10):
             n, m = int(rng.integers(4, 12)), int(rng.integers(2, 7))
@@ -643,13 +626,14 @@ class TestPivotPath:
             )
             stab.stability_profile(problem, [random_prior(rng, m, f"p{k}") for k in range(4)])
         monkeypatch.undo()
-        assert sum(map(len, stacks)) > 100 and max(map(len, stacks)) > 10
-        for outs in stacks:
-            for out, need in zip(outs, stab._needs_off_bases(outs)):
-                expected = need_off_basis(out)
+        sizes = [len(at) for _, _, at, _, _ in stacks]
+        assert sum(sizes) > 100 and max(sizes) > 10
+        for A, b, at, costs, bases in stacks:
+            for i, need in enumerate(read_off(A, b, at, costs, bases)):
+                expected = need_off_basis(A[at[i]], b, costs[i], bases[i])
                 assert need.epsilon.hex() == expected.hex()
-                assert stab._needs_off_bases([out])[0].epsilon.hex() == expected.hex()
-
+                alone = read_off(A, b, at[i:i + 1], costs[i:i + 1], bases[i:i + 1])
+                assert alone[0].epsilon.hex() == expected.hex()
     def test_restart_stacks_cut_into_chunks_read_the_same(self, monkeypatch):
         import priorstab.stability as stab
 
@@ -659,56 +643,57 @@ class TestPivotPath:
             rng.uniform(-1.0, 1.0, size=(12, 5)),
         )
         priors = [random_prior(rng, 5, f"p{k}") for k in range(12)]
-        sizes, members = [], []
-        solve_stack = stab.solve_lps
+        sizes, stacks = [], []
+        solve = stab.solve_stack
 
-        def spied(lps, *, starts=None):
-            sizes.append(len(lps))
-            outs = solve_stack(lps, starts=starts)
-            members.extend(zip(lps, starts, outs))
-            return outs
+        def spied(T, bases, costs):
+            if costs[0, 1] != 1.0:  # a certificate stack
+                return solve(T, bases, costs)
+            sizes.append(len(T))
+            starts = T.copy()
+            statuses = solve(T, bases, costs)
+            stacks.append((starts, T.copy()))
+            return statuses
 
-        monkeypatch.setattr(stab, "solve_lps", spied)
+        monkeypatch.setattr(stab, "solve_stack", spied)
         monkeypatch.setattr(stab, "_RESTART_CHUNK", 1000)
         whole = stab.stability_profile(problem, priors)
         assert len(sizes) == 2 and sizes[1] > 50
         sizes.clear()
+        stacks.clear()
         monkeypatch.setattr(stab, "_RESTART_CHUNK", 5)
         chunked = stab.stability_profile(problem, priors)
         assert len(sizes) > 10 and max(sizes[1:]) == 5
-        # in every chunk, each act restarts from its first outcome
-        first = {}
-        for lp, start, out in members:
-            if start is None:
-                first[id(lp.eq_matrix)] = out
-            else:
-                assert start is first[id(lp.eq_matrix)]
+        # in every chunk, each member restarts from a copy of an optimum
+        # of the cold stack, left as that stack ended
+        (_, firsts), *restarts = stacks
+        optima = {first.tobytes() for first in firsts}
+        assert all(start.tobytes() in optima for starts, _ in restarts for start in starts)
         assert [row.need.as_float().hex() for row in chunked.rows] == [
             row.need.as_float().hex() for row in whole.rows]
-
     def test_lone_and_malformed_stacks(self):
         lp = inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0])
         wider = inequality_form([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0]], [1.0])
         assert solve_lps([]) == []
         alone = solve_lp(lp)
         assert_same_outcome(solve_lps([lp])[0], alone)
-        assert_same_outcome(restart(lp, alone), solve_lps([lp, lp], starts=[alone, None])[0])
+        # a lone restart and the same restart beside a cold member
+        T, bases = slack_tableaux(np.stack([lp.eq_matrix] * 2), lp.eq_rhs)
+        T[0], bases[0] = alone.tableau, alone.basis
+        costs = np.stack([lp.objective] * 2)
+        paired = stack_outcome(lp.objective, T[0], bases[0], solve_stack(T, bases, costs)[0])
+        assert_same_outcome(restart(lp, alone), paired)
         assert_same_path(restart(lp, alone), reference_simplex(lp, alone))
         with pytest.raises(ValueError, match="share one shape"):
             solve_lps([lp, wider])
-        with pytest.raises(ValueError, match="1 starts for 2 programs"):
-            solve_lps([lp, lp], starts=[None])
-        first = solve_lp(lp)
-        with pytest.raises(ValueError, match="same constraint arrays"):
-            solve_lps([lp, inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0])],
-                      starts=[None, first])
+        with pytest.raises(ValueError, match="of its shape"):
+            solve_stack(T, bases[:1], costs)
         valid = LinearProgram([1.0, 0.0], [[1.0, 1.0]], [1.0], [0])
         singular = LinearProgram([1.0, 0.0], [[0.0, 1.0]], [1.0], [0])
         for stack in ([valid, singular], [valid, singular, valid]):
             with pytest.raises(SolverError, match="singular") as caught:
                 solve_lps(stack)
             assert caught.value.member == 1
-
 
 def program_stack(rng, count):
     """``count`` random capped inequality programs of one shape."""
@@ -722,12 +707,33 @@ def program_stack(rng, count):
     return lps
 
 
-def need_off_basis(out):
-    """The need at an optimal need-program outcome, by a 2D solve of its
-    final basis: the read-off of a single member."""
-    basis = np.sort(out.basis)
-    x = np.linalg.solve(out.program.eq_matrix[:, basis], out.program.eq_rhs)
-    return min(max(-float(out.program.objective[basis] @ x), 0.0), 1.0)
+def need_off_basis(A, b, cost, basis):
+    """The need of a need program at its optimal basis, by a 2D solve of
+    that basis: the read-off of a single member."""
+    basis = np.sort(basis)
+    x = np.linalg.solve(A[:, basis], b)
+    return min(max(-float(cost[basis] @ x), 0.0), 1.0)
+
+
+def shifted_dominance_program(gains):
+    """max over mixtures of the rows of ``gains`` of their smallest entry,
+    with the advantage t shifted by t_lo = min(gains) - 1 so that it is
+    nonnegative, started at the first row alone: its weight basic in the
+    simplex row, t - t_lo in the row of its smallest entry, and each other
+    state's slack, entered with -1, in its own row."""
+    k, m = gains.shape
+    objective = np.zeros(k + 1 + m)
+    objective[k] = -1.0
+    A = np.zeros((1 + m, k + 1 + m))
+    A[0, :k] = 1.0
+    A[1:, :k] = gains.T
+    A[1:, k] = -1.0
+    A[1 + np.arange(m), k + 1 + np.arange(m)] = -1.0
+    b = np.full(1 + m, float(gains.min()) - 1.0)
+    b[0] = 1.0
+    basis = np.concatenate([[0], k + 1 + np.arange(m)])
+    basis[1 + np.argmin(gains[0])] = k
+    return LinearProgram(objective, A, b, basis)
 
 
 def assert_same_outcome(ours, alone):

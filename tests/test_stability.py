@@ -286,6 +286,179 @@ def test_radius_is_the_boundary_of_the_margin(seed, scale):
         assert worst_case_margin(problem, act, prior, min(1.0, r + 1e-9)) < 0.0
 
 
+def exhaustive_radius(problem, act, prior):
+    """The radius as the smallest Newton root over every competitor that
+    ``act`` does not beat in every state, capped at 1: no competitor is
+    skipped."""
+    from priorstab.stability import _largest_safe_radius
+
+    u = problem.utilities
+    radius = 1.0
+    for d in u[problem.act_index(act)] - u:
+        if d.min() < 0.0:
+            radius = min(radius, _largest_safe_radius(d, prior.mass))
+    return radius
+
+
+def tied_table(seed):
+    """A table of 2-8 acts over 1-7 states, rescaled by 1e-6 to 1e6; from
+    the seed, utilities rounded to 0.1 (ties between acts and states), a
+    duplicated act, and an act whose gaps to two others are proportional."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 9)), int(rng.integers(1, 8))
+    u = rng.uniform(-1.0, 1.0, size=(n, m))
+    if rng.uniform() < 0.5:
+        u = np.round(u, 1)
+    if n >= 3 and rng.uniform() < 0.5:
+        u[2] = u[1]
+    if n >= 3 and rng.uniform() < 0.5:
+        u[n - 1] = 2.0 * u[0] - u[1]
+    u *= 10.0 ** float(rng.integers(-6, 7))
+    mass = rng.dirichlet(np.ones(m))
+    if rng.uniform() < 0.3:
+        mass = np.round(mass, 1) + 1e-3
+    problem = DecisionProblem([f"a{i}" for i in range(n)], [f"s{j}" for j in range(m)], u)
+    return problem, Prior("p", mass / mass.sum())
+
+
+def table_case(rows, mass):
+    rows = np.asarray(rows, dtype=float)
+    problem = DecisionProblem([f"a{i}" for i in range(len(rows))],
+                              [f"s{j}" for j in range(rows.shape[1])], rows)
+    return problem, Prior("p", mass)
+
+
+# In each, the last act's gaps to a0 and a1 are proportional up to rounding,
+# so the two competitors' roots differ in the last ulp.  In the first, a
+# bound exactly at its root would prune the smaller one; in the other two,
+# a band minimum that rounds to 0 at the larger root would skip it.
+PROPORTIONAL_GAPS = [
+    table_case([[-2.0, 8.0, 0.0, 6.0], [-5.0, 2.0, 9.0, -5.0],
+                [0.9999999999999998, 14.000000000000002, -9.0, 17.0]],
+               [0.1991443594864305, 0.2187709995122871, 0.33398007676212466,
+                0.24810456423915772]),
+    table_case([[-14542.804153323652, -23746.297585568765, 68056.82253407128,
+                 84574.42200679686, 63296.36654487196, -11213.058403978815],
+                [95387.02406102468, -94421.10038445661, -57007.456876201766,
+                 37081.978807454274, -20202.25935194848, -70845.40962391022],
+                [-124472.63236767199, 46928.505213319084, 193121.10194434432,
+                 132066.86520613945, 146794.99244169242, 48419.29281595258]],
+               [0.29725405481375383, 0.3300688478588095, 0.05997050117882296,
+                0.1699539759899498, 0.06161501039620278, 0.08113760976246107]),
+    table_case([[-1.0, -6.0, 3.0, 1.0, 2.0, 8.0, 5.0], [9.0, 1.0, -4.0, 6.0, -4.0, 9.0, 5.0],
+                [4.0, -5.0, 10.0, -1.0, -0.0, 7.0, 2.0], [-0.0, -7.0, -7.0, -8.0, 6.0, -8.0, 1.0],
+                [1.0, -5.0, 0.0, -6.0, -7.0, 6.0, 8.0],
+                [-11.0, -13.0, 10.0, -3.9999999999999996, 8.0, 7.000000000000001, 5.0]],
+               [1 / 9, 1 / 9, 0.0, 1 / 9, 1 / 3, 2 / 9, 1 / 9]),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.integers(0, 2**32 - 1).map(tied_table))
+@example(case=PROPORTIONAL_GAPS[0])
+@example(case=PROPORTIONAL_GAPS[1])
+@example(case=PROPORTIONAL_GAPS[2])
+def test_pruned_radius_is_the_exhaustive_minimum(case):
+    """Competitors pruned by the spread bound never hold a smaller root."""
+    problem, prior = case
+    for act in bayes_acts(problem, prior).optimal_acts:
+        r = robustness_radius(problem, act, prior)
+        assert r.epsilon.hex() == exhaustive_radius(problem, act, prior).hex()
+
+
+def test_the_bound_prunes_most_band_minima(monkeypatch):
+    # Bench dense table 1 under its seed-1 priors: the pruned radii take a
+    # small share of the band minima that every competitor's root would
+    import importlib.util
+    from pathlib import Path
+
+    import priorstab.stability as stab
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    table = workloads.make_dense_table(1, 0, 24, 8, 8)
+    problem = DecisionProblem(table["acts"], table["states"], table["utilities"])
+    priors = [Prior(name, mass) for name, mass in zip(table["prior_names"], table["priors"])]
+    calls = []
+    band_minimum = stab.minimize_over_band
+
+    def counted(*args):
+        calls.append(1)
+        return band_minimum(*args)
+
+    monkeypatch.setattr(stab, "minimize_over_band", counted)
+    pruned = exhaustive = 0
+    for prior in priors:
+        for act in bayes_acts(problem, prior).optimal_acts:
+            calls.clear()
+            r = robustness_radius(problem, act, prior)
+            pruned += len(calls)
+            calls.clear()
+            assert exhaustive_radius(problem, act, prior) == r.epsilon
+            exhaustive += len(calls)
+    assert 0 < 5 * pruned < exhaustive
+
+
+def highs_max_min(gains):
+    """max over mixtures of the rows of ``gains`` of their smallest entry,
+    by scipy's HiGHS: variables (weights, t), t free."""
+    k, m = gains.shape
+    res = linprog(
+        np.eye(k + 1)[k] * -1.0, A_ub=np.hstack([-gains.T, np.ones((m, 1))]), b_ub=np.zeros(m),
+        A_eq=np.append(np.ones(k), 0.0)[None, :], b_eq=[1.0],
+        bounds=[(0.0, None)] * k + [(None, None)], method="highs", options=HIGHS_OPTIONS,
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+# the tie-rule edge tables of TestContaminationNeed
+EDGE_TABLES = [
+    [[1000, -1000], [1000.000000001, -999.999], [0, 0]],
+    [[1000, -1000], [1000.000000001, -999.999]],
+    [[1000, -1000], [1000.0000005, -999.999], [0, 0]],
+    [[1.0, 0.0], [0.99999, 0.0]],
+]
+
+
+def test_certificate_optimum_matches_highs():
+    """The homogenized dominance program's optimum is the best mixture's
+    smallest gain where that is positive and 0 otherwise, on the table's
+    scale and on the need program's per-competitor scale; away from the
+    strictness threshold the verdicts agree."""
+    from priorstab.stability import STRICT_DOMINANCE_TOL, _best_mixtures, _dominance_rows
+
+    rng = np.random.default_rng(41)
+    tables = [np.asarray(rows, dtype=float) for rows in EDGE_TABLES]
+    tables += [dominated_table(rng).utilities for _ in range(60)]
+    decided = 0
+    for u in tables:
+        problem = DecisionProblem([f"a{i}" for i in range(len(u))],
+                                  [f"s{j}" for j in range(u.shape[1])], u)
+        gains = -_dominance_rows(u, np.arange(len(u)))
+        norms = np.abs(gains).max(axis=2, keepdims=True)
+        for scaled in (gains / np.abs(gains).max(axis=(1, 2), keepdims=True),
+                       gains / np.where(norms > 0.0, norms, 1.0)):
+            weights, t = _best_mixtures(scaled)
+            for act, g, w, t_star in zip(problem.acts, scaled, weights, t.tolist()):
+                best = highs_max_min(g)
+                assert t_star == pytest.approx(max(best, 0.0), abs=1e-9)
+                assert np.all(w >= 0.0) and w.sum() <= 1.0 + 1e-12
+                assert (w @ g).min() >= t_star - 1e-12
+                if abs(best - STRICT_DOMINANCE_TOL) > 1e-9:
+                    assert (t_star > STRICT_DOMINANCE_TOL) == (best > STRICT_DOMINANCE_TOL)
+                    decided += 1
+        for act in problem.acts:
+            certificate = strict_inadmissibility_certificate(problem, act)
+            best = highs_max_min(gains[problem.act_index(act)] / np.abs(gains).max(
+                axis=(1, 2))[problem.act_index(act)])
+            if abs(best - STRICT_DOMINANCE_TOL) > 1e-9:
+                assert (certificate is not None) == (best > STRICT_DOMINANCE_TOL)
+    assert decided > 300
+
+
 def near_tie_problem(scale):
     """a1 trails a0 by 1e-5 of the utility range, and only in state s0."""
     utilities = np.array([[1.0, 0.0], [0.99999, 0.0]]) * scale
@@ -383,7 +556,6 @@ class TestContaminationNeed:
         # _loosened_need lets every dominance row fall short of 0 by tol
         # utility units; its optimum is the primal min eps over pi in the
         # simplex with |pi - pi0| <= eps and u_a.pi >= u_b.pi - tol.
-        from priorstab.lp import LpStatus, solve_lp
         from priorstab.stability import _loosened_need
 
         rng = np.random.default_rng(31)
@@ -408,12 +580,12 @@ class TestContaminationNeed:
             c[-1] = 1.0
             res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
                           method="highs", options=HIGHS_OPTIONS)
-            out = solve_lp(_loosened_need(problem, act, prior, tol))
+            need = _loosened_need(problem, act, prior, tol)
             if res.status == 2:
-                assert out.status is LpStatus.UNBOUNDED
+                assert need is None
                 continue
-            assert out.status is LpStatus.OPTIMAL
-            assert -out.value == pytest.approx(res.fun, abs=1e-9)
+            assert need.kind is NeedKind.VALUE
+            assert need.epsilon == pytest.approx(res.fun, abs=1e-9)
             checked += 1
         assert checked >= 30
 
@@ -634,28 +806,30 @@ class TestStabilityProfile:
         monkeypatch.undo()
 
         # in a stack, the member at fault names the act
-        def boom(lps, *, starts=None):
+        def boom(T, bases, costs):
             raise stab.SolverError("boom", 1)
 
         problem = DecisionProblem("abc", ("s1", "s2"), [[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]])
-        monkeypatch.setattr(stab, "solve_lps", boom)
+        monkeypatch.setattr(stab, "solve_stack", boom)
         with pytest.raises(stab.SolverError, match="act 'c', prior 'ref': boom"):
             stab.stability_profile(problem, [toy_prior])
 
     def test_certificate_failures_carry_the_act(self, monkeypatch):
         import priorstab.stability as stab
 
-        def boom(problem, act):
-            raise stab.SolverError("boom")
+        def boom(T, bases, costs):
+            raise stab.SolverError("boom", 1)
 
         # "d" is optimal under no profile prior and at no vertex or edge
-        # midpoint of the simplex (it is Bayes only near the centre), so its
-        # admissibility is decided by a program
+        # midpoint of the simplex (it is Bayes only near the centre), and "e"
+        # is dominated, so their admissibility is decided by one stack of
+        # certificate programs, in which the member at fault names the act
         problem = DecisionProblem(
-            "abcd", ("s1", "s2", "s3"), [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.4, 0.4, 0.4]]
+            "abcde", ("s1", "s2", "s3"),
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.4, 0.4, 0.4], [0.1, 0.1, 0.1]],
         )
-        monkeypatch.setattr(stab, "strict_inadmissibility_certificate", boom)
-        with pytest.raises(stab.SolverError, match="act 'd': boom"):
+        monkeypatch.setattr(stab, "solve_stack", boom)
+        with pytest.raises(stab.SolverError, match="act 'e': boom"):
             stab.stability_profile(problem, [Prior("ref", [0.7, 0.2, 0.1])])
 
     def test_admissibility_is_decided_once_per_act(self, monkeypatch):
@@ -666,22 +840,22 @@ class TestStabilityProfile:
         )
         priors = [Prior(f"p{i}", [w, 1.0 - w]) for i, w in enumerate((0.1, 0.5, 0.9))]
         calls, need_acts = [], set()
-        certificate = stab.strict_inadmissibility_certificate
+        mixtures = stab._dominating_mixtures
         build = stab._need_block
 
-        def counted(problem, act):
-            calls.append(act)
-            return certificate(problem, act)
+        def counted(problem, acts):
+            calls.append(list(acts))
+            return mixtures(problem, acts)
 
         def spied(problem, acts):
             need_acts.add(problem.acts)
             return build(problem, acts)
 
-        monkeypatch.setattr(stab, "strict_inadmissibility_certificate", counted)
+        monkeypatch.setattr(stab, "_dominating_mixtures", counted)
         monkeypatch.setattr(stab, "_need_block", spied)
         profile = stab.stability_profile(problem, priors)
         # b and c are optimal under some prior, so only "low" needs a program
-        assert calls == ["low"]
+        assert calls == [["low"]]
         # and the dominated act is left out of the other acts' programs
         assert need_acts == {("b", "c")}
         certificates = {id(r.need.certificate) for r in profile.rows if r.act == "low"}
@@ -693,21 +867,21 @@ class TestStabilityProfile:
 
         # a, b, c are Bayes at the vertices and e at the midpoint of the edge
         # from s1 to s2; d is Bayes only near the centre, and f is dominated
-        # by d, so only d and f take a certificate program
+        # by d, so only d and f take a certificate program, in one stack
         problem = DecisionProblem(
             "abcdef", ("s1", "s2", "s3"),
             [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.4, 0.4, 0.4], [0.6, 0.6, 0], [0.1, 0.1, 0.1]],
         )
         calls = []
-        certificate = stab.strict_inadmissibility_certificate
+        mixtures = stab._dominating_mixtures
 
-        def counted(problem, act):
-            calls.append(act)
-            return certificate(problem, act)
+        def counted(problem, acts):
+            calls.append(list(acts))
+            return mixtures(problem, acts)
 
-        monkeypatch.setattr(stab, "strict_inadmissibility_certificate", counted)
+        monkeypatch.setattr(stab, "_dominating_mixtures", counted)
         profile = stab.stability_profile(problem, [Prior("ref", [0.8, 0.1, 0.1])])
-        assert calls == ["d", "f"]
+        assert calls == [["d", "f"]]
         kinds = {r.act: r.need.kind for r in profile.rows}
         assert kinds == {act: NeedKind.INFEASIBLE if act == "f" else NeedKind.VALUE
                          for act in "abcdef"}
@@ -721,38 +895,39 @@ class TestStabilityProfile:
         )
         priors = [Prior(f"p{i}", m) for i, m in enumerate(
             ([0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7], [0.3, 0.3, 0.4]))]
-        solved = []
-        solve = stab.solve_lps
+        solved = []  # per member: start tableau, start basis, final tableau, status
+        solve = stab.solve_stack
 
-        def spied(lps, **kwargs):
-            # one entry per program of the stack: program, start, outcome
-            outs = solve(lps, **kwargs)
-            solved.extend(zip(lps, kwargs["starts"], outs))
-            return outs
+        def spied(T, bases, costs):
+            starts = T.copy(), bases.copy()
+            statuses = solve(T, bases, costs)
+            solved.extend(zip(*starts, T.copy(), statuses))
+            return statuses
 
-        monkeypatch.setattr(stab, "solve_lps", spied)
+        def restarted(T0, B0):
+            return not np.array_equal(B0, np.arange(T0.shape[1] - B0.size - 1, T0.shape[1] - 1))
+
+        monkeypatch.setattr(stab, "solve_stack", spied)
         stab.stability_profile(problem, priors[:1])
         # a single prior solves every program cold; here the need programs of
         # b and c, and no certificate program, since b and c are Bayes at the
         # vertices of the simplex
-        assert [start is not None for _, start, _ in solved] == [False] * 2
+        assert [restarted(T0, B0) for T0, B0, _, _ in solved] == [False] * 2
         solved.clear()
         profile = stab.stability_profile(problem, priors)
         monkeypatch.undo()
         # a cold stack of each act's first program, then a restart stack of
         # every later one: a is optimal only at p0, b only at p1, and c at p2
         # and p3
-        assert [start is not None for _, start, _ in solved] == [
+        assert [restarted(T0, B0) for T0, B0, _, _ in solved] == [
             False, False, False, True, True, True, True, True]
-        # per act, that is per constraint matrix, the first program is cold
-        # and every later one restarts from its outcome
-        by_act = {}
-        for lp, start, out in solved:
-            by_act.setdefault(id(lp.eq_matrix), []).append((start, out))
-        assert sorted(map(len, by_act.values())) == [2, 3, 3]
-        for (first_start, first), *rest in by_act.values():
-            assert first_start is None and first.status is stab.LpStatus.OPTIMAL
-            assert all(start is first for start, _ in rest)
+        # per act, the first program is cold and optimal, and every later
+        # one restarts from a copy of its final tableau
+        firsts = {T.tobytes(): [status] for _, _, T, status in solved[:3]}
+        for T0, _, _, status in solved[3:]:
+            firsts[T0.tobytes()].append(status)
+        assert sorted(map(len, firsts.values())) == [2, 3, 3]
+        assert all(statuses[0] is stab.LpStatus.OPTIMAL for statuses in firsts.values())
         by_name = {p.name: p for p in priors}
         for row in profile.rows:
             need = contamination_need(problem, row.act, by_name[row.prior])

@@ -4,9 +4,9 @@
 outside and reads the programs that ``lp.solve_lp`` receives.  This runs
 ``analyze`` in-process under that recorder, so a renamed function or a
 changed program shape shows up here and not only in a benchmark run.  A
-profile solves its need programs in ``lp.solve_lps`` calls, a cold stack and
-a restart stack, whose programs the recorder does not read, so a spy reads
-them here.
+profile solves its programs in ``lp.solve_stack`` calls: one stack of
+certificate programs, a cold stack of need programs and restart stacks.
+The recorder reads none of their programs, so a spy reads them here.
 """
 
 import importlib.util
@@ -34,22 +34,25 @@ def load_spans():
 
 def traced_analyze(spans_module, tmp_path, utilities, priors, monkeypatch):
     """Run ``analyze`` on the two CSV texts under the recorder; its spans,
-    and per ``lp.solve_lps`` call of the profile, the rows and status of
-    each program."""
+    and per ``lp.solve_stack`` call of the profile, its kind and the rows and
+    status of each program."""
     (tmp_path / "u.csv").write_text(utilities)
     (tmp_path / "p.csv").write_text(priors)
     argv = ["analyze", "--utilities", str(tmp_path / "u.csv"),
             "--priors", str(tmp_path / "p.csv"), "--out", str(tmp_path / "out")]
     stacks = []
 
-    def spied(lps, **kwargs):
+    def spied(T, bases, costs):
         # looked up at call time, so the recorder's wrapper records the span
-        outs = priorstab.lp.solve_lps(lps, **kwargs)
-        stacks.append([{"rows": lp.eq_matrix.shape[0], "status": out.status.value}
-                       for lp, out in zip(lps, outs)])
-        return outs
+        statuses = priorstab.lp.solve_stack(T, bases, costs)
+        # a need program's cost row starts (-1, 1), a certificate program's
+        # (-1, 0)
+        kind = "need" if costs[0, 1] == 1.0 else "certificate"
+        stacks.append((kind, [{"rows": T.shape[1] - 1, "status": status.value}
+                              for status in statuses]))
+        return statuses
 
-    monkeypatch.setattr(priorstab.stability, "solve_lps", spied)
+    monkeypatch.setattr(priorstab.stability, "solve_stack", spied)
     recorder = spans_module.Recorder()
     recorder.install()
     try:
@@ -58,41 +61,37 @@ def traced_analyze(spans_module, tmp_path, utilities, priors, monkeypatch):
         recorder.uninstall()
     monkeypatch.undo()
     assert priorstab.cli.main is main  # the recorder left no wrapper behind
-    assert priorstab.stability.solve_lps is priorstab.lp.solve_lps
+    assert priorstab.stability.solve_stack is priorstab.lp.solve_stack
     return recorder.take(), stacks
 
 
-def need_stacks(spans):
-    """The ``lp.solve_lps`` spans that a profile opens: a cold stack, and a
-    restart stack where an act has a need at more than one prior."""
-    return [s for s in spans if s[1] == "lp.solve_lps"
+def profile_stacks(spans):
+    """The ``lp.solve_stack`` spans that a profile opens: a certificate
+    stack where an act is Bayes at no profile or probe prior, a cold need
+    stack, and a restart stack where an act has a need at more than one
+    prior."""
+    return [s for s in spans if s[1] == "lp.solve_stack"
             and spans[s[0]][1] == "stability.stability_profile"]
 
 
 def test_analyze_under_the_span_recorder(tmp_path, monkeypatch):
     spans_module = load_spans()
     spans, stacks = traced_analyze(spans_module, tmp_path, UTILITIES, PRIORS, monkeypatch)
-    solves = [s for s in spans if s[1] == "lp.solve_lp"]
-    assert solves
-    by_caller = {}
-    for parent, _, _, _, attrs in solves:
-        assert set(attrs) == {"rows", "vars", "status"}
-        by_caller.setdefault(spans[parent][1], []).append(attrs)
-    # the certificate program has the simplex row and one row per state
-    for attrs in by_caller["stability.strict_inadmissibility_certificate"]:
-        assert attrs["rows"] == 1 + 2
-        assert attrs["status"] == "optimal"
-    # the need program, posed in dual form, has one row per state and the
-    # row of the band budget; b is the one act pending at the one prior
-    assert len(need_stacks(spans)) == len(stacks) == 1
-    assert [len(stack) for stack in stacks] == [1]
-    for attrs in stacks[0]:
-        assert attrs["rows"] == 2 + 1
-        assert attrs["status"] == "optimal"
+    # every stack is a call of the public lp.solve_stack under the profile
+    assert len(profile_stacks(spans)) == len(stacks) == 2
+    assert [s for s in spans if s[1] == "lp.solve_stack"] == profile_stacks(spans)
+    # c's certificate program has a row per state and the weights' budget
+    # row; b's need program, posed in dual form, a row per state and the
+    # band budget's row; b is the one act pending at the one prior
+    assert stacks == [("certificate", [{"rows": 2 + 1, "status": "optimal"}]),
+                      ("need", [{"rows": 2 + 1, "status": "optimal"}])]
     metrics = spans_module.layer_metrics(spans)
-    # the recorder counts need solves only under per-row contamination_need
-    assert metrics["lp.solves_need"] == 0
-    assert metrics["lp.solves_certificate"] > 0
+    # the recorder counts solves only as lp.solve_lp spans under per-row
+    # contamination_need and strict_inadmissibility_certificate calls, and
+    # a profile makes neither
+    assert not [s for s in spans if s[1] == "lp.solve_lp"]
+    assert metrics["lp.solves_need"] == metrics["lp.solves_certificate"] == 0
+    assert metrics["stability.certificate_calls"] == 0
 
 
 # e is strictly dominated by d; each of a, b, c and d is optimal under one of
@@ -122,13 +121,15 @@ def test_restarted_need_solves_keep_the_contract(tmp_path, monkeypatch):
     )
     assert measured == 12
     needs = [i for i, s in enumerate(spans) if s[1] == "stability.contamination_need"]
-    # a cold stack holding each of a, b, c and d at its first prior with a
-    # need, and a restart stack holding the two later priors of each, every
-    # member with one row per state and the band budget's row
-    assert len(need_stacks(spans)) == len(stacks) == 2
-    assert [len(stack) for stack in stacks] == [4, 8]
-    assert sum(len(stack) for stack in stacks) == measured
-    for stack in stacks:
+    # e's certificate program, then a cold stack holding each of a, b, c and
+    # d at its first prior with a need, and a restart stack holding the two
+    # later priors of each, every need member with one row per state and the
+    # band budget's row
+    assert len(profile_stacks(spans)) == len(stacks) == 3
+    assert [(kind, len(stack)) for kind, stack in stacks] == [
+        ("certificate", 1), ("need", 4), ("need", 8)]
+    assert sum(len(stack) for _, stack in stacks[1:]) == measured
+    for _, stack in stacks[1:]:
         for attrs in stack:
             assert attrs["rows"] == 3 + 1
             assert attrs["status"] == "optimal"
