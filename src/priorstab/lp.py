@@ -22,12 +22,12 @@ member takes the very pivots and bits it would take alone.  A stacked step
 costs more than a 2D pivot, so a lone program, and the last member left in
 a stack, run in the 2D loop.
 
-A stack starts either from its programs' slack bases (`slack_tableaux`:
-the last columns, in row order, are the unit vectors, so no set-up pivot is
-needed) or from tableaux an earlier run left optimal.  A restart needs no
-more: the basis of an optimal tableau is still feasible under any other
-objective, so only the cost row is replaced and re-priced, and phase 2
-continues from the old optimum (parametric cost, Dantzig 1963).
+A stack starts either from a feasible basis its caller chose, a crash basis
+away from a degenerate vertex (`start_tableaux`; Bixby 1992), or from
+tableaux an earlier run left optimal.  A restart needs no more: the basis
+of an optimal tableau is still feasible under any other objective, so only
+the cost row is replaced and re-priced, and phase 2 continues from the old
+optimum (parametric cost, Dantzig 1963).
 `solve_lps` solves `LinearProgram` objects through the same stack, after
 pivoting in any basis that is not a slack basis, row by row.
 """
@@ -46,7 +46,7 @@ __all__ = [
     "LpStatus",
     "SolverError",
     "minimize_over_band",
-    "slack_tableaux",
+    "start_tableaux",
     "solve_lp",
     "solve_lps",
     "solve_stack",
@@ -142,11 +142,11 @@ class LpOutcome:
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     prow = T[row] / T[row, col]
-    # Every row, the pivot row too, takes one broadcast update; the pivot row
-    # is then written back.  Its pivot entry is exactly 1 (x / x), and adding
-    # 0 turns its -0.0 entries into 0.0, as subtracting 0 * prow would.
+    # Every row, the pivot row too, takes one broadcast update, which leaves
+    # the pivot column exactly +0.0 (x - x * 1.0); the pivot row is then
+    # written back.  Its pivot entry is exactly 1 (x / x), and adding 0 turns
+    # its -0.0 entries into 0.0, as subtracting 0 * prow would.
     T -= T[:, col, None] * prow
-    T[:, col] = 0.0
     np.add(prow, 0.0, out=T[row])
 
 
@@ -158,7 +158,6 @@ def _pivot_stack(T: np.ndarray, rows, cols, column: np.ndarray) -> None:
     at = np.arange(T.shape[0])
     prow = T[at, rows] / column[at, rows][:, None]
     T -= column[:, :, None] * prow[:, None, :]
-    T[at, :, cols] = 0.0
     T[at, rows] = prow + 0.0
 
 
@@ -224,8 +223,8 @@ def _run_stack(T: np.ndarray, bases: np.ndarray) -> list[LpStatus]:
             bland = step - since >= _STALL_LIMIT
             # Bland: lowest eligible index
             enter = np.where(bland, (reduced < -_PIVOT_TOL).argmax(axis=1), enter)
-        improving = reduced[at, enter] < -_PIVOT_TOL
         column = S[at, :, enter]
+        improving = column[:, -1] < -_PIVOT_TOL
         positive = column[:, :-1] > _PIVOT_TOL
         ratios = np.divide(S[:, :-1, -1], column[:, :-1], out=np.full(positive.shape, np.inf),
                            where=positive)
@@ -289,19 +288,24 @@ def _tableaux(eq_block, eq_rhs) -> np.ndarray:
     return T
 
 
-def slack_tableaux(eq_block, eq_rhs) -> tuple[np.ndarray, np.ndarray]:
-    """Starting tableaux and bases of programs whose last columns are a
-    slack basis: the unit vectors, in row order.
+def start_tableaux(eq_block, eq_rhs, bases) -> tuple[np.ndarray, np.ndarray]:
+    """Starting tableaux of programs in canonical form for their feasible
+    bases ``bases`` (programs, rows), and a copy of the bases.
 
     ``eq_block`` holds one (rows, columns) constraint matrix per program,
     and ``eq_rhs`` their right-hand sides (one shared vector, or one per
-    program).  The caller builds the slack columns; no set-up pivot is run,
-    so each tableau is the constraints plus 0.0.
+    program).  One stacked inverse of the basis matrices, applied to [A | b]
+    in one stacked product, gives the tableaux (numpy's stacked solve is
+    slower against that many right-hand sides); the basis columns are then
+    written as exact unit vectors.
     """
     T = _tableaux(eq_block, eq_rhs)
-    T[:, :-1] += 0.0
-    p, m, n = eq_block.shape
-    return T, np.tile(np.arange(n - m, n), (p, 1))
+    p, m = bases.shape
+    at = np.arange(p)[:, None]
+    T[:, :m] = np.matmul(np.linalg.inv(T[at[:, :, None], np.arange(m)[:, None], bases[:, None, :]]),
+                         T[:, :m])
+    T[at, :m, bases] = np.eye(m)
+    return T, bases.copy()
 
 
 def solve_stack(tableaux: np.ndarray, bases: np.ndarray, costs: np.ndarray) -> list[LpStatus]:
@@ -310,7 +314,7 @@ def solve_stack(tableaux: np.ndarray, bases: np.ndarray, costs: np.ndarray) -> l
 
     ``tableaux`` (members, rows + 1, columns + 1) hold each member's
     constraints in canonical form for its feasible basis ``bases``
-    (members, rows): from `slack_tableaux`, or as an earlier run left them
+    (members, rows): from `start_tableaux`, or as an earlier run left them
     (a restart).  The right-hand sides are clipped at 0, the cost rows set
     to ``costs`` (members, columns) and priced, and the simplex runs; the
     final tableaux and bases are left in the arrays.  An unbounded member

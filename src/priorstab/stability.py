@@ -11,7 +11,8 @@ strictly dominates it, and that mixture is returned as a checkable
 certificate.  A profile over several priors decides this once per act, in
 one stack of certificate programs, and solves the need programs of all its
 acts together (`_solve_needs`).  Both run in `lp.solve_stack` on arrays
-built straight from the table.
+built straight from the table, started off the degenerate all-slack vertex,
+and both read their optimum off the final basis alone (`_off_bases`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .core import TIE_TOL, BayesSet, DecisionProblem, Prior, bayes_acts
-from .lp import LpStatus, SolverError, minimize_over_band, slack_tableaux, solve_stack
+from .lp import LpStatus, SolverError, minimize_over_band, solve_stack, start_tableaux
 
 __all__ = [
     "STRICT_DOMINANCE_TOL",
@@ -213,42 +214,53 @@ def robustness_radius(
 
 def _best_mixtures(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per (competitors, states) block of unit-scale gains, the mixture
-    weights of its rows that maximize their smallest entry, and that entry
-    where it is positive (0 where it is not): the dominance programs of all
-    blocks, solved as one stack.
+    weights of its rows that maximize their smallest entry, and that entry:
+    the value of the matrix game, for all blocks in one stack.
 
-    Each program is posed homogenized: max t subject to t <= (G.T w)_j for
-    every state j, sum(w) <= 1 and t, w >= 0.  Variables: t, the weights w
-    (k) and one slack per row (m + 1).  The right-hand side is (0, ..., 0,
-    1), so the slack basis is feasible.  At a positive optimum the weights
-    sum to 1, so it is the best mixture's smallest gain.
+    Each program is posed in game form: max t subject to t <= (G.T w)_j for
+    every state j, sum(w) = 1 and w >= 0, with t = t+ - t- free.
+    Variables: t+, t-, the weights w (k) and one slack per state (m).  It
+    starts at the best single competitor b*, whose smallest gain is t: w_b*
+    is basic in the budget row, t+ (t- where t < 0) in the row of b*'s worst
+    state, and each other state's slack in its own row.
     """
     p, k, m = gains.shape
     A = np.zeros((p, m + 1, k + m + 2))
-    A[:, :m, 0] = 1.0
-    A[:, :m, 1:k + 1] = -gains.transpose(0, 2, 1)
-    A[:, m, 1:k + 1] = 1.0
-    A[:, :, k + 1:] = np.eye(m + 1)
+    A[:, :m, 0], A[:, :m, 1] = 1.0, -1.0
+    A[:, :m, 2:k + 2] = -gains.transpose(0, 2, 1)
+    A[:, m, 2:k + 2] = 1.0
+    A[:, :m, k + 2:] = np.eye(m)
     b = np.zeros(m + 1)
     b[m] = 1.0
-    T, bases = slack_tableaux(A, b)
+    at = np.arange(p)
+    top = gains.min(axis=2).argmax(axis=1)
+    start = np.empty((p, m + 1), dtype=int)
+    start[:, :m], start[:, m] = np.arange(k + 2, k + m + 2), 2 + top
+    start[at, gains[at, top].argmin(axis=1)] = gains[at, top].min(axis=1) < 0.0
+    T, bases = start_tableaux(A, b, start)
     costs = np.zeros((p, k + m + 2))
-    costs[:, 0] = -1.0  # maximize t
+    costs[:, 0], costs[:, 1] = -1.0, 1.0  # maximize t
     for i, status in enumerate(solve_stack(T, bases, costs)):
         if status is not LpStatus.OPTIMAL:
             raise SolverError(f"dominance program ended with status {status.value}", i)
-    x = np.zeros_like(costs)
-    np.put_along_axis(x, bases, np.maximum(T[:, :-1, -1], 0.0), axis=1)
-    return x[:, 1:k + 1], x[:, 0]
+    values, x = _off_bases(A, b, at, costs, bases)
+    return np.maximum(x[:, 2:k + 2], 0.0), -values
 
 
-def _dominating_mixtures(problem: DecisionProblem, acts):
+def _dominating_mixtures(problem: DecisionProblem, acts, per_row: bool = False):
     """Per act of ``acts``: its competitors' gains u(b, .) - u(act, .), and
     the best mixture of them and its smallest gain on unit scale, so that
-    the threshold is scale-free (`_best_mixtures`)."""
+    the threshold is scale-free (`_best_mixtures`).  The scale is the act's
+    largest gain or, with ``per_row``, each competitor's own, as in the need
+    program; the weights are then mapped back through the competitors'
+    scales and renormalised, so the margins stay in utility units."""
     gains = -_dominance_rows(problem.utilities, [problem.act_index(act) for act in acts])
-    scale = np.abs(gains).max(axis=(1, 2))
-    weights, t = _best_mixtures(gains / np.where(scale > 0.0, scale, 1.0)[:, None, None])
+    scale = np.abs(gains).max(axis=2 if per_row else (1, 2), keepdims=True)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    weights, t = _best_mixtures(gains / scale)
+    if per_row:
+        weights = weights / scale[:, :, 0]
+        weights /= weights.sum(axis=1, keepdims=True)
     return gains, weights, t
 
 
@@ -281,22 +293,6 @@ def strict_inadmissibility_certificate(
     return _certificate(problem, a, gains, weights, t)
 
 
-def _certificate_on_row_scales(problem: DecisionProblem, a: str) -> DominanceCertificate | None:
-    """The dominance program on the need program's scaling: each competitor's
-    gains at unit max-norm, so strictness is judged per competitor and not
-    against the table's largest gain.  The weights are mapped back through
-    the row norms and renormalised, so the margins stay in utility units."""
-    (gains,) = -_dominance_rows(problem.utilities, [problem.act_index(a)])
-    norms = np.abs(gains).max(axis=1)
-    norms = np.where(norms > 0.0, norms, 1.0)
-    (beta,), (t_star,) = _best_mixtures((gains / norms[:, None])[None])
-    if t_star <= STRICT_DOMINANCE_TOL:
-        return None
-    weights = beta / norms
-    weights /= weights.sum()
-    return _certificate(problem, a, gains, weights, t_star)
-
-
 def _bayes_at_probes(problem: DecisionProblem) -> list[str]:
     """Acts Bayes, by `bayes_acts`' tie rule, at a vertex of the simplex or
     at the midpoint of one of its edges.
@@ -315,10 +311,10 @@ def _bayes_at_probes(problem: DecisionProblem) -> list[str]:
     return [act for act, hit in zip(problem.acts, found.tolist()) if hit]
 
 
-def _need_block(problem: DecisionProblem, acts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _need_block(problem: DecisionProblem, acts) -> tuple[np.ndarray, ...]:
     """The constraints of the need programs of ``acts``, as one (acts,
-    m + 1, n) block, their shared right-hand side, and their dominance rows'
-    norms.
+    m + 1, n) block, their shared right-hand side, their dominance rows'
+    norms, and their starting bases.
 
     An act's need program is posed in dual form.  The primal is min eps over
     pi in the simplex with |pi - pi0| <= eps and diffs @ pi >= 0, where
@@ -326,9 +322,10 @@ def _need_block(problem: DecisionProblem, acts) -> tuple[np.ndarray, np.ndarray,
     is max y - pi0.u + pi0.l subject to y - u_j + l_j + (diffs.T w)_j <= 0
     per state and sum(u) + sum(l) <= 1, with u, l, w >= 0 and y = y+ - y-
     free.  Variables: y+, y- (2), u (m), l (m), w (k) and one slack per row
-    (m + 1).  The right-hand side is (0, ..., 0, 1), so the slack basis is
-    feasible, and the reference prior pi0 enters only the objective
-    (`_need_costs`).
+    (m + 1).  The right-hand side is (0, ..., 0, 1), and the reference prior
+    pi0 enters only the objective (`_need_costs`).  Every program starts at
+    u_j basic in state row j and y+ in the budget row, the same columns for
+    every act, where every basic value is 1 / m.
     """
     k, m = problem.num_acts - 1, problem.num_states
     diffs = _dominance_rows(problem.utilities, [problem.act_index(act) for act in acts])
@@ -346,7 +343,7 @@ def _need_block(problem: DecisionProblem, acts) -> tuple[np.ndarray, np.ndarray,
     A[:, :, w + k:] = np.eye(m + 1)
     b = np.zeros(m + 1)
     b[m] = 1.0
-    return A, b, norms
+    return A, b, norms, np.tile(np.append(np.arange(2, 2 + m), 0), (len(acts), 1))
 
 
 def _need_costs(priors, m: int, n: int) -> np.ndarray:
@@ -364,25 +361,33 @@ def _need_costs(priors, m: int, n: int) -> np.ndarray:
     return costs
 
 
-def _needs_off_bases(A: np.ndarray, b: np.ndarray, at: np.ndarray, costs, bases) -> list[Need]:
-    """The needs at optimal bases ``bases`` of need programs: member i is
+def _off_bases(A: np.ndarray, b: np.ndarray, at: np.ndarray, costs, bases):
+    """The optimal values and points at bases ``bases``: member i is
     program ``at[i]`` of the block ``A`` under cost row ``costs[i]``, read
     off in one stacked solve."""
-    # A tableau carries the rounding of every pivot since its program's cold
+    # A tableau carries the rounding of every pivot since its program's
     # start, which depends on the priors solved before.  Reading the optimum
     # off the final basis alone, solved afresh from the original constraints,
-    # makes the need independent of that path.  The stacked solve runs the
-    # same LAPACK routine on each basis as a 2D solve, and the stacked product
-    # of a row and a column the same dot product, so each need takes the bits
+    # makes it independent of that path.  The stacked solve runs the same
+    # LAPACK routine on each basis as a 2D solve, and the stacked product of
+    # a row and a column the same dot product, so each member takes the bits
     # of a member read off alone.
     bases = np.sort(bases, axis=1)
     x = np.linalg.solve(
         A[at[:, None, None], np.arange(b.size)[:, None], bases[:, None, :]],
         np.tile(b, (len(at), 1))[:, :, None],
     )
-    values = np.matmul(np.take_along_axis(costs, bases, axis=1)[:, None, :], x)[:, 0, 0]
+    rows = np.arange(len(at))[:, None]
+    point = np.zeros_like(costs)
+    point[rows, bases] = x[:, :, 0]
+    return np.matmul(costs[rows, bases][:, None, :], x)[:, 0, 0], point
+
+
+def _needs_off_bases(A: np.ndarray, b: np.ndarray, at: np.ndarray, costs, bases) -> list[Need]:
+    """The needs at optimal bases of need programs (`_off_bases`)."""
     # The optimum is a distance between simplex points, so it lies in
     # [0, 1]; rounding can land it an ulp outside.
+    values = _off_bases(A, b, at, costs, bases)[0]
     return [Need.value(min(max(-value, 0.0), 1.0)) for value in values.tolist()]
 
 
@@ -393,11 +398,11 @@ def _loosened_need(problem: DecisionProblem, act: str, prior: Prior, tol: float)
     `bayes_acts`' tie rule asks: the primal rows become
     diffs @ pi >= -tol / norm, which costs tol / norm per unit of w.
     ``None`` where the loosened program is unbounded too."""
-    A, b, norms = _need_block(problem, [act])
+    A, b, norms, start = _need_block(problem, [act])
     costs = _need_costs([prior], problem.num_states, A.shape[2])
     w = 2 + 2 * problem.num_states
     costs[0, w:w + norms.shape[1]] = tol / norms[0]
-    T, bases = slack_tableaux(A, b)
+    T, bases = start_tableaux(A, b, start)
     if solve_stack(T, bases, costs)[0] is not LpStatus.OPTIMAL:
         return None
     return _needs_off_bases(A, b, np.zeros(1, dtype=int), costs, bases)[0]
@@ -421,7 +426,8 @@ def _unbounded_need(problem: DecisionProblem, act: str, prior: Prior, tol: float
     # the certificate program is then solved once more on that scaling.
     certificate = strict_inadmissibility_certificate(problem, act)
     if certificate is None:
-        certificate = _certificate_on_row_scales(problem, act)
+        (gains,), (weights,), (t,) = _dominating_mixtures(problem, [act], per_row=True)
+        certificate = _certificate(problem, act, gains, weights, t)
     if certificate is None:
         raise SolverError(
             f"contamination program for act {act!r} is infeasible "
@@ -439,7 +445,7 @@ def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
     constraints (`_need_block`) and solved in stacked simplex runs
     (`solve_stack`), each member taking the pivots and bits of its own solo
     run.  The cold stack holds each act's program at its first pending
-    prior, started from the slack bases.  The reference prior enters a
+    prior, started at `_need_block`'s basis.  The reference prior enters a
     program only through its cost row, so the restart stacks hold the
     program at every later pending prior, each a copy of its act's final
     tableau and basis in the cold stack under the new prior's cost row.  An
@@ -449,8 +455,9 @@ def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
     members, so memory stays bounded however many priors there are.  The
     needs of a stack are read off their members' final bases
     (`_needs_off_bases`), and an unbounded program goes to
-    `_unbounded_need`.  Failures are re-raised with the act and prior at
-    fault attached.
+    `_unbounded_need`, once per act where the loosened program is unbounded
+    too (that does not depend on the prior either).  Failures are re-raised
+    with the act and prior at fault attached.
     """
     if not pending:
         return {}
@@ -461,7 +468,7 @@ def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
         else:
             cold[act] = (act, j)
     position = {act: i for i, act in enumerate(cold)}  # in the block
-    A, b, _ = _need_block(problem, list(cold))
+    A, b, _, start = _need_block(problem, list(cold))
     costs = _need_costs(priors, problem.num_states, A.shape[2])
     needs = {}
 
@@ -479,20 +486,23 @@ def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
                                           bases[optimal])))
         return optimal
 
-    T, bases = slack_tableaux(A, b)
+    T, bases = start_tableaux(A, b, start)
     unbounded = ~run(list(cold.values()), T, bases)
     if unbounded.any():
-        T[unbounded], bases[unbounded] = slack_tableaux(A[unbounded], b)
+        T[unbounded], bases[unbounded] = start_tableaux(A[unbounded], b, start[unbounded])
     for lo in range(0, len(later), _RESTART_CHUNK):
         members = later[lo:lo + _RESTART_CHUNK]
         at = [position[act] for act, _ in members]
         run(members, T[at], bases[at])
+    infeasible = {}  # per act whose loosened program is unbounded: its need
     for act, j in pending:
         if (act, j) not in needs:
             try:
-                needs[act, j] = _unbounded_need(problem, act, priors[j], tol)
+                needs[act, j] = infeasible.get(act) or _unbounded_need(problem, act, priors[j], tol)
             except (SolverError, ValueError) as exc:
                 raise type(exc)(f"act {act!r}, prior {priors[j].name!r}: {exc}") from exc
+            if needs[act, j].kind is NeedKind.INFEASIBLE:
+                infeasible[act] = needs[act, j]
     return needs
 
 

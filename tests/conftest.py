@@ -334,6 +334,29 @@ def reference_simplex(lp, start=None):
     return ReferenceRun("optimal", float(c @ x), x, basis, T, stalled >= _STALL_LIMIT)
 
 
+def slack_tableaux(eq_block, eq_rhs):
+    """Starting tableaux and bases of programs whose last columns are a
+    slack basis: the unit vectors, in row order.
+
+    ``eq_block`` holds one (rows, columns) constraint matrix per program,
+    and ``eq_rhs`` their right-hand sides (one shared vector, or one per
+    program).  No set-up pivot is run, so each tableau is the constraints
+    plus 0.0, the bits the reference's set-up pivots leave.
+    """
+    p, m, n = eq_block.shape
+    T = np.zeros((p, m + 1, n + 1))
+    T[:, :m, :n] = eq_block
+    T[:, :m, -1] = eq_rhs
+    T[:, :-1] += 0.0
+    return T, np.tile(np.arange(n - m, n), (p, 1))
+
+
+def need_start(m):
+    """The starting basis of a need program on ``m`` states, as a profile
+    starts it: u_j basic in state row j and y+ in the budget row."""
+    return np.append(np.arange(2, 2 + m), 0)
+
+
 def acts_at(path, lam, breakpoint_tol=1e-9):
     """Acts a selection path selects at ``lam``: both neighbors near a breakpoint."""
     acts = []

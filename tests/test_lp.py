@@ -9,18 +9,20 @@ from priorstab.lp import (
     LpStatus,
     SolverError,
     minimize_over_band,
-    slack_tableaux,
     solve_lp,
     solve_lps,
     solve_stack,
+    start_tableaux,
 )
 
 from conftest import (
     HIGHS_OPTIONS,
     band_bounds,
     band_feasible_with_halfspaces,
+    need_start,
     random_prior,
     reference_simplex,
+    slack_tableaux,
 )
 
 
@@ -354,13 +356,13 @@ class TestPivotPath:
             )
             stab.stability_profile(problem, [random_prior(rng, m, f"p{k}") for k in range(5)])
         monkeypatch.undo()
-        # a need program's cost row starts (-1, 1); a certificate program's
-        # has its only nonzero, -1, at t
-        need = [member for member in members if member[2][1] == 1.0]
+        # a need program's cost row has nonzeros past its first two columns
+        # (the reference prior); a certificate program's, (-1, 1) on t+ and
+        # t-, has none
+        need = [member for member in members if member[2][2:].any()]
         assert 0 < len(need) < len(members) == sum(stacked) and max(stacked) > 1
-        slack = [np.array_equal(B0, np.arange(T0.shape[1] - B0.size - 1, T0.shape[1] - 1))
-                 for T0, B0, *_ in need]
-        assert any(slack) and not all(slack)  # cold and restarted members
+        cold = [np.array_equal(B0, need_start(B0.size - 1)) for _, B0, *_ in need]
+        assert any(cold) and not all(cold)  # cold and restarted members
         for T0, B0, cost, T, basis, status in members:
             lp = LinearProgram(cost, T0[:-1, :-1], T0[:-1, -1], B0)
             ref = reference_simplex(lp, SimpleNamespace(tableau=T0, basis=B0))
@@ -591,13 +593,18 @@ class TestPivotPath:
     def test_slack_tableaux_start_as_the_reference_does(self):
         # Slack tableaux are the constraints plus 0.0, with no set-up pivot:
         # -0.0 entries come out as the reference's set-up pivots leave them,
-        # and every program takes the reference's bits
+        # and every program takes the reference's bits.  Where the slack
+        # columns are unit vectors (not in the second program, whose first
+        # row is doubled), the slack start is one choice of bases for
+        # start_tableaux, up to the sign of zeros
         lp = inequality_form([1.0, -1.0], [[1.0, 1.0], [2.0, -1.0]], [1.0, 2.0])
         signed = np.where(lp.eq_matrix == 0.0, -0.0, lp.eq_matrix)
         block = np.stack([lp.eq_matrix, lp.eq_matrix * [[2.0], [1.0]], signed])
         T, bases = slack_tableaux(block, lp.eq_rhs)
         assert not np.signbit(T[T == 0.0]).any()
         assert (bases == lp.basis).all()
+        started, copy = start_tableaux(block, lp.eq_rhs, bases)
+        assert (started[[0, 2]] == T[[0, 2]]).all() and (copy == bases).all()
         costs = np.tile(lp.objective, (len(block), 1))
         for A, cost, *member in zip(block, costs, T, bases, solve_stack(T, bases, costs)):
             program = LinearProgram(cost, A, lp.eq_rhs, lp.basis)
@@ -647,7 +654,7 @@ class TestPivotPath:
         solve = stab.solve_stack
 
         def spied(T, bases, costs):
-            if costs[0, 1] != 1.0:  # a certificate stack
+            if not costs[0, 2:].any():  # a certificate stack
                 return solve(T, bases, costs)
             sizes.append(len(T))
             starts = T.copy()

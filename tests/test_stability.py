@@ -19,9 +19,11 @@ from conftest import (
     HIGHS_OPTIONS,
     affine_transform,
     band_feasible_with_halfspaces,
+    need_start,
     pairwise_margin,
     random_prior,
     random_problem,
+    slack_tableaux,
     worst_case_margin,
 )
 
@@ -424,10 +426,11 @@ EDGE_TABLES = [
 
 
 def test_certificate_optimum_matches_highs():
-    """The homogenized dominance program's optimum is the best mixture's
-    smallest gain where that is positive and 0 otherwise, on the table's
-    scale and on the need program's per-competitor scale; away from the
-    strictness threshold the verdicts agree."""
+    """The dominance program's optimum is the value of the matrix game, the
+    best mixture's smallest gain, negative ones too, on the table's scale and
+    on the need program's per-competitor scale; its weights are a mixture
+    that attains it, and away from the strictness threshold the verdicts
+    agree."""
     from priorstab.stability import STRICT_DOMINANCE_TOL, _best_mixtures, _dominance_rows
 
     rng = np.random.default_rng(41)
@@ -444,8 +447,8 @@ def test_certificate_optimum_matches_highs():
             weights, t = _best_mixtures(scaled)
             for act, g, w, t_star in zip(problem.acts, scaled, weights, t.tolist()):
                 best = highs_max_min(g)
-                assert t_star == pytest.approx(max(best, 0.0), abs=1e-9)
-                assert np.all(w >= 0.0) and w.sum() <= 1.0 + 1e-12
+                assert t_star == pytest.approx(best, abs=1e-9)
+                assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
                 assert (w @ g).min() >= t_star - 1e-12
                 if abs(best - STRICT_DOMINANCE_TOL) > 1e-9:
                     assert (t_star > STRICT_DOMINANCE_TOL) == (best > STRICT_DOMINANCE_TOL)
@@ -457,6 +460,135 @@ def test_certificate_optimum_matches_highs():
             if abs(best - STRICT_DOMINANCE_TOL) > 1e-9:
                 assert (certificate is not None) == (best > STRICT_DOMINANCE_TOL)
     assert decided > 300
+
+
+def assert_canonical(A, b, bases, T):
+    """``T`` is the constraints [A | b] in canonical form for ``bases``: the
+    basis columns are exact unit vectors, and the basis matrices map the
+    tableaux back onto [A | b]."""
+    p, rows = bases.shape
+    at = np.arange(p)[:, None]
+    assert (T[at, :rows, bases] == np.eye(rows)).all()
+    Ab = np.concatenate([A, np.broadcast_to(b, (p, rows))[:, :, None]], axis=2)
+    basis = np.take_along_axis(A, bases[:, None, :], axis=2)
+    assert np.abs(basis @ T[:, :rows] - Ab).max() <= 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(m=st.integers(1, 7), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       tied=st.booleans(), duplicated=st.booleans(), exponent=st.sampled_from([-6, 0, 6]))
+def test_starts_are_feasible_and_nondegenerate(m, n, seed, tied, duplicated, exponent):
+    """Every need program starts with all its basic values 1/m, and every
+    certificate program at its best single competitor, with no basic value
+    below 0, on tables with tied entries and duplicated acts at any scale."""
+    import priorstab.stability as stab
+    from priorstab.lp import start_tableaux
+
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, size=(n, m))
+    if tied:
+        u = np.round(2.0 * u) / 2.0
+    if duplicated:
+        u[-1] = u[0]
+    problem = DecisionProblem([f"a{i}" for i in range(n)], [f"s{j}" for j in range(m)],
+                              u * 10.0 ** exponent)
+    A, b, _, start = stab._need_block(problem, problem.acts)
+    assert (start == need_start(m)).all()
+    T, bases = start_tableaux(A, b, start)
+    assert (bases == start).all() and bases is not start
+    assert_canonical(A, b, start, T)
+    assert np.abs(T[:, :-1, -1] - 1.0 / m).max() <= 1e-12
+
+    starts = []
+    with pytest.MonkeyPatch.context() as mp:
+        def spied(A, b, bases):
+            T, copy = start_tableaux(A, b, bases)
+            starts.append((A, b, bases.copy(), T.copy()))
+            return T, copy
+
+        mp.setattr(stab, "start_tableaux", spied)
+        gains, _, _ = stab._dominating_mixtures(problem, problem.acts)
+    ((A, b, start, T),) = starts
+    assert_canonical(A, b, start, T)
+    assert (T[:, :-1, -1] >= 0.0).all()
+    # w of the best single competitor is basic in the budget row, at 1
+    best = gains.min(axis=2).argmax(axis=1)
+    assert (start[:, -1] == 2 + best).all()
+    assert np.abs(T[:, -2, -1] - 1.0).max() <= 1e-12
+
+
+def test_profile_starts_take_fewer_pivots_than_slack_starts(monkeypatch):
+    """On fixed tables, the cold need stacks and the certificate stacks of
+    some profiles take fewer pivots than the same programs would from a
+    slack basis: the need programs on their own constraints, and the
+    certificate programs posed homogenized (max t subject to t <= (G.T w)_j,
+    sum(w) <= 1 and t, w >= 0), whose slack basis is feasible."""
+    import priorstab.lp as lp_module
+    import priorstab.stability as stab
+
+    pivots = [0]
+    pivot, pivot_stack = lp_module._pivot, lp_module._pivot_stack
+
+    def counted(T, row, col):
+        pivots[0] += 1
+        pivot(T, row, col)
+
+    def counted_stack(T, rows, cols, column):
+        pivots[0] += len(rows)
+        pivot_stack(T, rows, cols, column)
+
+    def pivots_of(T, bases, costs):
+        before = pivots[0]
+        statuses = lp_module.solve_stack(T, bases, costs)
+        return statuses, pivots[0] - before
+
+    started, solved = [], []
+    start_tableaux, solve = stab.start_tableaux, stab.solve_stack
+
+    def spied_start(A, b, bases):
+        T, copy = start_tableaux(A, b, bases)
+        started.append((T, A, b))
+        return T, copy
+
+    def spied_solve(T, bases, costs):
+        statuses, count = pivots_of(T, bases, costs)
+        programs = [(A, b) for T0, A, b in started if T0 is T]
+        if programs:  # a cold stack, not a restart
+            solved.append((*programs[0], costs.copy(), count))
+        return statuses
+
+    monkeypatch.setattr(lp_module, "_pivot", counted)
+    monkeypatch.setattr(lp_module, "_pivot_stack", counted_stack)
+    monkeypatch.setattr(stab, "start_tableaux", spied_start)
+    monkeypatch.setattr(stab, "solve_stack", spied_solve)
+    rng = np.random.default_rng(1234)
+    for _ in range(6):
+        problem = dominated_table(rng)
+        u = np.vstack([rng.uniform(-1.0, 1.0, size=(12, problem.num_states)), problem.utilities])
+        problem = DecisionProblem([f"a{i}" for i in range(len(u))], problem.states, u)
+        stab.stability_profile(problem, [random_prior(rng, problem.num_states, f"p{k}")
+                                         for k in range(3)])
+    ours = {"need": 0, "certificate": 0}
+    slack = dict(ours)
+    for A, b, costs, count in solved:
+        if costs[0, 2:].any():
+            kind = "need"
+        else:
+            kind = "certificate"
+            p, rows, _ = A.shape
+            gains_t = -A[:, :rows - 1, 2:-(rows - 1)]  # (G.T) per program
+            k = gains_t.shape[2]
+            A = np.zeros((p, rows, k + rows + 1))
+            A[:, :rows - 1, 0] = 1.0
+            A[:, :rows - 1, 1:k + 1] = -gains_t
+            A[:, -1, 1:k + 1] = 1.0
+            A[:, :, k + 1:] = np.eye(rows)
+            costs = np.zeros((p, k + rows + 1))
+            costs[:, 0] = -1.0
+        ours[kind] += count
+        slack[kind] += pivots_of(*slack_tableaux(A, b), costs)[1]
+    assert 0 < ours["need"] < slack["need"]
+    assert 0 < ours["certificate"] < slack["certificate"]
 
 
 def near_tie_problem(scale):
@@ -551,6 +683,41 @@ class TestContaminationNeed:
             assert not row.is_bayes
             assert row.need.certificate.weights == need.certificate.weights
             assert row.need.certificate.margins.tobytes() == margins.tobytes()
+
+    def test_an_act_bayes_nowhere_is_certified_once(self, monkeypatch):
+        # The loosened program's feasibility and the certificate do not
+        # depend on the prior, so once a's loosened program is unbounded its
+        # verdict and certificate serve every later prior: the profile's
+        # certificate stack, one table-scale and one row-scale program, and
+        # one loosened program, where each prior once ran all of them again.
+        import priorstab.stability as stab
+
+        problem = DecisionProblem(
+            ("a", "b", "c"), ("s1", "s2"), [[1000, -1000], [1000.0000005, -999.999], [0, 0]]
+        )
+        priors = [Prior(f"p{i}", [w, 1.0 - w]) for i, w in enumerate((0.5, 0.3, 0.9, 0.7))]
+        dominance, loosened = [], []
+        mixtures, loosen = stab._dominating_mixtures, stab._loosened_need
+
+        def counted_mixtures(problem, acts, per_row=False):
+            dominance.extend(act for act in acts if act == "a")
+            return mixtures(problem, acts, per_row)
+
+        def counted_loosened(problem, act, prior, tol):
+            loosened.append(act)
+            return loosen(problem, act, prior, tol)
+
+        monkeypatch.setattr(stab, "_dominating_mixtures", counted_mixtures)
+        monkeypatch.setattr(stab, "_loosened_need", counted_loosened)
+        profile = stab.stability_profile(problem, priors)
+        monkeypatch.undo()
+        assert len(dominance) <= 3 and loosened == ["a"]
+        rows = [profile.row(prior.name, "a") for prior in priors]
+        assert all(row.need.kind is NeedKind.INFEASIBLE for row in rows)
+        assert len({id(row.need.certificate) for row in rows}) == 1
+        alone = contamination_need(problem, "a", priors[-1])
+        assert alone.certificate.weights == rows[-1].need.certificate.weights
+        assert alone.certificate.margins.tobytes() == rows[-1].need.certificate.margins.tobytes()
 
     def test_loosened_program_matches_highs(self):
         # _loosened_need lets every dominance row fall short of 0 by tol
@@ -905,7 +1072,7 @@ class TestStabilityProfile:
             return statuses
 
         def restarted(T0, B0):
-            return not np.array_equal(B0, np.arange(T0.shape[1] - B0.size - 1, T0.shape[1] - 1))
+            return not np.array_equal(B0, need_start(B0.size - 1))
 
         monkeypatch.setattr(stab, "solve_stack", spied)
         stab.stability_profile(problem, priors[:1])

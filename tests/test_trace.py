@@ -45,9 +45,9 @@ def traced_analyze(spans_module, tmp_path, utilities, priors, monkeypatch):
     def spied(T, bases, costs):
         # looked up at call time, so the recorder's wrapper records the span
         statuses = priorstab.lp.solve_stack(T, bases, costs)
-        # a need program's cost row starts (-1, 1), a certificate program's
-        # (-1, 0)
-        kind = "need" if costs[0, 1] == 1.0 else "certificate"
+        # a need program's cost row has nonzeros past its first two columns
+        # (the reference prior), a certificate program's none
+        kind = "need" if costs[0, 2:].any() else "certificate"
         stacks.append((kind, [{"rows": T.shape[1] - 1, "status": status.value}
                               for status in statuses]))
         return statuses
