@@ -4,8 +4,8 @@ Two routes into the same geometry: a phase-2 simplex for programs in
 standard form (min c.x subject to A x = b and x >= 0), and a closed-form
 greedy minimizer for linear objectives over the intersection of a coordinate
 band with the probability simplex.  The simplex works on a dense tableau,
-which suits the small programs solved here.  Every program carries a
-feasible starting basis of its own, so there is no phase 1.  Entering
+which suits the small programs solved here.  Every program starts from a
+feasible basis its caller supplies, so there is no phase 1.  Entering
 columns are priced by Dantzig's rule (most negative reduced cost); after a
 run of degenerate pivots the run switches to Bland's rule, which cannot
 cycle, so termination stays guaranteed.  Leaving-row ties always go to the
@@ -27,28 +27,23 @@ away from a degenerate vertex (`start_tableaux`; Bixby 1992), or from
 tableaux an earlier run left optimal.  A restart needs no more: the basis
 of an optimal tableau is still feasible under any other objective, so only
 the cost row is replaced and re-priced, and phase 2 continues from the old
-optimum (parametric cost, Dantzig 1963).
-`solve_lps` solves `LinearProgram` objects through the same stack, after
-pivoting in any basis that is not a slack basis, row by row.
+optimum (parametric cost, Dantzig 1963).  `start_tableaux` and
+`solve_stack` are the one way into the simplex; a lone program is a stack
+of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "FEASIBILITY_TOL",
-    "LinearProgram",
-    "LpOutcome",
     "LpStatus",
     "SolverError",
     "minimize_over_band",
     "start_tableaux",
-    "solve_lp",
-    "solve_lps",
     "solve_stack",
 ]
 
@@ -64,8 +59,7 @@ _STALL_LIMIT = 50
 class SolverError(RuntimeError):
     """The solver produced an internally inconsistent result.
 
-    ``member`` is the position of the program at fault in its call: its
-    index in the list `solve_lps` was given, and 0 for `solve_lp`.
+    ``member`` is the position of the program at fault in its stack.
     """
 
     def __init__(self, message: str, member: int = 0):
@@ -83,61 +77,6 @@ def _vector(values, name: str) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """min c.x  subject to  A x = b  and  x >= 0, from a feasible basis.
-
-    Inequalities and bounds are expected to arrive already slacked into
-    this form by the caller.  ``basis`` names, per row, the column basic in
-    it at a feasible vertex the caller knows.
-    """
-
-    objective: np.ndarray
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    basis: np.ndarray
-
-    def __init__(self, objective, eq_matrix, eq_rhs, basis):
-        c = _vector(objective, "objective")
-        A = np.asarray(eq_matrix, dtype=float)
-        if A.ndim != 2:
-            raise ValueError(f"eq_matrix must be two-dimensional, got shape {A.shape}")
-        b = _vector(eq_rhs, "eq_rhs")
-        n = c.size
-        if A.shape[1] != n:
-            raise ValueError(f"eq_matrix has {A.shape[1]} columns for {n} variables")
-        if b.size != A.shape[0]:
-            raise ValueError(f"eq_rhs has {b.size} entries for {A.shape[0]} rows")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ValueError("objective, matrix and rhs must be finite")
-        basis = np.asarray(basis, dtype=int)
-        if basis.shape != b.shape or np.any((basis < 0) | (basis >= n)):
-            raise ValueError(f"basis must name one of the {n} columns for each row")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "eq_matrix", A)
-        object.__setattr__(self, "eq_rhs", b)
-        object.__setattr__(self, "basis", basis)
-        # Whether the basis columns, in row order, are exactly the unit
-        # vectors, so that a cold start needs no set-up pivots.
-        object.__setattr__(self, "_unit_basis", bool((A[:, basis] == np.eye(b.size)).all()))
-
-    @property
-    def num_variables(self) -> int:
-        return self.objective.size
-
-
-@dataclass(frozen=True)
-class LpOutcome:
-    """Status, optimal value and point; an optimal outcome also keeps its
-    final basis and tableau, from which `solve_stack` can restart."""
-
-    status: LpStatus
-    value: float | None = None
-    point: np.ndarray | None = None
-    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
-    tableau: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -264,30 +203,6 @@ def _run_stack(T: np.ndarray, bases: np.ndarray) -> list[LpStatus]:
     return status
 
 
-def _cold_start(T: np.ndarray, lp: LinearProgram) -> None:
-    """Pivot ``lp``'s basis into the tableau ``T``, which holds its
-    constraints, row by row.  A basis of unit vectors in row order is left
-    as it stands (its pivots would only turn -0.0 entries into 0.0, which
-    adding 0.0 does)."""
-    if lp._unit_basis:
-        T[:-1] += 0.0
-        return
-    for r, j in enumerate(lp.basis.tolist()):
-        if abs(T[r, j]) <= _PIVOT_TOL:
-            raise SolverError("starting basis is singular")
-        _pivot(T, r, j)
-
-
-def _tableaux(eq_block, eq_rhs) -> np.ndarray:
-    """A stack of tableaux holding the constraints of a (programs, rows,
-    columns) block and their right-hand sides, under a zero cost row."""
-    p, m, n = eq_block.shape
-    T = np.zeros((p, m + 1, n + 1))
-    T[:, :m, :n] = eq_block
-    T[:, :m, -1] = eq_rhs
-    return T
-
-
 def start_tableaux(eq_block, eq_rhs, bases) -> tuple[np.ndarray, np.ndarray]:
     """Starting tableaux of programs in canonical form for their feasible
     bases ``bases`` (programs, rows), and a copy of the bases.
@@ -299,8 +214,10 @@ def start_tableaux(eq_block, eq_rhs, bases) -> tuple[np.ndarray, np.ndarray]:
     slower against that many right-hand sides); the basis columns are then
     written as exact unit vectors.
     """
-    T = _tableaux(eq_block, eq_rhs)
-    p, m = bases.shape
+    p, m, n = eq_block.shape
+    T = np.zeros((p, m + 1, n + 1))
+    T[:, :m, :n] = eq_block
+    T[:, :m, -1] = eq_rhs
     at = np.arange(p)[:, None]
     T[:, :m] = np.matmul(np.linalg.inv(T[at[:, :, None], np.arange(m)[:, None], bases[:, None, :]]),
                          T[:, :m])
@@ -336,49 +253,6 @@ def solve_stack(tableaux: np.ndarray, bases: np.ndarray, costs: np.ndarray) -> l
     T[:, -1, :] -= np.matmul(np.take_along_axis(costs, bases, axis=1)[:, None, :],
                              T[:, :m, :])[:, 0, :]
     return _run_stack(T, bases)
-
-
-def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Solve a standard-form program from its own feasible basis (phase 2
-    only).
-
-    Returns a basic optimal solution; its point is clipped at 0, so pivot
-    rounding never leaves a coordinate below its bound.  A singular or
-    infeasible starting basis is the caller's error and raises
-    ``SolverError``.
-    """
-    return solve_lps([lp])[0]
-
-
-def solve_lps(lps) -> list[LpOutcome]:
-    """Solve programs of one shape side by side (`solve_stack`), each as it
-    would run alone, cold from its own basis.  A failure raises
-    `SolverError` with ``member`` set to the position of the program at
-    fault."""
-    lps = list(lps)
-    if not lps:
-        return []
-    if any(lp.eq_matrix.shape != lps[0].eq_matrix.shape for lp in lps):
-        raise ValueError("programs solved together must share one shape")
-    T = _tableaux(np.array([lp.eq_matrix for lp in lps]), np.array([lp.eq_rhs for lp in lps]))
-    for i, lp in enumerate(lps):
-        try:
-            _cold_start(T[i], lp)
-        except SolverError as exc:
-            exc.member = i
-            raise
-    bases = np.array([lp.basis for lp in lps])
-    statuses = solve_stack(T, bases, np.array([lp.objective for lp in lps]))
-    outs = []
-    for lp, status, Ti, basis in zip(lps, statuses, T, bases):
-        if status is LpStatus.UNBOUNDED:
-            outs.append(LpOutcome(status=status))
-            continue
-        x = np.zeros(lp.num_variables)
-        x[basis] = np.maximum(Ti[:-1, -1], 0.0)
-        outs.append(LpOutcome(status=status, value=float(lp.objective @ x), point=x,
-                              basis=basis, tableau=Ti))
-    return outs
 
 
 def minimize_over_band(direction, center, radius: float) -> tuple[float, np.ndarray, float]:

@@ -75,9 +75,6 @@ class Radius:
     def not_bayes(cls) -> "Radius":
         return cls(RadiusKind.NOT_BAYES)
 
-    def as_float(self) -> float:
-        return self.epsilon if self.kind is RadiusKind.VALUE else -np.inf
-
 
 @dataclass(frozen=True)
 class DominanceCertificate:
@@ -136,9 +133,6 @@ class Need:
     @classmethod
     def infeasible(cls, certificate: DominanceCertificate) -> "Need":
         return cls(NeedKind.INFEASIBLE, certificate=certificate)
-
-    def as_float(self) -> float:
-        return self.epsilon if self.kind is NeedKind.VALUE else np.inf
 
 
 def _dominance_rows(u: np.ndarray, rows) -> np.ndarray:
@@ -451,7 +445,7 @@ def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
     tableau and basis in the cold stack under the new prior's cost row.  An
     act whose cold program is unbounded is unbounded at every prior, since
     its primal constraints do not depend on the prior; its later programs
-    start cold too.  Restarts are cut into stacks of ``_RESTART_CHUNK``
+    are not solved.  Restarts are cut into stacks of ``_RESTART_CHUNK``
     members, so memory stays bounded however many priors there are.  The
     needs of a stack are read off their members' final bases
     (`_needs_off_bases`), and an unbounded program goes to
@@ -487,9 +481,8 @@ def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
         return optimal
 
     T, bases = start_tableaux(A, b, start)
-    unbounded = ~run(list(cold.values()), T, bases)
-    if unbounded.any():
-        T[unbounded], bases[unbounded] = start_tableaux(A[unbounded], b, start[unbounded])
+    optimal = run(list(cold.values()), T, bases)
+    later = [(act, j) for act, j in later if optimal[position[act]]]
     for lo in range(0, len(later), _RESTART_CHUNK):
         members = later[lo:lo + _RESTART_CHUNK]
         at = [position[act] for act, _ in members]

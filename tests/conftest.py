@@ -5,6 +5,7 @@ oracles and conveniences, built on the public API.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ import pytest
 from scipy.optimize import linprog
 
 from priorstab import DecisionProblem, Prior
-from priorstab.lp import minimize_over_band
+from priorstab.lp import LpStatus, minimize_over_band, solve_stack, start_tableaux
 from priorstab.selection import SCORE_TIE_TOL, ScoreBranch, score_lines
+from priorstab.stability import Radius
 
 # Tight tolerances for scipy's HiGHS, used as an independent LP oracle.
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
@@ -270,7 +272,7 @@ class ReferenceRun:
 
 
 def reference_simplex(lp, start=None):
-    """A plain tableau simplex written from `solve_lp`'s documented rules.
+    """A plain tableau simplex written from `solve_stack`'s documented rules.
 
     A cold start pivots the program's basis in row by row; a restart copies
     an earlier outcome's tableau and basis.  Either way the right-hand side
@@ -349,6 +351,76 @@ def slack_tableaux(eq_block, eq_rhs):
     T[:, :m, -1] = eq_rhs
     T[:, :-1] += 0.0
     return T, np.tile(np.arange(n - m, n), (p, 1))
+
+
+def linear_program(objective, eq_matrix, eq_rhs, basis):
+    """min c.x subject to A x = b and x >= 0, with ``basis`` naming, per
+    row, the column basic in it at a feasible vertex the caller knows."""
+    c = np.asarray(objective, dtype=float)
+    A = np.asarray(eq_matrix, dtype=float).reshape(-1, c.size)
+    return SimpleNamespace(objective=c, eq_matrix=A, eq_rhs=np.asarray(eq_rhs, dtype=float),
+                           basis=np.asarray(basis, dtype=int))
+
+
+def _is_slack_basis(lp):
+    m, n = lp.eq_matrix.shape
+    return (np.array_equal(lp.basis, np.arange(n - m, n))
+            and (lp.eq_matrix[:, n - m:] == np.eye(m)).all())
+
+
+def stack_outcome(cost, tableau, basis, status):
+    """The outcome of one member of a `solve_stack` run: its status and, if
+    optimal, its value, its point (clipped at 0), its final basis and its
+    final tableau, from which another run can restart."""
+    if status is LpStatus.UNBOUNDED:
+        return SimpleNamespace(status=status, value=None, point=None, basis=None, tableau=None)
+    x = np.zeros(cost.size)
+    x[basis] = np.maximum(tableau[:-1, -1], 0.0)
+    return SimpleNamespace(status=status, value=float(cost @ x), point=x, basis=basis,
+                           tableau=tableau)
+
+
+def solve_programs(programs, starts=None):
+    """Solve ``programs`` (`linear_program`) of one shape in one
+    `solve_stack` run, and read each member's outcome (`stack_outcome`).
+
+    A member whose entry in ``starts`` is an earlier optimal outcome
+    restarts from a copy of that outcome's tableau and basis; the others
+    start cold from their own basis, by `slack_tableaux` where every cold
+    basis is the unit vectors in row order and by `start_tableaux`
+    otherwise.  Each outcome keeps the tableau and basis its member started
+    from as ``start``, from which `reference_simplex` can retrace the run.
+    """
+    programs = list(programs)
+    starts = [None] * len(programs) if starts is None else list(starts)
+    tableaux = [start and start.tableau for start in starts]
+    bases = [start and start.basis for start in starts]
+    cold = [i for i, start in enumerate(starts) if start is None]
+    if cold:
+        block = np.array([programs[i].eq_matrix for i in cold])
+        rhs = np.array([programs[i].eq_rhs for i in cold])
+        if all(_is_slack_basis(programs[i]) for i in cold):
+            T, B = slack_tableaux(block, rhs)
+        else:
+            T, B = start_tableaux(block, rhs, np.array([programs[i].basis for i in cold]))
+        for i, Ti, Bi in zip(cold, T, B):
+            tableaux[i], bases[i] = Ti, Bi
+    T, B = np.array(tableaux), np.array(bases)
+    begun = T.copy(), B.copy()
+    costs = np.array([lp.objective for lp in programs])
+    outs = []
+    for *member, T0, B0 in zip(costs, T, B, solve_stack(T, B, costs), *begun):
+        outs.append(stack_outcome(*member))
+        outs[-1].start = SimpleNamespace(tableau=T0, basis=B0)
+    return outs
+
+
+def as_float(quantity):
+    """A radius or a need as a float: -inf for a radius of an act that is
+    not Bayes, +inf for an infeasible need."""
+    if quantity.epsilon is not None:
+        return quantity.epsilon
+    return -np.inf if isinstance(quantity, Radius) else np.inf
 
 
 def need_start(m):

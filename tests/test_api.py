@@ -1,7 +1,8 @@
-"""The public surface: every module's ``__all__`` resolves, and the package's
-names are pinned, so a name cannot go stale or regrow unnoticed.  The
-package exports what the README's library example imports, and that example
-runs and prints what its comments say."""
+"""The public surface: every module's ``__all__`` resolves, and the names of
+the package and of its solver kernel (``lp`` and ``stability``) are pinned,
+so a name cannot go stale or regrow unnoticed.  The package exports what the
+README's library example imports, and that example runs and prints what its
+comments say."""
 
 import ast
 import importlib
@@ -27,6 +28,31 @@ PUBLIC = [
     "variance_cost",
 ]
 
+KERNEL = {
+    "lp": [
+        "FEASIBILITY_TOL",
+        "LpStatus",
+        "SolverError",
+        "minimize_over_band",
+        "solve_stack",
+        "start_tableaux",
+    ],
+    "stability": [
+        "DominanceCertificate",
+        "Need",
+        "NeedKind",
+        "Radius",
+        "RadiusKind",
+        "STRICT_DOMINANCE_TOL",
+        "StabilityProfile",
+        "StabilityRow",
+        "contamination_need",
+        "robustness_radius",
+        "stability_profile",
+        "strict_inadmissibility_certificate",
+    ],
+}
+
 
 @pytest.mark.parametrize("module", MODULES)
 def test_star_import_resolves(module):
@@ -40,6 +66,11 @@ def test_package_names_are_pinned():
     assert sorted(priorstab.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(priorstab, name)
+
+
+@pytest.mark.parametrize("module", sorted(KERNEL))
+def test_kernel_names_are_pinned(module):
+    assert sorted(importlib.import_module(f"priorstab.{module}").__all__) == KERNEL[module]
 
 
 def readme_example() -> str:

@@ -1,29 +1,36 @@
+"""The simplex kernel, reached as the package reaches it: programs start
+in a stack (`start_tableaux`, or the tests' `slack_tableaux`) and run in
+`solve_stack`, a lone program as a stack of one.  Pivot paths are checked
+against `reference_simplex`, run from the tableau and basis each member
+started with."""
+
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from types import SimpleNamespace
-
-from priorstab.lp import (
-    LinearProgram,
-    LpStatus,
-    SolverError,
-    minimize_over_band,
-    solve_lp,
-    solve_lps,
-    solve_stack,
-    start_tableaux,
-)
+from priorstab.lp import LpStatus, SolverError, minimize_over_band, solve_stack, start_tableaux
 
 from conftest import (
     HIGHS_OPTIONS,
+    as_float,
     band_bounds,
     band_feasible_with_halfspaces,
+    linear_program,
     need_start,
     random_prior,
     reference_simplex,
     slack_tableaux,
+    solve_programs,
+    stack_outcome,
 )
+
+
+def solve_alone(lp, start=None):
+    """``lp`` as a stack of one (`solve_programs`), cold or restarted from
+    the optimal outcome ``start`` of a program on the same constraints."""
+    return solve_programs([lp], None if start is None else [start])[0]
 
 
 def standard_form(objective, eq_matrix, eq_rhs, lower, upper, basis):
@@ -46,7 +53,7 @@ def standard_form(objective, eq_matrix, eq_rhs, lower, upper, basis):
     rows[r + np.arange(k), capped] = 1.0
     rows[r + np.arange(k), n + np.arange(k)] = 1.0
     rhs = np.concatenate([np.asarray(eq_rhs, dtype=float) - A @ lower, (upper - lower)[capped]])
-    lp = LinearProgram(np.concatenate([c, np.zeros(k)]), rows, rhs, basis)
+    lp = linear_program(np.concatenate([c, np.zeros(k)]), rows, rhs, basis)
 
     def recover(out):
         return lower + out.point[:n], out.value + float(c @ lower)
@@ -58,7 +65,7 @@ def inequality_form(objective, ub_matrix, ub_rhs):
     """min c.x, A x <= b, x >= 0 with b >= 0, slacked, from its slack basis."""
     A = np.asarray(ub_matrix, dtype=float)
     r, n = A.shape
-    return LinearProgram(
+    return linear_program(
         np.concatenate([objective, np.zeros(r)]), np.hstack([A, np.eye(r)]), ub_rhs,
         n + np.arange(r),
     )
@@ -77,7 +84,7 @@ def band_minimum_highs(direction, center, radius):
 
 class TestSolveLp:
     def test_vertex_of_unit_simplex(self):
-        out = solve_lp(LinearProgram([1.0, 0.0], [[1.0, 1.0]], [1.0], [0]))
+        out = solve_alone(linear_program([1.0, 0.0], [[1.0, 1.0]], [1.0], [0]))
         assert out.status is LpStatus.OPTIMAL
         assert out.value == pytest.approx(0.0, abs=1e-12)
         assert out.point == pytest.approx([0.0, 1.0], abs=1e-12)
@@ -87,13 +94,11 @@ class TestSolveLp:
         [
             # x = 2 against the bound row x + s = 1: the basis puts s at -1
             pytest.param(([0.0, 0.0], [[1.0, 0.0], [1.0, 1.0]], [2.0, 1.0]), id="infeasible"),
-            # a repeated row leaves no two columns independent
-            pytest.param(([1.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]), id="singular"),
         ],
     )
     def test_unusable_basis_is_rejected(self, program):
         with pytest.raises(SolverError, match="starting basis"):
-            solve_lp(LinearProgram(*program, [0, 1]))
+            solve_alone(linear_program(*program, [0, 1]))
 
     def test_segment_vertices(self):
         # Feasible set is the segment between (0.7, 0.3) and (0.3, 0.7);
@@ -105,28 +110,20 @@ class TestSolveLp:
         lp, recover = standard_form(
             objective, [[1.0, 1.0]], [1.0], [0.3, 0.3], [0.7, 0.7], [0, 2, 3]
         )
-        out = solve_lp(lp)
+        out = solve_alone(lp)
         assert out.status is LpStatus.OPTIMAL
         point, value = recover(out)
         assert value == pytest.approx(expected, abs=1e-9)
         assert point == pytest.approx([0.7, 0.3], abs=1e-9)
 
     def test_unbounded(self):
-        out = solve_lp(LinearProgram([-1.0, 0.0], [[1.0, -1.0]], [0.0], [0]))
+        out = solve_alone(linear_program([-1.0, 0.0], [[1.0, -1.0]], [0.0], [0]))
         assert out.status is LpStatus.UNBOUNDED
-
-    def test_dimension_mismatch_is_structural_error(self):
-        with pytest.raises(ValueError):
-            LinearProgram([1.0, 2.0], [[1.0]], [1.0], [0])
-        with pytest.raises(ValueError, match="basis"):
-            LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0], [0, 1])
-        with pytest.raises(ValueError, match="basis"):
-            LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0], [2])
 
     def test_degenerate_instance_terminates(self):
         # Beale's example cycles under the naive most-negative rule; Bland's
         # rule must terminate at the optimum.
-        out = solve_lp(beale_program())
+        out = solve_alone(beale_program())
         assert out.status is LpStatus.OPTIMAL
         assert out.value == pytest.approx(-0.05, abs=1e-9)
 
@@ -135,8 +132,8 @@ class TestSolveLp:
         lp, _ = standard_form(
             [1.0, -2.0, 0.5], [[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.full(3, 0.6), [0, 1, 4, 5]
         )
-        first = solve_lp(lp)
-        second = solve_lp(lp)
+        first = solve_alone(lp)
+        second = solve_alone(lp)
         assert first.value == second.value
         assert np.array_equal(first.point, second.point)
 
@@ -147,7 +144,7 @@ class TestSolveLp:
             n = c.size
             # x <= upper enters as rows, so the program is bounded
             lp = inequality_form(c, np.vstack([A, np.eye(n)]), np.concatenate([b, upper]))
-            ours = solve_lp(lp)
+            ours = solve_alone(lp)
             ref = linprog(c, A_ub=A, b_ub=b, bounds=list(zip(np.zeros(n), upper)), method="highs")
             assert ours.status is LpStatus.OPTIMAL
             assert ref.status == 0
@@ -169,29 +166,9 @@ def random_inequality_program(rng):
     return c, A, b, upper
 
 
-def stack_outcome(cost, tableau, basis, status):
-    """The outcome of one member of a `solve_stack` run, read as `solve_lps`
-    reads it."""
-    if status is LpStatus.UNBOUNDED:
-        return SimpleNamespace(status=status, value=None, point=None, basis=None, tableau=None)
-    x = np.zeros(cost.size)
-    x[basis] = np.maximum(tableau[:-1, -1], 0.0)
-    return SimpleNamespace(status=status, value=float(cost @ x), point=x, basis=basis,
-                           tableau=tableau)
-
-
-def restart(lp, start):
-    """``lp`` restarted from the optimal outcome ``start`` of a program on
-    the same constraints: a one-member `solve_stack` run from a copy of its
-    final tableau and basis, as the need programs of a profile restart."""
-    T, bases = start.tableau[None].copy(), start.basis[None].copy()
-    (status,) = solve_stack(T, bases, lp.objective[None])
-    return stack_outcome(lp.objective, T[0], bases[0], status)
-
-
 def reobjective(lp, objective):
     """``lp`` on the same constraint arrays and basis under ``objective``."""
-    return LinearProgram(objective, lp.eq_matrix, lp.eq_rhs, lp.basis)
+    return linear_program(objective, lp.eq_matrix, lp.eq_rhs, lp.basis)
 
 
 def with_objective(lp, objective):
@@ -211,10 +188,10 @@ class TestRestart:
             n = c.size
             rows, rhs = np.vstack([A, np.eye(n)]), np.concatenate([b, upper])
             cold = inequality_form(c, rows, rhs)
-            start = solve_lp(cold)
+            start = solve_alone(cold)
             for _ in range(3):
                 fresh = rng.normal(size=n)
-                ours = restart(with_objective(cold, fresh), start)
+                ours = solve_alone(with_objective(cold, fresh), start)
                 ref = linprog(
                     fresh, A_ub=A, b_ub=b, bounds=list(zip(np.zeros(n), upper)),
                     method="highs", options=HIGHS_OPTIONS,
@@ -241,7 +218,7 @@ class TestRestart:
             rows, rhs = np.vstack([A, np.eye(n)[1:]]), np.concatenate([b, upper[1:]])
             c[0] = abs(c[0])
             cold = inequality_form(c, rows, rhs)
-            start = solve_lp(cold)
+            start = solve_alone(cold)
             assert start.status is LpStatus.OPTIMAL
             fresh = rng.normal(size=n)
             fresh[0] = -abs(fresh[0])
@@ -250,9 +227,9 @@ class TestRestart:
                 options=HIGHS_OPTIONS,
             )
             assert ref.status == 3  # unbounded
-            out = restart(with_objective(cold, fresh), start)
+            out = solve_alone(with_objective(cold, fresh), start)
             assert out.status is LpStatus.UNBOUNDED
-            assert solve_lp(with_objective(cold, fresh)).tableau is None
+            assert solve_alone(with_objective(cold, fresh)).tableau is None
 
     def test_same_objective_takes_no_pivot(self, monkeypatch):
         import priorstab.lp as lp_module
@@ -268,9 +245,9 @@ class TestRestart:
         for _ in range(20):
             c, A, b, upper = random_inequality_program(rng)
             lp = inequality_form(c, np.vstack([A, np.eye(c.size)]), np.concatenate([b, upper]))
-            first = solve_lp(lp)
+            first = solve_alone(lp)
             monkeypatch.setattr(lp_module, "_pivot", counted)
-            again = restart(lp, first)
+            again = solve_alone(lp, first)
             monkeypatch.undo()
             assert pivots == []
             assert again.value == first.value
@@ -279,25 +256,20 @@ class TestRestart:
 
     def test_start_of_another_shape_is_rejected(self):
         # a restart tableau must fit the costs and bases it is run under
-        first = solve_lp(inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0]))
+        first = solve_alone(inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0]))
         other = inequality_form([1.0, -1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.5])
         with pytest.raises(ValueError, match="of its shape"):
-            restart(other, first)
+            solve_alone(other, first)
         wider = inequality_form([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0]], [1.0])
         with pytest.raises(ValueError, match="of its shape"):
-            restart(wider, first)
+            solve_alone(wider, first)
         with pytest.raises(ValueError, match="of its shape"):
             solve_stack(first.tableau[None].copy(), first.basis[None].copy(),
                         np.zeros((2, first.tableau.shape[1] - 1)))
 
-    def test_repr_leaves_out_the_restart_state(self):
-        out = solve_lp(inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0]))
-        assert out.tableau is not None
-        assert "tableau" not in repr(out) and "basis" not in repr(out)
-
 
 def assert_same_path(ours, ref):
-    """``solve_lp``'s outcome equals the reference run's, bit for bit."""
+    """A stack member's outcome equals the reference run's, bit for bit."""
     assert ours.status.value == ref.status
     if ref.status == "optimal":
         assert float(ours.value).hex() == float(ref.value).hex()
@@ -307,7 +279,8 @@ def assert_same_path(ours, ref):
 
 
 class TestPivotPath:
-    """`solve_lp` takes the reference simplex's pivots, not only its optimum."""
+    """Every stack member takes the reference simplex's pivots from the
+    tableau and basis it started with, not only its optimum."""
 
     def test_random_programs_and_their_restarts(self):
         rng = np.random.default_rng(101)
@@ -315,18 +288,19 @@ class TestPivotPath:
             c, A, b, upper = random_inequality_program(rng)
             n = c.size
             cold = inequality_form(c, np.vstack([A, np.eye(n)]), np.concatenate([b, upper]))
-            start = solve_lp(cold)
-            assert_same_path(start, reference_simplex(cold))
+            start = solve_alone(cold)
+            assert_same_path(start, reference_simplex(cold, start.start))
             for _ in range(3):
                 lp = with_objective(cold, rng.normal(size=n))
-                ours = restart(lp, start)
-                assert_same_path(ours, reference_simplex(lp, start))
+                ours = solve_alone(lp, start)
+                assert_same_path(ours, reference_simplex(lp, ours.start))
                 start = ours
 
     def test_beale_takes_the_bland_fallback(self):
-        ref = reference_simplex(beale_program())
+        out = solve_alone(beale_program())
+        ref = reference_simplex(beale_program(), out.start)
         assert ref.used_bland
-        assert_same_path(solve_lp(beale_program()), ref)
+        assert_same_path(out, ref)
 
     def test_profile_programs(self, monkeypatch):
         # Every member of the certificate and need stacks of some profiles,
@@ -364,16 +338,16 @@ class TestPivotPath:
         cold = [np.array_equal(B0, need_start(B0.size - 1)) for _, B0, *_ in need]
         assert any(cold) and not all(cold)  # cold and restarted members
         for T0, B0, cost, T, basis, status in members:
-            lp = LinearProgram(cost, T0[:-1, :-1], T0[:-1, -1], B0)
+            lp = linear_program(cost, T0[:-1, :-1], T0[:-1, -1], B0)
             ref = reference_simplex(lp, SimpleNamespace(tableau=T0, basis=B0))
             assert_same_path(stack_outcome(cost, T, basis, status), ref)
     def test_stacked_members_run_as_alone(self):
         rng = np.random.default_rng(111)
         for _ in range(40):
             lps = program_stack(rng, int(rng.integers(2, 9)))
-            for lp, out in zip(lps, solve_lps(lps)):
-                assert_same_outcome(out, solve_lp(lp))
-                assert_same_path(out, reference_simplex(lp))
+            for lp, out in zip(lps, solve_programs(lps)):
+                assert_same_outcome(out, solve_alone(lp))
+                assert_same_path(out, reference_simplex(lp, out.start))
 
     def test_stacks_mix_cold_and_restarted_members(self):
         # slack tableaux and earlier optima side by side in one stack
@@ -381,39 +355,30 @@ class TestPivotPath:
         restarted = pivoted = 0
         for _ in range(40):
             cold = program_stack(rng, int(rng.integers(2, 9)))
-            firsts = [solve_lp(lp) for lp in cold]
-            n = cold[0].num_variables - cold[0].eq_rhs.size
+            firsts = [solve_alone(lp) for lp in cold]
+            n = cold[0].objective.size - cold[0].eq_rhs.size
             lps = [with_objective(lp, rng.normal(size=n)) for lp in cold]
             starts = [first if rng.uniform() < 0.5 else None for first in firsts]
-            T, bases = slack_tableaux(np.array([lp.eq_matrix for lp in lps]),
-                                      np.array([lp.eq_rhs for lp in lps]))
-            for i, start in enumerate(starts):
-                if start is not None:
-                    T[i], bases[i] = start.tableau, start.basis
-            costs = np.array([lp.objective for lp in lps])
-            for lp, start, *member in zip(lps, starts, costs, T, bases,
-                                          solve_stack(T, bases, costs)):
-                out = stack_outcome(*member)
-                alone = solve_lp(lp) if start is None else restart(lp, start)
-                assert_same_outcome(out, alone)
-                assert_same_path(out, reference_simplex(lp, start))
+            for lp, start, out in zip(lps, starts, solve_programs(lps, starts)):
+                assert_same_outcome(out, solve_alone(lp, start))
+                assert_same_path(out, reference_simplex(lp, out.start))
                 if start is not None:
                     restarted += 1
                     pivoted += not np.array_equal(out.basis, start.basis)
         assert restarted > 0 and pivoted > 0
     def test_stacked_set_up_pivots_on_negative_entries(self):
         # Dominance programs posed with the mixture's advantage shifted and
-        # started at the first competitor alone share a shape per table, and
-        # their starting bases pivot in -1 slack entries, whose rows then
-        # hold -0.0
+        # started at the first competitor alone share a shape per table;
+        # their starting bases hold -1 slack entries, so `start_tableaux`
+        # sets them up by an inverse
         rng = np.random.default_rng(555)
         for _ in range(10):
             n, m = int(rng.integers(3, 8)), int(rng.integers(2, 6))
             u = rng.uniform(-1.0, 1.0, size=(n, m))
             lps = [shifted_dominance_program(np.delete(u, i, axis=0) - u[i]) for i in range(n)]
-            for lp, out in zip(lps, solve_lps(lps)):
-                assert_same_outcome(out, solve_lp(lp))
-                assert_same_path(out, reference_simplex(lp))
+            for lp, out in zip(lps, solve_programs(lps)):
+                assert_same_outcome(out, solve_alone(lp))
+                assert_same_path(out, reference_simplex(lp, out.start))
     def test_an_unbounded_member_leaves_the_others_running(self):
         # x0 has no cap row and only loosens the rows, so a negative cost on
         # it is unbounded and a positive one is not
@@ -429,11 +394,11 @@ class TestPivotPath:
                 rows = np.vstack([A, np.eye(n)[1:]])
                 rhs = np.concatenate([rng.uniform(0.0, 2.0, m), rng.uniform(0.5, 3.0, n - 1)])
                 lps.append(inequality_form(c, rows, rhs))
-            outs = solve_lps(lps)
+            outs = solve_programs(lps)
             assert [out.status for out in outs[:2]] == [LpStatus.UNBOUNDED, LpStatus.OPTIMAL]
             for lp, out in zip(lps, outs):
-                assert_same_outcome(out, solve_lp(lp))
-                assert_same_path(out, reference_simplex(lp))
+                assert_same_outcome(out, solve_alone(lp))
+                assert_same_path(out, reference_simplex(lp, out.start))
 
     def test_beale_members_keep_their_own_pricing_rule(self):
         # Beale's objective, and twice it, cycle until both members switch to
@@ -444,11 +409,12 @@ class TestPivotPath:
             reobjective(beale, np.concatenate([rng.normal(size=4), np.zeros(3)]))
             for _ in range(6)
         ]
-        refs = [reference_simplex(lp) for lp in lps]
+        outs = solve_programs(lps)
+        refs = [reference_simplex(lp, out.start) for lp, out in zip(lps, outs)]
         assert refs[0].used_bland and refs[1].used_bland
         assert not any(ref.used_bland for ref in refs[2:])
-        for lp, ref, out in zip(lps, refs, solve_lps(lps)):
-            assert_same_outcome(out, solve_lp(lp))
+        for lp, ref, out in zip(lps, refs, outs):
+            assert_same_outcome(out, solve_alone(lp))
             assert_same_path(out, ref)
 
     def test_members_switch_to_bland_at_their_own_step(self, monkeypatch):
@@ -469,10 +435,11 @@ class TestPivotPath:
                     rhs = np.concatenate([np.where(np.arange(m) % 2 == 0, 0.0, 1.0),
                                           rng.uniform(0.5, 2.0, n)])
                     lps.append(inequality_form(rng.normal(size=n), A, rhs))
-                refs = [reference_simplex(lp) for lp in lps]
+                outs = solve_programs(lps)
+                refs = [reference_simplex(lp, out.start) for lp, out in zip(lps, outs)]
                 switched += sum(ref.used_bland for ref in refs)
-                for lp, ref, out in zip(lps, refs, solve_lps(lps)):
-                    assert_same_outcome(out, solve_lp(lp))
+                for lp, ref, out in zip(lps, refs, outs):
+                    assert_same_outcome(out, solve_alone(lp))
                     assert_same_path(out, ref)
         assert switched > 0
 
@@ -491,104 +458,12 @@ class TestPivotPath:
         beale = beale_program()
         lps = [beale_program(), reobjective(beale, [0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0])]
         monkeypatch.setattr(lp_module, "_run_simplex", spied)
-        outs = solve_lps(lps)
+        outs = solve_programs(lps)
         monkeypatch.undo()
         assert handed == [(1, 1)]
         for lp, out in zip(lps, outs):
-            assert_same_outcome(out, solve_lp(lp))
-            assert_same_path(out, reference_simplex(lp))
-
-    def test_a_unit_basis_starts_without_set_up_pivots(self, monkeypatch):
-        # Slack bases are exactly the unit vectors in row order, here with
-        # -0.0 entries in the body and beside the slacks' ones, and with the
-        # slack columns placed in shuffled positions; the run starts from the
-        # constraints as they stand, with the reference's bits
-        import priorstab.lp as lp_module
-
-        pivots = []
-        pivot, pivot_stack = lp_module._pivot, lp_module._pivot_stack
-        run, run_stack = lp_module._run_simplex, lp_module._run_stack
-
-        def counted(T, *args):
-            pivots.append(1)
-            return pivot(T, *args)
-
-        def counted_stack(T, *args):
-            pivots.append(len(T))
-            return pivot_stack(T, *args)
-
-        set_up = []
-
-        def entered(T, *args):
-            set_up.append(len(pivots))
-            return run(T, *args)
-
-        def entered_stack(T, *args):
-            set_up.append(len(pivots))
-            return run_stack(T, *args)
-
-        monkeypatch.setattr(lp_module, "_pivot", counted)
-        monkeypatch.setattr(lp_module, "_pivot_stack", counted_stack)
-        monkeypatch.setattr(lp_module, "_run_simplex", entered)
-        monkeypatch.setattr(lp_module, "_run_stack", entered_stack)
-        rng = np.random.default_rng(777)
-        signed_zeros = 0
-        for _ in range(40):
-            n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
-            lps = []
-            for _ in range(int(rng.integers(1, 5))):
-                A = np.round(rng.normal(size=(m + n, n)), 1)
-                A[rng.uniform(size=A.shape) < 0.3] = -0.0
-                A[m:] = np.where(np.eye(n), 1.0, -0.0)  # caps on every variable
-                order = rng.permutation(n + m + n)
-                slacks = np.where(np.eye(m + n), 1.0, -0.0)
-                matrix = np.empty((m + n, n + m + n))
-                matrix[:, order[:n]] = A
-                matrix[:, order[n:]] = slacks
-                rhs = np.concatenate([rng.uniform(0.0, 2.0, m), rng.uniform(0.5, 3.0, n)])
-                lps.append(LinearProgram(rng.normal(size=2 * n + m), matrix, rhs, order[n:]))
-                signed_zeros += int(np.signbit(matrix[matrix == 0.0]).sum())
-            pivots.clear()
-            set_up.clear()
-            outs = solve_lps(lps)
-            assert set_up[0] == 0
-            for lp, out in zip(lps, outs):
-                pivots.clear()
-                set_up.clear()
-                alone = solve_lp(lp)
-                assert set_up[0] == 0
-                assert_same_outcome(out, alone)
-                assert_same_path(out, reference_simplex(lp))
-        assert signed_zeros > 0
-
-    def test_a_permuted_unit_basis_still_pivots(self, monkeypatch):
-        # The identity's columns named out of row order are no unit basis:
-        # the set-up pivots run, and here find the basis singular, as they
-        # would for any program; a diagonal basis other than the identity
-        # pivots to the reference's bits
-        import priorstab.lp as lp_module
-
-        lp = inequality_form([1.0, -1.0], [[1.0, 1.0], [2.0, -1.0]], [1.0, 2.0])
-        swapped = LinearProgram(lp.objective, lp.eq_matrix, lp.eq_rhs, lp.basis[::-1])
-        for stack in ([swapped], [lp, swapped]):
-            with pytest.raises(SolverError, match="singular") as caught:
-                solve_lps(stack)
-            assert caught.value.member == len(stack) - 1
-        scaled = LinearProgram(lp.objective, lp.eq_matrix * [[2.0], [0.5]], lp.eq_rhs, lp.basis)
-        pivots = []
-        pivot = lp_module._pivot
-
-        def counted(T, *args):
-            pivots.append(args)
-            return pivot(T, *args)
-
-        monkeypatch.setattr(lp_module, "_pivot", counted)
-        out = solve_lp(scaled)
-        monkeypatch.undo()
-        assert pivots[:2] == [(0, 2), (1, 3)]
-        assert_same_path(out, reference_simplex(scaled))
-        for program, out in zip([scaled, lp], solve_lps([scaled, lp])):
-            assert_same_path(out, reference_simplex(program))
+            assert_same_outcome(out, solve_alone(lp))
+            assert_same_path(out, reference_simplex(lp, out.start))
 
     def test_slack_tableaux_start_as_the_reference_does(self):
         # Slack tableaux are the constraints plus 0.0, with no set-up pivot:
@@ -607,7 +482,7 @@ class TestPivotPath:
         assert (started[[0, 2]] == T[[0, 2]]).all() and (copy == bases).all()
         costs = np.tile(lp.objective, (len(block), 1))
         for A, cost, *member in zip(block, costs, T, bases, solve_stack(T, bases, costs)):
-            program = LinearProgram(cost, A, lp.eq_rhs, lp.basis)
+            program = linear_program(cost, A, lp.eq_rhs, lp.basis)
             assert_same_path(stack_outcome(cost, *member), reference_simplex(program))
         T, bases = slack_tableaux(block[:0], lp.eq_rhs)
         assert solve_stack(T, bases, costs[:0]) == []
@@ -676,31 +551,24 @@ class TestPivotPath:
         (_, firsts), *restarts = stacks
         optima = {first.tobytes() for first in firsts}
         assert all(start.tobytes() in optima for starts, _ in restarts for start in starts)
-        assert [row.need.as_float().hex() for row in chunked.rows] == [
-            row.need.as_float().hex() for row in whole.rows]
+        assert [as_float(row.need).hex() for row in chunked.rows] == [
+            as_float(row.need).hex() for row in whole.rows]
     def test_lone_and_malformed_stacks(self):
         lp = inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0])
-        wider = inequality_form([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0]], [1.0])
-        assert solve_lps([]) == []
-        alone = solve_lp(lp)
-        assert_same_outcome(solve_lps([lp])[0], alone)
+        T, bases = start_tableaux(lp.eq_matrix[None][:0], lp.eq_rhs, lp.basis[None][:0])
+        assert solve_stack(T, bases, lp.objective[None][:0]) == []
+        # a lone program and the same program in a stack of two
+        alone = solve_alone(lp)
+        assert_same_outcome(solve_programs([lp, lp])[0], alone)
         # a lone restart and the same restart beside a cold member
         T, bases = slack_tableaux(np.stack([lp.eq_matrix] * 2), lp.eq_rhs)
         T[0], bases[0] = alone.tableau, alone.basis
         costs = np.stack([lp.objective] * 2)
         paired = stack_outcome(lp.objective, T[0], bases[0], solve_stack(T, bases, costs)[0])
-        assert_same_outcome(restart(lp, alone), paired)
-        assert_same_path(restart(lp, alone), reference_simplex(lp, alone))
-        with pytest.raises(ValueError, match="share one shape"):
-            solve_lps([lp, wider])
+        assert_same_outcome(solve_alone(lp, alone), paired)
+        assert_same_path(solve_alone(lp, alone), reference_simplex(lp, alone))
         with pytest.raises(ValueError, match="of its shape"):
             solve_stack(T, bases[:1], costs)
-        valid = LinearProgram([1.0, 0.0], [[1.0, 1.0]], [1.0], [0])
-        singular = LinearProgram([1.0, 0.0], [[0.0, 1.0]], [1.0], [0])
-        for stack in ([valid, singular], [valid, singular, valid]):
-            with pytest.raises(SolverError, match="singular") as caught:
-                solve_lps(stack)
-            assert caught.value.member == 1
 
 def program_stack(rng, count):
     """``count`` random capped inequality programs of one shape."""
@@ -740,7 +608,7 @@ def shifted_dominance_program(gains):
     b[0] = 1.0
     basis = np.concatenate([[0], k + 1 + np.arange(m)])
     basis[1 + np.argmin(gains[0])] = k
-    return LinearProgram(objective, A, b, basis)
+    return linear_program(objective, A, b, basis)
 
 
 def assert_same_outcome(ours, alone):
@@ -766,11 +634,11 @@ def beale_program():
         ]
     )
     c = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
-    return LinearProgram(c, A, [0.0, 0.0, 1.0], [4, 5, 6])
+    return linear_program(c, A, [0.0, 0.0, 1.0], [4, 5, 6])
 
 
 def assert_matches_highs(lp):
-    ours = solve_lp(lp)
+    ours = solve_alone(lp)
     ref = linprog(lp.objective, A_eq=lp.eq_matrix, b_eq=lp.eq_rhs, method="highs")
     assert ref.status == 0
     assert ours.status is LpStatus.OPTIMAL
@@ -782,13 +650,13 @@ def assert_matches_highs(lp):
 class TestPricingAndCrash:
     def test_beale_terminates_at_the_known_optimum(self):
         # optimum x = (1/25, 0, 1, 0) with value -1/20 (Beale, 1955)
-        out = solve_lp(beale_program())
+        out = solve_alone(beale_program())
         assert out.status is LpStatus.OPTIMAL
         assert out.value == pytest.approx(-0.05, abs=1e-12)
         assert out.point[:4] == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
 
     def test_program_without_rows(self):
-        out = solve_lp(LinearProgram([1.0, 2.0], np.zeros((0, 2)), [], []))
+        out = solve_alone(linear_program([1.0, 2.0], np.zeros((0, 2)), [], []))
         assert out.status is LpStatus.OPTIMAL
         assert out.value == 0.0
         assert np.array_equal(out.point, [0.0, 0.0])
@@ -799,7 +667,7 @@ class TestPricingAndCrash:
         monkeypatch.setattr(lp_module, "_STALL_LIMIT", 10**9)
         monkeypatch.setattr(lp_module, "_MAX_PIVOTS", 500)
         with pytest.raises(lp_module.SolverError, match="pivot limit"):
-            solve_lp(beale_program())
+            solve_alone(beale_program())
 
     def test_degenerate_slack_basis_matches_highs(self):
         rng = np.random.default_rng(505)

@@ -18,6 +18,7 @@ from priorstab.stability import NeedKind, RadiusKind, strict_inadmissibility_cer
 from conftest import (
     HIGHS_OPTIONS,
     affine_transform,
+    as_float,
     band_feasible_with_halfspaces,
     need_start,
     pairwise_margin,
@@ -719,6 +720,43 @@ class TestContaminationNeed:
         assert alone.certificate.weights == rows[-1].need.certificate.weights
         assert alone.certificate.margins.tobytes() == rows[-1].need.certificate.margins.tobytes()
 
+    def test_an_unbounded_need_program_is_not_restarted(self, monkeypatch):
+        # a's need program is unbounded at its first prior, and its primal
+        # constraints do not depend on the prior, so it is unbounded at every
+        # prior: the restart stacks hold c's two later programs and none of
+        # a's, whose rows all come from the loosened program and the
+        # certificate.
+        import priorstab.stability as stab
+
+        problem = DecisionProblem(
+            ("a", "b", "c"), ("s1", "s2"), [[1000, -1000], [1000.0000005, -999.999], [0, 0]]
+        )
+        priors = [Prior(f"p{i}", [w, 1.0 - w]) for i, w in enumerate((0.5, 0.3, 0.9, 0.7))]
+        stacks = []
+        solve = stab.solve_stack
+
+        def spied(T, bases, costs):
+            starts = T.copy()
+            statuses = solve(T, bases, costs)
+            # a need program's cost row has nonzeros past its first two
+            # columns; a loosened one's also on its w columns, from the 7th
+            if costs[0, 2:].any() and not costs[0, 6:].any():
+                stacks.append((starts, T.copy(), statuses))
+            return statuses
+
+        monkeypatch.setattr(stab, "solve_stack", spied)
+        profile = stab.stability_profile(problem, priors)
+        monkeypatch.undo()
+        (cold_starts, cold_ends, cold_statuses), *restarts = stacks
+        assert cold_statuses.count(stab.LpStatus.UNBOUNDED) == 1
+        a = cold_statuses.index(stab.LpStatus.UNBOUNDED)
+        of_a = {cold_starts[a].tobytes(), cold_ends[a].tobytes()}
+        members = [start.tobytes() for starts, _, _ in restarts for start in starts]
+        assert len(members) == 2
+        assert not [start for start in members if start in of_a]
+        assert all(profile.row(prior.name, "a").need.kind is NeedKind.INFEASIBLE
+                   for prior in priors)
+
     def test_loosened_program_matches_highs(self):
         # _loosened_need lets every dominance row fall short of 0 by tol
         # utility units; its optimum is the primal min eps over pi in the
@@ -1185,7 +1223,7 @@ def test_profile_rows_equal_per_row_computations(case):
             else:
                 assert row.need.certificate.weights == certificate.weights
             assert row.is_bayes == (row.radius.kind is RadiusKind.VALUE)
-            assert row.is_bayes == (row.need.as_float() == 0.0)
+            assert row.is_bayes == (as_float(row.need) == 0.0)
 
 
 def reordered_profile(problem, priors, acts, states, order):
@@ -1225,7 +1263,7 @@ def test_reordering_only_permutes_profile_rows(seed):
             other = after.row(row.prior, row.act)
             assert other.is_bayes == row.is_bayes
             assert other.radius.kind is row.radius.kind
-            assert abs(other.radius.as_float() - row.radius.as_float()) <= radius_tol or (
+            assert abs(as_float(other.radius) - as_float(row.radius)) <= radius_tol or (
                 other.radius == row.radius
             )
             assert other.need.kind is row.need.kind

@@ -1,12 +1,12 @@
 """The contract between the package and the benchmark's span recorder.
 
 ``bench/spans.py`` wraps every public function of the package's modules from
-outside and reads the programs that ``lp.solve_lp`` receives.  This runs
-``analyze`` in-process under that recorder, so a renamed function or a
-changed program shape shows up here and not only in a benchmark run.  A
-profile solves its programs in ``lp.solve_stack`` calls: one stack of
-certificate programs, a cold stack of need programs and restart stacks.
-The recorder reads none of their programs, so a spy reads them here.
+outside.  This runs ``analyze`` in-process under that recorder, so a renamed
+function or a changed program shape shows up here and not only in a
+benchmark run.  A profile solves its programs only in ``lp.solve_stack``
+calls: one stack of certificate programs, a cold stack of need programs and
+restart stacks.  The recorder reads none of their programs, so a spy reads
+them here.
 """
 
 import importlib.util
@@ -86,9 +86,9 @@ def test_analyze_under_the_span_recorder(tmp_path, monkeypatch):
     assert stacks == [("certificate", [{"rows": 2 + 1, "status": "optimal"}]),
                       ("need", [{"rows": 2 + 1, "status": "optimal"}])]
     metrics = spans_module.layer_metrics(spans)
-    # the recorder counts solves only as lp.solve_lp spans under per-row
-    # contamination_need and strict_inadmissibility_certificate calls, and
-    # a profile makes neither
+    # a profile solves only in lp.solve_stack calls, so no span is of the
+    # per-program solve the recorder counts, and it makes no per-row
+    # contamination_need or strict_inadmissibility_certificate call
     assert not [s for s in spans if s[1] == "lp.solve_lp"]
     assert metrics["lp.solves_need"] == metrics["lp.solves_certificate"] == 0
     assert metrics["stability.certificate_calls"] == 0
