@@ -49,29 +49,28 @@ class ConsistencyError(ValueError):
     """Two individually valid inputs do not fit together."""
 
 
-def _read_rows(path, limit=None) -> list[tuple[int, list[str]]]:
+def _read_rows(path):
+    """Yield ``(line, cells)`` for each nonblank row of ``path``, one at a time."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            return _rows_from_stream(fh, str(path), limit)
+            yield from _rows_from_stream(fh, str(path))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _rows_from_stream(stream, source: str, limit=None) -> list[tuple[int, list[str]]]:
-    rows = []
+def _rows_from_stream(stream, source: str):
     reader = csv.reader(stream)
+    empty = True
     try:
         for lineno, row in enumerate(reader, start=1):
             cells = [cell.strip() for cell in row]
             if any(cells):
-                rows.append((lineno, cells))
-                if len(rows) == limit:
-                    break
+                empty = False
+                yield lineno, cells
     except csv.Error as exc:
         raise InputError(f"{source}:{reader.line_num}: {exc}") from exc
-    if not rows:
+    if empty:
         raise InputError(f"{source}: file is empty")
-    return rows
 
 
 def _label(source: str, lineno: int, cell: str, what: str) -> str:
@@ -90,14 +89,15 @@ def _number(source: str, lineno: int, cell: str, what: str) -> float:
 
 
 def _read_table(rows, source: str, key: str, what: str, nonnegative: bool = False):
-    """The `key,<what>,...` table of ``rows``: (columns, lines, values).
+    """The `key,<what>,...` table of the ``(line, cells)`` iterator ``rows``:
+    (columns, lines, values).
 
     Column and row labels are identifiers, each unique in the file; ``lines``
     maps each row label to its line, in file order.  Every other cell is a
     finite number (also nonnegative with ``nonnegative``), and ``values``
     holds them, one row per label.  Rows with empty cells are named together.
     """
-    lineno, header = rows[0]
+    lineno, header = next(rows)
     if len(header) < 2 or header[0] != key:
         raise InputError(f"{source}:{lineno}: header must be '{key},<{what}>,...'")
     columns = tuple(_label(source, lineno, c, f"{what} name") for c in header[1:])
@@ -108,7 +108,7 @@ def _read_table(rows, source: str, key: str, what: str, nonnegative: bool = Fals
     width = len(header)
     lines: dict[str, int] = {}
     values, missing = [], []
-    for lineno, row in rows[1:]:
+    for lineno, row in rows:
         if len(row) != width:
             raise InputError(f"{source}:{lineno}: expected {width} fields, got {len(row)}")
         label = _label(source, lineno, row[0], key)
@@ -173,10 +173,10 @@ def parse_priors(rows, source: str) -> tuple[tuple[str, ...], list[Prior]]:
 
 def load_costs(path) -> dict[str, float]:
     """`act,cost` rows of finite nonnegative costs."""
-    rows = _read_rows(path)
-    columns, lines, costs = _read_table(rows, str(path), "act", "cost", nonnegative=True)
+    columns, lines, costs = _read_table(_read_rows(path), str(path), "act", "cost",
+                                        nonnegative=True)
     if columns != ("cost",):
-        raise InputError(f"{path}:{rows[0][0]}: header must be 'act,cost'")
+        raise InputError(f"{path}:{next(_read_rows(path))[0]}: header must be 'act,cost'")
     return dict(zip(lines, costs[:, 0].tolist()))
 
 
@@ -193,12 +193,11 @@ def load_monthly(path) -> ReturnPanel:
     A trailing ``market_vol`` column is split off as the panel's precomputed
     volatility series.
     """
-    rows = _read_rows(path)
-    columns, lines, values = _read_table(rows, str(path), "date", "asset")
+    columns, lines, values = _read_table(_read_rows(path), str(path), "date", "asset")
     has_vol = columns[-1] == "market_vol"
     assets = columns[:-1] if has_vol else columns
     if not assets:
-        raise InputError(f"{path}:{rows[0][0]}: no asset columns")
+        raise InputError(f"{path}:{next(_read_rows(path))[0]}: no asset columns")
     return _build(path, lines, ReturnPanel, tuple(lines), assets, values[:, :len(assets)],
                   volatility=values[:, -1] if has_vol else None)
 
@@ -214,9 +213,9 @@ def _is_day(text: str) -> bool:
     return True
 
 
-def daily_market(path, rows=None) -> str:
+def daily_market(path) -> str:
     """The market column of a daily file, read off its header alone."""
-    lineno, header = (rows or _read_rows(path, limit=1))[0]
+    lineno, header = next(_read_rows(path))
     if len(header) != 2 or header[0] != "date":
         raise InputError(f"{path}:{lineno}: header must be 'date,<market>'")
     return _label(str(path), lineno, header[1], "market name")
@@ -224,9 +223,8 @@ def daily_market(path, rows=None) -> str:
 
 def load_daily(path) -> tuple[str, dict[str, np.ndarray]]:
     """`date,<market>` rows of daily returns, grouped by month."""
-    rows = _read_rows(path)
-    daily_market(path, rows)
-    columns, lines, values = _read_table(rows, str(path), "date", "market")
+    daily_market(path)
+    columns, lines, values = _read_table(_read_rows(path), str(path), "date", "market")
     grouped: dict[str, list[float]] = {}
     for day, value in zip(lines, values[:, 0].tolist()):
         if not _is_day(day):

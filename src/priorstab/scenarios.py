@@ -8,6 +8,7 @@ conditional mean return of each portfolio per regime as the utility matrix.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass, replace
 
@@ -194,17 +195,22 @@ def _standardize(features: np.ndarray) -> np.ndarray:
     return (features - mean) / sd
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(points: np.ndarray, k: int, rng: random.Random) -> np.ndarray:
+    # k-means++ on one uniform u = rng.random() per centre: the first centre is
+    # point int(u * n); each later one is the first point whose normalized
+    # cumulative squared distance to the nearest centre exceeds u (numpy's
+    # choice(p=) rule), or a uniform point once every distance is zero
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
+    centroids[0] = points[int(rng.random() * n)]
     sq_dist = ((points - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        total = sq_dist.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))
+        cdf = np.cumsum(sq_dist)
+        u = rng.random()
+        if cdf[-1] <= 0.0:
+            idx = int(u * n)
         else:
-            idx = int(rng.choice(n, p=sq_dist / total))
+            idx = min(int(np.searchsorted(cdf / cdf[-1], u, side="right")), n - 1)
         centroids[j] = points[idx]
         sq_dist = np.minimum(sq_dist, ((points - centroids[j]) ** 2).sum(axis=1))
     return centroids
@@ -257,15 +263,17 @@ def kmeans_partition(
 ) -> RegimeModel:
     """Seeded k-means over (optionally standardized) monthly features.
 
-    Runs ``_RESTARTS`` (10) k-means++ initializations from one seeded generator and
-    keeps the partition with the lowest within-cluster sum of squares, so the
-    result is a pure function of (features, k, seed).
+    Runs ``_RESTARTS`` (10) k-means++ initializations from one ``random.Random``
+    stream of the nonnegative integer ``seed`` and keeps the partition with the
+    lowest within-cluster sum of squares: a pure function of (features, k, seed).
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("features must be a months-by-dimensions matrix")
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if k < 1:
         raise ValueError(f"cluster count must be at least 1, got {k}")
     if X.shape[0] < k:
@@ -275,7 +283,7 @@ def kmeans_partition(
         if len(months) != X.shape[0]:
             raise ValueError("month labels do not match the feature rows")
     Z = _standardize(X) if standardize else X.copy()
-    rng = np.random.default_rng(seed)
+    rng = random.Random(int(seed))
     best = None
     for _ in range(_RESTARTS):
         init = _kmeanspp_init(Z, k, rng)

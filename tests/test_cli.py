@@ -395,6 +395,19 @@ class TestScenarios:
         )
         return code, out, panel
 
+    def test_scenarios_does_not_load_numpy_random(self, tmp_path):
+        # this process has numpy.random loaded already, so ask a fresh interpreter
+        m = write(tmp_path, "monthly.csv", planted_monthly_csv(build_planted_panel()))
+        w = write(tmp_path, "weights.csv", PLANTED_WEIGHTS_CSV)
+        script = ("import sys; from priorstab.cli import main; "
+                  "print(main(sys.argv[1:]), 'numpy.random' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "scenarios", "--monthly", m, "--weights", w,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
     def test_planted_structure_recovered(self, tmp_path):
         code, out, panel = self.run_scenarios(tmp_path, "run1")
         assert code == 0
@@ -672,6 +685,27 @@ class TestFailureExits:
         assert code == 2
         assert f"{c}:3: cost must be finite and nonnegative" in err
         assert not (tmp_path / "path.json").exists()
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("costs", "\n\nact,price\na,0.5\nb,0.1\n", ":3: header must be 'act,cost'"),
+        ("costs", "act,cost,extra\na,0.5,1\nb,0.1,1\n", ":1: header must be 'act,cost'"),
+        ("monthly", "\ndate,market_vol\n2020-01,0.02\n2020-02,0.03\n", ":2: no asset columns"),
+        ("utilities", "\n  \n\n", ": file is empty"),
+    ])
+    def test_a_bad_header_names_its_line(self, tmp_path, capsys, name, text, message):
+        bad = write(tmp_path, f"{name}.csv", text)
+        u = write(tmp_path, "u.csv", TOY_UTILITIES)
+        p = write(tmp_path, "p.csv", TOY_PRIORS)
+        w = write(tmp_path, "w.csv", "portfolio,market\nall,1.0\n")
+        argv = {
+            "costs": ["path", "--utilities", u, "--priors", p, "--cost-mode", "file",
+                      "--costs", bad],
+            "monthly": ["scenarios", "--monthly", bad, "--weights", w, "--k", "1"],
+            "utilities": ["analyze", "--utilities", bad, "--priors", p],
+        }[name]
+        code, err = self.run_exit(capsys, argv + ["--out", str(tmp_path)])
+        assert code == 2
+        assert f"{bad}{message}" in err
 
     def test_negative_seed_names_the_flag(self, tmp_path, capsys):
         m = write(tmp_path, "monthly.csv", planted_monthly_csv(build_planted_panel()))

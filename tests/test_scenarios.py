@@ -178,6 +178,13 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans_partition(np.zeros((3, 2)), k=4, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # random.Random(-1) would draw what random.Random(1) draws
+        points = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            kmeans_partition(points, k=2, seed=seed)
+
 
 class TestLabels:
     def model_with_centroids(self, cents):
