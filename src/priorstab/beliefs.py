@@ -39,15 +39,6 @@ class PriorCatalog:
         if len(uniform) != 1:
             raise ValueError(f"catalog must contain exactly one uniform prior, found {uniform}")
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.entries)
-
-    def get(self, name: str) -> Prior:
-        for p in self.entries:
-            if p.name == name:
-                return p
-        raise KeyError(f"no prior named {name!r} in the catalog")
-
 
 def default_catalog() -> PriorCatalog:
     """Load the packaged eight-prior catalog over the regime state space."""

@@ -17,10 +17,10 @@ columns + 1) stack of tableaux, constraint rows first and the cost row
 last, right-hand side in the last column (`solve_stack`).  A pivot here
 costs about as much in numpy call overhead as in arithmetic, so each step
 prices, ratio-tests and pivots every active member with whole-stack
-operations.  The arithmetic is the 2D run's, element by element, so each
-member takes the very pivots and bits it would take alone.  A stacked step
-costs more than a 2D pivot, so a lone program, and the last member left in
-a stack, run in the 2D loop.
+operations.  The arithmetic is elementwise within each member, so a member
+takes the very pivots and bits it would take alone, in a stack of one.  A
+member leaves the stack once it is optimal or unbounded, and the stack
+steps on while any member is left.
 
 A stack starts either from a feasible basis its caller chose, a crash basis
 away from a degenerate vertex (`start_tableaux`; Bixby 1992), or from
@@ -79,70 +79,27 @@ def _vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    prow = T[row] / T[row, col]
+def _pivot_stack(T: np.ndarray, rows, cols, column: np.ndarray) -> None:
+    """Pivot every tableau of a stack: tableau i on row ``rows[i]`` and
+    column ``cols[i]``, whose entries ``column[i]`` the caller has gathered."""
+    at = np.arange(T.shape[0])
+    prow = T[at, rows] / column[at, rows][:, None]
     # Every row, the pivot row too, takes one broadcast update, which leaves
     # the pivot column exactly +0.0 (x - x * 1.0); the pivot row is then
     # written back.  Its pivot entry is exactly 1 (x / x), and adding 0 turns
     # its -0.0 entries into 0.0, as subtracting 0 * prow would.
-    T -= T[:, col, None] * prow
-    np.add(prow, 0.0, out=T[row])
-
-
-def _pivot_stack(T: np.ndarray, rows, cols, column: np.ndarray) -> None:
-    """`_pivot` on every tableau of a stack: tableau i pivots on row
-    ``rows[i]`` and column ``cols[i]``, whose entries ``column[i]`` the
-    caller has gathered.  The arithmetic is `_pivot`'s, element by element,
-    so each tableau takes a 2D pivot's bits."""
-    at = np.arange(T.shape[0])
-    prow = T[at, rows] / column[at, rows][:, None]
     T -= column[:, :, None] * prow[:, None, :]
     T[at, rows] = prow + 0.0
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, stalled: int = 0, pivots: int = 0) -> LpStatus:
-    """Minimize the objective encoded in the last tableau row.
-
-    Dantzig pricing (lowest index among equal reduced costs) until
-    ``_STALL_LIMIT`` consecutive degenerate pivots, then Bland's rule for the
-    rest of the run.  ``stalled`` and ``pivots`` carry the counts of a run
-    begun in a stack (`_run_stack`).
-    """
-    # Views into T, which every pivot updates in place.
-    reduced, body, rhs = T[-1, :-1], T[:-1], T[:-1, -1]
-    for _ in range(pivots, _MAX_PIVOTS):
-        if stalled < _STALL_LIMIT:
-            enter = int(reduced.argmin())  # Dantzig: most negative
-            if reduced[enter] >= -_PIVOT_TOL:
-                return LpStatus.OPTIMAL
-        else:
-            eligible = reduced < -_PIVOT_TOL
-            enter = int(eligible.argmax())  # Bland: lowest eligible index
-            if not eligible[enter]:
-                return LpStatus.OPTIMAL
-        column = body[:, enter]
-        rows = (column > _PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
-            return LpStatus.UNBOUNDED
-        ratios = rhs[rows] / column[rows]
-        best = float(np.minimum.reduce(ratios))
-        tied = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        leave = int(tied[basis[tied].argmin()])  # Bland: lowest basic index
-        if stalled < _STALL_LIMIT:
-            stalled = stalled + 1 if best <= _PIVOT_TOL else 0
-        _pivot(T, leave, enter)
-        basis[leave] = enter
-    raise SolverError("simplex pivot limit exceeded")
-
-
 def _run_stack(T: np.ndarray, bases: np.ndarray) -> list[LpStatus]:
-    """`_run_simplex` on every tableau of a stack at once, in place.
+    """Minimize the objective in the last row of each tableau of a stack, in
+    place.
 
     Each step prices, ratio-tests and pivots all active members with
-    whole-stack operations, by the rules and the elementwise arithmetic of
-    `_run_simplex`, so every member takes the pivots it would take alone.  A
-    member that is optimal or unbounded leaves the stack; the last one
-    finishes in `_run_simplex`, carrying its stall and pivot counts.
+    whole-stack operations, each member on Bland's rule once its own run of
+    degenerate pivots reaches ``_STALL_LIMIT``.  A member that is optimal or
+    unbounded leaves the stack; the rest step on until none is left.
     """
     status = [None] * len(T)
     ids = np.arange(len(T))  # stack position -> member
@@ -152,7 +109,7 @@ def _run_stack(T: np.ndarray, bases: np.ndarray) -> list[LpStatus]:
     since = np.zeros(len(T), dtype=int)
     at = ids
     step = 0
-    while ids.size > 1:
+    while ids.size:
         if step == _MAX_PIVOTS:
             raise SolverError("simplex pivot limit exceeded", int(ids[0]))
         reduced = S[:, -1, :-1]
@@ -176,8 +133,8 @@ def _run_stack(T: np.ndarray, bases: np.ndarray) -> list[LpStatus]:
                 if S is not T:
                     T[i], bases[i] = S[pos], B[pos]
             S, B, ids, since = S[go], B[go], ids[go], since[go]
-            if ids.size < 2:
-                break  # the last member redoes this step's choice in 2D
+            if not ids.size:
+                break
             at = at[:ids.size]
             enter, column, ratios, best = enter[go], column[go], ratios[go], best[go]
             if bland is not None:
@@ -191,15 +148,6 @@ def _run_stack(T: np.ndarray, bases: np.ndarray) -> list[LpStatus]:
         _pivot_stack(S, leave, enter, column)
         B[at, leave] = enter
         step += 1
-    if ids.size == 1:
-        i = int(ids[0])
-        try:
-            status[i] = _run_simplex(S[0], B[0], step - int(since[0]), step)
-        except SolverError as exc:
-            exc.member = i
-            raise
-        if S is not T:
-            T[i], bases[i] = S[0], B[0]
     return status
 
 

@@ -259,9 +259,8 @@ def kmeans_partition(
     k: int,
     seed: int,
     months=None,
-    standardize: bool = True,
 ) -> RegimeModel:
-    """Seeded k-means over (optionally standardized) monthly features.
+    """Seeded k-means over standardized monthly features.
 
     Runs ``_RESTARTS`` (10) k-means++ initializations from one ``random.Random``
     stream of the nonnegative integer ``seed`` and keeps the partition with the
@@ -282,7 +281,7 @@ def kmeans_partition(
         months = tuple(months)
         if len(months) != X.shape[0]:
             raise ValueError("month labels do not match the feature rows")
-    Z = _standardize(X) if standardize else X.copy()
+    Z = _standardize(X)
     rng = random.Random(int(seed))
     best = None
     for _ in range(_RESTARTS):

@@ -211,7 +211,11 @@ def selection_path(
             segments.append(PathSegment(lo, hi, winner))
     breakpoints = tuple(seg.lo for seg in segments[1:])
 
-    grid = np.unique(np.append(np.arange(n_steps + 1) * grid_step, lambda_max))
+    # 0, each step that lies clear below lambda_max, then lambda_max itself: a
+    # step within the slack of n_steps, or past it by rounding, would repeat
+    # lambda_max.
+    steps = np.arange(1, n_steps + 1) * grid_step
+    grid = np.concatenate([[0.0], steps[lambda_max - steps > 1e-9 * grid_step], [lambda_max]])
     grid_selected = tuple(_canonical_winner(lines, lam, act_order) for lam in grid)
     return SelectionPath(
         prior=prior,

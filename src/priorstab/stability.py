@@ -536,12 +536,6 @@ class StabilityProfile:
     priors: tuple[str, ...]
     rows: tuple[StabilityRow, ...]
 
-    def row(self, prior: str, act: str) -> StabilityRow:
-        for r in self.rows:
-            if r.prior == prior and r.act == act:
-                return r
-        raise KeyError(f"no row for act {act!r} under prior {prior!r}")
-
     def for_prior(self, prior: str) -> tuple[StabilityRow, ...]:
         if prior not in self.priors:
             raise KeyError(f"unknown prior {prior!r}")

@@ -23,14 +23,18 @@ EXPECTED_MASSES = {
 }
 
 
+def prior_named(catalog, name):
+    return next(p for p in catalog.entries if p.name == name)
+
+
 def test_eight_entries_in_order(catalog):
-    assert catalog.names() == tuple(EXPECTED_MASSES)
+    assert tuple(p.name for p in catalog.entries) == tuple(EXPECTED_MASSES)
     assert catalog.states == REGIME_ORDER
 
 
 def test_documented_masses(catalog):
     for name, masses in EXPECTED_MASSES.items():
-        assert catalog.get(name).mass == pytest.approx(masses, abs=1e-12)
+        assert prior_named(catalog, name).mass == pytest.approx(masses, abs=1e-12)
 
 
 def test_every_entry_is_a_distribution(catalog):
@@ -47,7 +51,7 @@ def test_regime_focused_modes_match_names(catalog):
         "recession_focused": "Recession",
     }
     for name, state in focus.items():
-        prior = catalog.get(name)
+        prior = prior_named(catalog, name)
         assert catalog.states[int(np.argmax(prior.mass))] == state
 
 
@@ -59,14 +63,9 @@ def test_exactly_one_uniform(catalog):
 
 
 def test_opportunistic_top_two(catalog):
-    mass = catalog.get("opportunistic").mass
+    mass = prior_named(catalog, "opportunistic").mass
     top_two = {catalog.states[j] for j in np.argsort(-mass)[:2]}
     assert top_two == {"Expansion", "Stagnation"}
-
-
-def test_unknown_name(catalog):
-    with pytest.raises(KeyError):
-        catalog.get("nope")
 
 
 def test_catalog_validation_rejects_wrong_count(catalog):

@@ -395,19 +395,6 @@ class TestScenarios:
         )
         return code, out, panel
 
-    def test_scenarios_does_not_load_numpy_random(self, tmp_path):
-        # this process has numpy.random loaded already, so ask a fresh interpreter
-        m = write(tmp_path, "monthly.csv", planted_monthly_csv(build_planted_panel()))
-        w = write(tmp_path, "weights.csv", PLANTED_WEIGHTS_CSV)
-        script = ("import sys; from priorstab.cli import main; "
-                  "print(main(sys.argv[1:]), 'numpy.random' in sys.modules)")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "scenarios", "--monthly", m, "--weights", w,
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True,
-        )
-        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
-
     def test_planted_structure_recovered(self, tmp_path):
         code, out, panel = self.run_scenarios(tmp_path, "run1")
         assert code == 0
@@ -783,6 +770,23 @@ class TestEntryPoint:
 
     def test_no_command_is_exit_2(self):
         assert main([]) == 2
+
+    def test_no_command_loads_numpy_random_or_ma(self, tmp_path):
+        # this process has both loaded already, so each command runs in a
+        # fresh interpreter
+        u = write(tmp_path, "u.csv", portfolio_csv())
+        m = write(tmp_path, "monthly.csv", planted_monthly_csv(build_planted_panel()))
+        w = write(tmp_path, "weights.csv", PLANTED_WEIGHTS_CSV)
+        out = str(tmp_path / "out")
+        script = ("import sys; from priorstab.cli import main; print(main(sys.argv[1:]), "
+                  "'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)")
+        for argv in (["analyze", "--utilities", u, "--out", out],
+                     ["path", "--utilities", u, "--prior", "uniform", "--out", out],
+                     ["baselines", "--utilities", u, "--prior", "uniform", "--out", out],
+                     ["scenarios", "--monthly", m, "--weights", w, "--out", out]):
+            proc = subprocess.run([sys.executable, "-c", script, *argv],
+                                  capture_output=True, text=True)
+            assert proc.stdout.splitlines()[-1] == "0 False False", (argv[0], proc.stderr)
 
 
 def planted_daily_csv(panel, days=6):

@@ -235,18 +235,18 @@ class TestRestart:
         import priorstab.lp as lp_module
 
         pivots = []
-        pivot = lp_module._pivot
+        pivot_stack = lp_module._pivot_stack
 
-        def counted(T, row, col):
-            pivots.append((row, col))
-            pivot(T, row, col)
+        def counted(T, rows, cols, column):
+            pivots.extend(zip(rows, cols))
+            pivot_stack(T, rows, cols, column)
 
         rng = np.random.default_rng(808)
         for _ in range(20):
             c, A, b, upper = random_inequality_program(rng)
             lp = inequality_form(c, np.vstack([A, np.eye(c.size)]), np.concatenate([b, upper]))
             first = solve_alone(lp)
-            monkeypatch.setattr(lp_module, "_pivot", counted)
+            monkeypatch.setattr(lp_module, "_pivot_stack", counted)
             again = solve_alone(lp, first)
             monkeypatch.undo()
             assert pivots == []
@@ -443,24 +443,12 @@ class TestPivotPath:
                     assert_same_path(out, ref)
         assert switched > 0
 
-    def test_the_last_member_finishes_in_the_2d_loop(self, monkeypatch):
-        # x3 alone takes one pivot to its cap; Beale, still cycling, is then
-        # handed over with the stall count it has run up in the stack
-        import priorstab.lp as lp_module
-
-        handed = []
-        run = lp_module._run_simplex
-
-        def spied(T, basis, stalled=0, pivots=0):
-            handed.append((stalled, pivots))
-            return run(T, basis, stalled, pivots)
-
+    def test_the_last_member_finishes_in_the_stack(self):
+        # x3 alone takes one pivot to its cap and leaves; Beale, still
+        # cycling, runs on alone with the stall count it has run up
         beale = beale_program()
         lps = [beale_program(), reobjective(beale, [0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0])]
-        monkeypatch.setattr(lp_module, "_run_simplex", spied)
         outs = solve_programs(lps)
-        monkeypatch.undo()
-        assert handed == [(1, 1)]
         for lp, out in zip(lps, outs):
             assert_same_outcome(out, solve_alone(lp))
             assert_same_path(out, reference_simplex(lp, out.start))

@@ -141,8 +141,9 @@ class TestKmeans:
     def test_single_cluster_centroid_is_mean(self):
         rng = np.random.default_rng(43)
         points = rng.normal(0, 1, size=(30, 2))
-        model = kmeans_partition(points, k=1, seed=7, standardize=False)
-        assert model.centroids[0] == pytest.approx(points.mean(axis=0), abs=1e-12)
+        model = kmeans_partition(points, k=1, seed=7)
+        # the centroid of the standardized points, whose mean is 0
+        assert model.centroids[0] == pytest.approx([0.0, 0.0], abs=1e-12)
         assert set(model.assignment.tolist()) == {0}
 
     def test_duplicated_dataset_same_centroids(self):

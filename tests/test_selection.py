@@ -179,6 +179,19 @@ class TestSelectionPath:
         assert [(s.lo, s.hi, s.act) for s in path.segments] == [(0.0, lambda_max, "a")]
         assert set(path.grid_selected) == {"a"}
 
+    @pytest.mark.parametrize("lambda_max,grid_step,points",
+                             [(0.3, 0.1, 4), (0.7, 0.1, 8), (0.9, 0.3, 4), (1.0, 0.3, 5),
+                              (3.0, 0.01, 301)])
+    def test_grid_ends_once_at_lambda_max(self, lambda_max, grid_step, points):
+        # k * grid_step can round to just past lambda_max (3 * 0.1) or just
+        # short of it (3 * 0.3), and must not repeat it
+        profile = synthetic_profile([bayes_row("a", 0.8), bayes_row("b", 0.4)])
+        costs = CostAssignment(("a", "b"), [1.0, 0.2])
+        grid = selection_path(profile, costs, "p", lambda_max, grid_step).lambda_grid
+        assert len(grid) == points
+        assert grid[0] == 0.0 and grid[-1] == lambda_max
+        assert (np.diff(grid) > 0.0).all()
+
     def test_equal_costs_no_breakpoints(self):
         profile = synthetic_profile(
             [bayes_row("a", 0.6), loser_row("b", 0.2), loser_row("c", 0.7)]

@@ -29,6 +29,10 @@ from conftest import (
 )
 
 
+def profile_row(profile, prior, act):
+    return next(r for r in profile.rows if r.prior == prior and r.act == act)
+
+
 def margin_scan_radius(problem, act, prior, step=1e-4):
     """Brute-force radius oracle: largest grid epsilon with R(eps) >= 0."""
     best = None
@@ -528,11 +532,7 @@ def test_profile_starts_take_fewer_pivots_than_slack_starts(monkeypatch):
     import priorstab.stability as stab
 
     pivots = [0]
-    pivot, pivot_stack = lp_module._pivot, lp_module._pivot_stack
-
-    def counted(T, row, col):
-        pivots[0] += 1
-        pivot(T, row, col)
+    pivot_stack = lp_module._pivot_stack
 
     def counted_stack(T, rows, cols, column):
         pivots[0] += len(rows)
@@ -558,7 +558,6 @@ def test_profile_starts_take_fewer_pivots_than_slack_starts(monkeypatch):
             solved.append((*programs[0], costs.copy(), count))
         return statuses
 
-    monkeypatch.setattr(lp_module, "_pivot", counted)
     monkeypatch.setattr(lp_module, "_pivot_stack", counted_stack)
     monkeypatch.setattr(stab, "start_tableaux", spied_start)
     monkeypatch.setattr(stab, "solve_stack", spied_solve)
@@ -658,9 +657,9 @@ class TestContaminationNeed:
         assert need.kind is NeedKind.VALUE
         assert need.epsilon == pytest.approx(0.5 - 1e-6, abs=1e-10)
         profile = stability_profile(problem, [even, vertex])
-        assert profile.row("v", "a").is_bayes
-        assert profile.row("v", "a").need.epsilon == 0.0
-        assert profile.row("even", "a").need.epsilon == need.epsilon
+        assert profile_row(profile, "v", "a").is_bayes
+        assert profile_row(profile, "v", "a").need.epsilon == 0.0
+        assert profile_row(profile, "even", "a").need.epsilon == need.epsilon
 
     def test_dominance_beyond_the_tie_tolerance_is_certified_on_the_need_scaling(self):
         # b's lead over a, (5e-7, 1e-3), is beyond the tie tolerance (2e-9),
@@ -680,7 +679,7 @@ class TestContaminationNeed:
         assert need.certificate.margins == pytest.approx([5e-7, 1e-3], rel=1e-6)
         profile = stability_profile(problem, [even, vertex])
         for prior in ("even", "v"):
-            row = profile.row(prior, "a")
+            row = profile_row(profile, prior, "a")
             assert not row.is_bayes
             assert row.need.certificate.weights == need.certificate.weights
             assert row.need.certificate.margins.tobytes() == margins.tobytes()
@@ -713,7 +712,7 @@ class TestContaminationNeed:
         profile = stab.stability_profile(problem, priors)
         monkeypatch.undo()
         assert len(dominance) <= 3 and loosened == ["a"]
-        rows = [profile.row(prior.name, "a") for prior in priors]
+        rows = [profile_row(profile, prior.name, "a") for prior in priors]
         assert all(row.need.kind is NeedKind.INFEASIBLE for row in rows)
         assert len({id(row.need.certificate) for row in rows}) == 1
         alone = contamination_need(problem, "a", priors[-1])
@@ -754,7 +753,7 @@ class TestContaminationNeed:
         members = [start.tobytes() for starts, _, _ in restarts for start in starts]
         assert len(members) == 2
         assert not [start for start in members if start in of_a]
-        assert all(profile.row(prior.name, "a").need.kind is NeedKind.INFEASIBLE
+        assert all(profile_row(profile, prior.name, "a").need.kind is NeedKind.INFEASIBLE
                    for prior in priors)
 
     def test_loosened_program_matches_highs(self):
@@ -959,11 +958,11 @@ class TestAffineInvariance:
 class TestStabilityProfile:
     def test_toy_profile_rows(self, toy_problem, toy_prior):
         profile = stability_profile(toy_problem, [toy_prior])
-        row_a = profile.row("ref", "a")
+        row_a = profile_row(profile, "ref", "a")
         assert row_a.is_bayes
         assert abs(row_a.radius.epsilon - 0.2) <= 1e-12
         assert row_a.need.epsilon == 0.0
-        row_b = profile.row("ref", "b")
+        row_b = profile_row(profile, "ref", "b")
         assert not row_b.is_bayes
         assert row_b.radius.kind is RadiusKind.NOT_BAYES
         assert row_b.need.epsilon == pytest.approx(0.2, abs=1e-9)
@@ -980,12 +979,12 @@ class TestStabilityProfile:
 
     def test_portfolio_uniform_rows(self, portfolio_problem, uniform4):
         profile = stability_profile(portfolio_problem, [uniform4])
-        winner = profile.row("uniform", "multi_asset")
+        winner = profile_row(profile, "uniform", "multi_asset")
         assert winner.is_bayes and winner.radius.kind is RadiusKind.VALUE
         for act in portfolio_problem.acts:
             if act == "multi_asset":
                 continue
-            row = profile.row("uniform", act)
+            row = profile_row(profile, "uniform", act)
             assert row.need.kind is NeedKind.VALUE
             assert row.need.epsilon > 0.0
 
@@ -995,8 +994,6 @@ class TestStabilityProfile:
 
     def test_missing_row_lookup(self, toy_problem, toy_prior):
         profile = stability_profile(toy_problem, [toy_prior])
-        with pytest.raises(KeyError):
-            profile.row("ref", "zzz")
         with pytest.raises(KeyError):
             profile.for_prior("zzz")
 
@@ -1212,7 +1209,7 @@ def test_profile_rows_equal_per_row_computations(case):
     profile = stability_profile(problem, priors)
     for prior in priors:
         for act in problem.acts:
-            row = profile.row(prior.name, act)
+            row = profile_row(profile, prior.name, act)
             assert row.radius == robustness_radius(problem, act, prior)
             need = contamination_need(problem, act, prior)
             certificate = strict_inadmissibility_certificate(problem, act)
@@ -1260,7 +1257,7 @@ def test_reordering_only_permutes_profile_rows(seed):
             (r.prior, r.act) for r in before.rows
         )
         for row in before.rows:
-            other = after.row(row.prior, row.act)
+            other = profile_row(after, row.prior, row.act)
             assert other.is_bayes == row.is_bayes
             assert other.radius.kind is row.radius.kind
             assert abs(as_float(other.radius) - as_float(row.radius)) <= radius_tol or (
