@@ -6,13 +6,15 @@ band; for any act, the *contamination need* is the smallest radius at which
 some prior in the band makes it optimal.  The radius is exact, by Newton on
 each competitor's convex band minimum, skipping the competitors that a
 cheap bound shows cannot bind; the need comes from a single linear program.
-When no prior anywhere makes an act optimal, a mixture of the competing acts
-strictly dominates it, and that mixture is returned as a checkable
-certificate.  A profile over several priors decides this once per act, in
-one stack of certificate programs, and solves the need programs of all its
-acts together (`_solve_needs`).  Both run in `lp.solve_stack` on arrays
-built straight from the table, started off the degenerate all-slack vertex,
-and both read their optimum off the final basis alone (`_off_bases`).
+Optimality follows `bayes_acts`' tie rule throughout, and one rule decides
+admissibility: an act is Bayes somewhere exactly when no mixture of its
+competitors beats it by more than the tie tolerance in every state (the
+minimax theorem).  Where the best mixture does, it is returned as a
+checkable certificate.  A profile over several priors decides this once per
+act, in one stack of certificate programs, and solves the need programs of
+all its acts together (`_solve_needs`).  Both run in `lp.solve_stack` on
+arrays built straight from the table, started off the degenerate all-slack
+vertex, and both read their optimum off the final basis alone (`_off_bases`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .core import TIE_TOL, BayesSet, DecisionProblem, Prior, bayes_acts
 from .lp import LpStatus, SolverError, minimize_over_band, solve_stack, start_tableaux
 
 __all__ = [
-    "STRICT_DOMINANCE_TOL",
     "DominanceCertificate",
     "Need",
     "NeedKind",
@@ -37,12 +38,8 @@ __all__ = [
     "contamination_need",
     "robustness_radius",
     "stability_profile",
-    "strict_inadmissibility_certificate",
 ]
 
-# Mixture advantage below this share of the largest utility difference is
-# not "strict".
-STRICT_DOMINANCE_TOL = 1e-9
 # Members per restart stack of a profile's need programs.  Each member holds
 # a tableau of (states + 2) x (3 states + acts + 3) floats.
 _RESTART_CHUNK = 64
@@ -94,10 +91,10 @@ class DominanceCertificate:
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(f"certificate weights sum to {w.sum()!r}, not 1")
         margins = np.asarray(self.margins, dtype=float)
-        # Relative to the largest margin, which is at most the table's largest
-        # utility difference, so every certificate the program accepts passes.
-        if margins.min() <= STRICT_DOMINANCE_TOL * np.abs(margins).max():
-            raise ValueError("certificate margins must exceed the strictness threshold")
+        # Relative to the largest margin, which is at most the table's utility
+        # range, so every certificate the tie rule accepts passes.
+        if margins.min() <= TIE_TOL * np.abs(margins).max():
+            raise ValueError("certificate margins must exceed the tie tolerance")
         object.__setattr__(self, "margins", margins)
 
 
@@ -206,10 +203,10 @@ def robustness_radius(
     return Radius.value(radius)
 
 
-def _best_mixtures(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per (competitors, states) block of unit-scale gains, the mixture
-    weights of its rows that maximize their smallest entry, and that entry:
-    the value of the matrix game, for all blocks in one stack.
+def _best_mixtures(gains: np.ndarray) -> np.ndarray:
+    """Per (competitors, states) block of unit-scale gains, the weights of
+    the mixture of its rows whose smallest entry is largest, for all blocks
+    in one stack; that entry is the value of the matrix game.
 
     Each program is posed in game form: max t subject to t <= (G.T w)_j for
     every state j, sum(w) = 1 and w >= 0, with t = t+ - t- free.
@@ -237,54 +234,36 @@ def _best_mixtures(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for i, status in enumerate(solve_stack(T, bases, costs)):
         if status is not LpStatus.OPTIMAL:
             raise SolverError(f"dominance program ended with status {status.value}", i)
-    values, x = _off_bases(A, b, at, costs, bases)
-    return np.maximum(x[:, 2:k + 2], 0.0), -values
+    return np.maximum(_off_bases(A, b, at, costs, bases)[1][:, 2:k + 2], 0.0)
 
 
-def _dominating_mixtures(problem: DecisionProblem, acts, per_row: bool = False):
+def _dominating_mixtures(problem: DecisionProblem, acts):
     """Per act of ``acts``: its competitors' gains u(b, .) - u(act, .), and
-    the best mixture of them and its smallest gain on unit scale, so that
-    the threshold is scale-free (`_best_mixtures`).  The scale is the act's
-    largest gain or, with ``per_row``, each competitor's own, as in the need
-    program; the weights are then mapped back through the competitors'
-    scales and renormalised, so the margins stay in utility units."""
+    the best mixture of them (`_best_mixtures`), found on the scale of the
+    act's largest gain so that pivots are well sized."""
     gains = -_dominance_rows(problem.utilities, [problem.act_index(act) for act in acts])
-    scale = np.abs(gains).max(axis=2 if per_row else (1, 2), keepdims=True)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    weights, t = _best_mixtures(gains / scale)
-    if per_row:
-        weights = weights / scale[:, :, 0]
-        weights /= weights.sum(axis=1, keepdims=True)
-    return gains, weights, t
+    scale = np.abs(gains).max(axis=(1, 2), keepdims=True)
+    return gains, _best_mixtures(gains / np.where(scale > 0.0, scale, 1.0))
 
 
-def _certificate(problem: DecisionProblem, act: str, gains, weights, t):
-    """The mixture ``weights`` of ``act``'s competitors as its certificate,
-    where the program's optimum ``t`` passes the strictness threshold."""
-    if t <= STRICT_DOMINANCE_TOL:
+def _certificate(problem: DecisionProblem, act: str, gains, weights, tol: float):
+    """The mixture ``weights`` of ``act``'s competitors, whose gains over it
+    are ``gains``, as its certificate, where the mixture's smallest gain
+    exceeds the tie tolerance ``tol``.
+
+    An act is Bayes at a prior by `bayes_acts`' rule when no competitor's
+    expected gain exceeds ``tol`` there, and by the minimax theorem some
+    prior does that exactly when no mixture gains more than ``tol`` in every
+    state (von Neumann; Berger 1985, ch. 5).  So ``None`` means the act is
+    Bayes somewhere, and its need programs, loosened by ``tol``, are bounded.
+    """
+    margins = weights @ gains
+    if margins.min() <= tol:
         return None
     others = [b for b in problem.acts if b != act]
     return DominanceCertificate(
-        weights={b: float(w) for b, w in zip(others, weights)}, margins=weights @ gains
+        weights={b: float(w) for b, w in zip(others, weights)}, margins=margins
     )
-
-
-def strict_inadmissibility_certificate(
-    problem: DecisionProblem, a: str
-) -> DominanceCertificate | None:
-    """Best strictly dominating mixture of the competitors, if one exists.
-
-    Maximizes the smallest per-state advantage t of a convex combination of
-    the other acts over ``a``; the combination certifies strict
-    inadmissibility exactly when the optimum exceeds the strictness
-    threshold, relative to the largest utility difference.  Returns ``None``
-    otherwise (including the weak-domination boundary, e.g. a duplicated
-    act).  The certificate's margins are in the original utility units.
-    """
-    if problem.num_acts < 2:
-        raise ValueError("a certificate needs at least one competing act")
-    (gains,), (weights,), (t,) = _dominating_mixtures(problem, [a])
-    return _certificate(problem, a, gains, weights, t)
 
 
 def _bayes_at_probes(problem: DecisionProblem) -> list[str]:
@@ -311,13 +290,15 @@ def _need_block(problem: DecisionProblem, acts) -> tuple[np.ndarray, ...]:
     norms, and their starting bases.
 
     An act's need program is posed in dual form.  The primal is min eps over
-    pi in the simplex with |pi - pi0| <= eps and diffs @ pi >= 0, where
-    diffs holds the act's dominance rows scaled to unit max-norm.  Its dual
-    is max y - pi0.u + pi0.l subject to y - u_j + l_j + (diffs.T w)_j <= 0
-    per state and sum(u) + sum(l) <= 1, with u, l, w >= 0 and y = y+ - y-
-    free.  Variables: y+, y- (2), u (m), l (m), w (k) and one slack per row
-    (m + 1).  The right-hand side is (0, ..., 0, 1), and the reference prior
-    pi0 enters only the objective (`_need_costs`).  Every program starts at
+    pi in the simplex with |pi - pi0| <= eps and diffs @ pi >= -tol / norms,
+    where diffs holds the act's dominance rows scaled to unit max-norm and
+    tol is the tie tolerance, so that pi makes the act Bayes by `bayes_acts`'
+    rule.  Its dual is max y - pi0.u + pi0.l - (tol / norms).w subject to
+    y - u_j + l_j + (diffs.T w)_j <= 0 per state and sum(u) + sum(l) <= 1,
+    with u, l, w >= 0 and y = y+ - y- free.  Variables: y+, y- (2), u (m),
+    l (m), w (k) and one slack per row (m + 1).  The right-hand side is
+    (0, ..., 0, 1), and the reference prior pi0 and the tolerance enter only
+    the objective (`_need_costs`, `_solve_needs`).  Every program starts at
     u_j basic in state row j and y+ in the budget row, the same columns for
     every act, where every basic value is 1 / m.
     """
@@ -343,7 +324,7 @@ def _need_block(problem: DecisionProblem, acts) -> tuple[np.ndarray, ...]:
 def _need_costs(priors, m: int, n: int) -> np.ndarray:
     """The cost rows of the need programs, of n columns, at each of
     ``priors``: the dual objective y - pi0.u + pi0.l, negated to be
-    minimized."""
+    minimized, before the loosening of w."""
     for prior in priors:
         if prior.dimension != m:
             raise ValueError(f"prior {prior.name!r} has {prior.dimension} states, problem has {m}")
@@ -367,10 +348,14 @@ def _off_bases(A: np.ndarray, b: np.ndarray, at: np.ndarray, costs, bases):
     # a row and a column the same dot product, so each member takes the bits
     # of a member read off alone.
     bases = np.sort(bases, axis=1)
-    x = np.linalg.solve(
-        A[at[:, None, None], np.arange(b.size)[:, None], bases[:, None, :]],
-        np.tile(b, (len(at), 1))[:, :, None],
-    )
+    matrices = A[at[:, None, None], np.arange(b.size)[:, None], bases[:, None, :]]
+    try:
+        x = np.linalg.solve(matrices, np.tile(b, (len(at), 1))[:, :, None])
+    except np.linalg.LinAlgError as exc:
+        # slogdet runs the same LU factorization, and its sign is 0 where
+        # that meets an exact zero pivot: the member at fault.
+        singular = int((np.linalg.slogdet(matrices)[0] == 0.0).argmax())
+        raise SolverError("final basis is singular", singular) from exc
     rows = np.arange(len(at))[:, None]
     point = np.zeros_like(costs)
     point[rows, bases] = x[:, :, 0]
@@ -380,77 +365,30 @@ def _off_bases(A: np.ndarray, b: np.ndarray, at: np.ndarray, costs, bases):
 def _needs_off_bases(A: np.ndarray, b: np.ndarray, at: np.ndarray, costs, bases) -> list[Need]:
     """The needs at optimal bases of need programs (`_off_bases`)."""
     # The optimum is a distance between simplex points, so it lies in
-    # [0, 1]; rounding can land it an ulp outside.
+    # [0, 1]; rounding can land it an ulp outside.  0.0 comes first, so a
+    # need of -0.0 reads as 0.0.
     values = _off_bases(A, b, at, costs, bases)[0]
-    return [Need.value(min(max(-value, 0.0), 1.0)) for value in values.tolist()]
-
-
-def _loosened_need(problem: DecisionProblem, act: str, prior: Prior, tol: float) -> Need | None:
-    """The optimum of the need program of ``act`` at ``prior`` with each
-    dominance row allowed to fall short of 0 by ``tol`` utility units, so
-    the act need only come within ``tol`` of every competitor, as
-    `bayes_acts`' tie rule asks: the primal rows become
-    diffs @ pi >= -tol / norm, which costs tol / norm per unit of w.
-    ``None`` where the loosened program is unbounded too."""
-    A, b, norms, start = _need_block(problem, [act])
-    costs = _need_costs([prior], problem.num_states, A.shape[2])
-    w = 2 + 2 * problem.num_states
-    costs[0, w:w + norms.shape[1]] = tol / norms[0]
-    T, bases = start_tableaux(A, b, start)
-    if solve_stack(T, bases, costs)[0] is not LpStatus.OPTIMAL:
-        return None
-    return _needs_off_bases(A, b, np.zeros(1, dtype=int), costs, bases)[0]
-
-
-def _unbounded_need(problem: DecisionProblem, act: str, prior: Prior, tol: float) -> Need:
-    """The need of ``act`` at ``prior`` where its need program there is
-    unbounded; ``tol`` is the tie tolerance of the Bayes sets.
-
-    No prior makes the act exactly optimal, but it may be Bayes somewhere by
-    the tie rule; the program loosened by ``tol`` decides that, and its
-    optimum is then the need.  Only an act Bayes nowhere gets a strictly
-    dominating mixture as its certificate, so no profile row calls an act
-    inadmissible that another row finds Bayes.
-    """
-    loose = _loosened_need(problem, act, prior, tol)
-    if loose is not None:
-        return loose
-    # The need program scales each dominance row to unit max-norm, so it can
-    # see a strict dominance that is small next to the table's largest gain;
-    # the certificate program is then solved once more on that scaling.
-    certificate = strict_inadmissibility_certificate(problem, act)
-    if certificate is None:
-        (gains,), (weights,), (t,) = _dominating_mixtures(problem, [act], per_row=True)
-        certificate = _certificate(problem, act, gains, weights, t)
-    if certificate is None:
-        raise SolverError(
-            f"contamination program for act {act!r} is infeasible "
-            "but no dominance certificate exists"
-        )
-    return Need.infeasible(certificate)
+    return [Need.value(min(max(0.0, -value), 1.0)) for value in values.tolist()]
 
 
 def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
     """The needs of the (act, prior index) pairs ``pending``, keyed by pair;
-    ``tol`` is the tie tolerance of the Bayes sets, and no pending act may be
-    Bayes at its prior.
+    ``tol`` is the tie tolerance of the Bayes sets, every pending act must
+    be Bayes somewhere (`_certificate`) and none at its prior.
 
     The need programs of the pending acts are built as one block of
-    constraints (`_need_block`) and solved in stacked simplex runs
-    (`solve_stack`), each member taking the pivots and bits of its own solo
-    run.  The cold stack holds each act's program at its first pending
-    prior, started at `_need_block`'s basis.  The reference prior enters a
-    program only through its cost row, so the restart stacks hold the
-    program at every later pending prior, each a copy of its act's final
-    tableau and basis in the cold stack under the new prior's cost row.  An
-    act whose cold program is unbounded is unbounded at every prior, since
-    its primal constraints do not depend on the prior; its later programs
-    are not solved.  Restarts are cut into stacks of ``_RESTART_CHUNK``
-    members, so memory stays bounded however many priors there are.  The
-    needs of a stack are read off their members' final bases
-    (`_needs_off_bases`), and an unbounded program goes to
-    `_unbounded_need`, once per act where the loosened program is unbounded
-    too (that does not depend on the prior either).  Failures are re-raised
+    constraints (`_need_block`), loosened by ``tol`` in each member's cost
+    row, and solved in stacked simplex runs (`solve_stack`), each member
+    taking the pivots and bits of its own solo run.  The cold stack holds
+    each act's program at its first pending prior, started at `_need_block`'s
+    basis.  The reference prior enters a program only through its cost row,
+    so the restart stacks hold the program at every later pending prior,
+    each a copy of its act's final tableau and basis in the cold stack under
+    the new prior's cost row.  Restarts are cut into stacks of
+    ``_RESTART_CHUNK`` members, so memory stays bounded however many priors
+    there are.  The needs of a stack are read off their members' final bases
+    (`_needs_off_bases`).  An act Bayes somewhere has a feasible loosened
+    primal, so an unbounded member is a solver fault; failures are raised
     with the act and prior at fault attached.
     """
     if not pending:
@@ -462,40 +400,30 @@ def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
         else:
             cold[act] = (act, j)
     position = {act: i for i, act in enumerate(cold)}  # in the block
-    A, b, _, start = _need_block(problem, list(cold))
+    A, b, norms, start = _need_block(problem, list(cold))
     costs = _need_costs(priors, problem.num_states, A.shape[2])
+    w = 2 + 2 * problem.num_states  # first column of w
     needs = {}
 
     def run(members, T, bases):
         at = np.array([position[act] for act, _ in members])
         member_costs = costs[[j for _, j in members]]
+        member_costs[:, w:w + norms.shape[1]] = tol / norms[at]
         try:
-            statuses = solve_stack(T, bases, member_costs)
+            for i, status in enumerate(solve_stack(T, bases, member_costs)):
+                if status is not LpStatus.OPTIMAL:
+                    raise SolverError(f"need program ended with status {status.value}", i)
+            needs.update(zip(members, _needs_off_bases(A, b, at, member_costs, bases)))
         except SolverError as exc:
             act, j = members[exc.member]
             raise SolverError(f"act {act!r}, prior {priors[j].name!r}: {exc}") from exc
-        optimal = np.array([status is LpStatus.OPTIMAL for status in statuses])
-        needs.update(zip([pair for pair, ok in zip(members, optimal.tolist()) if ok],
-                         _needs_off_bases(A, b, at[optimal], member_costs[optimal],
-                                          bases[optimal])))
-        return optimal
 
     T, bases = start_tableaux(A, b, start)
-    optimal = run(list(cold.values()), T, bases)
-    later = [(act, j) for act, j in later if optimal[position[act]]]
+    run(list(cold.values()), T, bases)
     for lo in range(0, len(later), _RESTART_CHUNK):
         members = later[lo:lo + _RESTART_CHUNK]
         at = [position[act] for act, _ in members]
         run(members, T[at], bases[at])
-    infeasible = {}  # per act whose loosened program is unbounded: its need
-    for act, j in pending:
-        if (act, j) not in needs:
-            try:
-                needs[act, j] = infeasible.get(act) or _unbounded_need(problem, act, priors[j], tol)
-            except (SolverError, ValueError) as exc:
-                raise type(exc)(f"act {act!r}, prior {priors[j].name!r}: {exc}") from exc
-            if needs[act, j].kind is NeedKind.INFEASIBLE:
-                infeasible[act] = needs[act, j]
     return needs
 
 
@@ -505,17 +433,21 @@ def contamination_need(
     """Smallest band radius at which some prior in the band makes ``a`` optimal.
 
     Acts optimal at the reference prior need no contamination; ``bayes``
-    decides which those are, as in `robustness_radius`.  Otherwise the need
-    is the optimum of a single program, solved in dual form (`_need_block`);
-    an unbounded dual means no prior makes ``a`` exactly optimal.  The
-    program loosened by the problem's tie tolerance then decides whether a
-    prior makes it Bayes by `bayes_acts`' rule, and only where none does is
-    the need infinite, certified by a strictly dominating mixture.
+    decides which those are, as in `robustness_radius`.  Otherwise the best
+    mixture of the competitors decides whether any prior makes ``a`` Bayes
+    by `bayes_acts`' tie rule (`_certificate`).  Where none does, the need
+    is infinite, certified by that mixture; elsewhere it is the optimum of a
+    single program, solved in dual form (`_need_block`).
     """
     if a in (bayes_acts(problem, prior) if bayes is None else bayes):
         return Need.value(0.0)
     u = problem.utilities
-    return _solve_needs(problem, [(a, 0)], [prior], TIE_TOL * (u.max() - u.min()))[a, 0]
+    tol = TIE_TOL * (u.max() - u.min())
+    (gains,), (weights,) = _dominating_mixtures(problem, [a])
+    certificate = _certificate(problem, a, gains, weights, tol)
+    if certificate is not None:
+        return Need.infeasible(certificate)
+    return _solve_needs(problem, [(a, 0)], [prior], tol)[a, 0]
 
 
 @dataclass(frozen=True)
@@ -551,7 +483,8 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     admissibility is witnessed by the profile priors and by fixed probe
     priors: the vertices of the simplex and the midpoints of its edges, all
     judged by `bayes_acts`' tie rule.  Only the acts Bayes at none of them get
-    a certificate program.  Every row of a dominated act reuses its certificate.
+    a certificate program, whose best mixture decides (`_certificate`).
+    Every row of a dominated act reuses its certificate.
     The other acts are measured against the undominated acts only: at every
     prior some undominated act attains the maximum expected utility, so
     dropping the dominated ones changes no radius and no need.  Each row's
@@ -577,11 +510,8 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
             mixtures = _dominating_mixtures(problem, unwitnessed)
         except SolverError as exc:
             raise SolverError(f"act {unwitnessed[exc.member]!r}: {exc}") from exc
-        for act, *mixture in zip(unwitnessed, *mixtures):
-            try:
-                certificates[act] = _certificate(problem, act, *mixture)
-            except ValueError as exc:
-                raise ValueError(f"act {act!r}: {exc}") from exc
+        for act, gains, weights in zip(unwitnessed, *mixtures):
+            certificates[act] = _certificate(problem, act, gains, weights, tol)
     kept = [i for i, act in enumerate(problem.acts) if certificates[act] is None]
     undominated = DecisionProblem(
         [problem.acts[i] for i in kept], problem.states, problem.utilities[kept]

@@ -5,6 +5,7 @@ oracles and conveniences, built on the public API.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from scipy.optimize import linprog
 
 from priorstab import DecisionProblem, Prior
+from priorstab.core import TIE_TOL
 from priorstab.lp import LpStatus, minimize_over_band, solve_stack, start_tableaux
 from priorstab.selection import SCORE_TIE_TOL, ScoreBranch, score_lines
 from priorstab.stability import Radius
@@ -439,3 +441,129 @@ def acts_at(path, lam, breakpoint_tol=1e-9):
     if not acts:
         raise ValueError(f"lambda {lam!r} outside the path range")
     return tuple(acts)
+
+
+# ---------------------------------------------------------------------------
+# An exact referee: the need and the game value on rationals.  Every float is
+# a rational, so the table and the prior enter exactly, and the programs are
+# posed in their primal form, the form HiGHS is given, not priorstab's dual.
+
+
+def _exact_pivot(T, row, col):
+    pivot = T[row][col]
+    T[row] = [x / pivot for x in T[row]]
+    for i, other in enumerate(T):
+        factor = other[col]
+        if i != row and factor:
+            T[i] = [x - factor * y for x, y in zip(other, T[row])]
+
+
+def _exact_phase(T, basis, cost, columns):
+    """Minimize ``cost`` over the tableau ``T`` (constraint rows, then the
+    cost row it overwrites) from the feasible basis ``basis``, entering only
+    ``columns``, by Bland's rule: the lowest improving column, and among the
+    rows of the smallest ratio the one whose basic column is lowest."""
+    m = len(basis)
+    T[m] = [cost[j] - sum(cost[basis[i]] * T[i][j] for i in range(m))
+            for j in range(len(cost))] + [-sum(cost[basis[i]] * T[i][-1] for i in range(m))]
+    while True:
+        enter = next((j for j in columns if T[m][j] < 0), None)
+        if enter is None:
+            return -T[m][-1]
+        rows = [i for i in range(m) if T[i][enter] > 0]
+        if not rows:
+            raise AssertionError("the exact program is unbounded")
+        best = min(T[i][-1] / T[i][enter] for i in rows)
+        leave = min((i for i in rows if T[i][-1] / T[i][enter] == best), key=basis.__getitem__)
+        _exact_pivot(T, leave, enter)
+        basis[leave] = enter
+
+
+def exact_simplex(c, A, b):
+    """min c.x subject to A x = b and x >= 0 on rationals, by the two-phase
+    simplex with Bland's rule, which cannot cycle: the optimum, or None
+    where the program is infeasible.
+
+    A row whose right-hand side is negative is negated.  A row that owns a
+    unit column starts with it basic, and each other row with an artificial
+    variable; phase 1 drives the artificials to 0 and out of the basis, and
+    phase 2 minimizes ``c`` over the original columns.
+    """
+    n = len(c)
+    rows = [[-x for x in row] + [-rhs] if rhs < 0 else list(row) + [rhs] for row, rhs in zip(A, b)]
+    m = len(rows)
+    basis = []
+    for i, row in enumerate(rows):
+        unit = [j for j in range(n) if row[j] == 1 and all(r[j] == 0 for r in rows if r is not row)]
+        basis.append(unit[0] if unit else None)
+    artificials = [i for i in range(m) if basis[i] is None]
+    T = [row[:n] + [Fraction(int(i == r)) for r in artificials] + row[n:]
+         for i, row in enumerate(rows)] + [None]
+    for k, i in enumerate(artificials):
+        basis[i] = n + k
+    width = n + len(artificials)
+    if artificials:
+        cost = [Fraction(0)] * n + [Fraction(1)] * len(artificials)
+        if _exact_phase(T, basis, cost, range(width)) > 0:
+            return None
+        for i in range(m):
+            if basis[i] >= n:  # an artificial at 0: pivot in an original column
+                col = next((j for j in range(n) if T[i][j] != 0), None)
+                if col is not None:
+                    _exact_pivot(T, i, col)
+                    basis[i] = col
+        keep = [i for i in range(m) if basis[i] < n]  # the others are redundant
+        T = [T[i] for i in keep] + [None]
+        basis = [basis[i] for i in keep]
+    return _exact_phase(T, basis, list(c) + [Fraction(0)] * len(artificials), range(n))
+
+
+def _exact_table(problem, act):
+    u = [[Fraction(x) for x in row] for row in problem.utilities.tolist()]
+    a = problem.act_index(act)
+    tol = Fraction(TIE_TOL) * (max(map(max, u)) - min(map(min, u)))
+    gains = [[x - y for x, y in zip(row, u[a])] for b, row in enumerate(u) if b != a]
+    return gains, tol
+
+
+def exact_need(problem, act, prior):
+    """The need of ``act`` at ``prior`` by the tie rule, on rationals: min eps
+    over pi in the simplex with |pi - pi0| <= eps and (u_a - u_b).pi >=
+    -TIE_TOL * range for every competitor b, or None where no pi qualifies.
+
+    Variables: pi (m), eps, the slacks of the upper and lower band rows
+    (m each) and of the competitor rows (k)."""
+    gains, tol = _exact_table(problem, act)
+    center = [Fraction(x) for x in prior.mass.tolist()]
+    m, k = len(center), len(gains)
+    n = 3 * m + 1 + k
+    zero, one = Fraction(0), Fraction(1)
+    A, b = [], []
+    for j in range(m):
+        for sign, slack in ((1, 1 + m + j), (-1, 1 + 2 * m + j)):
+            row = [zero] * n
+            row[j], row[m], row[slack] = one, -sign * one, sign * one
+            A.append(row)
+            b.append(center[j])
+    for i, g in enumerate(gains):  # g.pi + slack = tol
+        A.append(g + [zero] * (2 * m + 1) + [one if r == i else zero for r in range(k)])
+        b.append(tol)
+    A.append([one] * m + [zero] * (n - m))
+    b.append(one)
+    return exact_simplex([zero] * m + [one] + [zero] * (n - m - 1), A, b)
+
+
+def exact_game_value(problem, act):
+    """The value of the matrix game behind a certificate, on rationals: max t
+    over mixtures w of the competitors with (w @ gains)_j >= t in every
+    state, gains being u_b - u_a.
+
+    Variables: t = t+ - t-, the weights (k) and one slack per state (m)."""
+    gains, _ = _exact_table(problem, act)
+    k, m = len(gains), len(gains[0])
+    zero, one = Fraction(0), Fraction(1)
+    A = [[one, -one] + [-g[j] for g in gains] + [one if r == j else zero for r in range(m)]
+         for j in range(m)]
+    A.append([zero, zero] + [one] * k + [zero] * m)
+    value = exact_simplex([-one, one] + [zero] * (k + m), A, [zero] * m + [one])
+    return -value

@@ -43,13 +43,11 @@ KERNEL = {
         "NeedKind",
         "Radius",
         "RadiusKind",
-        "STRICT_DOMINANCE_TOL",
         "StabilityProfile",
         "StabilityRow",
         "contamination_need",
         "robustness_radius",
         "stability_profile",
-        "strict_inadmissibility_certificate",
     ],
 }
 

@@ -123,6 +123,20 @@ class TestAnalyze:
         assert cert["weights"] == {"b": 1.0, "c": 0.0}
         assert cert["margins"] == pytest.approx([5e-7, 1e-3], rel=1e-6)
 
+    @pytest.mark.parametrize("delta", [1e-13, 2e-12, 5e-11, 1e-10, 3e-10, 1e-8])
+    def test_near_tie_with_a_mixture_gets_a_verdict(self, tmp_path, delta):
+        # c trails the even mixture of a and b by delta in both states, and
+        # a and b by delta at the even prior: c is Bayes there within the tie
+        # tolerance (1e-12 of the range 1) and inadmissible beyond it
+        c = repr(0.5 - delta)
+        u = write(tmp_path, "u.csv", f"act,s1,s2\na,1,0\nb,0,1\nc,{c},{c}\n")
+        p = write(tmp_path, "p.csv", "prior,s1,s2\neven,0.5,0.5\n")
+        assert main(["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path)]) == 0
+        rows = read_tidy(tmp_path / "stability.csv")
+        bayes = delta <= 1e-12
+        assert rows[("even", "c", "is_bayes")] == ("1" if bayes else "0")
+        assert rows[("even", "c", "con")] == ("0" if bayes else "INADMISSIBLE")
+
     def test_empty_priors_file_is_exit_2(self, tmp_path, capsys):
         u = write(tmp_path, "u.csv", TOY_UTILITIES)
         p = write(tmp_path, "p.csv", "prior,s1,s2\n")
@@ -634,6 +648,28 @@ class TestFailureExits:
         assert len(opened) == 2
         assert os.listdir(out) == [reports[0]]
         assert (out / reports[0]).read_text() == "earlier run\n"
+
+    def test_a_singular_final_basis_is_exit_4_naming_the_act(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # Every need program ends on a basis of m + 1 copies of the budget
+        # row's slack, so the stacked read-off meets a singular matrix: a
+        # solver fault (exit 4) that names the act and the prior, not
+        # malformed input
+        import priorstab.stability as stab
+
+        solve = stab.solve_stack
+
+        def singular(T, bases, costs):
+            statuses = solve(T, bases, costs)
+            bases[:] = T.shape[2] - 2
+            return statuses
+
+        monkeypatch.setattr(stab, "solve_stack", singular)
+        u = write(tmp_path, "u.csv", TOY_UTILITIES)
+        p = write(tmp_path, "p.csv", TOY_PRIORS)
+        assert main(["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal solver error: act 'b', prior 'ref': final basis is singular\n"
 
     def test_reports_follow_the_umask(self, tmp_path):
         import os

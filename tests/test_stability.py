@@ -12,14 +12,17 @@ from priorstab import (
     robustness_radius,
     stability_profile,
 )
+import priorstab.stability as stab
 from priorstab.beliefs import default_catalog
-from priorstab.stability import NeedKind, RadiusKind, strict_inadmissibility_certificate
+from priorstab.core import TIE_TOL
+from priorstab.stability import NeedKind, RadiusKind
 
 from conftest import (
     HIGHS_OPTIONS,
     affine_transform,
     as_float,
     band_feasible_with_halfspaces,
+    exact_need,
     need_start,
     pairwise_margin,
     random_prior,
@@ -31,6 +34,28 @@ from conftest import (
 
 def profile_row(profile, prior, act):
     return next(r for r in profile.rows if r.prior == prior and r.act == act)
+
+
+def certificate_of(problem, act):
+    """The certificate a profile gives ``act``, or None where the act is
+    Bayes somewhere: its best competitor mixture, kept where the mixture's
+    smallest gain exceeds the tie tolerance."""
+    u = problem.utilities
+    (gains,), (weights,) = stab._dominating_mixtures(problem, [act])
+    return stab._certificate(problem, act, gains, weights, TIE_TOL * (u.max() - u.min()))
+
+
+def spy_certificate_programs(monkeypatch):
+    """The acts of each certificate stack a profile runs, stack by stack."""
+    programs = []
+    mixtures = stab._dominating_mixtures
+
+    def counted(problem, acts):
+        programs.append(list(acts))
+        return mixtures(problem, acts)
+
+    monkeypatch.setattr(stab, "_dominating_mixtures", counted)
+    return programs
 
 
 def margin_scan_radius(problem, act, prior, step=1e-4):
@@ -431,12 +456,11 @@ EDGE_TABLES = [
 
 
 def test_certificate_optimum_matches_highs():
-    """The dominance program's optimum is the value of the matrix game, the
-    best mixture's smallest gain, negative ones too, on the table's scale and
-    on the need program's per-competitor scale; its weights are a mixture
-    that attains it, and away from the strictness threshold the verdicts
-    agree."""
-    from priorstab.stability import STRICT_DOMINANCE_TOL, _best_mixtures, _dominance_rows
+    """The dominance program's mixture attains the value of the matrix game,
+    the best mixture's smallest gain, negative ones too; and away from the
+    tie tolerance the certificate exists exactly where that value exceeds
+    the tolerance."""
+    from priorstab.stability import _best_mixtures, _dominance_rows
 
     rng = np.random.default_rng(41)
     tables = [np.asarray(rows, dtype=float) for rows in EDGE_TABLES]
@@ -446,25 +470,17 @@ def test_certificate_optimum_matches_highs():
         problem = DecisionProblem([f"a{i}" for i in range(len(u))],
                                   [f"s{j}" for j in range(u.shape[1])], u)
         gains = -_dominance_rows(u, np.arange(len(u)))
-        norms = np.abs(gains).max(axis=2, keepdims=True)
-        for scaled in (gains / np.abs(gains).max(axis=(1, 2), keepdims=True),
-                       gains / np.where(norms > 0.0, norms, 1.0)):
-            weights, t = _best_mixtures(scaled)
-            for act, g, w, t_star in zip(problem.acts, scaled, weights, t.tolist()):
-                best = highs_max_min(g)
-                assert t_star == pytest.approx(best, abs=1e-9)
-                assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
-                assert (w @ g).min() >= t_star - 1e-12
-                if abs(best - STRICT_DOMINANCE_TOL) > 1e-9:
-                    assert (t_star > STRICT_DOMINANCE_TOL) == (best > STRICT_DOMINANCE_TOL)
-                    decided += 1
-        for act in problem.acts:
-            certificate = strict_inadmissibility_certificate(problem, act)
-            best = highs_max_min(gains[problem.act_index(act)] / np.abs(gains).max(
-                axis=(1, 2))[problem.act_index(act)])
-            if abs(best - STRICT_DOMINANCE_TOL) > 1e-9:
-                assert (certificate is not None) == (best > STRICT_DOMINANCE_TOL)
-    assert decided > 300
+        scale = np.abs(gains).max(axis=(1, 2))
+        tol = TIE_TOL * (u.max() - u.min())
+        weights = _best_mixtures(gains / scale[:, None, None])
+        for act, g, w, s in zip(problem.acts, gains, weights, scale.tolist()):
+            best = highs_max_min(g / s)
+            assert (w @ g).min() / s == pytest.approx(best, abs=1e-9)
+            assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
+            if abs(best * s - tol) > 1e-9 * s:
+                assert (certificate_of(problem, act) is not None) == (best * s > tol)
+                decided += 1
+    assert decided > 150
 
 
 def assert_canonical(A, b, bases, T):
@@ -512,7 +528,7 @@ def test_starts_are_feasible_and_nondegenerate(m, n, seed, tied, duplicated, exp
             return T, copy
 
         mp.setattr(stab, "start_tableaux", spied)
-        gains, _, _ = stab._dominating_mixtures(problem, problem.acts)
+        gains, _ = stab._dominating_mixtures(problem, problem.acts)
     ((A, b, start, T),) = starts
     assert_canonical(A, b, start, T)
     assert (T[:, :-1, -1] >= 0.0).all()
@@ -599,10 +615,15 @@ def near_tie_problem(scale):
 
 class TestContaminationNeed:
     def test_need_reaches_one_at_a_vertex_prior(self):
-        # a1 is optimal only where pi(s0) = 0, which is 1 away from (1, 0)
+        # a1 is exactly optimal only where pi(s0) = 0, 1 away from (1, 0),
+        # and Bayes by the tie rule wherever its gap 1e-5 pi(s0) is at most
+        # 1e-12, so its need stops 1e-7 short of the far vertex
         need = contamination_need(near_tie_problem(1.0), "a1", Prior("v", [1.0, 0.0]))
         assert need.kind is NeedKind.VALUE
-        assert need.epsilon == 1.0
+        assert need.epsilon == pytest.approx(1.0 - 1e-7, abs=1e-12)
+        for p0, acts in ((0.99e-7, ("a0", "a1")), (1.01e-7, ("a0",))):
+            prior = Prior("p", [p0, 1.0 - p0])
+            assert bayes_acts(near_tie_problem(1.0), prior).optimal_acts == acts
 
     def test_needs_stay_in_the_unit_interval_at_vertex_priors(self):
         # Rounded utilities put optima at the far vertex, 1 away from a
@@ -663,13 +684,12 @@ class TestContaminationNeed:
 
     def test_dominance_beyond_the_tie_tolerance_is_certified_on_the_need_scaling(self):
         # b's lead over a, (5e-7, 1e-3), is beyond the tie tolerance (2e-9),
-        # so a is Bayes nowhere; measured against c's gain of 1000 it is below
-        # the certificate program's threshold, so the certificate comes from
-        # the program on the need's per-competitor scaling.
+        # so a is Bayes nowhere, though the lead is small next to c's gain of
+        # 1000: the game value on the table's scale certifies it, in one
+        # certificate program per profile.
         problem = DecisionProblem(
             ("a", "b", "c"), ("s1", "s2"), [[1000, -1000], [1000.0000005, -999.999], [0, 0]]
         )
-        assert strict_inadmissibility_certificate(problem, "a") is None
         even, vertex = Prior("even", [0.5, 0.5]), Prior("v", [1.0, 0.0])
         need = contamination_need(problem, "a", even)
         assert need.kind is NeedKind.INFEASIBLE
@@ -677,7 +697,10 @@ class TestContaminationNeed:
         margins = problem.row("b") - problem.row("a")
         assert need.certificate.margins.tobytes() == margins.tobytes()
         assert need.certificate.margins == pytest.approx([5e-7, 1e-3], rel=1e-6)
-        profile = stability_profile(problem, [even, vertex])
+        with pytest.MonkeyPatch.context() as mp:
+            programs = spy_certificate_programs(mp)
+            profile = stability_profile(problem, [even, vertex])
+        assert programs == [["a"]]
         for prior in ("even", "v"):
             row = profile_row(profile, prior, "a")
             assert not row.is_bayes
@@ -685,33 +708,17 @@ class TestContaminationNeed:
             assert row.need.certificate.margins.tobytes() == margins.tobytes()
 
     def test_an_act_bayes_nowhere_is_certified_once(self, monkeypatch):
-        # The loosened program's feasibility and the certificate do not
-        # depend on the prior, so once a's loosened program is unbounded its
-        # verdict and certificate serve every later prior: the profile's
-        # certificate stack, one table-scale and one row-scale program, and
-        # one loosened program, where each prior once ran all of them again.
-        import priorstab.stability as stab
-
+        # Admissibility does not depend on the prior, so a's certificate
+        # program runs once, in the profile's one certificate stack, and its
+        # certificate serves every prior.
         problem = DecisionProblem(
             ("a", "b", "c"), ("s1", "s2"), [[1000, -1000], [1000.0000005, -999.999], [0, 0]]
         )
         priors = [Prior(f"p{i}", [w, 1.0 - w]) for i, w in enumerate((0.5, 0.3, 0.9, 0.7))]
-        dominance, loosened = [], []
-        mixtures, loosen = stab._dominating_mixtures, stab._loosened_need
-
-        def counted_mixtures(problem, acts, per_row=False):
-            dominance.extend(act for act in acts if act == "a")
-            return mixtures(problem, acts, per_row)
-
-        def counted_loosened(problem, act, prior, tol):
-            loosened.append(act)
-            return loosen(problem, act, prior, tol)
-
-        monkeypatch.setattr(stab, "_dominating_mixtures", counted_mixtures)
-        monkeypatch.setattr(stab, "_loosened_need", counted_loosened)
+        programs = spy_certificate_programs(monkeypatch)
         profile = stab.stability_profile(problem, priors)
         monkeypatch.undo()
-        assert len(dominance) <= 3 and loosened == ["a"]
+        assert programs == [["a"]]
         rows = [profile_row(profile, prior.name, "a") for prior in priors]
         assert all(row.need.kind is NeedKind.INFEASIBLE for row in rows)
         assert len({id(row.need.certificate) for row in rows}) == 1
@@ -720,58 +727,51 @@ class TestContaminationNeed:
         assert alone.certificate.margins.tobytes() == rows[-1].need.certificate.margins.tobytes()
 
     def test_an_unbounded_need_program_is_not_restarted(self, monkeypatch):
-        # a's need program is unbounded at its first prior, and its primal
-        # constraints do not depend on the prior, so it is unbounded at every
-        # prior: the restart stacks hold c's two later programs and none of
-        # a's, whose rows all come from the loosened program and the
-        # certificate.
-        import priorstab.stability as stab
-
+        # a is certified before any need program is built, so no need stack,
+        # cold or restarted, holds a program of a, and every stack member is
+        # optimal: a's exact need program, which is unbounded, is never run.
         problem = DecisionProblem(
             ("a", "b", "c"), ("s1", "s2"), [[1000, -1000], [1000.0000005, -999.999], [0, 0]]
         )
         priors = [Prior(f"p{i}", [w, 1.0 - w]) for i, w in enumerate((0.5, 0.3, 0.9, 0.7))]
-        stacks = []
-        solve = stab.solve_stack
+        programs = spy_certificate_programs(monkeypatch)
+        blocks, statuses = [], []
+        build, solve = stab._need_block, stab.solve_stack
 
-        def spied(T, bases, costs):
-            starts = T.copy()
-            statuses = solve(T, bases, costs)
-            # a need program's cost row has nonzeros past its first two
-            # columns; a loosened one's also on its w columns, from the 7th
-            if costs[0, 2:].any() and not costs[0, 6:].any():
-                stacks.append((starts, T.copy(), statuses))
-            return statuses
+        def spied_block(problem, acts):
+            blocks.append(list(acts))
+            return build(problem, acts)
 
-        monkeypatch.setattr(stab, "solve_stack", spied)
+        def spied_solve(T, bases, costs):
+            statuses.extend(solve(T, bases, costs))
+            return statuses[-len(T):]
+
+        monkeypatch.setattr(stab, "_need_block", spied_block)
+        monkeypatch.setattr(stab, "solve_stack", spied_solve)
         profile = stab.stability_profile(problem, priors)
         monkeypatch.undo()
-        (cold_starts, cold_ends, cold_statuses), *restarts = stacks
-        assert cold_statuses.count(stab.LpStatus.UNBOUNDED) == 1
-        a = cold_statuses.index(stab.LpStatus.UNBOUNDED)
-        of_a = {cold_starts[a].tobytes(), cold_ends[a].tobytes()}
-        members = [start.tobytes() for starts, _, _ in restarts for start in starts]
-        assert len(members) == 2
-        assert not [start for start in members if start in of_a]
+        assert programs == [["a"]]
+        assert blocks and all("a" not in acts for acts in blocks)
+        assert set(statuses) == {stab.LpStatus.OPTIMAL}
         assert all(profile_row(profile, prior.name, "a").need.kind is NeedKind.INFEASIBLE
                    for prior in priors)
 
     def test_loosened_program_matches_highs(self):
-        # _loosened_need lets every dominance row fall short of 0 by tol
-        # utility units; its optimum is the primal min eps over pi in the
-        # simplex with |pi - pi0| <= eps and u_a.pi >= u_b.pi - tol.
-        from priorstab.stability import _loosened_need
-
+        # The need is the primal min eps over pi in the simplex with
+        # |pi - pi0| <= eps and u_a.pi >= u_b.pi - tol, tol being the tie
+        # tolerance TIE_TOL * range; where it is infeasible the need is
+        # infinite.
         rng = np.random.default_rng(31)
         checked = 0
         for _ in range(60):
             problem = random_problem(rng, max_acts=5, max_states=5)
             prior = random_prior(rng, problem.num_states)
             act = problem.acts[int(rng.integers(problem.num_acts))]
-            tol = float(rng.uniform(0.0, 0.3))
+            u = problem.utilities
+            tol = TIE_TOL * (u.max() - u.min())
             m = problem.num_states
             i = problem.act_index(act)
-            diffs = problem.utilities[i] - np.delete(problem.utilities, i, axis=0)
+            diffs = u[i] - np.delete(u, i, axis=0)
             eye = np.eye(m)
             A_ub = np.block([
                 [eye, -np.ones((m, 1))],
@@ -784,9 +784,9 @@ class TestContaminationNeed:
             c[-1] = 1.0
             res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
                           method="highs", options=HIGHS_OPTIONS)
-            need = _loosened_need(problem, act, prior, tol)
+            need = contamination_need(problem, act, prior)
             if res.status == 2:
-                assert need is None
+                assert need.kind is NeedKind.INFEASIBLE
                 continue
             assert need.kind is NeedKind.VALUE
             assert need.epsilon == pytest.approx(res.fun, abs=1e-9)
@@ -847,7 +847,7 @@ class TestCertificates:
         w_grid = np.linspace(0.0, 1.0, 100001)
         best = np.max(np.minimum(w_grid - 0.4, 0.6 - w_grid))
         assert best == pytest.approx(0.1, abs=1e-5)
-        cert = strict_inadmissibility_certificate(problem, "a")
+        cert = contamination_need(problem, "a", Prior("p", [0.5, 0.5])).certificate
         assert cert is not None
         assert cert.weights["b"] == pytest.approx(0.5, abs=1e-9)
         assert np.min(cert.margins) == pytest.approx(0.1, abs=1e-9)
@@ -856,16 +856,11 @@ class TestCertificates:
         problem = DecisionProblem(
             ("a", "twin", "other"), ("s1", "s2"), [[0.4, 0.4], [0.4, 0.4], [1.0, 0.0]]
         )
-        assert strict_inadmissibility_certificate(problem, "a") is None
+        assert certificate_of(problem, "a") is None
 
     def test_dominant_act_has_no_certificate(self):
         problem = DecisionProblem(("top", "low"), ("s1", "s2"), [[0.9, 0.8], [0.1, 0.2]])
-        assert strict_inadmissibility_certificate(problem, "top") is None
-
-    def test_single_act_rejected(self):
-        problem = DecisionProblem(("only",), ("s",), [[1.0]])
-        with pytest.raises(ValueError):
-            strict_inadmissibility_certificate(problem, "only")
+        assert certificate_of(problem, "top") is None
 
     def test_certificate_margins_hold_statewise(self, make_problem):
         rng = np.random.default_rng(26)
@@ -873,7 +868,7 @@ class TestCertificates:
         for _ in range(300):
             problem = make_problem(rng, max_acts=5, max_states=3)
             act = problem.acts[int(rng.integers(problem.num_acts))]
-            cert = strict_inadmissibility_certificate(problem, act)
+            cert = certificate_of(problem, act)
             if cert is None:
                 continue
             found += 1
@@ -945,14 +940,19 @@ class TestAffineInvariance:
 
     def test_near_tie_is_scale_free(self):
         # the tie tolerance is relative to the utility range, so a gap of
-        # 1e-5 of the range separates the acts at every scale
+        # 1e-5 of the range separates the acts at every scale, and a1's need
+        # (1 - 1e-7, where its gap 1e-5 pi(s0) falls to the tolerance) is the
+        # same at every scale
         prior = Prior("v", [1.0, 0.0])
+        needs = []
         for scale in (1e-8, 1.0, 1e8):
             problem = near_tie_problem(scale)
             assert bayes_acts(problem, prior).optimal_acts == ("a0",)
             assert robustness_radius(problem, "a1", prior).kind is RadiusKind.NOT_BAYES
             assert robustness_radius(problem, "a0", prior).epsilon > 0.0
-            assert contamination_need(problem, "a1", prior).epsilon == 1.0
+            needs.append(contamination_need(problem, "a1", prior).epsilon)
+        assert needs == pytest.approx([1.0 - 1e-7] * 3, abs=1e-12)
+        assert max(needs) - min(needs) <= 1e-15
 
 
 class TestStabilityProfile:
@@ -1041,19 +1041,13 @@ class TestStabilityProfile:
             ("low", "b", "c"), ("s1", "s2"), [[0.4, 0.4], [1.0, 0.0], [0.0, 1.0]]
         )
         priors = [Prior(f"p{i}", [w, 1.0 - w]) for i, w in enumerate((0.1, 0.5, 0.9))]
-        calls, need_acts = [], set()
-        mixtures = stab._dominating_mixtures
+        calls, need_acts = spy_certificate_programs(monkeypatch), set()
         build = stab._need_block
-
-        def counted(problem, acts):
-            calls.append(list(acts))
-            return mixtures(problem, acts)
 
         def spied(problem, acts):
             need_acts.add(problem.acts)
             return build(problem, acts)
 
-        monkeypatch.setattr(stab, "_dominating_mixtures", counted)
         monkeypatch.setattr(stab, "_need_block", spied)
         profile = stab.stability_profile(problem, priors)
         # b and c are optimal under some prior, so only "low" needs a program
@@ -1074,14 +1068,7 @@ class TestStabilityProfile:
             "abcdef", ("s1", "s2", "s3"),
             [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.4, 0.4, 0.4], [0.6, 0.6, 0], [0.1, 0.1, 0.1]],
         )
-        calls = []
-        mixtures = stab._dominating_mixtures
-
-        def counted(problem, acts):
-            calls.append(list(acts))
-            return mixtures(problem, acts)
-
-        monkeypatch.setattr(stab, "_dominating_mixtures", counted)
+        calls = spy_certificate_programs(monkeypatch)
         profile = stab.stability_profile(problem, [Prior("ref", [0.8, 0.1, 0.1])])
         assert calls == [["d", "f"]]
         kinds = {r.act: r.need.kind for r in profile.rows}
@@ -1212,7 +1199,7 @@ def test_profile_rows_equal_per_row_computations(case):
             row = profile_row(profile, prior.name, act)
             assert row.radius == robustness_radius(problem, act, prior)
             need = contamination_need(problem, act, prior)
-            certificate = strict_inadmissibility_certificate(problem, act)
+            certificate = certificate_of(problem, act)
             assert row.need.kind is need.kind
             assert (row.need.kind is NeedKind.INFEASIBLE) == (certificate is not None)
             if need.kind is NeedKind.VALUE:
@@ -1221,6 +1208,54 @@ def test_profile_rows_equal_per_row_computations(case):
                 assert row.need.certificate.weights == certificate.weights
             assert row.is_bayes == (row.radius.kind is RadiusKind.VALUE)
             assert row.is_bayes == (as_float(row.need) == 0.0)
+
+
+def planted_case(n, m, seed, delta, scale):
+    """A uniform(-1, 1) table of n acts and m states, scaled by ``scale``,
+    whose last act trails a mixture of two or three others by ``delta`` of
+    the utility range in every state, and one prior."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, size=(n, m))
+    donors = rng.choice(n - 1, size=min(n - 1, int(rng.integers(2, 4))), replace=False)
+    u[-1] = rng.dirichlet(np.ones(len(donors))) @ u[donors]
+    u[-1] -= delta * (u.max() - u.min())
+    problem = DecisionProblem([f"a{i}" for i in range(n)], [f"s{j}" for j in range(m)],
+                              u * scale)
+    return problem, [random_prior(rng, m)]
+
+
+# c trails the even mixture of a and b by the tie tolerance's own size
+THREE_BY_TWO = (
+    DecisionProblem("abc", ("s1", "s2"), [[1.0, 0.0], [0.0, 1.0], [0.5 - 2e-12, 0.5 - 2e-12]]),
+    [Prior("even", [0.5, 0.5])],
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(case=st.builds(planted_case, n=st.integers(3, 8), m=st.integers(2, 6),
+                      seed=st.integers(0, 2**32 - 1),
+                      delta=st.floats(-14.0, -6.0).map(lambda e: 10.0**e),
+                      scale=st.floats(-8.0, 8.0).map(lambda e: 10.0**e)))
+@example(case=THREE_BY_TWO)
+def test_near_ties_get_one_of_three_answers(case):
+    """On tables with an act planted just below a mixture of others, at any
+    scale, every row is Bayes with need +0.0, not Bayes with a need > 0, or
+    INADMISSIBLE with a certificate; and every need, finite or not, is the
+    exact referee's tie-rule need, a finite one within 1e-9."""
+    problem, priors = case
+    profile = stability_profile(problem, priors)
+    for row in profile.rows:
+        need = row.need
+        if row.is_bayes:
+            assert need.kind is NeedKind.VALUE and need.epsilon == 0.0
+            assert np.copysign(1.0, need.epsilon) == 1.0
+            continue
+        exact = exact_need(problem, row.act, priors[0])
+        if need.kind is NeedKind.INFEASIBLE:
+            assert need.certificate is not None and exact is None
+        else:
+            assert need.epsilon > 0.0 and exact is not None
+            assert abs(need.epsilon - float(exact)) <= 1e-9
 
 
 def reordered_profile(problem, priors, acts, states, order):

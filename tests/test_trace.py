@@ -88,7 +88,8 @@ def test_analyze_under_the_span_recorder(tmp_path, monkeypatch):
     metrics = spans_module.layer_metrics(spans)
     # a profile solves only in lp.solve_stack calls, so no span is of the
     # per-program solve the recorder counts, and it makes no per-row
-    # contamination_need or strict_inadmissibility_certificate call
+    # contamination_need call (the certificate counter names a function
+    # that no longer exists, so it reads 0 everywhere)
     assert not [s for s in spans if s[1] == "lp.solve_lp"]
     assert metrics["lp.solves_need"] == metrics["lp.solves_certificate"] == 0
     assert metrics["stability.certificate_calls"] == 0
