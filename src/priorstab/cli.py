@@ -48,7 +48,7 @@ from .selection import (
     selection_path,
     variance_cost,
 )
-from .stability import NeedKind, RadiusKind, stability_profile
+from .stability import stability_profile
 
 __all__ = ["main", "run"]
 
@@ -125,8 +125,7 @@ def _resolve_priors(priors_arg, problem: DecisionProblem) -> list[Prior]:
         states, priors = load_priors(priors_arg)
         source = priors_arg
     else:
-        catalog = default_catalog()
-        states, priors = catalog.states, list(catalog.entries)
+        states, priors = default_catalog()
         source = "packaged prior catalog"
     if set(states) != set(problem.states):
         raise ConsistencyError(
@@ -164,12 +163,12 @@ def cmd_analyze(args) -> int:
             "act": row.act,
             "is_bayes": row.is_bayes,
             "expected_utility": row.expected_utility,
-            "rob": row.radius.epsilon if row.radius.kind is RadiusKind.VALUE else NOT_BAYES,
-            "con": row.need.epsilon if row.need.kind is NeedKind.VALUE else INADMISSIBLE,
-            "certificate": {
+            "rob": NOT_BAYES if row.radius.epsilon is None else row.radius.epsilon,
+            "con": INADMISSIBLE if row.need.epsilon is None else row.need.epsilon,
+            "certificate": None if row.need.certificate is None else {
                 "weights": dict(row.need.certificate.weights),
                 "margins": [float(m) for m in row.need.certificate.margins],
-            } if row.need.kind is NeedKind.INFEASIBLE else None,
+            },
         }
         for row in profile.rows
     ]
@@ -296,7 +295,7 @@ def cmd_scenarios(args) -> int:
         )
 
     features = monthly_features(panel, market)
-    model = kmeans_partition(features, k=args.k, seed=args.seed, months=panel.months)
+    model = kmeans_partition(features, k=args.k, seed=args.seed)
     model = label_regimes(model) if args.k == 4 else generic_labels(model)
     returns = portfolio_returns(panel, book)
     problem = utility_matrix(returns, model, book.names)

@@ -171,7 +171,6 @@ class RegimeModel:
     centroids: np.ndarray
     assignment: np.ndarray
     wcss: float
-    months: tuple[str, ...] | None = None
     labels: dict[int, str] | None = None
 
     def partition(self) -> dict[int, np.ndarray]:
@@ -254,12 +253,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     return centroids, assignment, wcss
 
 
-def kmeans_partition(
-    features: np.ndarray,
-    k: int,
-    seed: int,
-    months=None,
-) -> RegimeModel:
+def kmeans_partition(features: np.ndarray, k: int, seed: int) -> RegimeModel:
     """Seeded k-means over standardized monthly features.
 
     Runs ``_RESTARTS`` (10) k-means++ initializations from one ``random.Random``
@@ -277,10 +271,6 @@ def kmeans_partition(
         raise ValueError(f"cluster count must be at least 1, got {k}")
     if X.shape[0] < k:
         raise ValueError(f"{X.shape[0]} observations cannot support {k} clusters")
-    if months is not None:
-        months = tuple(months)
-        if len(months) != X.shape[0]:
-            raise ValueError("month labels do not match the feature rows")
     Z = _standardize(X)
     rng = random.Random(int(seed))
     best = None
@@ -290,9 +280,7 @@ def kmeans_partition(
         if best is None or wcss < best[2]:
             best = (centroids, assignment, wcss)
     centroids, assignment, wcss = best
-    return RegimeModel(
-        k=k, centroids=centroids, assignment=assignment, wcss=wcss, months=months
-    )
+    return RegimeModel(k=k, centroids=centroids, assignment=assignment, wcss=wcss)
 
 
 def label_regimes(model: RegimeModel) -> RegimeModel:

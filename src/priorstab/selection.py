@@ -10,22 +10,19 @@ grid artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .core import DecisionProblem, Prior, expected_utility
+from .core import TIE_TOL, DecisionProblem, Prior, expected_utility
 from .lp import minimize_over_band
-from .stability import NeedKind, StabilityProfile
+from .stability import StabilityProfile
 
 __all__ = [
     "SCORE_TIE_TOL",
     "CostAssignment",
-    "GammaResult",
-    "RexResult",
-    "ScoreBranch",
-    "SelectionPath",
     "PathSegment",
+    "Ranking",
+    "SelectionPath",
     "gamma_aggregate",
     "rex_score",
     "selection_path",
@@ -69,11 +66,6 @@ def variance_cost(problem: DecisionProblem) -> CostAssignment:
     return CostAssignment(problem.acts, problem.utilities.var(axis=1))
 
 
-class ScoreBranch(Enum):
-    BAYES = "bayes"
-    NON_BAYES = "non_bayes"
-
-
 @dataclass(frozen=True)
 class ScoreLine:
     """Score of one act as a line in lambda: value = intercept + slope*lambda."""
@@ -81,12 +73,9 @@ class ScoreLine:
     act: str
     intercept: float
     slope: float
-    branch: ScoreBranch
     inadmissible: bool
 
     def at(self, lam: float) -> float:
-        if self.inadmissible:
-            return -np.inf
         return self.intercept + self.slope * lam
 
 
@@ -105,23 +94,20 @@ def score_lines(
         raise ValueError("cost assignment does not cover the profile's acts")
     rob_values = [r.radius.epsilon for r in rows if r.is_bayes]
     rob_den = max(rob_values) if rob_values else 0.0
-    con_values = [r.need.epsilon for r in rows if r.need.kind is NeedKind.VALUE]
+    con_values = [r.need.epsilon for r in rows if r.need.epsilon is not None]
     con_den = max(con_values) if con_values else 0.0
 
     lines = []
     for r in rows:
-        branch = ScoreBranch.BAYES if r.is_bayes else ScoreBranch.NON_BAYES
-        if r.need.kind is NeedKind.INFEASIBLE:
-            lines.append(ScoreLine(r.act, -np.inf, 0.0, branch, inadmissible=True))
+        if r.need.epsilon is None:
+            lines.append(ScoreLine(r.act, -np.inf, 0.0, inadmissible=True))
             continue
         if r.is_bayes:
             intercept = r.radius.epsilon / rob_den if rob_den > 0.0 else 0.0
         else:
             intercept = -(r.need.epsilon / con_den) if con_den > 0.0 else 0.0
         # 0.0 - cost, not -cost, so that a zero cost gives slope 0.0 and not -0.0
-        lines.append(
-            ScoreLine(r.act, intercept, 0.0 - costs.normalized(r.act), branch, False)
-        )
+        lines.append(ScoreLine(r.act, intercept, 0.0 - costs.normalized(r.act), False))
     return tuple(lines)
 
 
@@ -136,7 +122,6 @@ class PathSegment:
 class SelectionPath:
     """Argmax of the score along lambda: grid view plus exact envelope."""
 
-    prior: str
     lambda_grid: np.ndarray
     grid_selected: tuple[str, ...]
     breakpoints: tuple[float, ...]
@@ -218,7 +203,6 @@ def selection_path(
     grid = np.concatenate([[0.0], steps[lambda_max - steps > 1e-9 * grid_step], [lambda_max]])
     grid_selected = tuple(_canonical_winner(lines, lam, act_order) for lam in grid)
     return SelectionPath(
-        prior=prior,
         lambda_grid=grid,
         grid_selected=grid_selected,
         breakpoints=breakpoints,
@@ -227,9 +211,22 @@ def selection_path(
     )
 
 
-def _argmax_acts(acts, values: np.ndarray) -> tuple[str, ...]:
-    best = values.max()
-    return tuple(a for a, v in zip(acts, values) if v >= best - SCORE_TIE_TOL)
+@dataclass(frozen=True)
+class Ranking:
+    """Per-act values of a baseline criterion and the acts that maximize it."""
+
+    values: dict[str, float]
+    optimal: tuple[str, ...]
+
+
+def _ranking(problem: DecisionProblem, values: dict[str, float]) -> Ranking:
+    """``values`` with its maximizers, tied within `bayes_acts`' tolerance:
+    the values are in utility units, so the tolerance scales with the
+    utility range."""
+    u = problem.utilities
+    best = max(values.values())
+    tol = TIE_TOL * (u.max() - u.min())
+    return Ranking(values, tuple(a for a in problem.acts if values[a] >= best - tol))
 
 
 def _mix(lo: float, hi: float, eta: float) -> float:
@@ -241,25 +238,13 @@ def _mix(lo: float, hi: float, eta: float) -> float:
     return eta * lo + (1.0 - eta) * hi
 
 
-@dataclass(frozen=True)
-class GammaResult:
-    """Per-act expected-utility envelope over a band, aggregated by attitude."""
-
-    mode: str
-    eta: float | None
-    lower: dict[str, float]
-    upper: dict[str, float]
-    values: dict[str, float]
-    optimal: tuple[str, ...]
-
-
 def gamma_aggregate(
     problem: DecisionProblem,
     prior: Prior,
     radius: float,
     mode: str = "minimax",
     eta: float | None = None,
-) -> GammaResult:
+) -> Ranking:
     """Rank acts by worst, best, or mixed expected utility over a band.
 
     The band holds the priors within ``radius`` of ``prior`` in every
@@ -280,32 +265,15 @@ def gamma_aggregate(
         lower[act] = minimize_over_band(row, prior.mass, radius)[0]
         upper[act] = -minimize_over_band(-row, prior.mass, radius)[0]
     if mode == "minimax":
-        values = dict(lower)
+        values = lower
     elif mode == "maximax":
-        values = dict(upper)
+        values = upper
     else:
         values = {a: _mix(lower[a], upper[a], eta) for a in problem.acts}
-    ranked = np.array([values[a] for a in problem.acts])
-    return GammaResult(
-        mode=mode,
-        eta=eta if mode == "mix" else None,
-        lower=lower,
-        upper=upper,
-        values=values,
-        optimal=_argmax_acts(problem.acts, ranked),
-    )
+    return _ranking(problem, values)
 
 
-@dataclass(frozen=True)
-class RexResult:
-    """Blend of expected utility and worst-state utility per act."""
-
-    mu: float
-    values: dict[str, float]
-    optimal: tuple[str, ...]
-
-
-def rex_score(problem: DecisionProblem, prior: Prior, mu: float) -> RexResult:
+def rex_score(problem: DecisionProblem, prior: Prior, mu: float) -> Ranking:
     """mu-weighted mix of expected utility and the act's worst-state utility."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu!r}")
@@ -314,5 +282,4 @@ def rex_score(problem: DecisionProblem, prior: Prior, mu: float) -> RexResult:
         eu = expected_utility(problem, act, prior)
         floor = float(problem.row(act).min())
         values[act] = mu * eu + (1.0 - mu) * floor
-    ranked = np.array([values[a] for a in problem.acts])
-    return RexResult(mu=mu, values=values, optimal=_argmax_acts(problem.acts, ranked))
+    return _ranking(problem, values)

@@ -20,7 +20,6 @@ vertex, and both read their optimum off the final basis alone (`_off_bases`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -30,9 +29,7 @@ from .lp import LpStatus, SolverError, minimize_over_band, solve_stack, start_ta
 __all__ = [
     "DominanceCertificate",
     "Need",
-    "NeedKind",
     "Radius",
-    "RadiusKind",
     "StabilityProfile",
     "StabilityRow",
     "contamination_need",
@@ -45,32 +42,16 @@ __all__ = [
 _RESTART_CHUNK = 64
 
 
-class RadiusKind(Enum):
-    VALUE = "value"
-    NOT_BAYES = "not_bayes"
-
-
 @dataclass(frozen=True)
 class Radius:
-    """Robustness radius; ``NOT_BAYES`` stands in for the -infinity case."""
+    """Robustness radius; ``epsilon`` is ``None`` for an act not Bayes at the
+    reference prior, the -infinity case."""
 
-    kind: RadiusKind
-    epsilon: float | None = None
+    epsilon: float | None
 
     def __post_init__(self):
-        if self.kind is RadiusKind.VALUE:
-            if self.epsilon is None or not 0.0 <= self.epsilon <= 1.0:
-                raise ValueError(f"radius value must lie in [0, 1], got {self.epsilon!r}")
-        elif self.epsilon is not None:
-            raise ValueError("a NOT_BAYES radius carries no epsilon")
-
-    @classmethod
-    def value(cls, epsilon: float) -> "Radius":
-        return cls(RadiusKind.VALUE, float(epsilon))
-
-    @classmethod
-    def not_bayes(cls) -> "Radius":
-        return cls(RadiusKind.NOT_BAYES)
+        if self.epsilon is not None and not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError(f"radius value must lie in [0, 1], got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -98,38 +79,19 @@ class DominanceCertificate:
         object.__setattr__(self, "margins", margins)
 
 
-class NeedKind(Enum):
-    VALUE = "value"
-    INFEASIBLE = "infeasible"
-
-
 @dataclass(frozen=True)
 class Need:
-    """Contamination need; ``INFEASIBLE`` stands in for the +infinity case."""
+    """Contamination need; ``epsilon`` is ``None`` exactly when a dominance
+    certificate stands in for the +infinity case."""
 
-    kind: NeedKind
-    epsilon: float | None = None
+    epsilon: float | None
     certificate: DominanceCertificate | None = None
 
     def __post_init__(self):
-        if self.kind is NeedKind.VALUE:
-            if self.epsilon is None or not 0.0 <= self.epsilon <= 1.0:
-                raise ValueError(f"need value must lie in [0, 1], got {self.epsilon!r}")
-            if self.certificate is not None:
-                raise ValueError("a finite need carries no certificate")
-        else:
-            if self.certificate is None:
-                raise ValueError("an infeasible need requires a dominance certificate")
-            if self.epsilon is not None:
-                raise ValueError("an infeasible need carries no epsilon")
-
-    @classmethod
-    def value(cls, epsilon: float) -> "Need":
-        return cls(NeedKind.VALUE, float(epsilon))
-
-    @classmethod
-    def infeasible(cls, certificate: DominanceCertificate) -> "Need":
-        return cls(NeedKind.INFEASIBLE, certificate=certificate)
+        if (self.epsilon is None) == (self.certificate is None):
+            raise ValueError("a need carries either an epsilon or a certificate")
+        if self.epsilon is not None and not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError(f"need value must lie in [0, 1], got {self.epsilon!r}")
 
 
 def _dominance_rows(u: np.ndarray, rows) -> np.ndarray:
@@ -171,9 +133,12 @@ def robustness_radius(
 ) -> Radius:
     """Largest band radius keeping ``a`` optimal everywhere in the band.
 
+    Optimal follows `bayes_acts`' tie rule: ``a`` may trail a competitor b by
+    the tie tolerance tau, and every prior's masses sum to 1, so against b
+    it stays optimal where <pi, d> >= 0 for the gap d = u_a - u_b + tau.
     The radius is the smallest of the competitors' safe radii, capped at 1.
-    A competitor that ``a`` beats in every state never binds.  Over the band
-    of radius eps, <pi - pi0, d> >= -eps * spread(d), where spread(d) is the
+    A competitor with d >= 0 in every state never binds.  Over the band of
+    radius eps, <pi - pi0, d> >= -eps * spread(d), where spread(d) is the
     sum of the largest floor(m / 2) entries of d minus the sum of the
     smallest floor(m / 2), so <pi0, d> / spread(d) is a lower bound on the
     competitor's safe radius.  Competitors are visited in ascending order of
@@ -183,10 +148,10 @@ def robustness_radius(
     optimal at ``prior``; it defaults to the problem's own.
     """
     if a not in (bayes_acts(problem, prior) if bayes is None else bayes):
-        return Radius.not_bayes()
+        return Radius(None)
     u = problem.utilities
-    diffs = u[problem.act_index(a)] - u
-    diffs = diffs[(diffs < 0.0).any(axis=1)]  # a's own row is 0
+    diffs = u[problem.act_index(a)] - u + TIE_TOL * (u.max() - u.min())
+    diffs = diffs[(diffs < 0.0).any(axis=1)]  # a's own row is tau >= 0
     h = problem.num_states // 2
     bounds = []
     for lead, d in zip((diffs @ prior.mass).tolist(), diffs.tolist()):
@@ -200,7 +165,7 @@ def robustness_radius(
         if bounds[i] > radius * (1.0 + 1e-9):
             break
         radius = min(radius, _largest_safe_radius(diffs[i], prior.mass))
-    return Radius.value(radius)
+    return Radius(radius)
 
 
 def _best_mixtures(gains: np.ndarray) -> np.ndarray:
@@ -325,9 +290,6 @@ def _need_costs(priors, m: int, n: int) -> np.ndarray:
     """The cost rows of the need programs, of n columns, at each of
     ``priors``: the dual objective y - pi0.u + pi0.l, negated to be
     minimized, before the loosening of w."""
-    for prior in priors:
-        if prior.dimension != m:
-            raise ValueError(f"prior {prior.name!r} has {prior.dimension} states, problem has {m}")
     masses = np.array([prior.mass for prior in priors])
     costs = np.zeros((len(priors), n))
     costs[:, 0], costs[:, 1] = -1.0, 1.0
@@ -368,7 +330,7 @@ def _needs_off_bases(A: np.ndarray, b: np.ndarray, at: np.ndarray, costs, bases)
     # [0, 1]; rounding can land it an ulp outside.  0.0 comes first, so a
     # need of -0.0 reads as 0.0.
     values = _off_bases(A, b, at, costs, bases)[0]
-    return [Need.value(min(max(0.0, -value), 1.0)) for value in values.tolist()]
+    return [Need(min(max(0.0, -value), 1.0)) for value in values.tolist()]
 
 
 def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
@@ -427,26 +389,23 @@ def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
     return needs
 
 
-def contamination_need(
-    problem: DecisionProblem, a: str, prior: Prior, *, bayes: BayesSet | None = None
-) -> Need:
+def contamination_need(problem: DecisionProblem, a: str, prior: Prior) -> Need:
     """Smallest band radius at which some prior in the band makes ``a`` optimal.
 
-    Acts optimal at the reference prior need no contamination; ``bayes``
-    decides which those are, as in `robustness_radius`.  Otherwise the best
-    mixture of the competitors decides whether any prior makes ``a`` Bayes
-    by `bayes_acts`' tie rule (`_certificate`).  Where none does, the need
-    is infinite, certified by that mixture; elsewhere it is the optimum of a
-    single program, solved in dual form (`_need_block`).
+    Acts optimal at the reference prior need no contamination.  Otherwise
+    the best mixture of the competitors decides whether any prior makes
+    ``a`` Bayes by `bayes_acts`' tie rule (`_certificate`).  Where none
+    does, the need is infinite, certified by that mixture; elsewhere it is
+    the optimum of a single program, solved in dual form (`_need_block`).
     """
-    if a in (bayes_acts(problem, prior) if bayes is None else bayes):
-        return Need.value(0.0)
+    if a in bayes_acts(problem, prior):
+        return Need(0.0)
     u = problem.utilities
     tol = TIE_TOL * (u.max() - u.min())
     (gains,), (weights,) = _dominating_mixtures(problem, [a])
     certificate = _certificate(problem, a, gains, weights, tol)
     if certificate is not None:
-        return Need.infeasible(certificate)
+        return Need(None, certificate)
     return _solve_needs(problem, [(a, 0)], [prior], tol)[a, 0]
 
 
@@ -464,7 +423,6 @@ class StabilityRow:
 class StabilityProfile:
     """Radius and need for every (act, prior) pair, in input order."""
 
-    acts: tuple[str, ...]
     priors: tuple[str, ...]
     rows: tuple[StabilityRow, ...]
 
@@ -485,14 +443,15 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     judged by `bayes_acts`' tie rule.  Only the acts Bayes at none of them get
     a certificate program, whose best mixture decides (`_certificate`).
     Every row of a dominated act reuses its certificate.
-    The other acts are measured against the undominated acts only: at every
-    prior some undominated act attains the maximum expected utility, so
-    dropping the dominated ones changes no radius and no need.  Each row's
-    radius and need are judged by the full table's Bayes set, the same one
-    that sets ``is_bayes``: the smaller table has a smaller utility range and
-    so a tighter tie tolerance.  The needs of all (act, prior) pairs are
-    solved together (`_solve_needs`).  Failures are re-raised with the
-    offending act, and prior where there is one, attached.
+    The other acts' needs are measured against the undominated acts only: at
+    every prior some undominated act attains the maximum expected utility, so
+    dropping the dominated ones changes no need.  Each row's radius and need
+    are judged by the full table's Bayes set and tie tolerance, the ones that
+    set ``is_bayes``: the smaller table has a smaller utility range and so a
+    tighter tolerance, which is why radii are taken on the full table.  The
+    needs of all (act, prior) pairs are solved together (`_solve_needs`).
+    Failures are re-raised with the offending act, and prior where there is
+    one, attached.
     """
     priors = list(priors)
     names = [p.name for p in priors]
@@ -524,11 +483,11 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
         for act in problem.acts:
             try:
                 if certificates[act] is None:
-                    radius = robustness_radius(undominated, act, prior, bayes=bset)
-                    need = Need.value(0.0) if act in bset else needs[act, j]
+                    radius = robustness_radius(problem, act, prior, bayes=bset)
+                    need = Need(0.0) if act in bset else needs[act, j]
                 else:
-                    radius = Radius.not_bayes()
-                    need = Need.infeasible(certificates[act])
+                    radius = Radius(None)
+                    need = Need(None, certificates[act])
             except (SolverError, ValueError) as exc:
                 raise type(exc)(
                     f"act {act!r}, prior {prior.name!r}: {exc}"
@@ -543,6 +502,4 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
                     need=need,
                 )
             )
-    return StabilityProfile(
-        acts=problem.acts, priors=tuple(names), rows=tuple(rows)
-    )
+    return StabilityProfile(priors=tuple(names), rows=tuple(rows))

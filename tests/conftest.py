@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 from priorstab import DecisionProblem, Prior
 from priorstab.core import TIE_TOL
 from priorstab.lp import LpStatus, minimize_over_band, solve_stack, start_tableaux
-from priorstab.selection import SCORE_TIE_TOL, ScoreBranch, score_lines
+from priorstab.selection import SCORE_TIE_TOL, score_lines
 from priorstab.stability import Radius
 
 # Tight tolerances for scipy's HiGHS, used as an independent LP oracle.
@@ -237,7 +237,6 @@ class StabilityScore:
     act: str
     lam: float
     value: float  # -inf for strictly inadmissible acts
-    branch: ScoreBranch
 
 
 def stability_score(profile, costs, lam, prior):
@@ -245,7 +244,7 @@ def stability_score(profile, costs, lam, prior):
     if lam < 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam!r}")
     return [
-        StabilityScore(line.act, float(lam), line.at(lam), line.branch)
+        StabilityScore(line.act, float(lam), line.at(lam))
         for line in score_lines(profile, costs, prior)
     ]
 

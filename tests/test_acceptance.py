@@ -23,7 +23,6 @@ from priorstab import (
 from priorstab.core import expected_utility
 from priorstab.lp import minimize_over_band
 from priorstab.selection import CostAssignment, gamma_aggregate, rex_score
-from priorstab.stability import NeedKind, RadiusKind
 from priorstab.cli import main
 from priorstab.stability import Need, Radius, StabilityProfile, StabilityRow
 
@@ -61,10 +60,10 @@ def toy_band_grid(eps, step=1e-3):
 def test_criterion_1_toy_grid_oracles():
     # computed values at their stated tolerances
     rob = robustness_radius(TOY, "a", TOY_PRIOR)
-    assert rob.kind is RadiusKind.VALUE
+    assert rob.epsilon is not None
     assert abs(rob.epsilon - 0.2) <= 1e-12
     con = contamination_need(TOY, "b", TOY_PRIOR)
-    assert con.kind is NeedKind.VALUE
+    assert con.epsilon is not None
     assert abs(con.epsilon - 0.2) <= 1e-9
 
     # independent grid-search oracle: eps at 1e-4, band points at 1e-3;
@@ -139,8 +138,8 @@ def test_criterion_4_definition_duality():
         member = act in bayes_acts(problem, prior).optimal_acts
         radius = robustness_radius(problem, act, prior)
         need = contamination_need(problem, act, prior)
-        need_zero = need.kind is NeedKind.VALUE and need.epsilon == 0.0
-        rob_finite = radius.kind is RadiusKind.VALUE
+        need_zero = need.epsilon == 0.0
+        rob_finite = radius.epsilon is not None
         assert need_zero == rob_finite == member
     verdict(4, "con=0 <=> rob finite <=> optimal at the reference prior, 500/500 pairs")
 
@@ -164,7 +163,7 @@ def test_criterion_5_certificates_match_grid_search():
         ("mid", "up", "down"), ("s1", "s2"), [[0.4, 0.4], [1.0, 0.0], [0.0, 1.0]]
     )
     need = contamination_need(problem, "mid", Prior("half", [0.5, 0.5]))
-    assert need.kind is NeedKind.INFEASIBLE
+    assert need.epsilon is None
     assert np.all(need.certificate.margins >= 0.1 - 1e-9)
 
     grids = {2: _simplex_grid(2), 3: _simplex_grid(3)}
@@ -181,7 +180,7 @@ def test_criterion_5_certificates_match_grid_search():
         grid_margins = (grids[m] @ diffs.T).min(axis=1)
         best_on_grid = float(grid_margins.max())
         need = contamination_need(problem, act, prior)
-        if need.kind is NeedKind.INFEASIBLE:
+        if need.epsilon is None:
             infeasible_count += 1
             # a strictly dominating mixture forbids optimality anywhere
             assert best_on_grid < 0.0
@@ -209,21 +208,21 @@ def test_criterion_6_portfolio_regression():
     assert max(enumerated, key=enumerated.get) == "multi_asset"
     assert result.expected_utilities["multi_asset"] == pytest.approx(0.0065, abs=1e-12)
     radius = robustness_radius(problem, "multi_asset", uniform)
-    assert radius.kind is RadiusKind.VALUE and radius.epsilon > 0.0
+    assert radius.epsilon is not None and radius.epsilon > 0.0
     for act in PORTFOLIO_ACTS:
         if act == "multi_asset":
             continue
         need = contamination_need(problem, act, uniform)
-        assert need.kind is NeedKind.VALUE and need.epsilon > 0.0
+        assert need.epsilon is not None and need.epsilon > 0.0
     verdict(6, "uniform prior selects multi_asset at 0.0065, positive radius, others need > 0")
 
 
 def test_criterion_7_selection_path_exactness():
     rows = (
-        StabilityRow("p", "first", True, 0.0, Radius.value(0.8), Need.value(0.0)),
-        StabilityRow("p", "second", True, 0.0, Radius.value(0.4), Need.value(0.0)),
+        StabilityRow("p", "first", True, 0.0, Radius(0.8), Need(0.0)),
+        StabilityRow("p", "second", True, 0.0, Radius(0.4), Need(0.0)),
     )
-    profile = StabilityProfile(acts=("first", "second"), priors=("p",), rows=rows)
+    profile = StabilityProfile(priors=("p",), rows=rows)
     costs = CostAssignment(("first", "second"), [1.0, 0.2])
     path = selection_path(profile, costs, "p", 3.0, 1e-4)
     assert len(path.breakpoints) == 1
@@ -256,13 +255,13 @@ def test_criterion_8_affine_invariance():
         for act in problem.acts:
             r1 = robustness_radius(problem, act, prior)
             r2 = robustness_radius(other, act, prior)
-            assert r1.kind is r2.kind
-            if r1.kind is RadiusKind.VALUE:
+            assert (r1.epsilon is None) == (r2.epsilon is None)
+            if r1.epsilon is not None:
                 assert abs(r1.epsilon - r2.epsilon) <= 1e-9
             n1 = contamination_need(problem, act, prior)
             n2 = contamination_need(other, act, prior)
-            assert n1.kind is n2.kind
-            if n1.kind is NeedKind.VALUE:
+            assert (n1.epsilon is None) == (n2.epsilon is None)
+            if n1.epsilon is not None:
                 assert abs(n1.epsilon - n2.epsilon) <= 1e-9
 
     rng = np.random.default_rng(1008)

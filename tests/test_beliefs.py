@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from priorstab import Prior
-from priorstab.beliefs import PriorCatalog, default_catalog
+from priorstab.beliefs import default_catalog
 from priorstab.scenarios import REGIME_ORDER
 
 
 @pytest.fixture(scope="module")
-def catalog():
-    return default_catalog()
+def states():
+    return default_catalog()[0]
+
+
+@pytest.fixture(scope="module")
+def priors():
+    return default_catalog()[1]
 
 
 EXPECTED_MASSES = {
@@ -23,27 +27,27 @@ EXPECTED_MASSES = {
 }
 
 
-def prior_named(catalog, name):
-    return next(p for p in catalog.entries if p.name == name)
+def prior_named(priors, name):
+    return next(p for p in priors if p.name == name)
 
 
-def test_eight_entries_in_order(catalog):
-    assert tuple(p.name for p in catalog.entries) == tuple(EXPECTED_MASSES)
-    assert catalog.states == REGIME_ORDER
+def test_eight_entries_in_order(states, priors):
+    assert tuple(p.name for p in priors) == tuple(EXPECTED_MASSES)
+    assert states == REGIME_ORDER
 
 
-def test_documented_masses(catalog):
+def test_documented_masses(priors):
     for name, masses in EXPECTED_MASSES.items():
-        assert prior_named(catalog, name).mass == pytest.approx(masses, abs=1e-12)
+        assert prior_named(priors, name).mass == pytest.approx(masses, abs=1e-12)
 
 
-def test_every_entry_is_a_distribution(catalog):
-    for prior in catalog.entries:
+def test_every_entry_is_a_distribution(priors):
+    for prior in priors:
         assert prior.mass.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(prior.mass > 0.0)
 
 
-def test_regime_focused_modes_match_names(catalog):
+def test_regime_focused_modes_match_names(states, priors):
     focus = {
         "boom_biased": "Expansion",
         "recovery_focused": "Recovery",
@@ -51,32 +55,18 @@ def test_regime_focused_modes_match_names(catalog):
         "recession_focused": "Recession",
     }
     for name, state in focus.items():
-        prior = prior_named(catalog, name)
-        assert catalog.states[int(np.argmax(prior.mass))] == state
+        prior = prior_named(priors, name)
+        assert states[int(np.argmax(prior.mass))] == state
 
 
-def test_exactly_one_uniform(catalog):
+def test_exactly_one_uniform(priors):
     flat = [
-        p.name for p in catalog.entries if np.allclose(p.mass, 0.25, rtol=0, atol=1e-12)
+        p.name for p in priors if np.allclose(p.mass, 0.25, rtol=0, atol=1e-12)
     ]
     assert flat == ["uniform"]
 
 
-def test_opportunistic_top_two(catalog):
-    mass = prior_named(catalog, "opportunistic").mass
-    top_two = {catalog.states[j] for j in np.argsort(-mass)[:2]}
+def test_opportunistic_top_two(states, priors):
+    mass = prior_named(priors, "opportunistic").mass
+    top_two = {states[j] for j in np.argsort(-mass)[:2]}
     assert top_two == {"Expansion", "Stagnation"}
-
-
-def test_catalog_validation_rejects_wrong_count(catalog):
-    with pytest.raises(ValueError):
-        PriorCatalog(states=catalog.states, entries=catalog.entries[:5])
-
-
-def test_catalog_validation_requires_one_uniform(catalog):
-    doubled = tuple(
-        Prior("second_flat", [0.25, 0.25, 0.25, 0.25]) if p.name == "boom_biased" else p
-        for p in catalog.entries
-    )
-    with pytest.raises(ValueError):
-        PriorCatalog(states=catalog.states, entries=doubled)

@@ -450,7 +450,7 @@ class TestScenarios:
             [[1.0, 0.0, 0.0], [0.2, 0.7, 0.1], [0.4, 0.4, 0.2]],
         )
         features = monthly_features(panel_obj, "market")
-        model = label_regimes(kmeans_partition(features, k=4, seed=42, months=panel_obj.months))
+        model = label_regimes(kmeans_partition(features, k=4, seed=42))
         expected = utility_matrix(portfolio_returns(panel_obj, book), model, book.names)
         assert parsed.states == expected.states
         assert np.array_equal(parsed.utilities, expected.utilities)

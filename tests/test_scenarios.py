@@ -196,7 +196,6 @@ class TestLabels:
             centroids=cents,
             assignment=np.arange(k),
             wcss=0.0,
-            months=tuple(f"2020-{i + 1:02d}" for i in range(k)),
         )
 
     def test_reference_layout(self):
@@ -228,7 +227,6 @@ class TestLabels:
             centroids=cents[perm],
             assignment=np.array([perm.index(c) for c in model.assignment]),
             wcss=0.0,
-            months=model.months,
         )
         relabeled = label_regimes(permuted)
         assert [relabeled.labels[c] for c in relabeled.assignment] == names

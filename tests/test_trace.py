@@ -15,7 +15,6 @@ from pathlib import Path
 import priorstab.cli
 from priorstab import DecisionProblem, Prior, stability_profile
 from priorstab.cli import main
-from priorstab.stability import NeedKind
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -118,7 +117,7 @@ def test_restarted_need_solves_keep_the_contract(tmp_path, monkeypatch):
         [Prior(name, mass) for name, mass in MASSES.items()],
     )
     measured = sum(
-        not r.is_bayes and r.need.kind is NeedKind.VALUE for r in profile.rows
+        not r.is_bayes and r.need.epsilon is not None for r in profile.rows
     )
     assert measured == 12
     needs = [i for i, s in enumerate(spans) if s[1] == "stability.contamination_need"]
