@@ -53,6 +53,12 @@ class DecisionProblem:
         object.__setattr__(self, "utilities", u)
 
     @property
+    def tie_tol(self) -> float:
+        """The expected-utility gap counted as a tie: ``TIE_TOL`` times the
+        utility range, so no tie changes under a positive affine rescaling."""
+        return TIE_TOL * (self.utilities.max() - self.utilities.min())
+
+    @property
     def num_acts(self) -> int:
         return len(self.acts)
 
@@ -132,17 +138,11 @@ def expected_utility(problem: DecisionProblem, act: str, prior: Prior) -> float:
 
 
 def bayes_acts(problem: DecisionProblem, prior: Prior) -> BayesSet:
-    """Acts within ``TIE_TOL`` of the maximal expected utility (ties included).
-
-    The tolerance is relative to the table's utility range, so the Bayes set
-    does not change under a positive affine rescaling of the utilities.
-    """
+    """Acts within `DecisionProblem.tie_tol` of the maximal expected utility."""
     _check_prior(problem, prior)
-    u = problem.utilities
-    values = u @ prior.mass
-    best = values.max()
-    tol = TIE_TOL * (u.max() - u.min())
-    members = tuple(act for act, v in zip(problem.acts, values) if v >= best - tol)
+    values = problem.utilities @ prior.mass
+    floor = values.max() - problem.tie_tol
+    members = tuple(act for act, v in zip(problem.acts, values) if v >= floor)
     return BayesSet(
         optimal_acts=members,
         expected_utilities={act: float(v) for act, v in zip(problem.acts, values)},

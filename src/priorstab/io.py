@@ -94,8 +94,10 @@ def _read_table(rows, source: str, key: str, what: str, nonnegative: bool = Fals
 
     Column and row labels are identifiers, each unique in the file; ``lines``
     maps each row label to its line, in file order.  Every other cell is a
-    finite number (also nonnegative with ``nonnegative``), and ``values``
-    holds them, one row per label.  Rows with empty cells are named together.
+    finite number (also nonnegative with ``nonnegative``) in plain ASCII
+    with no ``_`` (``float`` reads both ``1_0`` and Unicode digits), and
+    ``values`` holds them, one row per label.  Rows with empty cells are
+    named together.
     """
     lineno, header = next(rows)
     if len(header) < 2 or header[0] != key:
@@ -115,6 +117,12 @@ def _read_table(rows, source: str, key: str, what: str, nonnegative: bool = Fals
         if label in lines:
             raise InputError(f"{source}:{lineno}: {key} {label!r} repeats line {lines[label]}")
         lines[label] = lineno
+        text = "".join(row[1:])
+        if not text.isascii() or "_" in text:
+            cell, column = next((c, col) for c, col in zip(row[1:], columns)
+                                if not c.isascii() or "_" in c)
+            raise InputError(f"{source}:{lineno}: {column} {cell!r} "
+                             "is not a plain ASCII decimal number")
         try:
             values.extend(map(float, row[1:]))
         except ValueError:

@@ -19,8 +19,9 @@ costs about as much in numpy call overhead as in arithmetic, so each step
 prices, ratio-tests and pivots every active member with whole-stack
 operations.  The arithmetic is elementwise within each member, so a member
 takes the very pivots and bits it would take alone, in a stack of one.  A
-member leaves the stack once it is optimal or unbounded, and the stack
-steps on while any member is left.
+member leaves the stack once it is optimal.  A run ends with every member
+optimal, or raises `SolverError` naming the member at fault, such as an
+unbounded one.
 
 A stack starts either from a feasible basis its caller chose, a crash basis
 away from a degenerate vertex (`start_tableaux`; Bixby 1992), or from
@@ -34,13 +35,10 @@ of one.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 __all__ = [
     "FEASIBILITY_TOL",
-    "LpStatus",
     "SolverError",
     "minimize_over_band",
     "start_tableaux",
@@ -67,11 +65,6 @@ class SolverError(RuntimeError):
         self.member = member
 
 
-class LpStatus(Enum):
-    OPTIMAL = "optimal"
-    UNBOUNDED = "unbounded"
-
-
 def _vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
@@ -84,24 +77,24 @@ def _pivot_stack(T: np.ndarray, rows, cols, column: np.ndarray) -> None:
     column ``cols[i]``, whose entries ``column[i]`` the caller has gathered."""
     at = np.arange(T.shape[0])
     prow = T[at, rows] / column[at, rows][:, None]
-    # Every row, the pivot row too, takes one broadcast update, which leaves
-    # the pivot column exactly +0.0 (x - x * 1.0); the pivot row is then
-    # written back.  Its pivot entry is exactly 1 (x / x), and adding 0 turns
-    # its -0.0 entries into 0.0, as subtracting 0 * prow would.
-    T -= column[:, :, None] * prow[:, None, :]
+    # Every row, the pivot row too, takes one outer-product update, one
+    # rounded product per entry, which leaves the pivot column exactly +0.0
+    # (x - x * 1.0); the pivot row is then written back.  Its pivot entry is
+    # exactly 1 (x / x), and adding 0 turns its -0.0 entries into 0.0, as
+    # subtracting 0 * prow would.
+    T -= np.einsum("ki,kj->kij", column, prow)
     T[at, rows] = prow + 0.0
 
 
-def _run_stack(T: np.ndarray, bases: np.ndarray) -> list[LpStatus]:
+def _run_stack(T: np.ndarray, bases: np.ndarray) -> None:
     """Minimize the objective in the last row of each tableau of a stack, in
     place.
 
     Each step prices, ratio-tests and pivots all active members with
     whole-stack operations, each member on Bland's rule once its own run of
-    degenerate pivots reaches ``_STALL_LIMIT``.  A member that is optimal or
-    unbounded leaves the stack; the rest step on until none is left.
+    degenerate pivots reaches ``_STALL_LIMIT``.  An optimal member leaves
+    the stack, an unbounded one raises, and the rest step on.
     """
-    status = [None] * len(T)
     ids = np.arange(len(T))  # stack position -> member
     S, B = T, bases  # the active members; a copy once one has left
     # The step at which each member's run of degenerate pivots began, so its
@@ -128,8 +121,9 @@ def _run_stack(T: np.ndarray, bases: np.ndarray) -> list[LpStatus]:
         go = improving & (best < np.inf)
         if not go.all():
             for pos in (~go).nonzero()[0].tolist():
-                i = ids[pos]
-                status[i] = LpStatus.UNBOUNDED if improving[pos] else LpStatus.OPTIMAL
+                i = int(ids[pos])
+                if improving[pos]:
+                    raise SolverError("program is unbounded", i)
                 if S is not T:
                     T[i], bases[i] = S[pos], B[pos]
             S, B, ids, since = S[go], B[go], ids[go], since[go]
@@ -148,7 +142,6 @@ def _run_stack(T: np.ndarray, bases: np.ndarray) -> list[LpStatus]:
         _pivot_stack(S, leave, enter, column)
         B[at, leave] = enter
         step += 1
-    return status
 
 
 def start_tableaux(eq_block, eq_rhs, bases) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +166,7 @@ def start_tableaux(eq_block, eq_rhs, bases) -> tuple[np.ndarray, np.ndarray]:
     return T, bases.copy()
 
 
-def solve_stack(tableaux: np.ndarray, bases: np.ndarray, costs: np.ndarray) -> list[LpStatus]:
+def solve_stack(tableaux: np.ndarray, bases: np.ndarray, costs: np.ndarray) -> None:
     """Minimize ``costs`` over a stack of tableaux, in place, each member as
     it would run alone.
 
@@ -182,8 +175,8 @@ def solve_stack(tableaux: np.ndarray, bases: np.ndarray, costs: np.ndarray) -> l
     (members, rows): from `start_tableaux`, or as an earlier run left them
     (a restart).  The right-hand sides are clipped at 0, the cost rows set
     to ``costs`` (members, columns) and priced, and the simplex runs; the
-    final tableaux and bases are left in the arrays.  An unbounded member
-    drops out while the others go on.  A failure raises `SolverError` with
+    final tableaux and bases, every one optimal, are left in the arrays.  A
+    failure, such as an unbounded member, raises `SolverError` with
     ``member`` set to the member at fault.
     """
     T = tableaux
@@ -200,7 +193,7 @@ def solve_stack(tableaux: np.ndarray, bases: np.ndarray, costs: np.ndarray) -> l
     T[:, -1, -1] = 0.0
     T[:, -1, :] -= np.matmul(np.take_along_axis(costs, bases, axis=1)[:, None, :],
                              T[:, :m, :])[:, 0, :]
-    return _run_stack(T, bases)
+    _run_stack(T, bases)
 
 
 def minimize_over_band(direction, center, radius: float) -> tuple[float, np.ndarray, float]:

@@ -32,7 +32,7 @@ __all__ = [
 
 REGIME_ORDER = ("Expansion", "Recovery", "Stagnation", "Recession")
 
-_MONTH_RE = re.compile(r"^\d{4}-\d{2}$")
+_MONTH_RE = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")  # not \d, which takes any Unicode digit
 MIN_DAILY_OBS = 5
 # k-means: seeded k-means++ restarts, and Lloyd's iteration cap and
 # centroid-shift tolerance in each
@@ -68,8 +68,9 @@ class ReturnPanel:
         if len(set(assets)) != len(assets):
             raise ValueError("panel asset names must be unique")
         for i, m in enumerate(months):
-            if not _MONTH_RE.match(m):
-                raise _RowError(f"malformed month label {m!r} (expected YYYY-MM)", i)
+            if not _MONTH_RE.fullmatch(m):
+                raise _RowError(f"malformed month label {m!r} (expected YYYY-MM, "
+                                "month 01-12)", i)
             if i and m <= months[i - 1]:
                 raise _RowError("months must be strictly increasing", i)
         if r.shape != (len(months), len(assets)):

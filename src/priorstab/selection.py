@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TIE_TOL, DecisionProblem, Prior, expected_utility
+from .core import DecisionProblem, Prior, expected_utility
 from .lp import minimize_over_band
 from .stability import StabilityProfile
 
@@ -223,10 +223,8 @@ def _ranking(problem: DecisionProblem, values: dict[str, float]) -> Ranking:
     """``values`` with its maximizers, tied within `bayes_acts`' tolerance:
     the values are in utility units, so the tolerance scales with the
     utility range."""
-    u = problem.utilities
-    best = max(values.values())
-    tol = TIE_TOL * (u.max() - u.min())
-    return Ranking(values, tuple(a for a in problem.acts if values[a] >= best - tol))
+    floor = max(values.values()) - problem.tie_tol
+    return Ranking(values, tuple(a for a in problem.acts if values[a] >= floor))
 
 
 def _mix(lo: float, hi: float, eta: float) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TIE_TOL, BayesSet, DecisionProblem, Prior, bayes_acts
-from .lp import LpStatus, SolverError, minimize_over_band, solve_stack, start_tableaux
+from .lp import SolverError, minimize_over_band, solve_stack, start_tableaux
 
 __all__ = [
     "DominanceCertificate",
@@ -150,7 +150,7 @@ def robustness_radius(
     if a not in (bayes_acts(problem, prior) if bayes is None else bayes):
         return Radius(None)
     u = problem.utilities
-    diffs = u[problem.act_index(a)] - u + TIE_TOL * (u.max() - u.min())
+    diffs = u[problem.act_index(a)] - u + problem.tie_tol
     diffs = diffs[(diffs < 0.0).any(axis=1)]  # a's own row is tau >= 0
     h = problem.num_states // 2
     bounds = []
@@ -196,9 +196,7 @@ def _best_mixtures(gains: np.ndarray) -> np.ndarray:
     T, bases = start_tableaux(A, b, start)
     costs = np.zeros((p, k + m + 2))
     costs[:, 0], costs[:, 1] = -1.0, 1.0  # maximize t
-    for i, status in enumerate(solve_stack(T, bases, costs)):
-        if status is not LpStatus.OPTIMAL:
-            raise SolverError(f"dominance program ended with status {status.value}", i)
+    solve_stack(T, bases, costs)
     return np.maximum(_off_bases(A, b, at, costs, bases)[1][:, 2:k + 2], 0.0)
 
 
@@ -239,9 +237,8 @@ def _bayes_at_probes(problem: DecisionProblem) -> list[str]:
     in one sum of half-utility columns (the vertex as the midpoint of j with
     itself), so memory stays linear in the table's size.
     """
-    u = problem.utilities
-    half = 0.5 * u
-    tol = TIE_TOL * (u.max() - u.min())
+    half = 0.5 * problem.utilities
+    tol = problem.tie_tol
     found = np.zeros(problem.num_acts, dtype=bool)
     for j in range(problem.num_states):
         values = half[:, j:] + half[:, j, None]
@@ -372,9 +369,7 @@ def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
         member_costs = costs[[j for _, j in members]]
         member_costs[:, w:w + norms.shape[1]] = tol / norms[at]
         try:
-            for i, status in enumerate(solve_stack(T, bases, member_costs)):
-                if status is not LpStatus.OPTIMAL:
-                    raise SolverError(f"need program ended with status {status.value}", i)
+            solve_stack(T, bases, member_costs)
             needs.update(zip(members, _needs_off_bases(A, b, at, member_costs, bases)))
         except SolverError as exc:
             act, j = members[exc.member]
@@ -400,8 +395,7 @@ def contamination_need(problem: DecisionProblem, a: str, prior: Prior) -> Need:
     """
     if a in bayes_acts(problem, prior):
         return Need(0.0)
-    u = problem.utilities
-    tol = TIE_TOL * (u.max() - u.min())
+    tol = problem.tie_tol
     (gains,), (weights,) = _dominating_mixtures(problem, [a])
     certificate = _certificate(problem, a, gains, weights, tol)
     if certificate is not None:
@@ -458,8 +452,7 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     if len(set(names)) != len(names):
         raise ValueError("prior names must be unique within a profile")
     bsets = [bayes_acts(problem, prior) for prior in priors]
-    u = problem.utilities
-    tol = TIE_TOL * (u.max() - u.min())  # the Bayes sets' tie tolerance
+    tol = problem.tie_tol  # the Bayes sets' tie tolerance
     optimal_somewhere = {act for bset in bsets for act in bset.optimal_acts}
     optimal_somewhere.update(_bayes_at_probes(problem))
     certificates = dict.fromkeys(problem.acts)

@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 
 from priorstab import DecisionProblem, Prior
 from priorstab.core import TIE_TOL
-from priorstab.lp import LpStatus, minimize_over_band, solve_stack, start_tableaux
+from priorstab.lp import minimize_over_band, solve_stack, start_tableaux
 from priorstab.selection import SCORE_TIE_TOL, score_lines
 from priorstab.stability import Radius
 
@@ -369,16 +369,13 @@ def _is_slack_basis(lp):
             and (lp.eq_matrix[:, n - m:] == np.eye(m)).all())
 
 
-def stack_outcome(cost, tableau, basis, status):
-    """The outcome of one member of a `solve_stack` run: its status and, if
-    optimal, its value, its point (clipped at 0), its final basis and its
-    final tableau, from which another run can restart."""
-    if status is LpStatus.UNBOUNDED:
-        return SimpleNamespace(status=status, value=None, point=None, basis=None, tableau=None)
+def stack_outcome(cost, tableau, basis):
+    """The outcome of one member of a `solve_stack` run, which leaves every
+    member optimal: its value, its point (clipped at 0), its final basis and
+    its final tableau, from which another run can restart."""
     x = np.zeros(cost.size)
     x[basis] = np.maximum(tableau[:-1, -1], 0.0)
-    return SimpleNamespace(status=status, value=float(cost @ x), point=x, basis=basis,
-                           tableau=tableau)
+    return SimpleNamespace(value=float(cost @ x), point=x, basis=basis, tableau=tableau)
 
 
 def solve_programs(programs, starts=None):
@@ -409,8 +406,9 @@ def solve_programs(programs, starts=None):
     T, B = np.array(tableaux), np.array(bases)
     begun = T.copy(), B.copy()
     costs = np.array([lp.objective for lp in programs])
+    solve_stack(T, B, costs)
     outs = []
-    for *member, T0, B0 in zip(costs, T, B, solve_stack(T, B, costs), *begun):
+    for *member, T0, B0 in zip(costs, T, B, *begun):
         outs.append(stack_outcome(*member))
         outs[-1].start = SimpleNamespace(tableau=T0, basis=B0)
     return outs

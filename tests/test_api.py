@@ -49,7 +49,6 @@ NAMES = {
     ],
     "lp": [
         "FEASIBILITY_TOL",
-        "LpStatus",
         "SolverError",
         "minimize_over_band",
         "solve_stack",

@@ -660,9 +660,8 @@ class TestFailureExits:
         solve = stab.solve_stack
 
         def singular(T, bases, costs):
-            statuses = solve(T, bases, costs)
+            solve(T, bases, costs)
             bases[:] = T.shape[2] - 2
-            return statuses
 
         monkeypatch.setattr(stab, "solve_stack", singular)
         u = write(tmp_path, "u.csv", TOY_UTILITIES)
@@ -787,6 +786,36 @@ class TestFailureExits:
         code, err = self.run_exit(capsys, ["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path)])
         assert code == 2
         assert "mass sums to 0.7, not 1" in err
+
+    @pytest.mark.parametrize("table, where", [
+        ("act,s1,s2\na,1_0,0\nb,0,1\n", ":2: s1 '1_0'"),
+        ("act,s1,s2\na,1,0\nb,0,١\n", ":3: s2 '١'"),
+        ("act,s1,s2\na,1,0\nb,0,１\n", ":3: s2 '１'"),
+    ], ids=["underscore", "arabic-indic", "fullwidth"])
+    def test_numbers_are_plain_ascii_decimals(self, tmp_path, capsys, table, where):
+        # float() reads 1_0 as 10 and Arabic-Indic or fullwidth digits as 1
+        u = write(tmp_path, "u.csv", table)
+        p = write(tmp_path, "p.csv", "prior,s1,s2\nref,0.5,0.5\n")
+        code, err = self.run_exit(capsys, ["analyze", "--utilities", u, "--priors", p,
+                                           "--out", str(tmp_path)])
+        assert code == 2
+        assert f"{u}{where} is not a plain ASCII decimal number" in err
+        assert not (tmp_path / "stability.csv").exists()
+
+    @pytest.mark.parametrize("label, line", [
+        ("2020-13", 13), ("2020-00", 2), ("٢٠٢١-٠١", 13)], ids=["13", "00", "arabic-indic"])
+    def test_month_labels_are_real_months(self, tmp_path, capsys, label, line):
+        months = [f"2020-{i:02d}" for i in range(1, 12)]
+        months.insert(0 if line == 2 else len(months), label)
+        rng = np.random.default_rng(5)
+        m = write(tmp_path, "monthly.csv", "date,market,market_vol\n" + "".join(
+            f"{month},{rng.normal(0, 0.02)!r},{rng.uniform(0.01, 0.03)!r}\n" for month in months))
+        w = write(tmp_path, "weights.csv", "portfolio,market\nall,1.0\n")
+        code, err = self.run_exit(capsys, ["scenarios", "--monthly", m, "--weights", w,
+                                           "--k", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"{m}:{line}: malformed month label {label!r}" in err
+        assert not (tmp_path / "regimes.csv").exists()
 
 
 class TestEntryPoint:

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priorstab import DecisionProblem, Prior, bayes_acts
-from priorstab.core import expected_utility
+from priorstab.core import TIE_TOL, expected_utility
+from priorstab.selection import gamma_aggregate, rex_score
+from priorstab.stability import stability_profile
 
 from conftest import PORTFOLIO_UTILITIES, affine_transform, random_prior, random_problem
 
@@ -88,6 +90,24 @@ class TestBayesActs:
             column = problem.utilities[:, j]
             winners = {problem.acts[i] for i in np.flatnonzero(column >= column.max() - 1e-12)}
             assert set(result.optimal_acts) == winners
+
+    def test_every_tie_rule_reads_the_problems_tolerance(self, monkeypatch):
+        # b trails a by 0.05 of the utility range in every state, so by 0.05
+        # in expected, worst-case and rex value alike: tied under a tolerance
+        # of 0.1 of the range, wherever a tie is judged, and not under TIE_TOL
+        problem = DecisionProblem("abc", ("s1", "s2"), [[1.0, 0.05], [0.95, 0.0], [0.0, 1.0]])
+        prior = Prior("p", [0.8, 0.2])
+
+        def verdicts():
+            return (bayes_acts(problem, prior).optimal_acts,
+                    tuple(r.act for r in stability_profile(problem, [prior]).rows if r.is_bayes),
+                    gamma_aggregate(problem, prior, 0.1).optimal,
+                    rex_score(problem, prior, 0.5).optimal)
+
+        assert problem.tie_tol == TIE_TOL
+        assert verdicts() == (("a",),) * 4
+        monkeypatch.setattr(DecisionProblem, "tie_tol", property(lambda p: 0.1 * np.ptp(p.utilities)))
+        assert verdicts() == (("a", "b"),) * 4
 
 
 class TestAffineTransform:

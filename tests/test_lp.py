@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from priorstab.lp import LpStatus, SolverError, minimize_over_band, solve_stack, start_tableaux
+from priorstab.lp import SolverError, minimize_over_band, solve_stack, start_tableaux
 
 from conftest import (
     HIGHS_OPTIONS,
@@ -85,7 +85,6 @@ def band_minimum_highs(direction, center, radius):
 class TestSolveLp:
     def test_vertex_of_unit_simplex(self):
         out = solve_alone(linear_program([1.0, 0.0], [[1.0, 1.0]], [1.0], [0]))
-        assert out.status is LpStatus.OPTIMAL
         assert out.value == pytest.approx(0.0, abs=1e-12)
         assert out.point == pytest.approx([0.0, 1.0], abs=1e-12)
 
@@ -111,20 +110,18 @@ class TestSolveLp:
             objective, [[1.0, 1.0]], [1.0], [0.3, 0.3], [0.7, 0.7], [0, 2, 3]
         )
         out = solve_alone(lp)
-        assert out.status is LpStatus.OPTIMAL
         point, value = recover(out)
         assert value == pytest.approx(expected, abs=1e-9)
         assert point == pytest.approx([0.7, 0.3], abs=1e-9)
 
     def test_unbounded(self):
-        out = solve_alone(linear_program([-1.0, 0.0], [[1.0, -1.0]], [0.0], [0]))
-        assert out.status is LpStatus.UNBOUNDED
+        with pytest.raises(SolverError, match="program is unbounded"):
+            solve_alone(linear_program([-1.0, 0.0], [[1.0, -1.0]], [0.0], [0]))
 
     def test_degenerate_instance_terminates(self):
         # Beale's example cycles under the naive most-negative rule; Bland's
         # rule must terminate at the optimum.
         out = solve_alone(beale_program())
-        assert out.status is LpStatus.OPTIMAL
         assert out.value == pytest.approx(-0.05, abs=1e-9)
 
     def test_deterministic(self):
@@ -146,7 +143,6 @@ class TestSolveLp:
             lp = inequality_form(c, np.vstack([A, np.eye(n)]), np.concatenate([b, upper]))
             ours = solve_alone(lp)
             ref = linprog(c, A_ub=A, b_ub=b, bounds=list(zip(np.zeros(n), upper)), method="highs")
-            assert ours.status is LpStatus.OPTIMAL
             assert ref.status == 0
             point = ours.point[:n]
             assert ours.value == pytest.approx(ref.fun, abs=1e-7)
@@ -196,7 +192,6 @@ class TestRestart:
                     fresh, A_ub=A, b_ub=b, bounds=list(zip(np.zeros(n), upper)),
                     method="highs", options=HIGHS_OPTIONS,
                 )
-                assert ours.status is LpStatus.OPTIMAL
                 assert ref.status == 0
                 assert ours.value == pytest.approx(ref.fun, abs=1e-9)
                 point = ours.point[:n]
@@ -219,7 +214,6 @@ class TestRestart:
             c[0] = abs(c[0])
             cold = inequality_form(c, rows, rhs)
             start = solve_alone(cold)
-            assert start.status is LpStatus.OPTIMAL
             fresh = rng.normal(size=n)
             fresh[0] = -abs(fresh[0])
             ref = linprog(
@@ -227,9 +221,10 @@ class TestRestart:
                 options=HIGHS_OPTIONS,
             )
             assert ref.status == 3  # unbounded
-            out = solve_alone(with_objective(cold, fresh), start)
-            assert out.status is LpStatus.UNBOUNDED
-            assert solve_alone(with_objective(cold, fresh)).tableau is None
+            with pytest.raises(SolverError, match="program is unbounded"):
+                solve_alone(with_objective(cold, fresh), start)
+            with pytest.raises(SolverError, match="program is unbounded"):
+                solve_alone(with_objective(cold, fresh))
 
     def test_same_objective_takes_no_pivot(self, monkeypatch):
         import priorstab.lp as lp_module
@@ -269,13 +264,13 @@ class TestRestart:
 
 
 def assert_same_path(ours, ref):
-    """A stack member's outcome equals the reference run's, bit for bit."""
-    assert ours.status.value == ref.status
-    if ref.status == "optimal":
-        assert float(ours.value).hex() == float(ref.value).hex()
-        assert ours.point.tobytes() == ref.point.tobytes()
-        assert np.array_equal(ours.basis, ref.basis)
-        assert ours.tableau.tobytes() == ref.tableau.tobytes()
+    """A stack member's outcome, always optimal, equals the reference run's,
+    bit for bit."""
+    assert ref.status == "optimal"
+    assert float(ours.value).hex() == float(ref.value).hex()
+    assert ours.point.tobytes() == ref.point.tobytes()
+    assert np.array_equal(ours.basis, ref.basis)
+    assert ours.tableau.tobytes() == ref.tableau.tobytes()
 
 
 class TestPivotPath:
@@ -313,10 +308,9 @@ class TestPivotPath:
 
         def spied(T, bases, costs):
             starts = T.copy(), bases.copy()
-            statuses = solve(T, bases, costs)
+            solve(T, bases, costs)
             stacked.append(len(T))
-            members.extend(zip(*starts, costs, T.copy(), bases.copy(), statuses))
-            return statuses
+            members.extend(zip(*starts, costs, T.copy(), bases.copy()))
 
         monkeypatch.setattr(stab, "solve_stack", spied)
         rng = np.random.default_rng(303)
@@ -337,10 +331,10 @@ class TestPivotPath:
         assert 0 < len(need) < len(members) == sum(stacked) and max(stacked) > 1
         cold = [np.array_equal(B0, need_start(B0.size - 1)) for _, B0, *_ in need]
         assert any(cold) and not all(cold)  # cold and restarted members
-        for T0, B0, cost, T, basis, status in members:
+        for T0, B0, cost, T, basis in members:
             lp = linear_program(cost, T0[:-1, :-1], T0[:-1, -1], B0)
             ref = reference_simplex(lp, SimpleNamespace(tableau=T0, basis=B0))
-            assert_same_path(stack_outcome(cost, T, basis, status), ref)
+            assert_same_path(stack_outcome(cost, T, basis), ref)
     def test_stacked_members_run_as_alone(self):
         rng = np.random.default_rng(111)
         for _ in range(40):
@@ -379,9 +373,11 @@ class TestPivotPath:
             for lp, out in zip(lps, solve_programs(lps)):
                 assert_same_outcome(out, solve_alone(lp))
                 assert_same_path(out, reference_simplex(lp, out.start))
-    def test_an_unbounded_member_leaves_the_others_running(self):
+    def test_an_unbounded_member_fails_its_stack(self):
         # x0 has no cap row and only loosens the rows, so a negative cost on
-        # it is unbounded and a positive one is not
+        # it (the even members) is unbounded and a positive one is not: the
+        # stack raises, naming an unbounded member, while each bounded member
+        # still takes the reference's path when solved alone
         rng = np.random.default_rng(333)
         for _ in range(30):
             n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
@@ -394,19 +390,24 @@ class TestPivotPath:
                 rows = np.vstack([A, np.eye(n)[1:]])
                 rhs = np.concatenate([rng.uniform(0.0, 2.0, m), rng.uniform(0.5, 3.0, n - 1)])
                 lps.append(inequality_form(c, rows, rhs))
-            outs = solve_programs(lps)
-            assert [out.status for out in outs[:2]] == [LpStatus.UNBOUNDED, LpStatus.OPTIMAL]
-            for lp, out in zip(lps, outs):
-                assert_same_outcome(out, solve_alone(lp))
+            with pytest.raises(SolverError, match="program is unbounded") as failed:
+                solve_programs(lps)
+            assert failed.value.member % 2 == 0
+            assert reference_simplex(lps[failed.value.member]).status == "unbounded"
+            for lp in lps[1::2]:
+                out = solve_alone(lp)
                 assert_same_path(out, reference_simplex(lp, out.start))
 
     def test_beale_members_keep_their_own_pricing_rule(self):
         # Beale's objective, and twice it, cycle until both members switch to
-        # Bland's rule inside the stack; the other objectives do not stall
+        # Bland's rule inside the stack; the other objectives do not stall.
+        # Each adds a nonnegative cost to Beale's bounded one, so it stays
+        # bounded, as every member of a stack that runs to its end must be
         beale = beale_program()
         rng = np.random.default_rng(444)
         lps = [beale, reobjective(beale, 2.0 * beale.objective)] + [
-            reobjective(beale, np.concatenate([rng.normal(size=4), np.zeros(3)]))
+            reobjective(beale, beale.objective + np.concatenate([rng.uniform(0.0, 0.3, 4),
+                                                                 np.zeros(3)]))
             for _ in range(6)
         ]
         outs = solve_programs(lps)
@@ -469,11 +470,12 @@ class TestPivotPath:
         started, copy = start_tableaux(block, lp.eq_rhs, bases)
         assert (started[[0, 2]] == T[[0, 2]]).all() and (copy == bases).all()
         costs = np.tile(lp.objective, (len(block), 1))
-        for A, cost, *member in zip(block, costs, T, bases, solve_stack(T, bases, costs)):
+        solve_stack(T, bases, costs)
+        for A, cost, *member in zip(block, costs, T, bases):
             program = linear_program(cost, A, lp.eq_rhs, lp.basis)
             assert_same_path(stack_outcome(cost, *member), reference_simplex(program))
         T, bases = slack_tableaux(block[:0], lp.eq_rhs)
-        assert solve_stack(T, bases, costs[:0]) == []
+        solve_stack(T, bases, costs[:0])  # an empty stack has nothing to run
     def test_stacked_read_off_takes_each_members_bits(self, monkeypatch):
         # Every optimal need program of some profiles, read off its basis
         # within its stack, alone, and by a 2D solve of its own
@@ -521,9 +523,8 @@ class TestPivotPath:
                 return solve(T, bases, costs)
             sizes.append(len(T))
             starts = T.copy()
-            statuses = solve(T, bases, costs)
+            solve(T, bases, costs)
             stacks.append((starts, T.copy()))
-            return statuses
 
         monkeypatch.setattr(stab, "solve_stack", spied)
         monkeypatch.setattr(stab, "_RESTART_CHUNK", 1000)
@@ -544,7 +545,7 @@ class TestPivotPath:
     def test_lone_and_malformed_stacks(self):
         lp = inequality_form([1.0, -1.0], [[1.0, 1.0]], [1.0])
         T, bases = start_tableaux(lp.eq_matrix[None][:0], lp.eq_rhs, lp.basis[None][:0])
-        assert solve_stack(T, bases, lp.objective[None][:0]) == []
+        solve_stack(T, bases, lp.objective[None][:0])  # an empty stack has nothing to run
         # a lone program and the same program in a stack of two
         alone = solve_alone(lp)
         assert_same_outcome(solve_programs([lp, lp])[0], alone)
@@ -552,7 +553,8 @@ class TestPivotPath:
         T, bases = slack_tableaux(np.stack([lp.eq_matrix] * 2), lp.eq_rhs)
         T[0], bases[0] = alone.tableau, alone.basis
         costs = np.stack([lp.objective] * 2)
-        paired = stack_outcome(lp.objective, T[0], bases[0], solve_stack(T, bases, costs)[0])
+        solve_stack(T, bases, costs)
+        paired = stack_outcome(lp.objective, T[0], bases[0])
         assert_same_outcome(solve_alone(lp, alone), paired)
         assert_same_path(solve_alone(lp, alone), reference_simplex(lp, alone))
         with pytest.raises(ValueError, match="of its shape"):
@@ -601,12 +603,10 @@ def shifted_dominance_program(gains):
 
 def assert_same_outcome(ours, alone):
     """A stack member's outcome equals the solo run's, bit for bit."""
-    assert ours.status is alone.status
-    if alone.status is LpStatus.OPTIMAL:
-        assert float(ours.value).hex() == float(alone.value).hex()
-        assert ours.point.tobytes() == alone.point.tobytes()
-        assert np.array_equal(ours.basis, alone.basis)
-        assert ours.tableau.tobytes() == alone.tableau.tobytes()
+    assert float(ours.value).hex() == float(alone.value).hex()
+    assert ours.point.tobytes() == alone.point.tobytes()
+    assert np.array_equal(ours.basis, alone.basis)
+    assert ours.tableau.tobytes() == alone.tableau.tobytes()
 
 
 def beale_program():
@@ -629,7 +629,6 @@ def assert_matches_highs(lp):
     ours = solve_alone(lp)
     ref = linprog(lp.objective, A_eq=lp.eq_matrix, b_eq=lp.eq_rhs, method="highs")
     assert ref.status == 0
-    assert ours.status is LpStatus.OPTIMAL
     assert ours.value == pytest.approx(ref.fun, abs=1e-9)
     assert np.max(np.abs(lp.eq_matrix @ ours.point - lp.eq_rhs)) < 1e-9
     assert np.all(ours.point >= 0.0)
@@ -639,13 +638,11 @@ class TestPricingAndCrash:
     def test_beale_terminates_at_the_known_optimum(self):
         # optimum x = (1/25, 0, 1, 0) with value -1/20 (Beale, 1955)
         out = solve_alone(beale_program())
-        assert out.status is LpStatus.OPTIMAL
         assert out.value == pytest.approx(-0.05, abs=1e-12)
         assert out.point[:4] == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
 
     def test_program_without_rows(self):
         out = solve_alone(linear_program([1.0, 2.0], np.zeros((0, 2)), [], []))
-        assert out.status is LpStatus.OPTIMAL
         assert out.value == 0.0
         assert np.array_equal(out.point, [0.0, 0.0])
 

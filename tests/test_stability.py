@@ -577,8 +577,8 @@ def test_profile_starts_take_fewer_pivots_than_slack_starts(monkeypatch):
 
     def pivots_of(T, bases, costs):
         before = pivots[0]
-        statuses = lp_module.solve_stack(T, bases, costs)
-        return statuses, pivots[0] - before
+        lp_module.solve_stack(T, bases, costs)
+        return pivots[0] - before
 
     started, solved = [], []
     start_tableaux, solve = stab.start_tableaux, stab.solve_stack
@@ -589,11 +589,10 @@ def test_profile_starts_take_fewer_pivots_than_slack_starts(monkeypatch):
         return T, copy
 
     def spied_solve(T, bases, costs):
-        statuses, count = pivots_of(T, bases, costs)
+        count = pivots_of(T, bases, costs)
         programs = [(A, b) for T0, A, b in started if T0 is T]
         if programs:  # a cold stack, not a restart
             solved.append((*programs[0], costs.copy(), count))
-        return statuses
 
     monkeypatch.setattr(lp_module, "_pivot_stack", counted_stack)
     monkeypatch.setattr(stab, "start_tableaux", spied_start)
@@ -623,7 +622,7 @@ def test_profile_starts_take_fewer_pivots_than_slack_starts(monkeypatch):
             costs = np.zeros((p, k + rows + 1))
             costs[:, 0] = -1.0
         ours[kind] += count
-        slack[kind] += pivots_of(*slack_tableaux(A, b), costs)[1]
+        slack[kind] += pivots_of(*slack_tableaux(A, b), costs)
     assert 0 < ours["need"] < slack["need"]
     assert 0 < ours["certificate"] < slack["certificate"]
 
@@ -749,14 +748,14 @@ class TestContaminationNeed:
 
     def test_an_unbounded_need_program_is_not_restarted(self, monkeypatch):
         # a is certified before any need program is built, so no need stack,
-        # cold or restarted, holds a program of a, and every stack member is
-        # optimal: a's exact need program, which is unbounded, is never run.
+        # cold or restarted, holds a program of a, and every stack runs to
+        # its end: a's exact need program, which is unbounded, is never run.
         problem = DecisionProblem(
             ("a", "b", "c"), ("s1", "s2"), [[1000, -1000], [1000.0000005, -999.999], [0, 0]]
         )
         priors = [Prior(f"p{i}", [w, 1.0 - w]) for i, w in enumerate((0.5, 0.3, 0.9, 0.7))]
         programs = spy_certificate_programs(monkeypatch)
-        blocks, statuses = [], []
+        blocks, stacks = [], []
         build, solve = stab._need_block, stab.solve_stack
 
         def spied_block(problem, acts):
@@ -764,8 +763,8 @@ class TestContaminationNeed:
             return build(problem, acts)
 
         def spied_solve(T, bases, costs):
-            statuses.extend(solve(T, bases, costs))
-            return statuses[-len(T):]
+            solve(T, bases, costs)
+            stacks.append(len(T))
 
         monkeypatch.setattr(stab, "_need_block", spied_block)
         monkeypatch.setattr(stab, "solve_stack", spied_solve)
@@ -773,7 +772,7 @@ class TestContaminationNeed:
         monkeypatch.undo()
         assert programs == [["a"]]
         assert blocks and all("a" not in acts for acts in blocks)
-        assert set(statuses) == {stab.LpStatus.OPTIMAL}
+        assert stacks
         assert all(profile_row(profile, prior.name, "a").need.epsilon is None
                    for prior in priors)
 
@@ -1100,14 +1099,13 @@ class TestStabilityProfile:
         )
         priors = [Prior(f"p{i}", m) for i, m in enumerate(
             ([0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7], [0.3, 0.3, 0.4]))]
-        solved = []  # per member: start tableau, start basis, final tableau, status
+        solved = []  # per member: start tableau, start basis, final tableau
         solve = stab.solve_stack
 
         def spied(T, bases, costs):
             starts = T.copy(), bases.copy()
-            statuses = solve(T, bases, costs)
-            solved.extend(zip(*starts, T.copy(), statuses))
-            return statuses
+            solve(T, bases, costs)
+            solved.extend(zip(*starts, T.copy()))
 
         def restarted(T0, B0):
             return not np.array_equal(B0, need_start(B0.size - 1))
@@ -1117,22 +1115,21 @@ class TestStabilityProfile:
         # a single prior solves every program cold; here the need programs of
         # b and c, and no certificate program, since b and c are Bayes at the
         # vertices of the simplex
-        assert [restarted(T0, B0) for T0, B0, _, _ in solved] == [False] * 2
+        assert [restarted(T0, B0) for T0, B0, _ in solved] == [False] * 2
         solved.clear()
         profile = stab.stability_profile(problem, priors)
         monkeypatch.undo()
         # a cold stack of each act's first program, then a restart stack of
         # every later one: a is optimal only at p0, b only at p1, and c at p2
         # and p3
-        assert [restarted(T0, B0) for T0, B0, _, _ in solved] == [
+        assert [restarted(T0, B0) for T0, B0, _ in solved] == [
             False, False, False, True, True, True, True, True]
-        # per act, the first program is cold and optimal, and every later
-        # one restarts from a copy of its final tableau
-        firsts = {T.tobytes(): [status] for _, _, T, status in solved[:3]}
-        for T0, _, _, status in solved[3:]:
-            firsts[T0.tobytes()].append(status)
-        assert sorted(map(len, firsts.values())) == [2, 3, 3]
-        assert all(statuses[0] is stab.LpStatus.OPTIMAL for statuses in firsts.values())
+        # per act, the first program is cold, and every later one restarts
+        # from a copy of its final tableau
+        firsts = {T.tobytes(): 1 for _, _, T in solved[:3]}
+        for T0, _, _ in solved[3:]:
+            firsts[T0.tobytes()] += 1
+        assert sorted(firsts.values()) == [2, 3, 3]
         by_name = {p.name: p for p in priors}
         for row in profile.rows:
             need = contamination_need(problem, row.act, by_name[row.prior])
