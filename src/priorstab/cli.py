@@ -34,7 +34,6 @@ from .io import (
 )
 from .lp import SolverError
 from .scenarios import (
-    generic_labels,
     kmeans_partition,
     label_regimes,
     monthly_features,
@@ -78,11 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     path.add_argument("--utilities", required=True)
     path.add_argument("--priors", help="priors CSV; packaged catalog when omitted")
     path.add_argument("--prior", help="prior name (may be omitted with a single-prior file)")
-    path.add_argument(
-        "--cost-mode", choices=("variance", "file"), default="variance",
-        help="per-act costs: utility-row variance, or an explicit file",
-    )
-    path.add_argument("--costs", help="costs CSV (act,cost); required with --cost-mode file")
+    path.add_argument("--costs", help="costs CSV (act,cost); utility-row variances when omitted")
     path.add_argument("--lambda-max", type=float, default=3.0, help="grid endpoint (default 3)")
     path.add_argument("--grid", type=float, default=0.01, help="grid step (default 0.01)")
     path.add_argument("--out", default=".")
@@ -194,12 +189,8 @@ def cmd_analyze(args) -> int:
 
 
 def _cost_assignment(args, problem: DecisionProblem) -> CostAssignment:
-    if args.cost_mode == "variance":
-        if args.costs:
-            raise InputError("--costs is only read with --cost-mode file")
+    if args.costs is None:
         return variance_cost(problem)
-    if not args.costs:
-        raise InputError("--cost-mode file requires --costs")
     table = load_costs(args.costs)
     missing = [a for a in problem.acts if a not in table]
     extra = [a for a in table if a not in problem.acts]
@@ -228,7 +219,7 @@ def cmd_path(args) -> int:
             "act": line.act,
             "intercept": INADMISSIBLE if line.inadmissible else line.intercept,
             "slope": line.slope,
-            "cost": costs.normalized(line.act),
+            "cost": costs.normalized[line.act],
             "inadmissible": line.inadmissible,
         }
         for line in path.lines
@@ -253,7 +244,7 @@ def cmd_path(args) -> int:
             "prior": prior.name,
             "lambda_max": float(args.lambda_max),
             "grid_step": float(args.grid),
-            "cost_mode": args.cost_mode,
+            "cost_mode": "variance" if args.costs is None else "file",
             "lines": lines,
             "breakpoints": breakpoints,
             "segments": [{"lo": s.lo, "hi": s.hi, "act": s.act} for s in path.segments],
@@ -295,8 +286,7 @@ def cmd_scenarios(args) -> int:
         )
 
     features = monthly_features(panel, market)
-    model = kmeans_partition(features, k=args.k, seed=args.seed)
-    model = label_regimes(model) if args.k == 4 else generic_labels(model)
+    model = label_regimes(kmeans_partition(features, k=args.k, seed=args.seed))
     returns = portfolio_returns(panel, book)
     problem = utility_matrix(returns, model, book.names)
 
@@ -326,9 +316,7 @@ def cmd_baselines(args) -> int:
     eta = _in_unit_interval(args.eta, "--eta")
     mu = _in_unit_interval(args.mu, "--mu")
 
-    worst = gamma_aggregate(problem, prior, epsilon, "minimax")
-    best = gamma_aggregate(problem, prior, epsilon, "maximax")
-    mixed = gamma_aggregate(problem, prior, epsilon, "mix", eta)
+    worst, best, mixed = gamma_aggregate(problem, prior, epsilon, eta)
     rex = rex_score(problem, prior, mu)
 
     rows = [(prior.name, act, measure, result.values[act]) for act in problem.acts

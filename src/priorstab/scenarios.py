@@ -22,7 +22,6 @@ __all__ = [
     "PortfolioBook",
     "RegimeModel",
     "ReturnPanel",
-    "generic_labels",
     "kmeans_partition",
     "label_regimes",
     "monthly_features",
@@ -166,7 +165,8 @@ def monthly_features(panel: ReturnPanel, market_asset: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegimeModel:
-    """A k-means partition of months in standardized feature space."""
+    """A k-means partition of months in standardized feature space;
+    ``labels`` maps each cluster index to its name, in reporting order."""
 
     k: int
     centroids: np.ndarray
@@ -178,14 +178,10 @@ class RegimeModel:
         return {j: np.flatnonzero(self.assignment == j) for j in range(self.k)}
 
     def state_order(self) -> tuple[int, ...]:
-        """Cluster indices in reporting order: canonical regime order when
-        the four standard labels are present, cluster index otherwise."""
+        """Cluster indices in reporting order, the order of ``labels``."""
         if self.labels is None:
             raise ValueError("model has no labels yet")
-        if set(self.labels.values()) == set(REGIME_ORDER):
-            by_name = {name: j for j, name in self.labels.items()}
-            return tuple(by_name[name] for name in REGIME_ORDER)
-        return tuple(sorted(self.labels))
+        return tuple(self.labels)
 
 
 def _standardize(features: np.ndarray) -> np.ndarray:
@@ -285,30 +281,23 @@ def kmeans_partition(features: np.ndarray, k: int, seed: int) -> RegimeModel:
 
 
 def label_regimes(model: RegimeModel) -> RegimeModel:
-    """Name four clusters from their standardized (return, volatility) centroids.
+    """Name the clusters, in reporting order.
 
-    Score each centroid by return minus volatility: the best is Expansion and
-    the worst Recession; of the middle two, the higher return is Recovery and
-    the lower Stagnation.  All ties break toward the lower cluster index, so
-    the labeling is deterministic and invariant to centroid order.
+    Four clusters are named in `REGIME_ORDER` from their standardized
+    (return, volatility) centroids.  Score each centroid by return minus
+    volatility: the best is Expansion and the worst Recession; of the middle
+    two, the higher return is Recovery and the lower Stagnation.  All ties
+    break toward the lower cluster index, so the labeling is deterministic
+    and invariant to centroid order.  Any other count is named by index,
+    regime_1 to regime_k.
     """
     if model.k != 4:
-        raise ValueError(f"regime labeling requires exactly 4 clusters, got {model.k}")
+        return replace(model, labels={j: f"regime_{j + 1}" for j in range(model.k)})
     score = model.centroids[:, 0] - model.centroids[:, 1]
     by_score = sorted(range(4), key=lambda j: (-score[j], j))
     middle = sorted(by_score[1:3], key=lambda j: (-model.centroids[j, 0], j))
-    labels = {
-        by_score[0]: "Expansion",
-        middle[0]: "Recovery",
-        middle[1]: "Stagnation",
-        by_score[3]: "Recession",
-    }
-    return replace(model, labels=labels)
-
-
-def generic_labels(model: RegimeModel) -> RegimeModel:
-    """Index-based labels for cluster counts other than four."""
-    return replace(model, labels={j: f"regime_{j + 1}" for j in range(model.k)})
+    order = (by_score[0], *middle, by_score[3])
+    return replace(model, labels=dict(zip(order, REGIME_ORDER)))
 
 
 def utility_matrix(returns: np.ndarray, model: RegimeModel, acts) -> DecisionProblem:

@@ -35,10 +35,12 @@ _MAX_GRID_POINTS = 1_000_000  # bounds the grid's memory and its evaluation loop
 
 @dataclass(frozen=True)
 class CostAssignment:
-    """Nonnegative per-act selection costs with max-normalization."""
+    """Nonnegative per-act selection costs; ``normalized`` maps each act to
+    its cost over the largest, or to 0 where every cost is 0."""
 
     acts: tuple[str, ...]
     raw: np.ndarray
+    normalized: dict[str, float]
 
     def __init__(self, acts, raw):
         acts = tuple(acts)
@@ -47,23 +49,24 @@ class CostAssignment:
             raise ValueError("one cost per act required")
         if not np.all(np.isfinite(costs)) or np.any(costs < 0.0):
             raise ValueError("costs must be finite and nonnegative")
+        den = float(costs.max()) if costs.size else 0.0
+        shares = (costs / den).tolist() if den > 0.0 else [0.0] * len(acts)
         object.__setattr__(self, "acts", acts)
         object.__setattr__(self, "raw", costs)
-
-    @property
-    def denominator(self) -> float:
-        return float(self.raw.max()) if self.raw.size else 0.0
-
-    def normalized(self, act: str) -> float:
-        den = self.denominator
-        if den <= 0.0:
-            return 0.0
-        return float(self.raw[self.acts.index(act)] / den)
+        object.__setattr__(self, "normalized", dict(zip(acts, shares)))
 
 
 def variance_cost(problem: DecisionProblem) -> CostAssignment:
-    """Population variance of each utility row, as the act's selection cost."""
-    return CostAssignment(problem.acts, problem.utilities.var(axis=1))
+    """Population variance of each utility row, as the act's selection cost.
+
+    The rows are first scaled by the power of two that brings the largest
+    |utility| into [0.5, 1): exact, so the normalized costs are those of the
+    table as given, and the squares can neither overflow nor underflow on
+    account of the table's magnitude.
+    """
+    u = problem.utilities
+    scaled = np.ldexp(u, -np.frexp(np.abs(u).max())[1])
+    return CostAssignment(problem.acts, scaled.var(axis=1))
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def score_lines(
         else:
             intercept = -(r.need.epsilon / con_den) if con_den > 0.0 else 0.0
         # 0.0 - cost, not -cost, so that a zero cost gives slope 0.0 and not -0.0
-        lines.append(ScoreLine(r.act, intercept, 0.0 - costs.normalized(r.act), False))
+        lines.append(ScoreLine(r.act, intercept, 0.0 - costs.normalized[r.act], False))
     return tuple(lines)
 
 
@@ -237,38 +240,25 @@ def _mix(lo: float, hi: float, eta: float) -> float:
 
 
 def gamma_aggregate(
-    problem: DecisionProblem,
-    prior: Prior,
-    radius: float,
-    mode: str = "minimax",
-    eta: float | None = None,
-) -> Ranking:
-    """Rank acts by worst, best, or mixed expected utility over a band.
+    problem: DecisionProblem, prior: Prior, radius: float, eta: float
+) -> tuple[Ranking, Ranking, Ranking]:
+    """Rank acts by worst, best and mixed expected utility over a band.
 
     The band holds the priors within ``radius`` of ``prior`` in every
-    coordinate.  ``minimax`` aggregates with the infimum, ``maximax`` with
-    the supremum, and ``mix`` with eta*inf + (1-eta)*sup.
+    coordinate.  The three rankings aggregate with the infimum
+    (Gamma-minimax), the supremum (Gamma-maximax) and eta*inf + (1-eta)*sup.
     """
-    if mode not in ("minimax", "maximax", "mix"):
-        raise ValueError(f"unknown aggregation mode {mode!r}")
-    if mode == "mix":
-        if eta is None or not 0.0 <= eta <= 1.0:
-            raise ValueError(f"mix mode needs eta in [0, 1], got {eta!r}")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
     if not 0.0 <= radius <= 1.0:
         raise ValueError(f"band radius must lie in [0, 1], got {radius!r}")
-    lower = {}
-    upper = {}
+    lower, upper, mixed = {}, {}, {}
     for act in problem.acts:
         row = problem.row(act)
-        lower[act] = minimize_over_band(row, prior.mass, radius)[0]
-        upper[act] = -minimize_over_band(-row, prior.mass, radius)[0]
-    if mode == "minimax":
-        values = lower
-    elif mode == "maximax":
-        values = upper
-    else:
-        values = {a: _mix(lower[a], upper[a], eta) for a in problem.acts}
-    return _ranking(problem, values)
+        lo = minimize_over_band(row, prior.mass, radius)[0]
+        hi = -minimize_over_band(-row, prior.mass, radius)[0]
+        lower[act], upper[act], mixed[act] = lo, hi, _mix(lo, hi, eta)
+    return _ranking(problem, lower), _ranking(problem, upper), _ranking(problem, mixed)
 
 
 def rex_score(problem: DecisionProblem, prior: Prior, mu: float) -> Ranking:

@@ -70,7 +70,7 @@ class DominanceCertificate:
         if w.size == 0 or np.any(w < -1e-12):
             raise ValueError("certificate weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"certificate weights sum to {w.sum()!r}, not 1")
+            raise ValueError(f"certificate weights sum to {float(w.sum())}, not 1")
         margins = np.asarray(self.margins, dtype=float)
         # Relative to the largest margin, which is at most the table's utility
         # range, so every certificate the tie rule accepts passes.
@@ -444,8 +444,9 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     set ``is_bayes``: the smaller table has a smaller utility range and so a
     tighter tolerance, which is why radii are taken on the full table.  The
     needs of all (act, prior) pairs are solved together (`_solve_needs`).
-    Failures are re-raised with the offending act, and prior where there is
-    one, attached.
+    Failures past the input checks are internal: they are re-raised as
+    `SolverError` with the offending act, and prior where there is one,
+    attached.
     """
     priors = list(priors)
     names = [p.name for p in priors]
@@ -463,7 +464,10 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
         except SolverError as exc:
             raise SolverError(f"act {unwitnessed[exc.member]!r}: {exc}") from exc
         for act, gains, weights in zip(unwitnessed, *mixtures):
-            certificates[act] = _certificate(problem, act, gains, weights, tol)
+            try:
+                certificates[act] = _certificate(problem, act, gains, weights, tol)
+            except ValueError as exc:
+                raise SolverError(f"act {act!r}: {exc}") from exc
     kept = [i for i, act in enumerate(problem.acts) if certificates[act] is None]
     undominated = DecisionProblem(
         [problem.acts[i] for i in kept], problem.states, problem.utilities[kept]
@@ -482,9 +486,7 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
                     radius = Radius(None)
                     need = Need(None, certificates[act])
             except (SolverError, ValueError) as exc:
-                raise type(exc)(
-                    f"act {act!r}, prior {prior.name!r}: {exc}"
-                ) from exc
+                raise SolverError(f"act {act!r}, prior {prior.name!r}: {exc}") from exc
             rows.append(
                 StabilityRow(
                     prior=prior.name,

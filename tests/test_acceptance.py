@@ -343,8 +343,7 @@ def test_criterion_10_baseline_reductions():
     for _ in range(100):
         problem = random_problem(rng)
         prior = random_prior(rng, problem.num_states)
-        for mode, eta in (("minimax", None), ("maximax", None), ("mix", 0.37)):
-            result = gamma_aggregate(problem, prior, 0.0, mode, eta)
+        for result in gamma_aggregate(problem, prior, 0.0, 0.37):
             for act in problem.acts:
                 assert result.values[act] == expected_utility(problem, act, prior)
         trusting = rex_score(problem, prior, 1.0)

@@ -3,15 +3,20 @@ the package and of every module are pinned, so a name cannot go stale or
 regrow unnoticed.  The package exports what the README's library example
 imports, and that example runs and prints what its comments say."""
 
+import argparse
 import ast
 import importlib
 import io
+import re
 import tokenize
 from pathlib import Path
 
 import pytest
 
 import priorstab
+from priorstab.cli import _build_parser
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = [
     "DecisionProblem",
@@ -59,7 +64,6 @@ NAMES = {
         "REGIME_ORDER",
         "RegimeModel",
         "ReturnPanel",
-        "generic_labels",
         "kmeans_partition",
         "label_regimes",
         "monthly_features",
@@ -111,7 +115,7 @@ def test_kernel_names_are_pinned(module):
 
 def readme_example() -> str:
     """The python block under the README's "Library use" heading."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     section = text[text.index("## Library use"):]
     start = section.index("```python\n") + len("```python\n")
     return section[start:section.index("```", start)]
@@ -140,3 +144,22 @@ def test_readme_example_runs_as_its_comments_say():
         else:
             exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
     assert checked >= 5
+
+
+def test_readme_usage_blocks_match_the_parser():
+    # the flags in the sh block under each "### `priorstab <cmd>`" heading
+    # are the sub-parser's options; --out is documented once, for every command
+    text = README.read_text(encoding="utf-8")
+    documented = {
+        command: set(re.findall(r"--[a-z][a-z-]*", block))
+        for command, block in re.findall(r"^### `priorstab (\w+)`\n\n```sh\n(.*?)```",
+                                         text, re.M | re.S)
+    }
+    commands = next(action.choices for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {command: {flag for action in sub._actions for flag in action.option_strings}
+               for command, sub in commands.items()}
+    assert all("--out" in flags for flags in options.values())
+    assert "Every command takes `--out DIR`" in text
+    assert documented == {command: flags - {"-h", "--help", "--out"}
+                          for command, flags in options.items()}

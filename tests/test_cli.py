@@ -194,7 +194,7 @@ class TestPath:
         code = main(
             [
                 "path", "--utilities", u, "--priors", p, "--costs", c,
-                "--cost-mode", "file", "--out", str(tmp_path),
+                "--out", str(tmp_path),
             ]
         )
         assert code == 0
@@ -215,7 +215,7 @@ class TestPath:
         code = main(
             [
                 "path", "--utilities", u, "--priors", p, "--costs", c,
-                "--cost-mode", "file", "--out", str(tmp_path),
+                "--out", str(tmp_path),
             ]
         )
         assert code == 0
@@ -270,7 +270,7 @@ class TestPath:
         c = write(tmp_path, "c.csv", "act,cost\na,1.0\nzz,0.2\n")
         assert main(
             ["path", "--utilities", u, "--priors", p, "--costs", c,
-             "--cost-mode", "file", "--out", str(tmp_path)]
+             "--out", str(tmp_path)]
         ) == 3
 
     def test_unknown_prior_is_exit_2(self, tmp_path):
@@ -289,8 +289,8 @@ class TestPath:
                                                         costs):
         u = write(tmp_path, "u.csv", utilities)
         p = write(tmp_path, "p.csv", priors)
-        mode = ["--cost-mode", "file", "--costs", write(tmp_path, "c.csv", costs)] if costs else []
-        assert main(["path", "--utilities", u, "--priors", p, *mode, "--out", str(tmp_path)]) == 0
+        given = ["--costs", write(tmp_path, "c.csv", costs)] if costs else []
+        assert main(["path", "--utilities", u, "--priors", p, *given, "--out", str(tmp_path)]) == 0
         with open(tmp_path / "path_lines.csv", newline="") as fh:
             slopes = {row["act"]: row["slope"] for row in csv.DictReader(fh)}
         report = json.loads((tmp_path / "path.json").read_text())
@@ -300,11 +300,34 @@ class TestPath:
             assert slopes[line["act"]] == "0"
             assert line["slope"] == 0.0 and np.copysign(1.0, line["slope"]) == 1.0
 
+    def test_a_table_near_the_float_limit_has_a_path(self, tmp_path):
+        # the squared utilities overflow, yet a variance cost is read only
+        # relative to the largest, so the table has the path of its copy
+        # scaled down by 2**-1000; in a fresh interpreter, so that a numpy
+        # warning would reach stderr
+        rows = [("a0", 8e307, -8e307), ("a1", -8e307, 8e307), ("a2", 3.2e307, 3.2e307)]
+        p = write(tmp_path, "p.csv", "prior,s1,s2\nhalf,0.5,0.5\n")
+        reports = []
+        for scale in (1.0, 2.0**-1000):
+            text = "act,s1,s2\n" + "".join(f"{a},{x * scale!r},{y * scale!r}\n"
+                                             for a, x, y in rows)
+            u = write(tmp_path, f"u{len(reports)}.csv", text)
+            out = tmp_path / f"out{len(reports)}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "priorstab", "path", "--utilities", u, "--priors", p,
+                 "--out", str(out)],
+                capture_output=True, text=True,
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+            reports.append([(out / name).read_text() for name in
+                            ("path_lines.csv", "path_grid.csv", "path_breakpoints.csv")])
+        assert reports[0] == reports[1]
+        assert reports[0][0] == "act,intercept,slope,cost\na0,-1,-1,1\na1,-1,-1,1\na2,1,0,0\n"
+
     def test_portfolio_variance_path_structure(self, tmp_path, schema):
         u = write(tmp_path, "u.csv", portfolio_csv())
         code = main(
-            ["path", "--utilities", u, "--prior", "uniform", "--cost-mode", "variance",
-             "--out", str(tmp_path)]
+            ["path", "--utilities", u, "--prior", "uniform", "--out", str(tmp_path)]
         )
         assert code == 0
         report = json.loads((tmp_path / "path.json").read_text())
@@ -605,6 +628,18 @@ class TestFailureExits:
         assert code == 2
         assert "missing.csv" in err
 
+    def test_an_empty_costs_path_is_read_not_ignored(self, tmp_path, capsys):
+        # --costs alone decides the cost source, so an empty value names a
+        # file to read; falling back to the variance costs would hide it
+        u = write(tmp_path, "u.csv", TOY_UTILITIES)
+        p = write(tmp_path, "p.csv", TOY_PRIORS)
+        code, err = self.run_exit(
+            capsys, ["path", "--utilities", u, "--priors", p, "--costs", "", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "cannot read" in err
+        assert not (tmp_path / "path.json").exists()
+
     def test_out_naming_a_file_is_exit_2(self, tmp_path, capsys):
         u = write(tmp_path, "u.csv", TOY_UTILITIES)
         p = write(tmp_path, "p.csv", TOY_PRIORS)
@@ -670,6 +705,28 @@ class TestFailureExits:
         err = capsys.readouterr().err
         assert err == "internal solver error: act 'b', prior 'ref': final basis is singular\n"
 
+    @pytest.mark.parametrize("broken, message", [
+        # c trails the even mix of a and b by 0.4 in both states; halving
+        # the mix's weights leaves a certificate that fails its own check
+        ("_best_mixtures", "act 'c': certificate weights sum to 0.5, not 1"),
+        ("_largest_safe_radius", "act 'a', prior 'half': radius value must lie in [0, 1], "
+                                 "got -0.5"),
+    ])
+    def test_a_broken_internal_invariant_is_exit_4(self, tmp_path, capsys, monkeypatch,
+                                                   broken, message):
+        # a result that fails its own check inside the profile is a solver
+        # fault (exit 4) that names the act, not malformed input (exit 2)
+        import priorstab.stability as stab
+
+        original = getattr(stab, broken)
+        patched = {"_best_mixtures": lambda gains: 0.5 * original(gains),
+                   "_largest_safe_radius": lambda d, center: -0.5}[broken]
+        monkeypatch.setattr(stab, broken, patched)
+        u = write(tmp_path, "u.csv", "act,s1,s2\na,1,0\nb,0,1\nc,0.1,0.1\n")
+        p = write(tmp_path, "p.csv", "prior,s1,s2\nhalf,0.5,0.5\n")
+        assert main(["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == f"internal solver error: {message}\n"
+
     def test_reports_follow_the_umask(self, tmp_path):
         import os
 
@@ -701,8 +758,8 @@ class TestFailureExits:
         p = write(tmp_path, "p.csv", TOY_PRIORS)
         c = write(tmp_path, "c.csv", f"act,cost\na,0.5\nb,{value}\n")
         code, err = self.run_exit(
-            capsys, ["path", "--utilities", u, "--priors", p, "--cost-mode", "file",
-                     "--costs", c, "--out", str(tmp_path)]
+            capsys, ["path", "--utilities", u, "--priors", p, "--costs", c,
+                     "--out", str(tmp_path)]
         )
         assert code == 2
         assert f"{c}:3: cost must be finite and nonnegative" in err
@@ -720,8 +777,7 @@ class TestFailureExits:
         p = write(tmp_path, "p.csv", TOY_PRIORS)
         w = write(tmp_path, "w.csv", "portfolio,market\nall,1.0\n")
         argv = {
-            "costs": ["path", "--utilities", u, "--priors", p, "--cost-mode", "file",
-                      "--costs", bad],
+            "costs": ["path", "--utilities", u, "--priors", p, "--costs", bad],
             "monthly": ["scenarios", "--monthly", bad, "--weights", w, "--k", "1"],
             "utilities": ["analyze", "--utilities", bad, "--priors", p],
         }[name]
@@ -932,7 +988,7 @@ def fuzz_argv(files, out):
                 *daily, "--k", "2", "--out", out]
     if "costs" in files:
         return ["path", "--utilities", files["utilities"], "--priors", files["priors"],
-                "--prior", "ref", "--cost-mode", "file", "--costs", files["costs"], "--out", out]
+                "--prior", "ref", "--costs", files["costs"], "--out", out]
     return ["analyze", "--utilities", files["utilities"], "--priors", files["priors"],
             "--out", out]
 

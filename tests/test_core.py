@@ -101,7 +101,7 @@ class TestBayesActs:
         def verdicts():
             return (bayes_acts(problem, prior).optimal_acts,
                     tuple(r.act for r in stability_profile(problem, [prior]).rows if r.is_bayes),
-                    gamma_aggregate(problem, prior, 0.1).optimal,
+                    gamma_aggregate(problem, prior, 0.1, 0.5)[0].optimal,
                     rex_score(problem, prior, 0.5).optimal)
 
         assert problem.tie_tol == TIE_TOL

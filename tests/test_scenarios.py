@@ -5,7 +5,6 @@ from priorstab.scenarios import (
     PortfolioBook,
     RegimeModel,
     ReturnPanel,
-    generic_labels,
     kmeans_partition,
     label_regimes,
     monthly_features,
@@ -231,12 +230,9 @@ class TestLabels:
         relabeled = label_regimes(permuted)
         assert [relabeled.labels[c] for c in relabeled.assignment] == names
 
-    def test_requires_four_clusters(self):
+    def test_other_counts_get_index_labels(self):
         model = self.model_with_centroids([[0, 0], [1, 1]])
-        with pytest.raises(ValueError):
-            label_regimes(model)
-        generic = generic_labels(model)
-        assert generic.labels == {0: "regime_1", 1: "regime_2"}
+        assert label_regimes(model).labels == {0: "regime_1", 1: "regime_2"}
 
 
 class TestUtilityMatrix:
@@ -255,7 +251,7 @@ class TestUtilityMatrix:
     def test_single_regime_is_overall_mean(self):
         rng = np.random.default_rng(47)
         returns = rng.normal(0, 0.02, size=(24, 3))
-        model = generic_labels(
+        model = label_regimes(
             RegimeModel(
                 k=1,
                 centroids=np.zeros((1, 2)),

@@ -48,8 +48,8 @@ class TestVarianceCost:
             ("flat", "spread"), ("s1", "s2"), [[0.3, 0.3], [1.0, 0.0]]
         )
         costs = variance_cost(problem)
-        assert costs.normalized("flat") == 0.0
-        assert costs.normalized("spread") == 1.0
+        assert costs.normalized["flat"] == 0.0
+        assert costs.normalized["spread"] == 1.0
 
     def test_portfolio_first_row_value(self, portfolio_problem):
         # oracle: population variance in exact arithmetic
@@ -57,14 +57,16 @@ class TestVarianceCost:
         mean = sum(row) / 4
         exact = float(sum((x - mean) ** 2 for x in row) / 4)
         assert exact == pytest.approx(0.001586, abs=1e-12)
+        # costs are variances of the table scaled by 2**4, which brings its
+        # largest |utility|, 0.059, into [0.5, 1)
         costs = variance_cost(portfolio_problem)
-        assert costs.raw[0] == pytest.approx(0.001586, abs=1e-12)
+        assert costs.raw[0] == pytest.approx(exact * 2.0**8, rel=1e-12)
 
     def test_all_constant_rows(self):
         problem = DecisionProblem(("x", "y"), ("s1", "s2"), [[0.2, 0.2], [0.4, 0.4]])
         costs = variance_cost(problem)
-        assert costs.normalized("x") == 0.0
-        assert costs.normalized("y") == 0.0
+        assert costs.normalized["x"] == 0.0
+        assert costs.normalized["y"] == 0.0
 
     def test_rejects_negative_costs(self):
         with pytest.raises(ValueError):
@@ -287,23 +289,20 @@ class TestSelectionPath:
 
 class TestGammaAggregate:
     def test_zero_radius_equals_expected_utility(self, portfolio_problem, uniform4):
-        for mode, eta in (("minimax", None), ("maximax", None), ("mix", 0.3)):
-            result = gamma_aggregate(portfolio_problem, uniform4, 0.0, mode, eta)
+        for result in gamma_aggregate(portfolio_problem, uniform4, 0.0, 0.3):
             for act in portfolio_problem.acts:
                 assert result.values[act] == expected_utility(portfolio_problem, act, uniform4)
 
     def test_full_band_minimax_is_row_minimum(self, portfolio_problem, uniform4):
-        result = gamma_aggregate(portfolio_problem, uniform4, 1.0, "minimax")
+        result = gamma_aggregate(portfolio_problem, uniform4, 1.0, 0.5)[0]
         for act in portfolio_problem.acts:
             assert result.values[act] == pytest.approx(
                 float(portfolio_problem.row(act).min()), abs=1e-12
             )
 
     def test_mix_endpoints_match_pure_modes(self, portfolio_problem, uniform4):
-        worst = gamma_aggregate(portfolio_problem, uniform4, 0.35, "minimax")
-        best = gamma_aggregate(portfolio_problem, uniform4, 0.35, "maximax")
-        eta1 = gamma_aggregate(portfolio_problem, uniform4, 0.35, "mix", 1.0)
-        eta0 = gamma_aggregate(portfolio_problem, uniform4, 0.35, "mix", 0.0)
+        worst, best, eta1 = gamma_aggregate(portfolio_problem, uniform4, 0.35, 1.0)
+        eta0 = gamma_aggregate(portfolio_problem, uniform4, 0.35, 0.0)[2]
         assert eta1.values == worst.values
         assert eta0.values == best.values
 
@@ -316,30 +315,28 @@ class TestGammaAggregate:
             lowers = []
             uppers = []
             for eps in radii:
-                lowers.append(gamma_aggregate(problem, prior, float(eps), "minimax").values)
-                uppers.append(gamma_aggregate(problem, prior, float(eps), "maximax").values)
+                worst, best, _ = gamma_aggregate(problem, prior, float(eps), 0.5)
+                lowers.append(worst.values)
+                uppers.append(best.values)
             for act in problem.acts:
                 lo_series = [v[act] for v in lowers]
                 hi_series = [v[act] for v in uppers]
                 assert np.all(np.diff(lo_series) <= 1e-12)
                 assert np.all(np.diff(hi_series) >= -1e-12)
 
-    def test_bad_mode_and_eta(self, toy_problem, toy_prior):
-        with pytest.raises(ValueError):
-            gamma_aggregate(toy_problem, toy_prior, 0.1, "median")
-        with pytest.raises(ValueError):
-            gamma_aggregate(toy_problem, toy_prior, 0.1, "mix", 1.5)
-        with pytest.raises(ValueError):
-            gamma_aggregate(toy_problem, toy_prior, 0.1, "mix")
+    def test_bad_eta(self, toy_problem, toy_prior):
+        for eta in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="eta"):
+                gamma_aggregate(toy_problem, toy_prior, 0.1, eta)
 
     def test_rejects_bad_radius(self, toy_problem, toy_prior):
         for radius in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match="radius"):
-                gamma_aggregate(toy_problem, toy_prior, radius)
+                gamma_aggregate(toy_problem, toy_prior, radius, 0.5)
 
     def test_rejects_mismatched_dimension(self, toy_problem):
         with pytest.raises(ValueError, match="dimension"):
-            gamma_aggregate(toy_problem, Prior("p3", [0.2, 0.3, 0.5]), 0.1)
+            gamma_aggregate(toy_problem, Prior("p3", [0.2, 0.3, 0.5]), 0.1, 0.5)
 
 
 class TestRexScore:
@@ -384,10 +381,6 @@ def test_baseline_rankings_do_not_depend_on_the_utility_scale():
     table = np.array([[1.0, 0.0], [1.0005, 0.0], [1.0005, 0.0]])
     for scale in (1e-9, 1.0, 1e6):
         problem = DecisionProblem(("a", "b", "c"), ("s1", "s2"), scale * table)
-        rankings = [
-            gamma_aggregate(problem, uniform, 0.1, "minimax"),
-            gamma_aggregate(problem, uniform, 0.1, "maximax"),
-            gamma_aggregate(problem, uniform, 0.1, "mix", 0.5),
-            rex_score(problem, uniform, 0.5),
-        ]
+        rankings = [*gamma_aggregate(problem, uniform, 0.1, 0.5),
+                    rex_score(problem, uniform, 0.5)]
         assert [r.optimal for r in rankings] == [("b", "c")] * 4, scale
