@@ -9,16 +9,14 @@ from __future__ import annotations
 from importlib import resources
 
 from .core import Prior
-from .io import _rows_from_stream, parse_priors
+from .io import load_priors
 
 __all__ = ["default_catalog"]
-
-_CATALOG_RESOURCE = "default_priors.csv"
 
 
 def default_catalog() -> tuple[tuple[str, ...], list[Prior]]:
     """The packaged eight-prior catalog over the regime states, as
-    ``(states, priors)`` in the shape of `io.load_priors`."""
-    resource = resources.files("priorstab").joinpath("data", _CATALOG_RESOURCE)
-    with resource.open("r", encoding="utf-8") as fh:
-        return parse_priors(_rows_from_stream(fh, _CATALOG_RESOURCE), _CATALOG_RESOURCE)
+    ``(states, priors)``, read by `io.load_priors`."""
+    resource = resources.files("priorstab").joinpath("data", "default_priors.csv")
+    with resources.as_file(resource) as path:
+        return load_priors(path)

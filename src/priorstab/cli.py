@@ -59,52 +59,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"priorstab {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    # options shared by several commands, each declared once
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--utilities", required=True, help="utilities CSV (act,<state>,...)")
+    table.add_argument("--priors",
+                       help="priors CSV (prior,<state>,...); packaged catalog when omitted")
+    prior = argparse.ArgumentParser(add_help=False)
+    prior.add_argument("--prior", help="prior name (may be omitted with a single-prior file)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".", help="output directory (default .)")
 
-    analyze = sub.add_parser(
-        "analyze",
-        help="robustness radius and contamination need for every (act, prior) pair",
-    )
-    analyze.add_argument("--utilities", required=True, help="utilities CSV (act,<state>,...)")
-    analyze.add_argument(
-        "--priors", help="priors CSV (prior,<state>,...); packaged catalog when omitted"
-    )
-    analyze.add_argument("--out", default=".", help="output directory (default .)")
+    analyze = sub.add_parser("analyze", parents=[table, out], help="robustness radius and "
+                             "contamination need for every (act, prior) pair")
     analyze.set_defaults(func=cmd_analyze)
 
-    path = sub.add_parser(
-        "path", help="cost-adjusted selection path over the trade-off weight lambda"
-    )
-    path.add_argument("--utilities", required=True)
-    path.add_argument("--priors", help="priors CSV; packaged catalog when omitted")
-    path.add_argument("--prior", help="prior name (may be omitted with a single-prior file)")
+    path = sub.add_parser("path", parents=[table, prior, out], help="cost-adjusted "
+                          "selection path over the trade-off weight lambda")
     path.add_argument("--costs", help="costs CSV (act,cost); utility-row variances when omitted")
     path.add_argument("--lambda-max", type=float, default=3.0, help="grid endpoint (default 3)")
     path.add_argument("--grid", type=float, default=0.01, help="grid step (default 0.01)")
-    path.add_argument("--out", default=".")
     path.set_defaults(func=cmd_path)
 
-    scen = sub.add_parser(
-        "scenarios", help="build a regime-conditioned utility matrix from return data"
-    )
+    scen = sub.add_parser("scenarios", parents=[out], help="build a regime-conditioned "
+                          "utility matrix from return data")
     scen.add_argument("--monthly", required=True, help="monthly CSV (date,<asset>,...[,market_vol])")
     scen.add_argument("--weights", required=True, help="weights CSV (portfolio,<asset>,...)")
     scen.add_argument("--daily", help="daily CSV (date,<market>) for realized volatility")
     scen.add_argument("--market", help="market asset column (default: first asset)")
     scen.add_argument("--seed", type=int, default=42, help="clustering seed (default 42)")
     scen.add_argument("--k", type=int, default=4, help="number of regimes (default 4)")
-    scen.add_argument("--out", default=".")
     scen.set_defaults(func=cmd_scenarios)
 
-    base = sub.add_parser(
-        "baselines", help="band-envelope and trust-blend rankings for comparison"
-    )
-    base.add_argument("--utilities", required=True)
-    base.add_argument("--priors", help="priors CSV; packaged catalog when omitted")
-    base.add_argument("--prior", help="prior name (may be omitted with a single-prior file)")
+    base = sub.add_parser("baselines", parents=[table, prior, out], help="band-envelope "
+                          "and trust-blend rankings for comparison")
     base.add_argument("--epsilon", type=float, default=0.1, help="band radius (default 0.1)")
     base.add_argument("--eta", type=float, default=0.5, help="pessimism weight (default 0.5)")
     base.add_argument("--mu", type=float, default=0.5, help="trust weight (default 0.5)")
-    base.add_argument("--out", default=".")
     base.set_defaults(func=cmd_baselines)
     return parser
 
@@ -116,7 +106,7 @@ def _in_unit_interval(value: float, flag: str) -> float:
 
 
 def _resolve_priors(priors_arg, problem: DecisionProblem) -> list[Prior]:
-    if priors_arg:
+    if priors_arg is not None:
         states, priors = load_priors(priors_arg)
         source = priors_arg
     else:
@@ -217,10 +207,10 @@ def cmd_path(args) -> int:
     lines = [
         {
             "act": line.act,
-            "intercept": INADMISSIBLE if line.inadmissible else line.intercept,
+            "intercept": INADMISSIBLE if line.intercept == -math.inf else line.intercept,
             "slope": line.slope,
             "cost": costs.normalized[line.act],
-            "inadmissible": line.inadmissible,
+            "inadmissible": line.intercept == -math.inf,
         }
         for line in path.lines
     ]
@@ -264,10 +254,10 @@ def cmd_scenarios(args) -> int:
         raise InputError(f"--k must be at least 1, got {args.k}")
     if args.seed < 0:
         raise InputError(f"--seed must be nonnegative, got {args.seed}")
-    market = args.market if args.market else panel.assets[0]
+    market = panel.assets[0] if args.market is None else args.market
     if market not in panel.assets:
         raise InputError(f"--market {market!r} is not a column of {args.monthly}")
-    if args.daily:
+    if args.daily is not None:
         # beside a market_vol column only the daily file's header is read
         has_vol = panel.volatility is not None
         column, daily = (daily_market(args.daily), None) if has_vol else load_daily(args.daily)

@@ -107,10 +107,6 @@ class Prior:
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "mass", m)
 
-    @property
-    def dimension(self) -> int:
-        return self.mass.size
-
 
 @dataclass(frozen=True)
 class BayesSet:
@@ -124,9 +120,9 @@ class BayesSet:
 
 
 def _check_prior(problem: DecisionProblem, prior: Prior) -> None:
-    if prior.dimension != problem.num_states:
+    if prior.mass.size != problem.num_states:
         raise ValueError(
-            f"prior {prior.name!r} has {prior.dimension} states, "
+            f"prior {prior.name!r} has {prior.mass.size} states, "
             f"problem has {problem.num_states}"
         )
 

@@ -51,26 +51,23 @@ class ConsistencyError(ValueError):
 
 def _read_rows(path):
     """Yield ``(line, cells)`` for each nonblank row of ``path``, one at a time."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            yield from _rows_from_stream(fh, str(path))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _rows_from_stream(stream, source: str):
-    reader = csv.reader(stream)
     empty = True
     try:
-        for lineno, row in enumerate(reader, start=1):
-            cells = [cell.strip() for cell in row]
-            if any(cells):
-                empty = False
-                yield lineno, cells
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            for lineno, row in enumerate(reader, start=1):
+                cells = [cell.strip() for cell in row]
+                if any(cells):
+                    empty = False
+                    yield lineno, cells
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
-        raise InputError(f"{source}:{reader.line_num}: {exc}") from exc
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     if empty:
-        raise InputError(f"{source}: file is empty")
+        raise InputError(f"{path}: file is empty")
 
 
 def _label(source: str, lineno: int, cell: str, what: str) -> str:
@@ -88,9 +85,9 @@ def _number(source: str, lineno: int, cell: str, what: str) -> float:
         raise InputError(f"{source}:{lineno}: {what} {cell!r} is not a number") from None
 
 
-def _read_table(rows, source: str, key: str, what: str, nonnegative: bool = False):
-    """The `key,<what>,...` table of the ``(line, cells)`` iterator ``rows``:
-    (columns, lines, values).
+def _read_table(path, key: str, what: str, nonnegative: bool = False):
+    """The `key,<what>,...` table of the file ``path``:
+    (header line, columns, lines, values).
 
     Column and row labels are identifiers, each unique in the file; ``lines``
     maps each row label to its line, in file order.  Every other cell is a
@@ -99,13 +96,15 @@ def _read_table(rows, source: str, key: str, what: str, nonnegative: bool = Fals
     ``values`` holds them, one row per label.  Rows with empty cells are
     named together.
     """
-    lineno, header = next(rows)
+    source = str(path)
+    rows = _read_rows(path)
+    head, header = next(rows)
     if len(header) < 2 or header[0] != key:
-        raise InputError(f"{source}:{lineno}: header must be '{key},<{what}>,...'")
-    columns = tuple(_label(source, lineno, c, f"{what} name") for c in header[1:])
+        raise InputError(f"{source}:{head}: header must be '{key},<{what}>,...'")
+    columns = tuple(_label(source, head, c, f"{what} name") for c in header[1:])
     if len(set(columns)) != len(columns):
         twice = next(c for i, c in enumerate(columns) if c in columns[:i])
-        raise InputError(f"{source}:{lineno}: duplicate {what} names ({twice!r} twice); "
+        raise InputError(f"{source}:{head}: duplicate {what} names ({twice!r} twice); "
                          f"{what} names must be unique")
     width = len(header)
     lines: dict[str, int] = {}
@@ -144,7 +143,7 @@ def _read_table(rows, source: str, key: str, what: str, nonnegative: bool = Fals
         rule = "finite and nonnegative" if nonnegative else "finite"
         raise InputError(f"{source}:{list(lines.values())[r]}: {columns[c]} must be {rule}, "
                          f"got {float(table[r, c])!r}")
-    return columns, lines, table
+    return head, columns, lines, table
 
 
 def _build(path, lines: dict[str, int], cls, *args, **kwargs):
@@ -159,39 +158,33 @@ def _build(path, lines: dict[str, int], cls, *args, **kwargs):
 
 def load_utilities(path) -> DecisionProblem:
     """`act,<state...>` rows of utilities."""
-    states, lines, utilities = _read_table(_read_rows(path), str(path), "act", "state")
+    _, states, lines, utilities = _read_table(path, "act", "state")
     return _build(path, lines, DecisionProblem, lines, states, utilities)
 
 
 def load_priors(path) -> tuple[tuple[str, ...], list[Prior]]:
     """`prior,<state...>` rows of probability masses; returns (states, priors)."""
-    return parse_priors(_read_rows(path), str(path))
-
-
-def parse_priors(rows, source: str) -> tuple[tuple[str, ...], list[Prior]]:
-    states, lines, masses = _read_table(rows, source, "prior", "state", nonnegative=True)
+    _, states, lines, masses = _read_table(path, "prior", "state", nonnegative=True)
     priors = []
     for (name, lineno), mass in zip(lines.items(), masses):
         try:
             priors.append(Prior(name, mass))
         except ValueError as exc:
-            raise InputError(f"{source}:{lineno}: {exc}") from exc
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
     return states, priors
 
 
 def load_costs(path) -> dict[str, float]:
     """`act,cost` rows of finite nonnegative costs."""
-    columns, lines, costs = _read_table(_read_rows(path), str(path), "act", "cost",
-                                        nonnegative=True)
+    head, columns, lines, costs = _read_table(path, "act", "cost", nonnegative=True)
     if columns != ("cost",):
-        raise InputError(f"{path}:{next(_read_rows(path))[0]}: header must be 'act,cost'")
+        raise InputError(f"{path}:{head}: header must be 'act,cost'")
     return dict(zip(lines, costs[:, 0].tolist()))
 
 
 def load_weights(path) -> PortfolioBook:
     """`portfolio,<asset...>` rows of convex weights."""
-    assets, lines, weights = _read_table(
-        _read_rows(path), str(path), "portfolio", "asset", nonnegative=True)
+    _, assets, lines, weights = _read_table(path, "portfolio", "asset", nonnegative=True)
     return _build(path, lines, PortfolioBook, tuple(lines), assets, weights)
 
 
@@ -201,11 +194,11 @@ def load_monthly(path) -> ReturnPanel:
     A trailing ``market_vol`` column is split off as the panel's precomputed
     volatility series.
     """
-    columns, lines, values = _read_table(_read_rows(path), str(path), "date", "asset")
+    head, columns, lines, values = _read_table(path, "date", "asset")
     has_vol = columns[-1] == "market_vol"
     assets = columns[:-1] if has_vol else columns
     if not assets:
-        raise InputError(f"{path}:{next(_read_rows(path))[0]}: no asset columns")
+        raise InputError(f"{path}:{head}: no asset columns")
     return _build(path, lines, ReturnPanel, tuple(lines), assets, values[:, :len(assets)],
                   volatility=values[:, -1] if has_vol else None)
 
@@ -232,7 +225,7 @@ def daily_market(path) -> str:
 def load_daily(path) -> tuple[str, dict[str, np.ndarray]]:
     """`date,<market>` rows of daily returns, grouped by month."""
     daily_market(path)
-    columns, lines, values = _read_table(_read_rows(path), str(path), "date", "market")
+    _, columns, lines, values = _read_table(path, "date", "market")
     grouped: dict[str, list[float]] = {}
     for day, value in zip(lines, values[:, 0].tolist()):
         if not _is_day(day):

@@ -38,14 +38,13 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "FEASIBILITY_TOL",
     "SolverError",
     "minimize_over_band",
     "start_tableaux",
     "solve_stack",
 ]
 
-FEASIBILITY_TOL = 1e-9  # negative value allowed on a starting basic variable
+_FEASIBILITY_TOL = 1e-9  # negative value allowed on a starting basic variable
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 20_000
 # Consecutive degenerate pivots before Bland's rule takes over.  Beale's
@@ -183,7 +182,7 @@ def solve_stack(tableaux: np.ndarray, bases: np.ndarray, costs: np.ndarray) -> N
     m, n = bases.shape[1], costs.shape[1]
     if T.shape[1:] != (m + 1, n + 1) or len(bases) != len(T) or len(costs) != len(T):
         raise ValueError(f"a stack of {T.shape} tableaux needs bases and costs of its shape")
-    infeasible = (T[:, :m, -1] < -FEASIBILITY_TOL).any(axis=1)
+    infeasible = (T[:, :m, -1] < -_FEASIBILITY_TOL).any(axis=1)
     if infeasible.any():
         raise SolverError("starting basis is infeasible", int(infeasible.argmax()))
     T[:, :m, -1] = np.maximum(T[:, :m, -1], 0.0)

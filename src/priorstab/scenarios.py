@@ -18,7 +18,6 @@ from .core import DecisionProblem
 from .lp import SolverError
 
 __all__ = [
-    "REGIME_ORDER",
     "PortfolioBook",
     "RegimeModel",
     "ReturnPanel",
@@ -29,7 +28,7 @@ __all__ = [
     "utility_matrix",
 ]
 
-REGIME_ORDER = ("Expansion", "Recovery", "Stagnation", "Recession")
+_REGIME_ORDER = ("Expansion", "Recovery", "Stagnation", "Recession")
 
 _MONTH_RE = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")  # not \d, which takes any Unicode digit
 MIN_DAILY_OBS = 5
@@ -85,10 +84,6 @@ class ReturnPanel:
         object.__setattr__(self, "assets", assets)
         object.__setattr__(self, "returns", r)
         object.__setattr__(self, "volatility", vol)
-
-    @property
-    def num_months(self) -> int:
-        return len(self.months)
 
 
 @dataclass(frozen=True)
@@ -147,7 +142,7 @@ def monthly_features(panel: ReturnPanel, market_asset: str) -> np.ndarray:
         return np.column_stack([market, panel.volatility])
     if panel.daily is None:
         raise ValueError("panel has neither a volatility series nor daily returns")
-    vol = np.empty(panel.num_months)
+    vol = np.empty(len(panel.months))
     for i, month in enumerate(panel.months):
         obs = panel.daily.get(month)
         if obs is None or len(obs) == 0:
@@ -171,17 +166,7 @@ class RegimeModel:
     k: int
     centroids: np.ndarray
     assignment: np.ndarray
-    wcss: float
     labels: dict[int, str] | None = None
-
-    def partition(self) -> dict[int, np.ndarray]:
-        return {j: np.flatnonzero(self.assignment == j) for j in range(self.k)}
-
-    def state_order(self) -> tuple[int, ...]:
-        """Cluster indices in reporting order, the order of ``labels``."""
-        if self.labels is None:
-            raise ValueError("model has no labels yet")
-        return tuple(self.labels)
 
 
 def _standardize(features: np.ndarray) -> np.ndarray:
@@ -276,14 +261,14 @@ def kmeans_partition(features: np.ndarray, k: int, seed: int) -> RegimeModel:
         centroids, assignment, wcss = _lloyd(Z, init)
         if best is None or wcss < best[2]:
             best = (centroids, assignment, wcss)
-    centroids, assignment, wcss = best
-    return RegimeModel(k=k, centroids=centroids, assignment=assignment, wcss=wcss)
+    centroids, assignment, _ = best
+    return RegimeModel(k=k, centroids=centroids, assignment=assignment)
 
 
 def label_regimes(model: RegimeModel) -> RegimeModel:
     """Name the clusters, in reporting order.
 
-    Four clusters are named in `REGIME_ORDER` from their standardized
+    Four clusters are named in `_REGIME_ORDER` from their standardized
     (return, volatility) centroids.  Score each centroid by return minus
     volatility: the best is Expansion and the worst Recession; of the middle
     two, the higher return is Recovery and the lower Stagnation.  All ties
@@ -297,7 +282,7 @@ def label_regimes(model: RegimeModel) -> RegimeModel:
     by_score = sorted(range(4), key=lambda j: (-score[j], j))
     middle = sorted(by_score[1:3], key=lambda j: (-model.centroids[j, 0], j))
     order = (by_score[0], *middle, by_score[3])
-    return replace(model, labels=dict(zip(order, REGIME_ORDER)))
+    return replace(model, labels=dict(zip(order, _REGIME_ORDER)))
 
 
 def utility_matrix(returns: np.ndarray, model: RegimeModel, acts) -> DecisionProblem:
@@ -310,15 +295,10 @@ def utility_matrix(returns: np.ndarray, model: RegimeModel, acts) -> DecisionPro
         raise ValueError("returns and regime assignment cover different months")
     if model.labels is None:
         raise ValueError("regime model must be labeled first")
-    order = model.state_order()
-    partition = model.partition()
     columns = []
-    for j in order:
-        members = partition[j]
+    for j, name in model.labels.items():
+        members = np.flatnonzero(model.assignment == j)
         if members.size == 0:
-            raise ValueError(
-                f"regime {model.labels[j]!r} has no months; cannot take a conditional mean"
-            )
+            raise ValueError(f"regime {name!r} has no months; cannot take a conditional mean")
         columns.append(R[members].mean(axis=0))
-    states = tuple(model.labels[j] for j in order)
-    return DecisionProblem(acts, states, np.column_stack(columns))
+    return DecisionProblem(acts, tuple(model.labels.values()), np.column_stack(columns))

@@ -18,7 +18,6 @@ from .lp import minimize_over_band
 from .stability import StabilityProfile
 
 __all__ = [
-    "SCORE_TIE_TOL",
     "CostAssignment",
     "PathSegment",
     "Ranking",
@@ -29,7 +28,7 @@ __all__ = [
     "variance_cost",
 ]
 
-SCORE_TIE_TOL = 1e-12
+_SCORE_TIE_TOL = 1e-12
 _MAX_GRID_POINTS = 1_000_000  # bounds the grid's memory and its evaluation loop
 
 
@@ -39,7 +38,6 @@ class CostAssignment:
     its cost over the largest, or to 0 where every cost is 0."""
 
     acts: tuple[str, ...]
-    raw: np.ndarray
     normalized: dict[str, float]
 
     def __init__(self, acts, raw):
@@ -52,7 +50,6 @@ class CostAssignment:
         den = float(costs.max()) if costs.size else 0.0
         shares = (costs / den).tolist() if den > 0.0 else [0.0] * len(acts)
         object.__setattr__(self, "acts", acts)
-        object.__setattr__(self, "raw", costs)
         object.__setattr__(self, "normalized", dict(zip(acts, shares)))
 
 
@@ -71,12 +68,12 @@ def variance_cost(problem: DecisionProblem) -> CostAssignment:
 
 @dataclass(frozen=True)
 class ScoreLine:
-    """Score of one act as a line in lambda: value = intercept + slope*lambda."""
+    """Score of one act as a line in lambda: value = intercept + slope*lambda;
+    a strictly inadmissible act's intercept is -inf."""
 
     act: str
     intercept: float
     slope: float
-    inadmissible: bool
 
     def at(self, lam: float) -> float:
         return self.intercept + self.slope * lam
@@ -90,7 +87,7 @@ def score_lines(
     The stability intercept is the radius normalized by the largest radius
     among the optimal acts, or minus the need normalized by the largest
     finite need; an empty or zero denominator makes the term 0.  Strictly
-    inadmissible acts are flagged and score -inf at every lambda.
+    inadmissible acts score -inf at every lambda.
     """
     rows = profile.for_prior(prior)
     if set(costs.acts) != set(r.act for r in rows):
@@ -103,14 +100,14 @@ def score_lines(
     lines = []
     for r in rows:
         if r.need.epsilon is None:
-            lines.append(ScoreLine(r.act, -np.inf, 0.0, inadmissible=True))
+            lines.append(ScoreLine(r.act, -np.inf, 0.0))
             continue
         if r.is_bayes:
             intercept = r.radius.epsilon / rob_den if rob_den > 0.0 else 0.0
         else:
             intercept = -(r.need.epsilon / con_den) if con_den > 0.0 else 0.0
         # 0.0 - cost, not -cost, so that a zero cost gives slope 0.0 and not -0.0
-        lines.append(ScoreLine(r.act, intercept, 0.0 - costs.normalized[r.act], False))
+        lines.append(ScoreLine(r.act, intercept, 0.0 - costs.normalized[r.act]))
     return tuple(lines)
 
 
@@ -136,7 +133,7 @@ def _canonical_winner(lines, lam: float, act_order) -> str:
     values = {line.act: line.at(lam) for line in lines}
     best = max(values.values())
     for act in act_order:
-        if act in values and values[act] >= best - SCORE_TIE_TOL:
+        if act in values and values[act] >= best - _SCORE_TIE_TOL:
             return act
     raise ValueError("no finite score on the path")  # pragma: no cover
 
@@ -168,7 +165,7 @@ def selection_path(
         )
     n_steps = int(np.floor(steps))
     all_lines = score_lines(profile, costs, prior)
-    lines = [line for line in all_lines if not line.inadmissible]
+    lines = [line for line in all_lines if line.intercept > -np.inf]
     if not lines:
         raise ValueError("all acts are strictly inadmissible; no path exists")
     act_order = [r.act for r in profile.for_prior(prior)]

@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 from priorstab import DecisionProblem, Prior
 from priorstab.core import TIE_TOL
 from priorstab.lp import minimize_over_band, solve_stack, start_tableaux
-from priorstab.selection import SCORE_TIE_TOL, score_lines
+from priorstab.selection import _SCORE_TIE_TOL, score_lines
 from priorstab.stability import Radius
 
 # Tight tolerances for scipy's HiGHS, used as an independent LP oracle.
@@ -259,7 +259,7 @@ def optimal_acts(scores):
     if not finite:
         raise ValueError("all acts are strictly inadmissible; no score is finite")
     best = max(s.value for s in finite)
-    return tuple(s.act for s in finite if s.value >= best - SCORE_TIE_TOL)
+    return tuple(s.act for s in finite if s.value >= best - _SCORE_TIE_TOL)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """The public surface: every module's ``__all__`` resolves, and the names of
 the package and of every module are pinned, so a name cannot go stale or
-regrow unnoticed.  The package exports what the README's library example
+regrow unnoticed.  Each exported function or constant is read outside its
+module.  The package exports what the README's library example
 imports, and that example runs and prints what its comments say."""
 
 import argparse
@@ -16,7 +17,8 @@ import pytest
 import priorstab
 from priorstab.cli import _build_parser
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 PUBLIC = [
     "DecisionProblem",
@@ -53,7 +55,6 @@ NAMES = {
         "write_reports",
     ],
     "lp": [
-        "FEASIBILITY_TOL",
         "SolverError",
         "minimize_over_band",
         "solve_stack",
@@ -61,7 +62,6 @@ NAMES = {
     ],
     "scenarios": [
         "PortfolioBook",
-        "REGIME_ORDER",
         "RegimeModel",
         "ReturnPanel",
         "kmeans_partition",
@@ -74,7 +74,6 @@ NAMES = {
         "CostAssignment",
         "PathSegment",
         "Ranking",
-        "SCORE_TIE_TOL",
         "SelectionPath",
         "gamma_aggregate",
         "rex_score",
@@ -111,6 +110,21 @@ def test_package_names_are_pinned():
 @pytest.mark.parametrize("module", sorted(NAMES))
 def test_kernel_names_are_pinned(module):
     assert sorted(importlib.import_module(f"priorstab.{module}").__all__) == NAMES[module]
+
+
+@pytest.mark.parametrize("module", sorted(NAMES))
+def test_every_exported_function_and_constant_has_an_outside_reader(module):
+    # a reader is another package module, the README or a bench script;
+    # classes are exempt, as the README imports result types from their modules
+    package = Path(priorstab.__file__).parent
+    sources = [p for p in package.glob("*.py") if p.stem != module]
+    sources += [p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in [README, *sources])
+    exported = importlib.import_module(f"priorstab.{module}")
+    unread = [name for name in exported.__all__
+              if not isinstance(getattr(exported, name), type)
+              and not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert unread == []
 
 
 def readme_example() -> str:

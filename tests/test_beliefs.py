@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from priorstab.beliefs import default_catalog
-from priorstab.scenarios import REGIME_ORDER
+from priorstab.scenarios import _REGIME_ORDER
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,7 @@ def prior_named(priors, name):
 
 def test_eight_entries_in_order(states, priors):
     assert tuple(p.name for p in priors) == tuple(EXPECTED_MASSES)
-    assert states == REGIME_ORDER
+    assert states == _REGIME_ORDER
 
 
 def test_documented_masses(priors):

@@ -640,6 +640,52 @@ class TestFailureExits:
         assert "cannot read" in err
         assert not (tmp_path / "path.json").exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "path", "baselines"])
+    def test_an_empty_priors_path_is_read_not_ignored(self, tmp_path, capsys, command):
+        # the table is over the catalog's states, so falling back to the
+        # packaged catalog would run to exit 0 and hide the empty flag
+        u = write(tmp_path, "u.csv", portfolio_csv())
+        argv = [command, "--utilities", u, "--priors", "", "--out", str(tmp_path)]
+        if command != "analyze":
+            argv += ["--prior", "uniform"]
+        code, err = self.run_exit(capsys, argv)
+        assert code == 2
+        assert "cannot read" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "u.csv"]
+
+    @pytest.mark.parametrize("monthly", [
+        "date,market\n2020-01,0.02\n2020-02,0.01\n",
+        # beside a market_vol column the daily header is still read
+        "date,market,market_vol\n2020-01,0.02,0.01\n2020-02,0.01,0.02\n",
+    ])
+    def test_an_empty_daily_path_is_read_not_ignored(self, tmp_path, capsys, monthly):
+        m = write(tmp_path, "monthly.csv", monthly)
+        w = write(tmp_path, "weights.csv", "portfolio,market\nall,1.0\n")
+        code, err = self.run_exit(capsys, ["scenarios", "--monthly", m, "--weights", w,
+                                           "--daily", "", "--k", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "cannot read" in err
+
+    def test_an_empty_market_is_not_a_column(self, tmp_path, capsys):
+        m = write(tmp_path, "monthly.csv", "date,market,market_vol\n2020-01,0.02,0.01\n")
+        w = write(tmp_path, "weights.csv", "portfolio,market\nall,1.0\n")
+        code, err = self.run_exit(capsys, ["scenarios", "--monthly", m, "--weights", w,
+                                           "--market", "", "--k", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"--market '' is not a column of {m}" in err
+
+    @pytest.mark.parametrize("broken", ["u.csv", "p.csv"])
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, capsys, broken):
+        u = write(tmp_path, "u.csv", TOY_UTILITIES)
+        p = write(tmp_path, "p.csv", TOY_PRIORS)
+        with open(tmp_path / broken, "ab") as fh:
+            fh.write(b"c,\xff,0.0\n")
+        code, err = self.run_exit(
+            capsys, ["analyze", "--utilities", u, "--priors", p, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / broken}: 'utf-8' codec can't decode byte 0xff")
+
     def test_out_naming_a_file_is_exit_2(self, tmp_path, capsys):
         u = write(tmp_path, "u.csv", TOY_UTILITIES)
         p = write(tmp_path, "p.csv", TOY_PRIORS)

@@ -166,7 +166,7 @@ class TestValidation:
         p = Prior("p", raw)
         rebuilt = Prior(p.name, p.mass)
         assert rebuilt.mass.tobytes() == p.mass.tobytes()
-        assert abs(p.mass.sum() - 1.0) <= p.dimension * np.finfo(float).eps
+        assert abs(p.mass.sum() - 1.0) <= p.mass.size * np.finfo(float).eps
 
     def test_prior_owns_its_mass(self):
         raw = np.array([0.25, 0.75])

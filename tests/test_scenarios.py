@@ -164,13 +164,12 @@ class TestKmeans:
         two = kmeans_partition(points, k=3, seed=11)
         assert np.array_equal(one.assignment, two.assignment)
         assert np.array_equal(one.centroids, two.centroids)
-        assert one.wcss == two.wcss
 
     def test_partition_is_exhaustive_and_disjoint(self):
         rng = np.random.default_rng(46)
         points = rng.normal(0, 1, size=(50, 2))
         model = kmeans_partition(points, k=4, seed=3)
-        parts = model.partition()
+        parts = {j: np.flatnonzero(model.assignment == j) for j in range(4)}
         indices = np.concatenate([parts[j] for j in range(4)])
         assert sorted(indices.tolist()) == list(range(50))
 
@@ -194,7 +193,6 @@ class TestLabels:
             k=k,
             centroids=cents,
             assignment=np.arange(k),
-            wcss=0.0,
         )
 
     def test_reference_layout(self):
@@ -225,7 +223,6 @@ class TestLabels:
             k=4,
             centroids=cents[perm],
             assignment=np.array([perm.index(c) for c in model.assignment]),
-            wcss=0.0,
         )
         relabeled = label_regimes(permuted)
         assert [relabeled.labels[c] for c in relabeled.assignment] == names
@@ -242,7 +239,6 @@ class TestUtilityMatrix:
             k=4,
             centroids=np.array([[3, -1], [1, 0], [-1, 0], [-3, 1]], float),
             assignment=np.array([0, 1, 2, 3]),
-            wcss=0.0,
         )
         problem = utility_matrix(returns, label_regimes(model), ("only",))
         assert problem.states == ("Expansion", "Recovery", "Stagnation", "Recession")
@@ -256,7 +252,6 @@ class TestUtilityMatrix:
                 k=1,
                 centroids=np.zeros((1, 2)),
                 assignment=np.zeros(24, dtype=int),
-                wcss=0.0,
             )
         )
         problem = utility_matrix(returns, model, ("x", "y", "z"))
@@ -274,12 +269,11 @@ class TestUtilityMatrix:
                 k=4,
                 centroids=np.array([[2, -1], [1, 0], [-1, 0], [-2, 1]], float),
                 assignment=assignment,
-                wcss=0.0,
             )
         )
         problem = utility_matrix(returns, model, ("x", "y", "z"))
         # independent group-by: plain python accumulation
-        for j, state in zip(model.state_order(), problem.states):
+        for j, state in zip(model.labels, problem.states):
             members = [t for t in range(40) if assignment[t] == j]
             for i in range(3):
                 mean = sum(returns[t, i] for t in members) / len(members)
@@ -298,7 +292,6 @@ class TestUtilityMatrix:
                 k=4,
                 centroids=np.array([[2, -1], [1, 0], [-1, 0], [-2, 1]], float),
                 assignment=assignment,
-                wcss=0.0,
             )
         )
         problem = utility_matrix(returns, model, ("x", "y"))
@@ -306,7 +299,7 @@ class TestUtilityMatrix:
         for i, act in enumerate(problem.acts):
             total = sum(
                 sizes[j] * problem.utilities[i, k]
-                for k, j in enumerate(model.state_order())
+                for k, j in enumerate(model.labels)
             )
             assert total == pytest.approx(returns[:, i].sum(), abs=1e-9)
 
@@ -316,7 +309,6 @@ class TestUtilityMatrix:
                 k=4,
                 centroids=np.array([[2, -1], [1, 0], [-1, 0], [-2, 1]], float),
                 assignment=np.zeros(6, dtype=int),
-                wcss=0.0,
             )
         )
         with pytest.raises(ValueError):
@@ -324,7 +316,7 @@ class TestUtilityMatrix:
 
     def test_unlabeled_model_rejected(self):
         model = RegimeModel(
-            k=1, centroids=np.zeros((1, 2)), assignment=np.zeros(5, dtype=int), wcss=0.0
+            k=1, centroids=np.zeros((1, 2)), assignment=np.zeros(5, dtype=int)
         )
         with pytest.raises(ValueError):
             utility_matrix(np.zeros((5, 1)), model, ("x",))

@@ -52,15 +52,19 @@ class TestVarianceCost:
         assert costs.normalized["spread"] == 1.0
 
     def test_portfolio_first_row_value(self, portfolio_problem):
-        # oracle: population variance in exact arithmetic
-        row = [Fraction(x).limit_denominator(10**6) for x in (0.021, 0.059, -0.011, -0.049)]
-        mean = sum(row) / 4
-        exact = float(sum((x - mean) ** 2 for x in row) / 4)
-        assert exact == pytest.approx(0.001586, abs=1e-12)
-        # costs are variances of the table scaled by 2**4, which brings its
-        # largest |utility|, 0.059, into [0.5, 1)
+        # oracle: population variances in exact arithmetic
+        variances = []
+        for values in PORTFOLIO_UTILITIES.tolist():
+            row = [Fraction(x).limit_denominator(10**6) for x in values]
+            mean = sum(row) / 4
+            variances.append(sum((x - mean) ** 2 for x in row) / 4)
+        assert float(variances[0]) == pytest.approx(0.001586, abs=1e-12)
+        # each normalized cost is the act's variance over the largest
         costs = variance_cost(portfolio_problem)
-        assert costs.raw[0] == pytest.approx(exact * 2.0**8, rel=1e-12)
+        for act, variance in zip(portfolio_problem.acts, variances):
+            assert costs.normalized[act] == pytest.approx(
+                float(variance / max(variances)), rel=1e-12
+            )
 
     def test_all_constant_rows(self):
         problem = DecisionProblem(("x", "y"), ("s1", "s2"), [[0.2, 0.2], [0.4, 0.4]])
@@ -216,7 +220,7 @@ class TestSelectionPath:
             except ValueError:
                 assert all(r.need.epsilon is None for r in rows)
                 continue
-            lines = {l.act: l for l in path.lines if not l.inadmissible}
+            lines = {l.act: l for l in path.lines if l.intercept > -np.inf}
             for lam in path.lambda_grid:
                 if any(abs(lam - b) <= 1e-9 for b in path.breakpoints):
                     continue
