@@ -292,7 +292,7 @@ def cmd_scenarios(args) -> int:
             ["act", *problem.states], [(act, *problem.row(act)) for act in problem.acts]
         ),
     })
-    sizes = {model.labels[j]: int((model.assignment == j).sum()) for j in range(model.k)}
+    sizes = {name: int((model.assignment == j).sum()) for j, name in model.labels.items()}
     print("regime sizes: " + ", ".join(f"{name}={sizes[name]}" for name in problem.states))
     print(f"wrote regimes.csv and utilities.csv to {args.out}")
     return 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -12,7 +13,6 @@ __all__ = [
     "DecisionProblem",
     "Prior",
     "bayes_acts",
-    "expected_utility",
 ]
 
 TIE_TOL = 1e-12  # expected-utility gap, per unit of utility range, counted as a tie
@@ -57,6 +57,14 @@ class DecisionProblem:
         """The expected-utility gap counted as a tie: ``TIE_TOL`` times the
         utility range, so no tie changes under a positive affine rescaling."""
         return TIE_TOL * (self.utilities.max() - self.utilities.min())
+
+    @cached_property
+    def _unit(self) -> tuple[DecisionProblem, int]:
+        """The problem scaled by 2^-e, the power of two that brings its largest
+        |utility| into [0.5, 1), and e: exact away from underflow and overflow,
+        so a table of subnormal or huge utilities computes as a unit one does."""
+        e = int(np.frexp(np.abs(self.utilities).max())[1])
+        return DecisionProblem(self.acts, self.states, np.ldexp(self.utilities, -e)), e
 
     @property
     def num_acts(self) -> int:
@@ -119,28 +127,19 @@ class BayesSet:
         return act in self.optimal_acts
 
 
-def _check_prior(problem: DecisionProblem, prior: Prior) -> None:
+def bayes_acts(problem: DecisionProblem, prior: Prior) -> BayesSet:
+    """Acts within `DecisionProblem.tie_tol` of the maximal expected utility,
+    decided at the problem's unit scale (`DecisionProblem._unit`)."""
     if prior.mass.size != problem.num_states:
         raise ValueError(
             f"prior {prior.name!r} has {prior.mass.size} states, "
             f"problem has {problem.num_states}"
         )
-
-
-def expected_utility(problem: DecisionProblem, act: str, prior: Prior) -> float:
-    """E_pi[u_act] = sum_j pi_j u(act, theta_j)."""
-    _check_prior(problem, prior)
-    return float(prior.mass @ problem.row(act))
-
-
-def bayes_acts(problem: DecisionProblem, prior: Prior) -> BayesSet:
-    """Acts within `DecisionProblem.tie_tol` of the maximal expected utility."""
-    _check_prior(problem, prior)
-    values = problem.utilities @ prior.mass
-    floor = values.max() - problem.tie_tol
+    unit, e = problem._unit
+    values = unit.utilities @ prior.mass
+    floor = values.max() - unit.tie_tol
     members = tuple(act for act, v in zip(problem.acts, values) if v >= floor)
     return BayesSet(
         optimal_acts=members,
-        expected_utilities={act: float(v) for act, v in zip(problem.acts, values)},
+        expected_utilities=dict(zip(problem.acts, np.ldexp(values, e).tolist())),
     )
-

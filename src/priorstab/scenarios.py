@@ -163,7 +163,6 @@ class RegimeModel:
     """A k-means partition of months in standardized feature space;
     ``labels`` maps each cluster index to its name, in reporting order."""
 
-    k: int
     centroids: np.ndarray
     assignment: np.ndarray
     labels: dict[int, str] | None = None
@@ -262,7 +261,7 @@ def kmeans_partition(features: np.ndarray, k: int, seed: int) -> RegimeModel:
         if best is None or wcss < best[2]:
             best = (centroids, assignment, wcss)
     centroids, assignment, _ = best
-    return RegimeModel(k=k, centroids=centroids, assignment=assignment)
+    return RegimeModel(centroids=centroids, assignment=assignment)
 
 
 def label_regimes(model: RegimeModel) -> RegimeModel:
@@ -276,8 +275,8 @@ def label_regimes(model: RegimeModel) -> RegimeModel:
     and invariant to centroid order.  Any other count is named by index,
     regime_1 to regime_k.
     """
-    if model.k != 4:
-        return replace(model, labels={j: f"regime_{j + 1}" for j in range(model.k)})
+    if len(model.centroids) != 4:
+        return replace(model, labels={j: f"regime_{j + 1}" for j in range(len(model.centroids))})
     score = model.centroids[:, 0] - model.centroids[:, 1]
     by_score = sorted(range(4), key=lambda j: (-score[j], j))
     middle = sorted(by_score[1:3], key=lambda j: (-model.centroids[j, 0], j))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DecisionProblem, Prior, expected_utility
+from .core import DecisionProblem, Prior, bayes_acts
 from .lp import minimize_over_band
 from .stability import StabilityProfile
 
@@ -34,10 +34,9 @@ _MAX_GRID_POINTS = 1_000_000  # bounds the grid's memory and its evaluation loop
 
 @dataclass(frozen=True)
 class CostAssignment:
-    """Nonnegative per-act selection costs; ``normalized`` maps each act to
-    its cost over the largest, or to 0 where every cost is 0."""
+    """Nonnegative per-act selection costs; ``normalized`` maps each act, in
+    order, to its cost over the largest, or to 0 where every cost is 0."""
 
-    acts: tuple[str, ...]
     normalized: dict[str, float]
 
     def __init__(self, acts, raw):
@@ -49,21 +48,17 @@ class CostAssignment:
             raise ValueError("costs must be finite and nonnegative")
         den = float(costs.max()) if costs.size else 0.0
         shares = (costs / den).tolist() if den > 0.0 else [0.0] * len(acts)
-        object.__setattr__(self, "acts", acts)
         object.__setattr__(self, "normalized", dict(zip(acts, shares)))
 
 
 def variance_cost(problem: DecisionProblem) -> CostAssignment:
     """Population variance of each utility row, as the act's selection cost.
 
-    The rows are first scaled by the power of two that brings the largest
-    |utility| into [0.5, 1): exact, so the normalized costs are those of the
-    table as given, and the squares can neither overflow nor underflow on
-    account of the table's magnitude.
+    The rows are taken at the problem's unit scale (`DecisionProblem._unit`),
+    which is exact: the normalized costs are the table's own, and no square
+    overflows or underflows on account of the table's magnitude.
     """
-    u = problem.utilities
-    scaled = np.ldexp(u, -np.frexp(np.abs(u).max())[1])
-    return CostAssignment(problem.acts, scaled.var(axis=1))
+    return CostAssignment(problem.acts, problem._unit[0].utilities.var(axis=1))
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,7 @@ def score_lines(
     inadmissible acts score -inf at every lambda.
     """
     rows = profile.for_prior(prior)
-    if set(costs.acts) != set(r.act for r in rows):
+    if set(costs.normalized) != set(r.act for r in rows):
         raise ValueError("cost assignment does not cover the profile's acts")
     rob_values = [r.radius.epsilon for r in rows if r.is_bayes]
     rob_den = max(rob_values) if rob_values else 0.0
@@ -262,9 +257,8 @@ def rex_score(problem: DecisionProblem, prior: Prior, mu: float) -> Ranking:
     """mu-weighted mix of expected utility and the act's worst-state utility."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu!r}")
-    values = {}
-    for act in problem.acts:
-        eu = expected_utility(problem, act, prior)
-        floor = float(problem.row(act).min())
-        values[act] = mu * eu + (1.0 - mu) * floor
+    values = {
+        act: mu * eu + (1.0 - mu) * float(problem.row(act).min())
+        for act, eu in bayes_acts(problem, prior).expected_utilities.items()
+    }
     return _ranking(problem, values)

@@ -15,6 +15,8 @@ act, in one stack of certificate programs, and solves the need programs of
 all its acts together (`_solve_needs`).  Both run in `lp.solve_stack` on
 arrays built straight from the table, started off the degenerate all-slack
 vertex, and both read their optimum off the final basis alone (`_off_bases`).
+Every radius, need and certificate is computed on the table at its unit
+scale (`DecisionProblem._unit`), so none depends on the table's magnitude.
 """
 
 from __future__ import annotations
@@ -149,8 +151,8 @@ def robustness_radius(
     """
     if a not in (bayes_acts(problem, prior) if bayes is None else bayes):
         return Radius(None)
-    u = problem.utilities
-    diffs = u[problem.act_index(a)] - u + problem.tie_tol
+    unit = problem._unit[0]
+    diffs = unit.utilities[problem.act_index(a)] - unit.utilities + unit.tie_tol
     diffs = diffs[(diffs < 0.0).any(axis=1)]  # a's own row is tau >= 0
     h = problem.num_states // 2
     bounds = []
@@ -169,7 +171,7 @@ def robustness_radius(
 
 
 def _best_mixtures(gains: np.ndarray) -> np.ndarray:
-    """Per (competitors, states) block of unit-scale gains, the weights of
+    """Per (competitors, states) block of gains of unit max-norm, the weights of
     the mixture of its rows whose smallest entry is largest, for all blocks
     in one stack; that entry is the value of the matrix game.
 
@@ -201,31 +203,33 @@ def _best_mixtures(gains: np.ndarray) -> np.ndarray:
 
 
 def _dominating_mixtures(problem: DecisionProblem, acts):
-    """Per act of ``acts``: its competitors' gains u(b, .) - u(act, .), and
-    the best mixture of them (`_best_mixtures`), found on the scale of the
-    act's largest gain so that pivots are well sized."""
-    gains = -_dominance_rows(problem.utilities, [problem.act_index(act) for act in acts])
+    """Per act of ``acts``: its competitors' gains u(b, .) - u(act, .) at the
+    problem's unit scale, and their best mixture (`_best_mixtures`), found on
+    the scale of the act's largest gain so that pivots are well sized."""
+    gains = -_dominance_rows(problem._unit[0].utilities, [problem.act_index(a) for a in acts])
     scale = np.abs(gains).max(axis=(1, 2), keepdims=True)
     return gains, _best_mixtures(gains / np.where(scale > 0.0, scale, 1.0))
 
 
-def _certificate(problem: DecisionProblem, act: str, gains, weights, tol: float):
+def _certificate(problem: DecisionProblem, act: str, gains, weights):
     """The mixture ``weights`` of ``act``'s competitors, whose gains over it
-    are ``gains``, as its certificate, where the mixture's smallest gain
-    exceeds the tie tolerance ``tol``.
+    at the problem's unit scale are ``gains`` (`_dominating_mixtures`), as
+    its certificate, where the mixture's smallest gain exceeds the tie
+    tolerance tau at that scale; its margins are in utility units.
 
     An act is Bayes at a prior by `bayes_acts`' rule when no competitor's
-    expected gain exceeds ``tol`` there, and by the minimax theorem some
-    prior does that exactly when no mixture gains more than ``tol`` in every
-    state (von Neumann; Berger 1985, ch. 5).  So ``None`` means the act is
-    Bayes somewhere, and its need programs, loosened by ``tol``, are bounded.
+    expected gain exceeds tau there, and by the minimax theorem some prior
+    does that exactly when no mixture gains more than tau in every state
+    (von Neumann; Berger 1985, ch. 5).  So ``None`` means the act is Bayes
+    somewhere, and its need programs, loosened by tau, are bounded.
     """
+    unit, e = problem._unit
     margins = weights @ gains
-    if margins.min() <= tol:
+    if margins.min() <= unit.tie_tol:
         return None
     others = [b for b in problem.acts if b != act]
     return DominanceCertificate(
-        weights={b: float(w) for b, w in zip(others, weights)}, margins=margins
+        weights={b: float(w) for b, w in zip(others, weights)}, margins=np.ldexp(margins, e)
     )
 
 
@@ -321,19 +325,11 @@ def _off_bases(A: np.ndarray, b: np.ndarray, at: np.ndarray, costs, bases):
     return np.matmul(costs[rows, bases][:, None, :], x)[:, 0, 0], point
 
 
-def _needs_off_bases(A: np.ndarray, b: np.ndarray, at: np.ndarray, costs, bases) -> list[Need]:
-    """The needs at optimal bases of need programs (`_off_bases`)."""
-    # The optimum is a distance between simplex points, so it lies in
-    # [0, 1]; rounding can land it an ulp outside.  0.0 comes first, so a
-    # need of -0.0 reads as 0.0.
-    values = _off_bases(A, b, at, costs, bases)[0]
-    return [Need(min(max(0.0, -value), 1.0)) for value in values.tolist()]
-
-
 def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
-    """The needs of the (act, prior index) pairs ``pending``, keyed by pair;
-    ``tol`` is the tie tolerance of the Bayes sets, every pending act must
-    be Bayes somewhere (`_certificate`) and none at its prior.
+    """The needs of the (act, prior index) pairs ``pending``, keyed by pair,
+    on a table at unit scale; ``tol`` is the Bayes sets' tie tolerance at
+    that scale, every pending act must be Bayes somewhere (`_certificate`)
+    and none at its prior.
 
     The need programs of the pending acts are built as one block of
     constraints (`_need_block`), loosened by ``tol`` in each member's cost
@@ -346,7 +342,7 @@ def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
     the new prior's cost row.  Restarts are cut into stacks of
     ``_RESTART_CHUNK`` members, so memory stays bounded however many priors
     there are.  The needs of a stack are read off their members' final bases
-    (`_needs_off_bases`).  An act Bayes somewhere has a feasible loosened
+    (`_off_bases`).  An act Bayes somewhere has a feasible loosened
     primal, so an unbounded member is a solver fault; failures are raised
     with the act and prior at fault attached.
     """
@@ -370,10 +366,14 @@ def _solve_needs(problem: DecisionProblem, pending, priors, tol: float) -> dict:
         member_costs[:, w:w + norms.shape[1]] = tol / norms[at]
         try:
             solve_stack(T, bases, member_costs)
-            needs.update(zip(members, _needs_off_bases(A, b, at, member_costs, bases)))
+            values = _off_bases(A, b, at, member_costs, bases)[0]
         except SolverError as exc:
             act, j = members[exc.member]
             raise SolverError(f"act {act!r}, prior {priors[j].name!r}: {exc}") from exc
+        # The optimum is a distance between simplex points, so it lies in
+        # [0, 1]; rounding can land it an ulp outside.  0.0 comes first, so a
+        # need of -0.0 reads as 0.0.
+        needs.update(zip(members, (Need(min(max(0.0, -v), 1.0)) for v in values.tolist())))
 
     T, bases = start_tableaux(A, b, start)
     run(list(cold.values()), T, bases)
@@ -395,12 +395,12 @@ def contamination_need(problem: DecisionProblem, a: str, prior: Prior) -> Need:
     """
     if a in bayes_acts(problem, prior):
         return Need(0.0)
-    tol = problem.tie_tol
     (gains,), (weights,) = _dominating_mixtures(problem, [a])
-    certificate = _certificate(problem, a, gains, weights, tol)
+    certificate = _certificate(problem, a, gains, weights)
     if certificate is not None:
         return Need(None, certificate)
-    return _solve_needs(problem, [(a, 0)], [prior], tol)[a, 0]
+    unit = problem._unit[0]
+    return _solve_needs(unit, [(a, 0)], [prior], unit.tie_tol)[a, 0]
 
 
 @dataclass(frozen=True)
@@ -453,7 +453,6 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
     if len(set(names)) != len(names):
         raise ValueError("prior names must be unique within a profile")
     bsets = [bayes_acts(problem, prior) for prior in priors]
-    tol = problem.tie_tol  # the Bayes sets' tie tolerance
     optimal_somewhere = {act for bset in bsets for act in bset.optimal_acts}
     optimal_somewhere.update(_bayes_at_probes(problem))
     certificates = dict.fromkeys(problem.acts)
@@ -465,16 +464,17 @@ def stability_profile(problem: DecisionProblem, priors) -> StabilityProfile:
             raise SolverError(f"act {unwitnessed[exc.member]!r}: {exc}") from exc
         for act, gains, weights in zip(unwitnessed, *mixtures):
             try:
-                certificates[act] = _certificate(problem, act, gains, weights, tol)
+                certificates[act] = _certificate(problem, act, gains, weights)
             except ValueError as exc:
                 raise SolverError(f"act {act!r}: {exc}") from exc
     kept = [i for i, act in enumerate(problem.acts) if certificates[act] is None]
+    unit = problem._unit[0]
     undominated = DecisionProblem(
-        [problem.acts[i] for i in kept], problem.states, problem.utilities[kept]
+        [problem.acts[i] for i in kept], problem.states, unit.utilities[kept]
     )
     pending = [(act, j) for j, bset in enumerate(bsets) for act in undominated.acts
                if act not in bset]
-    needs = _solve_needs(undominated, pending, priors, tol)
+    needs = _solve_needs(undominated, pending, priors, unit.tie_tol)
     rows = []
     for j, (prior, bset) in enumerate(zip(priors, bsets)):
         for act in problem.acts:

@@ -175,6 +175,11 @@ def affine_transform(problem, scale, shift):
     return DecisionProblem(problem.acts, problem.states, scale * problem.utilities + shift)
 
 
+def expected_utility(problem, act, prior):
+    """E_pi[u_act], one row at a time: the oracle for expected utilities."""
+    return float(prior.mass @ problem.row(act))
+
+
 def pairwise_margin(problem, a, b, prior, epsilon):
     """Worst advantage of ``a`` over ``b`` across the band of radius epsilon."""
     if a == b:

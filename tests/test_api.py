@@ -35,7 +35,7 @@ PUBLIC = [
 NAMES = {
     "beliefs": ["default_catalog"],
     "cli": ["main", "run"],
-    "core": ["BayesSet", "DecisionProblem", "Prior", "TIE_TOL", "bayes_acts", "expected_utility"],
+    "core": ["BayesSet", "DecisionProblem", "Prior", "TIE_TOL", "bayes_acts"],
     "io": [
         "ConsistencyError",
         "INADMISSIBLE",

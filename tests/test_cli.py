@@ -11,7 +11,6 @@ import pytest
 
 from priorstab import DecisionProblem, Prior
 from priorstab.cli import main
-from priorstab.core import expected_utility
 
 from conftest import (
     PLANTED_WEIGHTS_CSV,
@@ -19,6 +18,7 @@ from conftest import (
     PORTFOLIO_UTILITIES,
     REGIME_STATES,
     build_planted_panel,
+    expected_utility,
     planted_monthly_csv,
 )
 

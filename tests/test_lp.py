@@ -482,13 +482,17 @@ class TestPivotPath:
         import priorstab.stability as stab
 
         stacks = []
-        read_off = stab._needs_off_bases
+        read_off = stab._off_bases
 
         def spied(A, b, at, costs, bases):
-            stacks.append((A, b, at, costs, bases))
+            if costs[:, 2:].any():  # a need stack: its cost rows carry the prior
+                stacks.append((A, b, at, costs, bases))
             return read_off(A, b, at, costs, bases)
 
-        monkeypatch.setattr(stab, "_needs_off_bases", spied)
+        def needs(values):  # the clamp `_solve_needs` applies to each optimum
+            return [min(max(0.0, -value), 1.0) for value in values.tolist()]
+
+        monkeypatch.setattr(stab, "_off_bases", spied)
         rng = np.random.default_rng(888)
         for _ in range(10):
             n, m = int(rng.integers(4, 12)), int(rng.integers(2, 7))
@@ -501,11 +505,11 @@ class TestPivotPath:
         sizes = [len(at) for _, _, at, _, _ in stacks]
         assert sum(sizes) > 100 and max(sizes) > 10
         for A, b, at, costs, bases in stacks:
-            for i, need in enumerate(read_off(A, b, at, costs, bases)):
+            for i, need in enumerate(needs(read_off(A, b, at, costs, bases)[0])):
                 expected = need_off_basis(A[at[i]], b, costs[i], bases[i])
-                assert need.epsilon.hex() == expected.hex()
-                alone = read_off(A, b, at[i:i + 1], costs[i:i + 1], bases[i:i + 1])
-                assert alone[0].epsilon.hex() == expected.hex()
+                assert need.hex() == expected.hex()
+                alone = needs(read_off(A, b, at[i:i + 1], costs[i:i + 1], bases[i:i + 1])[0])
+                assert alone[0].hex() == expected.hex()
     def test_restart_stacks_cut_into_chunks_read_the_same(self, monkeypatch):
         import priorstab.stability as stab
 

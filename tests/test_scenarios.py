@@ -188,11 +188,9 @@ class TestKmeans:
 class TestLabels:
     def model_with_centroids(self, cents):
         cents = np.asarray(cents, float)
-        k = len(cents)
         return RegimeModel(
-            k=k,
             centroids=cents,
-            assignment=np.arange(k),
+            assignment=np.arange(len(cents)),
         )
 
     def test_reference_layout(self):
@@ -220,7 +218,6 @@ class TestLabels:
         names = [labeled.labels[c] for c in labeled.assignment]
         perm = [2, 0, 3, 1]
         permuted = RegimeModel(
-            k=4,
             centroids=cents[perm],
             assignment=np.array([perm.index(c) for c in model.assignment]),
         )
@@ -236,7 +233,6 @@ class TestUtilityMatrix:
     def test_single_month_regimes(self):
         returns = np.array([[0.01], [0.02], [0.03], [0.04]])
         model = RegimeModel(
-            k=4,
             centroids=np.array([[3, -1], [1, 0], [-1, 0], [-3, 1]], float),
             assignment=np.array([0, 1, 2, 3]),
         )
@@ -249,7 +245,6 @@ class TestUtilityMatrix:
         returns = rng.normal(0, 0.02, size=(24, 3))
         model = label_regimes(
             RegimeModel(
-                k=1,
                 centroids=np.zeros((1, 2)),
                 assignment=np.zeros(24, dtype=int),
             )
@@ -266,7 +261,6 @@ class TestUtilityMatrix:
             assignment = rng.integers(0, 4, size=40)
         model = label_regimes(
             RegimeModel(
-                k=4,
                 centroids=np.array([[2, -1], [1, 0], [-1, 0], [-2, 1]], float),
                 assignment=assignment,
             )
@@ -289,7 +283,6 @@ class TestUtilityMatrix:
             assignment = rng.integers(0, 4, size=36)
         model = label_regimes(
             RegimeModel(
-                k=4,
                 centroids=np.array([[2, -1], [1, 0], [-1, 0], [-2, 1]], float),
                 assignment=assignment,
             )
@@ -306,7 +299,6 @@ class TestUtilityMatrix:
     def test_empty_regime_is_an_error(self):
         model = label_regimes(
             RegimeModel(
-                k=4,
                 centroids=np.array([[2, -1], [1, 0], [-1, 0], [-2, 1]], float),
                 assignment=np.zeros(6, dtype=int),
             )
@@ -315,9 +307,7 @@ class TestUtilityMatrix:
             utility_matrix(np.zeros((6, 2)), model, ("x", "y"))
 
     def test_unlabeled_model_rejected(self):
-        model = RegimeModel(
-            k=1, centroids=np.zeros((1, 2)), assignment=np.zeros(5, dtype=int)
-        )
+        model = RegimeModel(centroids=np.zeros((1, 2)), assignment=np.zeros(5, dtype=int))
         with pytest.raises(ValueError):
             utility_matrix(np.zeros((5, 1)), model, ("x",))
 

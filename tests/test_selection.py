@@ -6,16 +6,17 @@ import pytest
 from priorstab import (
     DecisionProblem,
     Prior,
+    bayes_acts,
     selection_path,
     stability_profile,
     variance_cost,
 )
-from priorstab.core import expected_utility
 from priorstab.selection import CostAssignment, gamma_aggregate, rex_score
 from priorstab.stability import Need, Radius, StabilityProfile, StabilityRow
 
 from conftest import (
     PORTFOLIO_UTILITIES,
+    expected_utility,
     optimal_acts,
     random_prior,
     random_problem,
@@ -359,8 +360,9 @@ class TestRexScore:
             problem = make_problem(rng)
             prior = make_prior(rng, problem.num_states)
             result = rex_score(problem, prior, 1.0)
+            analyzed = bayes_acts(problem, prior).expected_utilities
             for act in problem.acts:
-                assert result.values[act] == expected_utility(problem, act, prior)
+                assert result.values[act] == analyzed[act]
 
     def test_zero_trust_is_maximin(self, make_problem, make_prior):
         rng = np.random.default_rng(37)

@@ -45,9 +45,8 @@ def certificate_of(problem, act):
     """The certificate a profile gives ``act``, or None where the act is
     Bayes somewhere: its best competitor mixture, kept where the mixture's
     smallest gain exceeds the tie tolerance."""
-    u = problem.utilities
     (gains,), (weights,) = stab._dominating_mixtures(problem, [act])
-    return stab._certificate(problem, act, gains, weights, TIE_TOL * (u.max() - u.min()))
+    return stab._certificate(problem, act, gains, weights)
 
 
 def spy_certificate_programs(monkeypatch):
@@ -1341,3 +1340,85 @@ def test_profile_survives_affine_rescaling(case, exponent, shift):
             assert weights.keys() == row.need.certificate.weights.keys()
             for act, w in row.need.certificate.weights.items():
                 assert abs(weights[act] - w) <= 1e-12
+
+
+def test_a_subnormal_table_has_the_radius_and_need_of_its_unit_copy():
+    # a0 leads a1 by 5e-324 in s1 and trails by 5e-324 in s2: the same
+    # table as 1, 0 / 0, 1, so the same radius and need to the last bit
+    prior = Prior("ref", [0.7, 0.3])
+    results = []
+    for top in (5e-324, 1.0):
+        problem = DecisionProblem(("a0", "a1"), ("s1", "s2"), [[top, 0.0], [0.0, top]])
+        results.append((robustness_radius(problem, "a0", prior).epsilon.hex(),
+                        contamination_need(problem, "a1", prior).epsilon.hex()))
+    assert results[0] == results[1] == (0.20000000000050003.hex(), 0.19999999999950002.hex())
+
+
+def scale_free_rows(profile):
+    """What each row of ``profile`` says in no unit of utility: the verdict,
+    the radius, the need and the certificate weights, floats as hex."""
+    def bits(x):
+        return None if x is None else x.hex()
+
+    return [(row.act, row.is_bayes, bits(row.radius.epsilon), bits(row.need.epsilon),
+             row.need.certificate and {b: w.hex() for b, w in row.need.certificate.weights.items()})
+            for row in profile.rows]
+
+
+@pytest.mark.parametrize("k", [-1060, -1030, 1000])
+def test_profiles_do_not_depend_on_magnitude(k):
+    """A uniform(-1, 1) table times 2^k, subnormal or huge, has the profile,
+    bit for bit, of the same table at unit scale, ldexp(ldexp(u, k), -k),
+    which carries the rounding the table took at 2^k."""
+    rng = np.random.default_rng(2028)
+    for _ in range(200):
+        n, m = int(rng.integers(2, 11)), int(rng.integers(2, 7))
+        u = np.ldexp(rng.uniform(-1.0, 1.0, size=(n, m)), k)
+        prior = random_prior(rng, m)
+        acts, states = [f"a{i}" for i in range(n)], [f"s{j}" for j in range(m)]
+        scaled = stability_profile(DecisionProblem(acts, states, u), [prior])
+        unit = stability_profile(DecisionProblem(acts, states, np.ldexp(u, -k)), [prior])
+        assert scale_free_rows(scaled) == scale_free_rows(unit)
+
+
+def integer_case(seed):
+    """A table of integer utilities in -3..3, which has exact ties, and
+    three priors."""
+    rng = np.random.default_rng([seed, 7])
+    n, m = int(rng.integers(3, 7)), int(rng.integers(2, 5))
+    problem = DecisionProblem([f"a{i}" for i in range(n)], [f"s{j}" for j in range(m)],
+                              rng.integers(-3, 4, size=(n, m)).astype(float))
+    return problem, [random_prior(rng, m, f"p{i}") for i in range(3)]
+
+
+# A need that stops about tau short of the tie-rule optimum (exact need
+# 1/6 - 1e-12), and one whose bits depend on the order of the priors.
+TAU_SHORT = (
+    DecisionProblem(("a0", "a1", "a2"), ("s0", "s1", "s2"),
+                    [[-2.0, 2.0, -1.0], [-1.0, 1.0, -2.0], [-2.0, 1.0, 1.0]]),
+    [Prior("uniform", [1 / 3] * 3)],
+)
+ORDER_DEPENDENT = (
+    DecisionProblem(("a0", "a1", "a2"), ("s0", "s1", "s2"),
+                    [[-2.0, 0.0, 0.0], [0.0, 2.0, -2.0], [-2.0, 1.0, -1.0]]),
+    [Prior("u", [1 / 3] * 3), Prior("v", [1 / 3, 1 / 2, 1 / 6])],
+)
+
+
+@pytest.mark.parametrize("case", [TAU_SHORT, ORDER_DEPENDENT, *map(integer_case, range(12))])
+def test_needs_on_tied_tables_stay_within_tau_scale(case):
+    """Every positive need lies within 1e-11 of the exact tie-rule need, and
+    reversing the priors moves none by more than 1e-11.  The bound is of the
+    tie tolerance's size on purpose: on tables with exact ties the simplex
+    can stop at a basis optimal only up to the loosening.  Making needs
+    exact to rounding will tighten it to rounding."""
+    problem, priors = case
+    profile = stability_profile(problem, priors)
+    reversed_priors = stability_profile(problem, priors[::-1])
+    for prior in priors:
+        for act in problem.acts:
+            need = profile_row(profile, prior.name, act).need.epsilon
+            if not need:
+                continue
+            assert abs(need - float(exact_need(problem, act, prior))) <= 1e-11
+            assert abs(profile_row(reversed_priors, prior.name, act).need.epsilon - need) <= 1e-11
